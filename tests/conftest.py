@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,6 +99,16 @@ def random_rigid(rng):
         Q[:, 0] = -Q[:, 0]
     from shapecorr.meshes import RigidTransform
     return RigidTransform(Q, rng.normal(size=3))
+
+
+def digest_tree(root):
+    """sha256 over every file under ``root``: relative path, then bytes."""
+    h = hashlib.sha256()
+    for p in sorted(Path(root).rglob("*")):
+        if p.is_file():
+            h.update(str(p.relative_to(root)).encode())
+            h.update(p.read_bytes())
+    return h.hexdigest()
 
 
 @pytest.fixture

@@ -3,12 +3,11 @@
 Each test is one criterion; together they gate the whole package.
 """
 
-import hashlib
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from shapecorr import geometry as geo
 from shapecorr.config import GenerationConfig
@@ -24,8 +23,8 @@ from shapecorr.pipeline import run_generation
 from shapecorr.scanning import generate_partial, generate_partial_pair
 from shapecorr.spatial import exhaustive_first_hits
 
-from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
-                      icosphere, random_rigid)
+from conftest import (bumpy_sphere, digest_tree, floyd_warshall_distances,
+                      grid_plane, icosphere, random_rigid)
 
 
 def random_corr(mesh, rng, unmatched_frac=0.0):
@@ -253,26 +252,40 @@ def _toy_world(n=5):
     return ShapeNetwork(nodes, edges), manifest
 
 
-def _digest(root):
-    h = hashlib.sha256()
-    for p in sorted(Path(root).rglob("*")):
-        if p.is_file():
-            h.update(str(p.relative_to(root)).encode())
-            h.update(p.read_bytes())
-    return h.hexdigest()
+# digest_tree of the criterion-9 tree, cache/ included, and the numpy/scipy
+# build it was measured on; floating-point results may differ on another
+GOLDEN_DIGEST = \
+    "16b1718b0ddc87c2e1b06d5f3f211c0661fe1289cb36ddb1fb97cf66a0c5690f"
+GOLDEN_BUILD = ("2.4.6", "1.17.1")
+
+
+def _criterion_9_config():
+    return GenerationConfig(datasets=("faust",), split="train",
+                            setting="partial_partial", resolution=(48, 48),
+                            count_range=(80, 120), global_seed=9)
 
 
 def test_criterion_9_end_to_end_determinism(tmp_path):
     """A 10-instance run repeated with the same seed is byte-identical;
     interrupted-and-resumed equals uninterrupted."""
     net, manifest = _toy_world()
-    cfg = GenerationConfig(datasets=("faust",), split="train",
-                           setting="partial_partial", resolution=(48, 48),
-                           count_range=(80, 120), global_seed=9)
+    cfg = _criterion_9_config()
     done = run_generation(cfg, net, manifest, tmp_path / "a")
     assert len(done) == 10
     run_generation(cfg, net, manifest, tmp_path / "b")
-    assert _digest(tmp_path / "a") == _digest(tmp_path / "b")
+    assert digest_tree(tmp_path / "a") == digest_tree(tmp_path / "b")
     run_generation(cfg, net, manifest, tmp_path / "c", limit=4)  # "interrupt"
     run_generation(cfg, net, manifest, tmp_path / "c")
-    assert _digest(tmp_path / "c") == _digest(tmp_path / "a")
+    assert digest_tree(tmp_path / "c") == digest_tree(tmp_path / "a")
+
+
+def test_criterion_9_pinned_digest(tmp_path):
+    """The criterion-9 tree equals a pinned digest, so a change to any
+    output byte fails here even when two runs still agree."""
+    build = (np.__version__, scipy.__version__)
+    if build != GOLDEN_BUILD:
+        pytest.skip("digest pinned on numpy %s / scipy %s; this is numpy "
+                    "%s / scipy %s" % (GOLDEN_BUILD + build))
+    net, manifest = _toy_world()
+    run_generation(_criterion_9_config(), net, manifest, tmp_path)
+    assert digest_tree(tmp_path) == GOLDEN_DIGEST

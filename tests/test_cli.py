@@ -1,6 +1,3 @@
-import hashlib
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,7 +8,7 @@ from shapecorr.meshio import save_mesh
 from shapecorr.metrics import gt_as_prediction
 from shapecorr.pipeline import load_instance
 
-from conftest import icosphere, random_rigid
+from conftest import digest_tree, icosphere, random_rigid
 
 
 @pytest.fixture
@@ -52,15 +49,6 @@ def workspace(tmp_path):
         "one_axis_rotation=false", "resolution=32x32", "global_seed=3",
     ]) + "\n")
     return tmp_path, ids
-
-
-def digest_tree(root):
-    h = hashlib.sha256()
-    for p in sorted(Path(root).rglob("*")):
-        if p.is_file():
-            h.update(str(p.relative_to(root)).encode())
-            h.update(p.read_bytes())
-    return h.hexdigest()
 
 
 def gen_args(ws, out, extra=()):

@@ -1,6 +1,3 @@
-import hashlib
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -15,7 +12,7 @@ from shapecorr.pipeline import (MatchingInstance, _restrict_to_partials,
                                 run_generation, write_instance)
 from shapecorr.scanning import generate_partial
 
-from conftest import icosphere, random_rigid
+from conftest import digest_tree, icosphere, random_rigid
 
 
 def toy_network(n=3):
@@ -169,14 +166,6 @@ class TestRestriction:
 
 
 class TestRunGeneration:
-    def digest_tree(self, root):
-        h = hashlib.sha256()
-        for p in sorted(Path(root).rglob("*")):
-            if p.is_file():
-                h.update(str(p.relative_to(root)).encode())
-                h.update(p.read_bytes())
-        return h.hexdigest()
-
     def test_writes_all_and_manifest(self, tmp_path):
         net, manifest, _ = toy_network()
         cfg = toy_config(setting="partial_partial")
@@ -195,13 +184,13 @@ class TestRunGeneration:
         net, manifest, _ = toy_network()
         cfg = toy_config(setting="partial_partial")
         run_generation(cfg, net, manifest, tmp_path / "a")
-        d1 = self.digest_tree(tmp_path / "a")
+        d1 = digest_tree(tmp_path / "a")
         logs = []
         run_generation(cfg, net, manifest, tmp_path / "a", log=logs.append)
-        assert self.digest_tree(tmp_path / "a") == d1
+        assert digest_tree(tmp_path / "a") == d1
         assert sum("skip" in line for line in logs) == 3
         run_generation(cfg, net, manifest, tmp_path / "b")
-        assert self.digest_tree(tmp_path / "b") == d1
+        assert digest_tree(tmp_path / "b") == d1
 
     def test_interrupted_resume_matches(self, tmp_path):
         net, manifest, _ = toy_network()
@@ -209,8 +198,8 @@ class TestRunGeneration:
         run_generation(cfg, net, manifest, tmp_path / "full")
         run_generation(cfg, net, manifest, tmp_path / "resumed", limit=1)
         run_generation(cfg, net, manifest, tmp_path / "resumed")
-        assert self.digest_tree(tmp_path / "resumed") == \
-            self.digest_tree(tmp_path / "full")
+        assert digest_tree(tmp_path / "resumed") == \
+            digest_tree(tmp_path / "full")
 
     def test_store_vis_emits_colored_plys(self, tmp_path):
         net, manifest, _ = toy_network()
