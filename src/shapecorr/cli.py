@@ -19,7 +19,8 @@ from .metrics import (aggregate_reports, evaluate_instance, load_prediction,
                       write_report, write_summary)
 from .network import NetworkError, build_network, correspondence_between, \
     propagate_annotation
-from .pairs import ManifestError, default_split_manifest, parse_split_manifest
+from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
+                    parse_split_manifest)
 from .pipeline import load_instance, run_generation
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
@@ -66,9 +67,10 @@ def cmd_generate(args):
         split = parse_split_manifest(args.split_manifest)
     else:
         split = default_split_manifest()
-    run_generation(config, net, split, args.output, limit=args.limit,
-                   log=_log)
-    return EXIT_OK
+    done = run_generation(config, net, split, args.output, limit=args.limit,
+                          log=_log)
+    expected = len(enumerate_pairs(split, config)[:args.limit])
+    return EXIT_OK if len(done) == expected else EXIT_VALIDATION
 
 
 def cmd_evaluate(args):

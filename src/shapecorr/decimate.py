@@ -8,16 +8,16 @@ to the adjacent face) so open scans keep their silhouettes.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .corrio import load_correspondence, save_correspondence
 from .geometry import project_points_to_surface
 from .meshes import DenseCorrespondence, Mesh, identity_correspondence
 from .meshio import load_mesh, save_mesh
+from .store import ContentStore
 
 _SINGULAR_COND = 1e12
 
@@ -260,52 +260,34 @@ def remesh_with_correspondence(mesh, count_range, rng, cache=None):
     return result
 
 
-class RemeshCache:
-    """Content-addressed cache of decimated meshes + correspondences.
+class RemeshCache(ContentStore):
+    """Cache of decimated meshes + correspondences keyed by (vertices,
+    faces, target); honors the use_precompute_remeshing /
+    update_precomputed_remeshed config pair."""
 
-    Keys are a hash of (vertices, faces, target); honors the
-    use_precompute_remeshing / update_precomputed_remeshed config pair.
-    """
-
-    def __init__(self, directory, use=True, update=True):
-        self.dir = Path(directory)
-        self.use = use
-        self.update = update
+    suffixes = (".ply", ".corr", ".meta")
 
     @staticmethod
-    def key(mesh, target):
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(mesh.vertices).tobytes())
-        h.update(np.ascontiguousarray(mesh.faces).tobytes())
-        h.update(str(int(target)).encode())
-        return h.hexdigest()[:24]
+    def key_parts(mesh, target):
+        return mesh.vertices, mesh.faces, str(int(target)).encode()
 
     def load(self, mesh, target):
-        if not self.use:
-            return None
-        base = self.dir / self.key(mesh, target)
-        mesh_path = base.with_suffix(".ply")
-        corr_path = base.with_suffix(".corr")
-        meta_path = base.with_suffix(".meta")
-        if not (mesh_path.exists() and corr_path.exists() and meta_path.exists()):
-            return None
-        from .corrio import load_correspondence
+        return super().load(mesh, target)
+
+    def read(self, paths, mesh, target):
+        mesh_path, corr_path, meta_path = paths
         dec = load_mesh(mesh_path, id=mesh.id)
-        corr = load_correspondence(corr_path)
         meta = dict(line.split("=", 1) for line in
                     meta_path.read_text().splitlines() if line)
-        return RemeshResult(dec, corr, target_count=target,
+        return RemeshResult(dec, load_correspondence(corr_path),
+                            target_count=target,
                             achieved_count=dec.n_vertices,
-                            max_projection_error=float(meta["max_projection_error"]))
+                            max_projection_error=float(
+                                meta["max_projection_error"]))
 
-    def store(self, mesh, target, result):
-        if not self.update:
-            return
-        self.dir.mkdir(parents=True, exist_ok=True)
-        base = self.dir / self.key(mesh, target)
-        from .corrio import save_correspondence
-        save_mesh(result.mesh, base.with_suffix(".ply"))
-        save_correspondence(result.to_original, base.with_suffix(".corr"),
-                            binary=True)
-        base.with_suffix(".meta").write_text(
+    def write(self, paths, result):
+        mesh_path, corr_path, meta_path = paths
+        save_mesh(result.mesh, mesh_path)
+        save_correspondence(result.to_original, corr_path, binary=True)
+        meta_path.write_text(
             f"max_projection_error={result.max_projection_error!r}\n")

@@ -42,29 +42,15 @@ def connected_components(mesh, face_subset=None):
     edges = np.sort(edges, axis=1)
     owner = np.tile(np.arange(len(fidx)), 3)  # edge blocks are per-corner
     _, inverse = np.unique(edges, axis=0, return_inverse=True)
-    # faces sharing an edge id become graph neighbours
+    # faces sharing an edge id become graph neighbours: chain each run of
+    # equal ids through its consecutive members
     order = np.argsort(inverse, kind="stable")
     inv_sorted = inverse[order]
     own_sorted = owner[order]
-    rows, cols = [], []
-    start = 0
-    for end in np.flatnonzero(np.diff(inv_sorted)) + 1:
-        group = own_sorted[start:end]
-        if len(group) > 1:
-            rows.append(np.repeat(group[:-1], 1))
-            cols.append(group[1:])
-        start = end
-    group = own_sorted[start:]
-    if len(group) > 1:
-        rows.append(group[:-1])
-        cols.append(group[1:])
+    same = inv_sorted[1:] == inv_sorted[:-1]
+    rows, cols = own_sorted[:-1][same], own_sorted[1:][same]
     n = len(fidx)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        adj = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    else:
-        adj = sparse.coo_matrix((n, n))
+    adj = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     n_comp, labels = csgraph.connected_components(adj, directed=False)
     areas = face_areas(mesh, fidx)
     comps = []
@@ -216,12 +202,6 @@ def rotate_z(mesh, angle):
     return mesh.with_vertices(mesh.vertices @ R.T)
 
 
-def z_rotation(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return RigidTransform(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
-                          np.zeros(3))
-
-
 def normalize_to_unit_box(mesh):
     """Center at the origin and scale uniformly so the largest axis-aligned
     extent is 1. Returns (mesh, restore) where restore maps back to the
@@ -266,15 +246,6 @@ def geodesic_distance_fields(mesh, sources):
         raise IndexError("source vertex out of range")
     g = edge_graph(mesh)
     return csgraph.dijkstra(g, directed=False, indices=sources)
-
-
-def snap_to_vertex(mesh, sp):
-    """Face-vertex with maximal barycentric weight (ties -> lowest vertex
-    index); used to move SurfacePoint targets onto the vertex graph."""
-    face = mesh.faces[sp.face]
-    w = sp.weights
-    best = np.flatnonzero(w == w.max())
-    return int(face[best].min())
 
 
 def snap_correspondence_to_vertices(corr, target_mesh):

@@ -77,19 +77,10 @@ class ShapeNetwork:
         seen = set()
         comps = []
         for start in sorted(self.nodes):
-            if start in seen:
-                continue
-            comp = set()
-            q = deque([start])
-            seen.add(start)
-            while q:
-                u = q.popleft()
-                comp.add(u)
-                for v in sorted(self.adjacency[u]):
-                    if v not in seen:
-                        seen.add(v)
-                        q.append(v)
-            comps.append(sorted(comp))
+            if start not in seen:
+                comp = sorted(hop_distances(self, start))
+                seen.update(comp)
+                comps.append(comp)
         comps.sort(key=lambda c: (-len(c), c[0]))
         templates = set(self.template_ids())
         templates_connected = any(templates <= set(c) for c in comps) \
@@ -98,23 +89,27 @@ class ShapeNetwork:
                 "templates_connected": templates_connected}
 
 
-def shortest_path(net, a, b):
-    """Minimum-hop node path from a to b; among equally short paths the
-    lexicographically smallest node sequence is returned."""
-    for nid in (a, b):
-        if nid not in net.nodes:
-            raise NetworkError(f"unknown shape id {nid!r}")
-    if a == b:
-        return [a]
-    # BFS distances toward b, then walk greedily from a downhill
-    dist = {b: 0}
-    q = deque([b])
+def hop_distances(net, start):
+    """Hop count from ``start`` to every node reachable from it (BFS)."""
+    dist = {start: 0}
+    q = deque([start])
     while q:
         u = q.popleft()
         for v in net.adjacency[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 q.append(v)
+    return dist
+
+
+def shortest_path(net, a, b):
+    """Minimum-hop node path from a to b; among equally short paths the
+    lexicographically smallest node sequence is returned."""
+    for nid in (a, b):
+        if nid not in net.nodes:
+            raise NetworkError(f"unknown shape id {nid!r}")
+    # distances toward b, then walk greedily from a downhill
+    dist = hop_distances(net, b)
     if a not in dist:
         raise NetworkError(f"no path between {a!r} and {b!r}")
     path = [a]
@@ -179,27 +174,11 @@ def nearest_annotated(net, target):
     lexicographically smallest id."""
     if target not in net.nodes:
         raise NetworkError(f"unknown shape id {target!r}")
-    if target in net.annotations:
-        return target
-    dist = {target: 0}
-    q = deque([target])
-    frontier_hits = []
-    depth = None
-    while q:
-        u = q.popleft()
-        if depth is not None and dist[u] > depth:
-            break
-        for v in sorted(net.adjacency[u]):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v in net.annotations and depth is None:
-                    depth = dist[v]
-                if v in net.annotations and dist[v] == depth:
-                    frontier_hits.append(v)
-                q.append(v)
-    if not frontier_hits:
+    dist = hop_distances(net, target)
+    reached = [(dist[a], a) for a in net.annotations if a in dist]
+    if not reached:
         raise NetworkError(f"no annotated node reachable from {target!r}")
-    return min(frontier_hits)
+    return min(reached)[1]
 
 
 def propagate_annotation(net, target):

@@ -280,13 +280,15 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
                    log=None):
     """Generate all instances for config.split into output_dir.
 
-    Resumable: completed instance directories are skipped. Failures are
-    logged and the run continues. Returns the list of written (or already
-    present) instance directory names.
+    Resumable: completed instance directories are skipped, and temporaries
+    a killed run left behind are removed first. Failures are logged and the
+    run continues. Returns the list of written (or already present)
+    instance directory names.
     """
     log = log or (lambda msg: None)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    _remove_temporaries(output_dir)
     config.to_file(output_dir / "config.echo")
     raycast_cache = RaycastCache(
         output_dir / "cache" / "raycast",
@@ -324,3 +326,13 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
     manifest_path.write_text("\n".join(done) + ("\n" if done else ""))
     log(f"wrote {len(done)} instances ({failed} failed) to {output_dir}")
     return done
+
+
+def _remove_temporaries(output_dir):
+    """Delete the temp directories of write_instance and the temp files of
+    the caches that a killed run left under output_dir."""
+    for p in sorted(output_dir.rglob("*.tmp*")):
+        if p.is_dir():
+            shutil.rmtree(p, ignore_errors=True)
+        else:
+            p.unlink(missing_ok=True)

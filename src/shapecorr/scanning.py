@@ -8,14 +8,13 @@ mutual overlap fraction lands in a configured range.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import geometry as geo
 from .meshes import Mesh, UNMATCHED
+from .store import ContentStore
 
 CAMERA_DISTANCE = 2.0
 _FOV_MARGIN = 1.05
@@ -60,9 +59,6 @@ class PartialMesh:
     parent_face: np.ndarray  # per-face index into the parent
     camera: CameraPose
     restore: object  # SimilarityTransform used during scanning
-
-    def parent_face_set(self):
-        return set(int(f) for f in self.parent_face)
 
 
 @dataclass
@@ -221,18 +217,16 @@ def _directed_overlap(pa, pb, corr):
 
 
 def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
-                          resolution=DEFAULT_RESOLUTION, cache=None,
-                          strict_both=False):
+                          resolution=DEFAULT_RESOLUTION, cache=None):
     """Overlap-constrained partial pair.
 
     my is rigidly pre-aligned to mx (Procrustes over the matched vertex
     pairs) for camera placement only; the returned partials are at the
     original dataset poses. Up to ``m`` attempts with camera pairs whose
     angular disparity stays below ``alpha``; an attempt is accepted when at
-    least one overlap fraction is inside [min_overlap, max_overlap]
-    (``strict_both`` demands both). After m failures the attempt whose
-    worst fraction is closest to the range is returned with
-    within_range=False.
+    least one overlap fraction is inside [min_overlap, max_overlap]. After
+    m failures the attempt whose worst fraction is closest to the range is
+    returned with within_range=False.
     """
     alpha = params["alpha"]
     lo, hi = params["min_overlap"], params["max_overlap"]
@@ -265,11 +259,7 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
             restore=py_aligned.restore)
         stats = compute_overlap(px, py, corr_xy, corr_yx,
                                 iterations_used=it, overlap_range=(lo, hi))
-        ok_x = lo <= stats.frac_x_to_y <= hi
-        ok_y = lo <= stats.frac_y_to_x <= hi
-        accepted = (ok_x and ok_y) if strict_both else (ok_x or ok_y)
-        if accepted:
-            stats.within_range = True
+        if stats.within_range:
             return px, py, stats
         score = max(dist_to_range(stats.frac_x_to_y),
                     dist_to_range(stats.frac_y_to_x))
@@ -279,7 +269,6 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
     if best is None:
         raise EmptyScanError("all camera pairs produced empty scans")
     px, py, stats = best
-    stats.within_range = False
     stats.iterations_used = m
     return px, py, stats
 
@@ -295,36 +284,24 @@ def _align_to(my, mx, corr_xy):
     return my.with_vertices(T.apply(my.vertices))
 
 
-class RaycastCache:
+class RaycastCache(ContentStore):
     """Cache of hit-face sets keyed by (mesh, camera, resolution); honors the
     use_precomputed_partial_raycasting / update_precomputed_raycasting pair."""
 
-    def __init__(self, directory, use=True, update=True):
-        self.dir = Path(directory)
-        self.use = use
-        self.update = update
+    suffixes = (".npy",)
 
     @staticmethod
-    def key(mesh, camera, resolution):
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(mesh.vertices).tobytes())
-        h.update(np.ascontiguousarray(mesh.faces).tobytes())
-        h.update(np.array([camera.azimuth, camera.elevation, camera.distance],
-                          dtype=np.float64).tobytes())
-        h.update(np.array(resolution, dtype=np.int64).tobytes())
-        return h.hexdigest()[:24]
+    def key_parts(mesh, camera, resolution):
+        return (mesh.vertices, mesh.faces,
+                np.array([camera.azimuth, camera.elevation, camera.distance],
+                         dtype=np.float64),
+                np.array(resolution, dtype=np.int64))
 
     def load(self, mesh, camera, resolution):
-        if not self.use:
-            return None
-        p = self.dir / (self.key(mesh, camera, resolution) + ".npy")
-        if not p.exists():
-            return None
-        return np.load(p)
+        return super().load(mesh, camera, resolution)
 
-    def store(self, mesh, camera, resolution, hit_faces):
-        if not self.update:
-            return
-        self.dir.mkdir(parents=True, exist_ok=True)
-        p = self.dir / (self.key(mesh, camera, resolution) + ".npy")
-        np.save(p, np.asarray(hit_faces, dtype=np.int64))
+    def read(self, paths, mesh, camera, resolution):
+        return np.load(paths[0])
+
+    def write(self, paths, hit_faces):
+        np.save(paths[0], np.asarray(hit_faces, dtype=np.int64))

@@ -66,6 +66,21 @@ class TestGenerate:
         assert digest_tree(ws / "out1") == digest_tree(ws / "out2")
         assert (ws / "out1" / "config.echo").exists()
 
+    def test_failed_instance_exit_1(self, workspace, capsys):
+        ws, ids = workspace
+        # a fourth shape with no edges: no network path reaches it
+        with open(ws / "network.manifest", "a") as fh:
+            fh.write("shape faust:0003 dataset=faust mesh=s0.ply\n")
+        with open(ws / "split.manifest", "a") as fh:
+            fh.write("shape faust:0003 dataset=faust category=faust:c "
+                     "type=human\n")
+            fh.write(f"pair train {ids[0]} faust:0003\n")
+        assert main(gen_args(ws, ws / "out")) == 1
+        assert "FAIL train_000002" in capsys.readouterr().out
+        listed = (ws / "out" / "instances.manifest").read_text().split()
+        assert listed == ["train_000000", "train_000001"]
+        assert main(gen_args(ws, ws / "out", extra=["--limit", "2"])) == 0
+
     def test_seed_changes_output(self, workspace):
         ws, _ = workspace
         cfg2 = ws / "rot.cfg"

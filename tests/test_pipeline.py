@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,30 @@ class TestRunGeneration:
         run_generation(cfg, net, manifest, tmp_path / "resumed")
         assert digest_tree(tmp_path / "resumed") == \
             digest_tree(tmp_path / "full")
+
+    def test_killed_run_resumes_to_same_tree(self, tmp_path):
+        """Torn cache entries and a leftover temp directory, as a run killed
+        while writing instance 0 leaves them, are recovered on resume."""
+        net, manifest, _ = toy_network()
+        cfg = toy_config(setting="partial_partial")
+        run_generation(cfg, net, manifest, tmp_path / "probe", limit=1)
+        cache_files = [p.relative_to(tmp_path / "probe") for p in
+                       sorted((tmp_path / "probe" / "cache").rglob("*"))
+                       if p.is_file()]
+        assert {p.suffix for p in cache_files} >= {".npy", ".ply", ".meta"}
+        out = tmp_path / "out"
+        run_generation(cfg, net, manifest, out)
+        expected = digest_tree(out)
+        for rel in cache_files:
+            data = (out / rel).read_bytes()
+            (out / rel).write_bytes(data[:len(data) // 2])
+        shutil.rmtree(out / "train_000000")
+        (out / "train_000000.tmp.x").mkdir()
+        (out / "train_000000.tmp.x" / "x.ply").write_bytes(b"ply\n")
+        logs = []
+        run_generation(cfg, net, manifest, out, log=logs.append)
+        assert not [line for line in logs if line.startswith("FAIL")]
+        assert digest_tree(out) == expected
 
     def test_store_vis_emits_colored_plys(self, tmp_path):
         net, manifest, _ = toy_network()
