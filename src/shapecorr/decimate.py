@@ -271,19 +271,20 @@ class RemeshCache(ContentStore):
     def key_parts(mesh, target):
         return mesh.vertices, mesh.faces, str(int(target)).encode()
 
+    # spelled out so perfbench's tracer, which looks in the class __dict__,
+    # finds it
     def load(self, mesh, target):
         return super().load(mesh, target)
 
     def read(self, paths, mesh, target):
         mesh_path, corr_path, meta_path = paths
         dec = load_mesh(mesh_path, id=mesh.id)
+        corr = load_correspondence(corr_path)
         meta = dict(line.split("=", 1) for line in
                     meta_path.read_text().splitlines() if line)
-        return RemeshResult(dec, load_correspondence(corr_path),
-                            target_count=target,
+        return RemeshResult(dec, corr, target_count=target,
                             achieved_count=dec.n_vertices,
-                            max_projection_error=float(
-                                meta["max_projection_error"]))
+                            max_projection_error=float(meta["max_projection_error"]))
 
     def write(self, paths, result):
         mesh_path, corr_path, meta_path = paths

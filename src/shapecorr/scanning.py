@@ -297,6 +297,8 @@ class RaycastCache(ContentStore):
                          dtype=np.float64),
                 np.array(resolution, dtype=np.int64))
 
+    # spelled out so perfbench's tracer, which looks in the class __dict__,
+    # finds it
     def load(self, mesh, camera, resolution):
         return super().load(mesh, camera, resolution)
 
