@@ -81,12 +81,14 @@ def cmd_evaluate(args):
     if args.limit:
         names = names[:args.limit]
     reports = []
+    n_skipped = 0
     out_dir = Path(args.output)
     for name in names:
         shape_x, shape_y, gt, meta = load_instance(instances_dir / name)
         pred_path = Path(args.predictions) / f"{name}.txt"
         if not pred_path.exists():
             _log(f"SKIP {name}: no prediction file {pred_path}")
+            n_skipped += 1
             continue
         pred = load_prediction(pred_path)
         rep = evaluate_instance(shape_y, gt, pred, meta["setting"],
@@ -95,12 +97,13 @@ def cmd_evaluate(args):
         reports.append(rep)
         _log(f"eval {name}: auc={rep.auc:.3f}")
     if not reports:
-        _log("no instances evaluated")
+        _log(f"no instances evaluated n_skipped={n_skipped}")
         return EXIT_VALIDATION
     summary = aggregate_reports(reports)
     write_summary(summary, out_dir / "summary.txt")
-    _log(" ".join(f"{k}={v}" for k, v in summary.items()))
-    return EXIT_OK
+    _log(" ".join(f"{k}={v}" for k, v in summary.items())
+         + f" n_skipped={n_skipped}")
+    return EXIT_VALIDATION if n_skipped else EXIT_OK
 
 
 def cmd_propagate(args):

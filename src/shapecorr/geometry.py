@@ -133,24 +133,21 @@ def closest_point_on_triangle(p, a, b, c):
 def project_to_surface(p, mesh):
     """Globally nearest surface point to p, as a SurfacePoint.
 
-    Accelerated by the mesh's BVH; ties broken by lowest face index. Equals
-    the exhaustive per-face minimum.
+    One-point case of ``project_points_to_surface``; ties broken by lowest
+    face index. Equals the exhaustive per-face minimum.
     """
-    face, _, bary = mesh.bvh.nearest_point(np.asarray(p, dtype=np.float64))
-    return SurfacePoint(face, bary)
+    faces, bary = mesh.bvh.nearest_points(np.asarray(p, dtype=np.float64)[None])
+    return SurfacePoint(int(faces[0]), bary[0])
 
 
 def project_points_to_surface(points, mesh):
-    """Vectorized projection of many points; returns (faces (n,), bary (n,3))."""
-    points = np.asarray(points, dtype=np.float64)
-    faces = np.empty(len(points), dtype=np.int64)
-    bary = np.empty((len(points), 3))
-    bvh = mesh.bvh
-    for i, p in enumerate(points):
-        f, _, w = bvh.nearest_point(p)
-        faces[i] = f
-        bary[i] = w
-    return faces, bary
+    """Globally nearest surface point to each of ``points`` (n, 3).
+
+    One batched query on the mesh's BVH; returns (faces (n,), bary (n, 3)),
+    equal row by row to the exhaustive per-face minimum with ties broken by
+    lowest face index.
+    """
+    return mesh.bvh.nearest_points(points)
 
 
 def evaluate_surface_point(mesh, sp):

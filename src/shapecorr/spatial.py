@@ -2,7 +2,9 @@
 
 Answers first-hit ray queries (identical to exhaustive Moller-Trumbore
 intersection, ties at shared edges broken by lowest face index) and nearest
-surface point queries (ties broken by lowest face index).
+surface point queries (identical to the exhaustive per-face minimum, ties
+broken by lowest face index). Both take a whole batch of rays or points per
+call and walk the flat node arrays with numpy, not one traversal per query.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from .geometry import closest_points_on_triangles
 
 RAY_EPS = 1e-9
 _LEAF_SIZE = 8
+_QUERY_POINTS = 256  # points per nearest-point chunk
+_QUERY_PAIRS = 1024  # (point, face) pairs per closest-point evaluation
 
 
 def ray_triangle_intersections(origins, directions, a, b, c):
@@ -101,13 +105,8 @@ class TriangleBVH:
                 build(mid, end)
             return idx
 
-        import sys
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10000))
-        try:
-            build(0, mesh.n_faces)
-        finally:
-            sys.setrecursionlimit(old_limit)
+        # median splits keep the depth near log2(n_faces / leaf_size) + 1
+        build(0, mesh.n_faces)
 
         self.node_min = np.asarray(node_min)
         self.node_max = np.asarray(node_max)
@@ -115,6 +114,15 @@ class TriangleBVH:
         self.node_start = np.asarray(node_start, dtype=np.int64)
         self.node_count = np.asarray(node_count, dtype=np.int64)
         self.face_order = order
+
+        # padded leaf -> faces table (-1 pads) and node -> table row map
+        leaves = np.flatnonzero(self.node_count)
+        counts = self.node_count[leaves, None]
+        cols = np.arange(counts.max())
+        slot = np.minimum(self.node_start[leaves, None] + cols, len(order) - 1)
+        self.leaf_faces = np.where(cols < counts, order[slot], -1)
+        self.leaf_row = np.full(len(self.node_count), -1, dtype=np.int64)
+        self.leaf_row[leaves] = np.arange(len(leaves))
 
     # --- ray queries ---
 
@@ -165,45 +173,94 @@ class TriangleBVH:
 
     # --- nearest point queries ---
 
-    def nearest_point(self, p):
-        """Globally nearest surface point to p.
+    def nearest_points(self, points):
+        """Globally nearest surface point to each of ``points`` (n, 3).
 
-        Returns (face index, point (3,), barycentric (3,)); ties on exact
-        squared distance resolved to the lowest face index.
+        Returns (faces (n,), barycentric (n, 3)), equal to
+        ``brute_force_nearest`` row by row: ties on exact squared distance
+        go to the lowest face index. Points are taken in fixed-size chunks,
+        so extra memory does not grow with n.
         """
-        p = np.asarray(p, dtype=np.float64)
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+        faces = np.empty(len(points), dtype=np.int64)
+        bary = np.empty((len(points), 3))
         a, b, c = self._tri
-        best = [np.inf, -1, None, None]  # d2, face, point, bary
+        for s in range(0, len(points), _QUERY_POINTS):
+            p = points[s:s + _QUERY_POINTS]
+            f = self._nearest_faces(p)
+            faces[s:s + len(p)] = f
+            bary[s:s + len(p)] = closest_points_on_triangles(p, a[f], b[f], c[f])[1]
+        return faces, bary
 
-        def box_d2(node):
-            d = np.maximum(self.node_min[node] - p, 0.0)
-            d = np.maximum(d, p - self.node_max[node])
-            return float((d * d).sum())
+    def _nearest_faces(self, p):
+        """Nearest face for each point of one chunk p (m, 3)."""
+        m = len(p)
+        # 1. descend greedily to one leaf per point; its faces bound d2 above
+        leaf = np.zeros(m, dtype=np.int64)
+        inner = np.flatnonzero(self.node_count[leaf] == 0)
+        while len(inner):
+            left, right = leaf[inner] + 1, self.node_left[leaf[inner]]
+            nearer_left = (self._box_d2(p[inner], left)
+                           < self._box_d2(p[inner], right))
+            leaf[inner] = np.where(nearer_left, left, right)
+            inner = inner[self.node_count[leaf[inner]] == 0]
+        best_d2 = np.full(m, np.inf)
+        best_face = np.full(m, -1, dtype=np.int64)
+        self._scan_leaves(p, np.arange(m), leaf, best_d2, best_face)
 
-        stack = [(box_d2(0), 0)]
-        while stack:
-            d2, node = stack.pop()
-            if d2 > best[0]:
-                continue
-            if self.node_count[node] > 0:
-                s = self.node_start[node]
-                faces = self.face_order[s:s + self.node_count[node]]
-                pts, bary = closest_points_on_triangles(p, a[faces], b[faces], c[faces])
-                dd = ((pts - p) ** 2).sum(axis=1)
-                for k in np.argsort(faces, kind="stable"):
-                    if dd[k] < best[0] or (dd[k] == best[0] and faces[k] < best[1]):
-                        best = [dd[k], int(faces[k]), pts[k], bary[k]]
-            else:
-                l, r = node + 1, self.node_left[node]
-                dl, dr = box_d2(l), box_d2(r)
-                # visit nearer child last (popped first)
-                if dl < dr:
-                    stack.append((dr, r))
-                    stack.append((dl, l))
-                else:
-                    stack.append((dl, l))
-                    stack.append((dr, r))
-        return best[1], best[2], best[3]
+        # 2. every other leaf whose box is within the bound (<= keeps exact
+        # ties); the greedy leaf is already scanned, so rounding that puts
+        # its box distance above the bound its own faces set cannot drop it
+        hit_pt, hit_node = [], []
+        fp, fn = np.arange(m), np.zeros(m, dtype=np.int64)
+        while len(fp):
+            keep = self._box_d2(p[fp], fn) <= best_d2[fp]
+            fp, fn = fp[keep], fn[keep]
+            at_leaf = self.node_count[fn] > 0
+            new = at_leaf & (fn != leaf[fp])
+            hit_pt.append(fp[new])
+            hit_node.append(fn[new])
+            fp, fn = fp[~at_leaf], fn[~at_leaf]
+            fp, fn = np.tile(fp, 2), np.concatenate([fn + 1, self.node_left[fn]])
+
+        # 3. and 4. exact distances to their faces, lowest (d2, face) wins
+        self._scan_leaves(p, np.concatenate(hit_pt), np.concatenate(hit_node),
+                          best_d2, best_face)
+        return best_face
+
+    def _box_d2(self, p, node):
+        """Squared distance from each p[i] to the box of node[i]."""
+        d = np.maximum(self.node_min[node] - p, 0.0)
+        d = np.maximum(d, p - self.node_max[node])
+        return (d * d).sum(axis=1)
+
+    def _scan_leaves(self, p, pt, node, best_d2, best_face):
+        """Lower best_d2/best_face[pt[i]] to the faces of leaf node[i] that
+        are nearer to p[pt[i]], or as near with a lower index.
+
+        Works in chunks of at most _QUERY_PAIRS (point, face) pairs.
+        """
+        a, b, c = self._tri
+        step = max(1, _QUERY_PAIRS // self.leaf_faces.shape[1])
+        for s in range(0, len(pt), step):
+            table = self.leaf_faces[self.leaf_row[node[s:s + step]]]
+            valid = table >= 0
+            row = np.broadcast_to(pt[s:s + step, None], table.shape)[valid]
+            face = table[valid]
+            q = p[row]
+            near, _ = closest_points_on_triangles(q, a[face], b[face], c[face])
+            d2 = ((near - q) ** 2).sum(axis=1)
+            order = np.lexsort((face, d2, row))
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = row[order[1:]] != row[order[:-1]]
+            win = order[first]
+            row, face, d2 = row[win], face[win], d2[win]
+            better = (d2 < best_d2[row]) | (
+                (d2 == best_d2[row]) & (face < best_face[row]))
+            best_d2[row[better]] = d2[better]
+            best_face[row[better]] = face[better]
 
 
 def brute_force_nearest(mesh, p):

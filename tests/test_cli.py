@@ -113,18 +113,24 @@ class TestGenerate:
             assert digest_tree(ws / "a" / n) == digest_tree(ws / "b" / n)
 
 
+def write_gt_predictions(ws, names):
+    """Ground truth as prediction files for the named instances."""
+    pred_dir = ws / "preds"
+    pred_dir.mkdir()
+    for n in names:
+        _, shape_y, gt, _ = load_instance(ws / "out" / n)
+        pred = gt_as_prediction(gt, shape_y)
+        (pred_dir / f"{n}.txt").write_text(
+            "\n".join(str(int(v)) for v in pred) + "\n")
+    return pred_dir
+
+
 class TestEvaluate:
     def test_gt_predictions_score_100(self, workspace, capsys):
         ws, _ = workspace
         assert main(gen_args(ws, ws / "out")) == 0
         names = (ws / "out" / "instances.manifest").read_text().split()
-        pred_dir = ws / "preds"
-        pred_dir.mkdir()
-        for n in names:
-            _, shape_y, gt, _ = load_instance(ws / "out" / n)
-            pred = gt_as_prediction(gt, shape_y)
-            (pred_dir / f"{n}.txt").write_text(
-                "\n".join(str(int(v)) for v in pred) + "\n")
+        pred_dir = write_gt_predictions(ws, names)
         code = main(["evaluate", "--instances", str(ws / "out"),
                      "--predictions", str(pred_dir),
                      "--output", str(ws / "eval")])
@@ -132,6 +138,25 @@ class TestEvaluate:
         summary = (ws / "eval" / "summary.txt").read_text()
         assert "mean_auc=100.0" in summary
         for n in names:
+            assert (ws / "eval" / n / "curve.txt").exists()
+
+    def test_missing_prediction_exit_1(self, workspace, capsys):
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out")) == 0
+        names = (ws / "out" / "instances.manifest").read_text().split()
+        assert len(names) > 1
+        pred_dir = write_gt_predictions(ws, names[1:])
+        capsys.readouterr()
+        code = main(["evaluate", "--instances", str(ws / "out"),
+                     "--predictions", str(pred_dir),
+                     "--output", str(ws / "eval")])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"SKIP {names[0]}:" in "\n".join(out)
+        assert out[-1].endswith(" n_skipped=1")
+        assert "n_skipped" not in (ws / "eval" / "summary.txt").read_text()
+        assert not (ws / "eval" / names[0]).exists()
+        for n in names[1:]:
             assert (ws / "eval" / n / "curve.txt").exists()
 
     def test_no_predictions_exit_1(self, workspace):

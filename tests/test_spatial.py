@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from shapecorr import spatial
 from shapecorr.meshes import Mesh
-from shapecorr.spatial import TriangleBVH, exhaustive_first_hits
+from shapecorr.spatial import (TriangleBVH, brute_force_nearest,
+                               exhaustive_first_hits)
 
-from conftest import bumpy_sphere, icosphere
+from conftest import bumpy_sphere, grid_plane, icosphere
 
 
 def random_rays_at(mesh, rng, n):
@@ -67,21 +69,71 @@ def test_shared_edge_hit_lowest_face(rng):
     assert f[0] == fo[0] == 0
 
 
-def test_nearest_point_matches_brute_force(rng):
-    from shapecorr.spatial import brute_force_nearest
-    m = bumpy_sphere(2)
-    bvh = m.bvh
-    for p in rng.normal(size=(300, 3)) * 1.5:
-        f, pt, w = bvh.nearest_point(p)
-        fo, pto, wo = brute_force_nearest(m, p)
+def assert_nearest_matches_oracle(mesh, points):
+    """Batched nearest query equals brute_force_nearest row by row:
+    same face, bit-identical barycentrics. Returns the batched points."""
+    faces, bary = mesh.bvh.nearest_points(points)
+    for p, f, w in zip(points, faces, bary):
+        fo, _, wo = brute_force_nearest(mesh, p)
         assert f == fo
-        np.testing.assert_allclose(pt, pto, atol=1e-12)
+        assert np.array_equal(w, wo)
+    return np.einsum("ij,ijk->ik", bary, mesh.vertices[mesh.faces[faces]])
+
+
+def test_nearest_point_matches_brute_force(rng):
+    m = bumpy_sphere(2)
+    pts = rng.normal(size=(300, 3)) * 1.5
+    near = assert_nearest_matches_oracle(m, pts)
+    for p, pt in zip(pts, near):
+        np.testing.assert_allclose(pt, brute_force_nearest(m, p)[1], atol=1e-12)
 
 
 def test_nearest_point_on_vertex():
     m = icosphere(1)
-    f, pt, w = m.bvh.nearest_point(m.vertices[0] * 2.0)
-    np.testing.assert_allclose(pt, m.vertices[0], atol=1e-12)
+    near = assert_nearest_matches_oracle(m, m.vertices[:1] * 2.0)
+    np.testing.assert_allclose(near[0], m.vertices[0], atol=1e-12)
+
+
+def test_nearest_points_on_vertices_and_centroids():
+    m = bumpy_sphere(2)
+    centroids = m.vertices[m.faces].mean(axis=1)
+    assert_nearest_matches_oracle(m, np.concatenate([m.vertices, centroids]))
+
+
+def test_nearest_points_equidistant_ties():
+    # two parallel triangles, query point exactly between them
+    m = Mesh([[0, 0, 1], [1, 0, 1], [0, 1, 1],
+              [0, 0, -1], [1, 0, -1], [0, 1, -1]],
+             [[0, 1, 2], [3, 4, 5]])
+    assert_nearest_matches_oracle(m, np.array([[0.2, 0.2, 0.0]]))
+    # above grid vertices and edge midpoints every adjacent face is a tie
+    g = grid_plane(8)
+    v, f = g.vertices, g.faces
+    mids = np.concatenate([(v[f[:, i]] + v[f[:, (i + 1) % 3]]) / 2.0
+                           for i in range(3)])
+    assert_nearest_matches_oracle(g, np.concatenate([v, mids]) + [0, 0, 0.25])
+
+
+def test_nearest_points_long_sliver(rng):
+    # one sliver spanning the sphere makes box bounds loose everywhere
+    m = bumpy_sphere(2)
+    v = np.concatenate([m.vertices, [[-2.0, -2.0, -2.0], [2.0, 2.0, 2.0],
+                                     [2.0, 2.0, 2.001]]])
+    n = len(m.vertices)
+    f = np.concatenate([m.faces, [[n, n + 1, n + 2]]])
+    assert_nearest_matches_oracle(Mesh(v, f), rng.normal(size=(300, 3)) * 1.5)
+
+
+def test_nearest_points_empty():
+    faces, bary = bumpy_sphere(2).bvh.nearest_points(np.empty((0, 3)))
+    assert faces.shape == (0,)
+    assert bary.shape == (0, 3)
+
+
+def test_nearest_points_across_chunk_boundary(rng):
+    m = bumpy_sphere(2)
+    assert_nearest_matches_oracle(
+        m, rng.normal(size=(spatial._QUERY_POINTS + 1, 3)) * 1.5)
 
 
 def test_deterministic_build():
