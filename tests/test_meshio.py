@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shapecorr.meshes import Mesh, MeshValidationError
-from shapecorr.meshio import MeshFormatError, load_mesh, save_mesh, validation_report
+from shapecorr.meshio import (MeshFormatError, load_mesh, save_colored_ply,
+                              save_mesh, validation_report)
 
 from conftest import icosphere
 
@@ -77,6 +78,125 @@ def test_ascii_ply(tmp_path):
     m = load_mesh(write(tmp_path / "t.ply", text))
     assert m.n_vertices == 3 and m.n_faces == 1
 
+
+
+TRI_V = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                  [1.0, 1.0, 0.5]])
+TRI_F = np.array([[0, 1, 2], [1, 3, 2]])
+
+
+def ply_header(fmt, vertex_props, face_props, nv=4, nf=2):
+    return ("ply\n"
+            f"format {fmt} 1.0\n"
+            "comment written by hand\n"
+            f"element vertex {nv}\n"
+            + "".join(f"property {p}\n" for p in vertex_props)
+            + f"element face {nf}\n"
+            + "".join(f"property {p}\n" for p in face_props)
+            + "end_header\n").encode("ascii")
+
+
+XYZ = ["double x", "double y", "double z"]
+INDICES = ["list uchar int vertex_indices"]
+
+
+def test_big_endian_binary_ply(tmp_path):
+    faces = np.empty(2, dtype=[("n", "u1"), ("idx", ">i4", 3)])
+    faces["n"], faces["idx"] = 3, TRI_F
+    p = tmp_path / "be.ply"
+    p.write_bytes(ply_header("binary_big_endian", XYZ, INDICES)
+                  + TRI_V.astype(">f8").tobytes() + faces.tobytes())
+    m = load_mesh(p)
+    assert np.array_equal(m.vertices, TRI_V)
+    assert np.array_equal(m.faces, TRI_F)
+
+
+def test_float32_vertices_widen_exactly(tmp_path):
+    v32 = (TRI_V + 0.1).astype("<f4")
+    faces = np.empty(2, dtype=[("n", "u1"), ("idx", "<i4", 3)])
+    faces["n"], faces["idx"] = 3, TRI_F
+    p = tmp_path / "f32.ply"
+    p.write_bytes(ply_header("binary_little_endian",
+                             ["float x", "float y", "float z"], INDICES)
+                  + v32.tobytes() + faces.tobytes())
+    m = load_mesh(p)
+    assert m.vertices.dtype == np.float64
+    assert np.array_equal(m.vertices, v32.astype(np.float64))
+
+
+def test_colored_ply_reads_back(tmp_path):
+    m = icosphere(1)
+    colors = np.linspace(0.0, 1.0, 3 * m.n_vertices).reshape(-1, 3)
+    save_colored_ply(m, colors, tmp_path / "c.ply")
+    again = load_mesh(tmp_path / "c.ply")
+    assert np.array_equal(again.vertices, m.vertices)
+    assert np.array_equal(again.faces, m.faces)
+
+
+def test_extra_face_property_after_index_list(tmp_path):
+    faces = np.empty(2, dtype=[("n", "u1"), ("idx", "<i4", 3),
+                               ("flags", "<u2")])
+    faces["n"], faces["idx"], faces["flags"] = 3, TRI_F, [7, 65535]
+    p = tmp_path / "flags.ply"
+    p.write_bytes(ply_header("binary_little_endian", XYZ,
+                             INDICES + ["ushort flags"])
+                  + TRI_V.astype("<f8").tobytes() + faces.tobytes())
+    m = load_mesh(p)
+    assert np.array_equal(m.vertices, TRI_V)
+    assert np.array_equal(m.faces, TRI_F)
+
+
+def test_ascii_ply_extra_properties(tmp_path):
+    head = ply_header("ascii", ["float x", "float y", "float z",
+                                "float nx", "uchar red"],
+                      INDICES + ["uchar flags"])
+    body = ("0.1 0 0 1 255\n1 0 0 1 0\n0 1 0 1 0\n1 1 0.5 1 0\n"
+            "3 0 1 2 9\n3 1 3 2 9\n")
+    p = tmp_path / "extra.ply"
+    p.write_bytes(head + body.encode("ascii"))
+    m = load_mesh(p)
+    assert m.vertices[0, 0] == 0.1  # parsed as float64, not float32
+    assert np.array_equal(m.vertices[1:], TRI_V[1:])
+    assert np.array_equal(m.faces, TRI_F)
+
+
+def test_quad_face_named_in_both_encodings(tmp_path):
+    ascii_body = b"0 0 0\n1 0 0\n0 1 0\n1 1 0.5\n3 0 1 2\n4 1 3 2 0\n"
+    p = tmp_path / "quad_ascii.ply"
+    p.write_bytes(ply_header("ascii", XYZ, INDICES) + ascii_body)
+    with pytest.raises(MeshFormatError, match="face 1 is a 4-gon"):
+        load_mesh(p)
+    p = tmp_path / "quad_binary.ply"
+    p.write_bytes(ply_header("binary_little_endian", XYZ, INDICES)
+                  + TRI_V.astype("<f8").tobytes()
+                  + b"\x03" + np.array([0, 1, 2], "<i4").tobytes()
+                  + b"\x04" + np.array([1, 3, 2, 0], "<i4").tobytes())
+    with pytest.raises(MeshFormatError, match="face 1 is a 4-gon"):
+        load_mesh(p)
+
+
+def test_vertex_without_z_rejected(tmp_path):
+    p = tmp_path / "noz.ply"
+    p.write_bytes(ply_header("ascii", ["float x", "float y"], INDICES)
+                  + b"0 0\n1 0\n0 1\n1 1\n3 0 1 2\n3 1 3 2\n")
+    with pytest.raises(MeshFormatError, match="x/y/z"):
+        load_mesh(p)
+
+
+def test_colored_ply_bytes(tmp_path):
+    m = Mesh(TRI_V[:3], [[0, 1, 2]])
+    colors = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0], [0.2, 0.4, 0.6]])
+    save_colored_ply(m, colors, tmp_path / "c.ply")
+    header = (b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+              b"property double x\nproperty double y\nproperty double z\n"
+              b"property uchar red\nproperty uchar green\n"
+              b"property uchar blue\nelement face 1\n"
+              b"property list uchar int vertex_indices\nend_header\n")
+    rgb = [(0, 128, 255), (255, 0, 0), (51, 102, 153)]
+    vertices = b"".join(np.array(v, "<f8").tobytes() + bytes(c)
+                        for v, c in zip(TRI_V[:3], rgb))
+    face = b"\x03" + np.array([0, 1, 2], "<i4").tobytes()
+    assert (tmp_path / "c.ply").read_bytes() == header + vertices + face
 
 def test_obj_roundtrip(tmp_path):
     m = icosphere(1)
