@@ -84,12 +84,12 @@ def cmd_evaluate(args):
     n_skipped = 0
     out_dir = Path(args.output)
     for name in names:
-        shape_x, shape_y, gt, meta = load_instance(instances_dir / name)
         pred_path = Path(args.predictions) / f"{name}.txt"
         if not pred_path.exists():
             _log(f"SKIP {name}: no prediction file {pred_path}")
             n_skipped += 1
             continue
+        shape_x, shape_y, gt, meta = load_instance(instances_dir / name)
         pred = load_prediction(pred_path)
         rep = evaluate_instance(shape_y, gt, pred, meta["setting"],
                                 float(meta["area_full_y"]))

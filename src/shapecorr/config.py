@@ -115,7 +115,7 @@ class GenerationConfig:
         for f in dataclasses.fields(cls):
             if f.name not in mapping:
                 continue
-            kwargs[f.name] = _parse_value(f.name, mapping[f.name])
+            kwargs[f.name] = _parse_value(f, mapping[f.name])
         return cls(**kwargs)
 
     @classmethod
@@ -143,33 +143,24 @@ class GenerationConfig:
         lines = []
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            lines.append(f"{f.name}={_format_value(f.name, v)}")
+            lines.append(f"{f.name}={_format_value(f, v)}")
         return "\n".join(lines) + "\n"
 
 
-_BOOL_KEYS = {"remesh", "store_vis", "show_output", "original_settings",
-              "use_precompute_remeshing", "update_precomputed_remeshed",
-              "use_precomputed_partial_raycasting",
-              "update_precomputed_raycasting", "one_axis_rotation",
-              "normalize_area"}
-_INT_KEYS = {"n_cam_pos", "global_seed"}
-_FLOAT_KEYS = {"min_overlap", "max_overlap"}
-
-
-def _parse_value(key, value):
+# a field's value type is the type of its default
+def _parse_value(field, value):
     if not isinstance(value, str):
         return value
-    if key in _BOOL_KEYS:
+    key, kind = field.name, type(field.default)
+    if kind is bool:
         low = value.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected boolean, got {value!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+    if kind in (int, float):
+        return kind(value)
     if key == "datasets":
         if value.lower() == "all":
             return ALL_DATASETS
@@ -183,8 +174,9 @@ def _parse_value(key, value):
     return value
 
 
-def _format_value(key, value):
-    if key in _BOOL_KEYS:
+def _format_value(field, value):
+    key = field.name
+    if type(field.default) is bool:
         return "true" if value else "false"
     if key == "datasets":
         return ",".join(value)

@@ -89,19 +89,23 @@ def _save_binary(corr, path):
 
 def _load_binary(path):
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        def read(n):
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise ValueError(f"{path}: truncated correspondence file")
+            return buf
+
+        if read(4) != _MAGIC:
             raise ValueError(f"{path}: not a binary correspondence file")
-        (version,) = struct.unpack("<B", fh.read(1))
+        (version,) = struct.unpack("<B", read(1))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        (ls,) = struct.unpack("<H", fh.read(2))
-        sid = fh.read(ls).decode("utf-8")
-        (lt,) = struct.unpack("<H", fh.read(2))
-        tid = fh.read(lt).decode("utf-8")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        rec = np.frombuffer(fh.read(n * 28),
+        (ls,) = struct.unpack("<H", read(2))
+        sid = read(ls).decode("utf-8")
+        (lt,) = struct.unpack("<H", read(2))
+        tid = read(lt).decode("utf-8")
+        (n,) = struct.unpack("<Q", read(8))
+        rec = np.frombuffer(read(n * 28),
                             dtype=[("face", "<i4"), ("w", "<f8", 3)])
-        if len(rec) != n:
-            raise ValueError(f"{path}: truncated correspondence data")
     return DenseCorrespondence(sid, tid, rec["face"].astype(np.int64),
                                rec["w"].astype(np.float64))

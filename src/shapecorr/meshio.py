@@ -2,11 +2,17 @@
 
 Vertex and face order is preserved bit-exactly on load; binary PLY stores
 positions as float64 so save -> load round-trips are lossless.
+
+PLY bodies may be ASCII or binary of either byte order, with any elements
+and properties of the standard types. Positions are the vertex element's
+x/y/z as float64 (ASCII values always parse as float64). Faces are the face
+element's first list, which must have 3 items in every row; any other list
+must have its first row's length in every row. Any other malformed or
+short file raises ``MeshFormatError``.
 """
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -144,153 +150,138 @@ def _write_off(mesh, path):
 # --- PLY ---
 
 _PLY_TYPES = {
-    "char": "b", "int8": "b", "uchar": "B", "uint8": "B",
-    "short": "h", "int16": "h", "ushort": "H", "uint16": "H",
-    "int": "i", "int32": "i", "uint": "I", "uint32": "I",
-    "float": "f", "float32": "f", "double": "d", "float64": "d",
+    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+    "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
+    "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
+    "float": "f4", "float32": "f4", "double": "f8", "float64": "f8",
 }
+_PLY_FORMATS = {"ascii": "=", "binary_little_endian": "<",
+                "binary_big_endian": ">"}
 
 
 def _read_ply(path):
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"ply":
-            raise MeshFormatError(path, "not a PLY file", 1)
-        fmt = None
-        elements = []  # (name, count, [(prop_name, type, list_count_type|None)])
-        lineno = 1
-        while True:
-            raw = fh.readline()
-            lineno += 1
-            if not raw:
-                raise MeshFormatError(path, "unterminated header", lineno)
-            line = raw.decode("ascii", "replace").strip()
-            if not line or line.startswith("comment") or line.startswith("obj_info"):
-                continue
-            parts = line.split()
+        fmt, elements = _read_ply_header(path, fh)
+        body = fh.read()
+    if fmt not in _PLY_FORMATS:
+        raise MeshFormatError(path, f"unsupported PLY format {fmt!r}")
+    if fmt == "ascii":
+        try:
+            body = np.array(body.split(), dtype=np.float64).tobytes()
+        except ValueError:
+            raise MeshFormatError(path, "non-numeric ASCII data")
+    types = {k: np.dtype(_PLY_FORMATS[fmt] + ("f8" if fmt == "ascii" else v))
+             for k, v in _PLY_TYPES.items()}
+    records, offset = {}, 0
+    for name, count, props in elements:
+        if props:  # an element without properties holds no data
+            records[name], offset = _read_ply_element(
+                path, body, offset, name, count,
+                [(p, types[t], c and types[c]) for p, t, c in props])
+    if "vertex" not in records or "face" not in records:
+        raise MeshFormatError(path, "PLY lacks vertex or face element")
+    vertex, face = records["vertex"], records["face"]
+    if not {"x", "y", "z"} <= set(vertex.dtype.names):
+        raise MeshFormatError(path, "vertex element lacks x/y/z")
+    lists = [n for n in face.dtype.names if face.dtype[n].names]
+    if not lists:
+        raise MeshFormatError(path, "face element lacks a vertex index list")
+    vertices = np.stack([vertex["x"], vertex["y"], vertex["z"]], axis=1)
+    return vertices.astype(np.float64), face[lists[0]]["items"].astype(np.int64)
+
+
+def _read_ply_header(path, fh):
+    """The format name and [(element, count, [(property, type, list count
+    type or None)])]; leaves ``fh`` at the first byte of the body."""
+    if fh.readline().strip() != b"ply":
+        raise MeshFormatError(path, "not a PLY file", 1)
+    fmt, elements = None, []
+    for lineno, raw in enumerate(iter(fh.readline, b""), start=2):
+        line = raw.decode("ascii", "replace").strip()
+        parts = line.split()
+        if not parts or line.startswith(("comment", "obj_info")):
+            continue
+        if parts[0] == "end_header":
+            break
+        if parts[0] not in ("format", "element", "property"):
+            raise MeshFormatError(path, f"unknown header line {line!r}", lineno)
+        try:
             if parts[0] == "format":
-                fmt = parts[1]
+                fmt, ok = parts[1], True
             elif parts[0] == "element":
                 elements.append((parts[1], int(parts[2]), []))
-            elif parts[0] == "property":
-                if not elements:
-                    raise MeshFormatError(path, "property before element", lineno)
-                if parts[1] == "list":
-                    elements[-1][2].append((parts[4], parts[3], parts[2]))
-                else:
-                    elements[-1][2].append((parts[2], parts[1], None))
-            elif parts[0] == "end_header":
-                break
+                ok = elements[-1][1] >= 0
             else:
-                raise MeshFormatError(path, f"unknown header line {line!r}", lineno)
-        if fmt is None:
-            raise MeshFormatError(path, "missing format line")
-        if fmt == "ascii":
-            return _read_ply_ascii(path, fh, elements, lineno)
-        if fmt in ("binary_little_endian", "binary_big_endian"):
-            endian = "<" if fmt == "binary_little_endian" else ">"
-            return _read_ply_binary(path, fh, elements, endian)
-        raise MeshFormatError(path, f"unsupported PLY format {fmt!r}")
+                props = elements[-1][2]
+                props.append((parts[4], parts[3], parts[2]) if parts[1] == "list"
+                             else (parts[2], parts[1], None))
+                ok = (all(t in _PLY_TYPES for t in props[-1][1:] if t)
+                      and [p[0] for p in props].count(props[-1][0]) == 1)
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            raise MeshFormatError(path, f"bad header line {line!r}", lineno)
+    else:
+        raise MeshFormatError(path, "unterminated header")
+    if fmt is None:
+        raise MeshFormatError(path, "missing format line")
+    return fmt, elements
 
 
-def _ply_extract(path, elements, data):
-    vertices = faces = None
-    for (name, count, props), rows in zip(elements, data):
-        if name == "vertex":
-            names = [p[0] for p in props]
-            try:
-                ix, iy, iz = names.index("x"), names.index("y"), names.index("z")
-            except ValueError:
-                raise MeshFormatError(path, "vertex element lacks x/y/z")
-            vertices = np.array([[r[ix], r[iy], r[iz]] for r in rows], dtype=np.float64)
-            vertices = vertices.reshape(count, 3)
-        elif name == "face":
-            out = np.empty((count, 3), dtype=np.int64)
-            for i, r in enumerate(rows):
-                idx = r[0]
-                if len(idx) != 3:
-                    raise MeshFormatError(path, f"face {i} is a {len(idx)}-gon")
-                out[i] = idx
-            faces = out
-    if vertices is None or faces is None:
-        raise MeshFormatError(path, "PLY lacks vertex or face element")
-    return vertices, faces
-
-
-def _read_ply_ascii(path, fh, elements, lineno):
-    data = []
-    for name, count, props in elements:
-        rows = []
-        for _ in range(count):
-            raw = fh.readline()
-            lineno += 1
-            if not raw:
-                raise MeshFormatError(path, f"truncated {name} data", lineno)
-            parts = raw.decode("ascii", "replace").split()
-            row, k = [], 0
-            for pname, ptype, list_type in props:
-                if list_type is not None:
-                    n = int(parts[k]); k += 1
-                    vals = [int(float(p)) for p in parts[k:k + n]]; k += n
-                    row.append(vals)
-                else:
-                    row.append(float(parts[k])); k += 1
-            rows.append(row)
-        data.append(rows)
-    return _ply_extract(path, elements, data)
-
-
-def _read_ply_binary(path, fh, elements, endian):
-    data = []
-    for name, count, props in elements:
-        rows = []
-        fixed = all(p[2] is None for p in props)
-        if fixed:
-            fmt = endian + "".join(_PLY_TYPES[p[1]] for p in props)
-            size = struct.calcsize(fmt)
-            buf = fh.read(size * count)
-            if len(buf) != size * count:
+def _read_ply_element(path, body, offset, name, count, props):
+    """One element's rows from byte ``offset`` of ``body`` as a record array
+    (a list is a sub-record of ``n`` and ``items``) and the offset after."""
+    layout, lists = [], []
+    for prop, ptype, ctype in props:
+        if ctype is None:
+            layout.append((prop, ptype))
+            continue
+        length = 3
+        if count and (name != "face" or lists):  # the first row's count
+            at = offset + np.dtype(layout).itemsize
+            room = len(body) - at - ctype.itemsize
+            n = float(np.frombuffer(body, ctype, 1, at)[0]) if room >= 0 else -1
+            if not 0 <= n * ptype.itemsize <= room:
                 raise MeshFormatError(path, f"truncated {name} data")
-            rows = [list(struct.unpack_from(fmt, buf, i * size)) for i in range(count)]
-        else:
-            for _ in range(count):
-                row = []
-                for pname, ptype, list_type in props:
-                    if list_type is None:
-                        code = _PLY_TYPES[ptype]
-                        size = struct.calcsize(code)
-                        row.append(struct.unpack(endian + code, fh.read(size))[0])
-                    else:
-                        ccode = _PLY_TYPES[list_type]
-                        n = struct.unpack(endian + ccode, fh.read(struct.calcsize(ccode)))[0]
-                        icode = _PLY_TYPES[ptype]
-                        isize = struct.calcsize(icode)
-                        buf = fh.read(isize * n)
-                        if len(buf) != isize * n:
-                            raise MeshFormatError(path, f"truncated {name} data")
-                        row.append(list(struct.unpack(endian + icode * n, buf)))
-                rows.append(row)
-        data.append(rows)
-    return _ply_extract(path, elements, data)
+            length = int(n)
+        lists.append((prop, length))
+        layout.append((prop, [("n", ctype), ("items", ptype, (length,))]))
+    size = np.dtype(layout).itemsize
+    rows = np.frombuffer(body, layout, min(count, (len(body) - offset) // size),
+                         offset)
+    if lists:  # rows after the first wrong count are misaligned
+        got = np.stack([rows[p]["n"] for p, _ in lists], axis=1)
+        for i, j in np.argwhere(got != [n for _, n in lists])[:1]:
+            (prop, n), k = lists[j], int(got[i, j])
+            if name == "face" and j == 0:
+                raise MeshFormatError(path, f"face {i} is a {k}-gon")
+            raise MeshFormatError(
+                path, f"{name} {i}: list {prop!r} has {k} items, not {n}")
+    if len(rows) < count:
+        raise MeshFormatError(path, f"truncated {name} data")
+    return rows, offset + count * size
 
 
-def _write_ply(mesh, path):
-    header = (
-        "ply\n"
-        "format binary_little_endian 1.0\n"
-        f"element vertex {mesh.n_vertices}\n"
-        "property double x\nproperty double y\nproperty double z\n"
-        f"element face {mesh.n_faces}\n"
-        "property list uchar int vertex_indices\n"
-        "end_header\n"
-    )
+def _write_ply(mesh, path, colors=None):
+    """Binary little-endian PLY: float64 positions, optional uchar RGB."""
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {mesh.n_vertices}",
+              "property double x", "property double y", "property double z"]
+    vertex = np.empty(mesh.n_vertices, [("xyz", "<f8", 3), ("rgb", "u1", 3)]
+                      [:1 if colors is None else 2])
+    vertex["xyz"] = mesh.vertices
+    if colors is not None:
+        vertex["rgb"] = colors
+        header += ["property uchar red", "property uchar green",
+                   "property uchar blue"]
+    header += [f"element face {mesh.n_faces}",
+               "property list uchar int vertex_indices", "end_header", ""]
+    face = np.empty(mesh.n_faces, [("n", "u1"), ("idx", "<i4", 3)])
+    face["n"], face["idx"] = 3, mesh.faces
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-        face_rec = np.empty(mesh.n_faces, dtype=[("n", "u1"), ("idx", "<i4", 3)])
-        face_rec["n"] = 3
-        face_rec["idx"] = mesh.faces
-        fh.write(face_rec.tobytes())
+        fh.write("\n".join(header).encode("ascii"))
+        fh.write(vertex.tobytes())
+        fh.write(face.tobytes())
 
 
 def save_colored_ply(mesh, colors, path):
@@ -300,27 +291,7 @@ def save_colored_ply(mesh, colors, path):
         raise ValueError("colors must be (n_vertices, 3)")
     if colors.dtype != np.uint8:
         colors = np.clip(np.rint(colors * 255.0), 0, 255).astype(np.uint8)
-    header = (
-        "ply\n"
-        "format binary_little_endian 1.0\n"
-        f"element vertex {mesh.n_vertices}\n"
-        "property double x\nproperty double y\nproperty double z\n"
-        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-        f"element face {mesh.n_faces}\n"
-        "property list uchar int vertex_indices\n"
-        "end_header\n"
-    )
-    vert_rec = np.empty(mesh.n_vertices,
-                        dtype=[("xyz", "<f8", 3), ("rgb", "u1", 3)])
-    vert_rec["xyz"] = mesh.vertices
-    vert_rec["rgb"] = colors
-    face_rec = np.empty(mesh.n_faces, dtype=[("n", "u1"), ("idx", "<i4", 3)])
-    face_rec["n"] = 3
-    face_rec["idx"] = mesh.faces
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(vert_rec.tobytes())
-        fh.write(face_rec.tobytes())
+    _write_ply(mesh, path, colors)
 
 
 # --- OBJ ---
@@ -395,16 +366,9 @@ def validation_report(mesh):
     lines.append(f"components: {len(comps)}")
     # winding: an interior edge of a consistently wound surface appears once
     # in each direction
-    flipped = 0
-    order = np.argsort(inverse, kind="stable")
-    start = 0
-    sorted_dirs = directed[order]
-    for ei, cnt in enumerate(counts):
-        if cnt == 2:
-            d0, d1 = sorted_dirs[start], sorted_dirs[start + 1]
-            if d0[0] == d1[0]:
-                flipped += 1
-        start += cnt
+    sorted_dirs = directed[np.argsort(inverse.ravel(), kind="stable")]
+    first = (np.cumsum(counts) - counts)[counts == 2]
+    flipped = int((sorted_dirs[first, 0] == sorted_dirs[first + 1, 0]).sum())
     if flipped:
         lines.append(f"winding: {flipped} interior edges with inconsistent "
                      f"face orientation")

@@ -69,7 +69,6 @@ class TriangleBVH:
     """Median-split BVH stored in flat arrays."""
 
     def __init__(self, mesh, leaf_size=_LEAF_SIZE):
-        self.mesh = mesh
         a, b, c = mesh.face_corners()
         self._tri = (a, b, c)
         lo = np.minimum(np.minimum(a, b), c)

@@ -90,3 +90,12 @@ class TestOriginalSettings:
             GenerationConfig(original_settings=True, min_overlap=0.2)
         with pytest.raises(ConfigError, match="cam_pos_regime"):
             GenerationConfig(original_settings=True, cam_pos_regime="high")
+
+
+def test_every_bool_key_rejects_non_boolean():
+    bool_keys = [k for k, v in vars(GenerationConfig()).items()
+                 if isinstance(v, bool)]
+    assert len(bool_keys) == 10
+    for key in bool_keys:
+        with pytest.raises(ConfigError, match=key):
+            GenerationConfig.from_mapping({key: "maybe"})

@@ -245,3 +245,29 @@ def test_validation_report_flags_flipped_winding():
     assert "winding: consistent" in ok
     bad = validation_report(Mesh(v, [[0, 1, 2], [1, 2, 3]]))
     assert "inconsistent" in bad
+
+
+def test_binary_ply_cut_anywhere_rejected(tmp_path):
+    m = Mesh(TRI_V, TRI_F)
+    save_mesh(m, tmp_path / "full.ply")
+    data = (tmp_path / "full.ply").read_bytes()
+    p = tmp_path / "cut.ply"
+    for n in range(data.index(b"end_header"), len(data)):
+        p.write_bytes(data[:n])
+        with pytest.raises(MeshFormatError):
+            load_mesh(p)
+
+
+@pytest.mark.parametrize("line", [
+    "property quad x",
+    "property list uchar vertex_indices",
+    "element face many",
+])
+def test_malformed_ply_header_line(tmp_path, line):
+    text = ("ply\nformat ascii 1.0\n"
+            "element vertex 3\nproperty float x\nproperty float y\n"
+            "property float z\n"
+            f"{line}\n"
+            "end_header\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(MeshFormatError, match="t.ply:7"):
+        load_mesh(write(tmp_path / "t.ply", text))

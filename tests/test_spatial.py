@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -141,3 +144,15 @@ def test_deterministic_build():
     b1, b2 = TriangleBVH(m), TriangleBVH(m)
     np.testing.assert_array_equal(b1.face_order, b2.face_order)
     np.testing.assert_array_equal(b1.node_min, b2.node_min)
+
+
+def test_mesh_with_bvh_freed_without_cycle_collector():
+    m = icosphere(1)
+    assert m.bvh is not None
+    ref = weakref.ref(m)
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        gc.enable()
