@@ -181,7 +181,7 @@ def _read_ply(path):
     if "vertex" not in records or "face" not in records:
         raise MeshFormatError(path, "PLY lacks vertex or face element")
     vertex, face = records["vertex"], records["face"]
-    if not {"x", "y", "z"} <= set(vertex.dtype.names):
+    if any(c not in vertex.dtype.names or vertex.dtype[c].names for c in "xyz"):
         raise MeshFormatError(path, "vertex element lacks x/y/z")
     lists = [n for n in face.dtype.names if face.dtype[n].names]
     if not lists:
@@ -264,22 +264,23 @@ def _read_ply_element(path, body, offset, name, count, props):
 
 def _write_ply(mesh, path, colors=None):
     """Binary little-endian PLY: float64 positions, optional uchar RGB."""
-    header = ["ply", "format binary_little_endian 1.0",
-              f"element vertex {mesh.n_vertices}",
-              "property double x", "property double y", "property double z"]
-    vertex = np.empty(mesh.n_vertices, [("xyz", "<f8", 3), ("rgb", "u1", 3)]
-                      [:1 if colors is None else 2])
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {mesh.n_vertices}\n"
+              "property double x\nproperty double y\nproperty double z\n")
+    fields = [("xyz", "<f8", 3)]
+    if colors is not None:
+        header += "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        fields.append(("rgb", "u1", 3))
+    header += (f"element face {mesh.n_faces}\n"
+               "property list uchar int vertex_indices\nend_header\n")
+    vertex = np.empty(mesh.n_vertices, fields)
     vertex["xyz"] = mesh.vertices
     if colors is not None:
         vertex["rgb"] = colors
-        header += ["property uchar red", "property uchar green",
-                   "property uchar blue"]
-    header += [f"element face {mesh.n_faces}",
-               "property list uchar int vertex_indices", "end_header", ""]
     face = np.empty(mesh.n_faces, [("n", "u1"), ("idx", "<i4", 3)])
     face["n"], face["idx"] = 3, mesh.faces
     with open(path, "wb") as fh:
-        fh.write("\n".join(header).encode("ascii"))
+        fh.write(header.encode("ascii"))
         fh.write(vertex.tobytes())
         fh.write(face.tobytes())
 

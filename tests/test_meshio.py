@@ -271,3 +271,21 @@ def test_malformed_ply_header_line(tmp_path, line):
             "end_header\n0 0 0\n1 0 0\n0 1 0\n")
     with pytest.raises(MeshFormatError, match="t.ply:7"):
         load_mesh(write(tmp_path / "t.ply", text))
+
+
+def test_validation_report_counts_each_flipped_edge():
+    m = icosphere(2)
+    rng = np.random.default_rng(5)
+    f = m.faces.copy()
+    flip = rng.random(len(f)) < 0.3
+    f[flip] = f[flip][:, ::-1]
+    # reference: per interior edge, both faces traverse it the same way
+    seen = {}
+    for tri in f.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            seen.setdefault((min(a, b), max(a, b)), []).append(a)
+    want = sum(1 for firsts in seen.values()
+               if len(firsts) == 2 and firsts[0] == firsts[1])
+    assert want > 0
+    report = validation_report(Mesh(m.vertices, f))
+    assert f"winding: {want} interior edges" in report
