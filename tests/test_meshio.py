@@ -79,7 +79,6 @@ def test_ascii_ply(tmp_path):
     assert m.n_vertices == 3 and m.n_faces == 1
 
 
-
 TRI_V = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                   [1.0, 1.0, 0.5]])
 TRI_F = np.array([[0, 1, 2], [1, 3, 2]])
