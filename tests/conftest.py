@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from shapecorr.meshes import Mesh
 
@@ -99,6 +100,19 @@ def random_rigid(rng):
         Q[:, 0] = -Q[:, 0]
     from shapecorr.meshes import RigidTransform
     return RigidTransform(Q, rng.normal(size=3))
+
+
+# the numpy/scipy build the pinned digests were measured on; floating-point
+# results may differ on another
+GOLDEN_BUILD = ("2.4.6", "1.17.1")
+
+
+def require_golden_build():
+    """Skip the calling test unless numpy/scipy match GOLDEN_BUILD."""
+    build = (np.__version__, scipy.__version__)
+    if build != GOLDEN_BUILD:
+        pytest.skip("digest pinned on numpy %s / scipy %s; this is numpy "
+                    "%s / scipy %s" % (GOLDEN_BUILD + build))
 
 
 def digest_tree(root):

@@ -7,7 +7,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy
 
 from shapecorr import geometry as geo
 from shapecorr.config import GenerationConfig
@@ -24,7 +23,7 @@ from shapecorr.scanning import generate_partial, generate_partial_pair
 from shapecorr.spatial import exhaustive_first_hits
 
 from conftest import (bumpy_sphere, digest_tree, floyd_warshall_distances,
-                      grid_plane, icosphere, random_rigid)
+                      grid_plane, icosphere, random_rigid, require_golden_build)
 
 
 def random_corr(mesh, rng, unmatched_frac=0.0):
@@ -252,11 +251,10 @@ def _toy_world(n=5):
     return ShapeNetwork(nodes, edges), manifest
 
 
-# digest_tree of the criterion-9 tree, cache/ included, and the numpy/scipy
-# build it was measured on; floating-point results may differ on another
+# digest_tree of the criterion-9 tree, cache/ included, measured on
+# conftest.GOLDEN_BUILD
 GOLDEN_DIGEST = \
     "16b1718b0ddc87c2e1b06d5f3f211c0661fe1289cb36ddb1fb97cf66a0c5690f"
-GOLDEN_BUILD = ("2.4.6", "1.17.1")
 
 
 def _criterion_9_config():
@@ -282,10 +280,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 def test_criterion_9_pinned_digest(tmp_path):
     """The criterion-9 tree equals a pinned digest, so a change to any
     output byte fails here even when two runs still agree."""
-    build = (np.__version__, scipy.__version__)
-    if build != GOLDEN_BUILD:
-        pytest.skip("digest pinned on numpy %s / scipy %s; this is numpy "
-                    "%s / scipy %s" % (GOLDEN_BUILD + build))
+    require_golden_build()
     net, manifest = _toy_world()
     run_generation(_criterion_9_config(), net, manifest, tmp_path)
     assert digest_tree(tmp_path) == GOLDEN_DIGEST

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,26 @@ from shapecorr import geometry as geo
 from shapecorr.decimate import (RemeshCache, back_correspondence, decimate,
                                 remesh_with_correspondence)
 from shapecorr.meshes import Mesh
+from shapecorr.meshio import validation_report
 from shapecorr.spatial import brute_force_nearest
 
-from conftest import bumpy_sphere, grid_plane, icosphere
+from conftest import bumpy_sphere, grid_plane, icosphere, require_golden_build
+
+
+def torus(n=12, m=8, big_r=1.0, small_r=0.4):
+    """Closed genus-1 surface, an n x m grid of quads split into triangles."""
+    u = 2 * np.pi * np.arange(n) / n
+    w = 2 * np.pi * np.arange(m) / m
+    uu, ww = np.meshgrid(u, w, indexing="ij")
+    ring = big_r + small_r * np.cos(ww)
+    v = np.stack([ring * np.cos(uu), ring * np.sin(uu),
+                  small_r * np.sin(ww)], axis=-1).reshape(-1, 3)
+    a, b = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
+    k00, k01 = a * m + b, a * m + (b + 1) % m
+    k10, k11 = (a + 1) % n * m + b, (a + 1) % n * m + (b + 1) % m
+    faces = np.concatenate([np.stack([k00, k10, k11], -1).reshape(-1, 3),
+                            np.stack([k00, k11, k01], -1).reshape(-1, 3)])
+    return Mesh(v, faces, id=f"torus{n}x{m}")
 
 
 def test_target_equals_current_is_identity():
@@ -39,6 +58,66 @@ def test_output_valid_and_monotone():
     out, _ = decimate(m, 100)
     assert out.n_vertices <= m.n_vertices
     assert out.faces.max() < out.n_vertices  # Mesh() validates the rest
+
+
+# sha256 over (vertices, faces, keep) bytes of decimate's output, measured
+# on conftest.GOLDEN_BUILD; the grid planes reach boundary quadrics and the
+# singular-quadric fallback
+DECIMATE_DIGESTS = [
+    ("bumpy_sphere", 3, 0, 150,
+     "dee66a00a298e77ade5a5cd586f18492d49db594c25f3f1dbe096e342859ba1e"),
+    ("bumpy_sphere", 3, 0, 400,
+     "cbcf24773cd588aa00b597eb181976d6feb25075b12b8135bd3cb7b7afabbab6"),
+    ("bumpy_sphere", 3, 1, 150,
+     "b0c07c01dadc53da5d8d78786e41a3d08f3e8c0e88b259c279138d269b0f6be2"),
+    ("bumpy_sphere", 3, 1, 400,
+     "66c06a927fc0b3fae10d7512614a8becfee7c1cd8f0d47b3186b4cab6b58a7ab"),
+    ("bumpy_sphere", 3, 2, 150,
+     "0d0d9662725273d699e9ebb76c650a14df0ec8a5ea07b18b0b53b394a19b327b"),
+    ("bumpy_sphere", 3, 2, 400,
+     "bad173b06eee2782895f4a2de7e99c1696e29f7fc7a82113dcfc61ae91aeac80"),
+    ("bumpy_sphere", 2, 5, 40,
+     "39903bfc1b6a26447305864f01e1a8e5427760b798081f80d18fc59399be4d1c"),
+    ("grid_plane", 6, None, 20,
+     "40da2a301fc53e1dead4d721fc8d11229425b809f9f28c7c39a172d12c9698c1"),
+    ("grid_plane", 10, None, 40,
+     "5662a3b6066c807d43a959e1e5fca854b17a299851ede7d37c58f20adfef3dbb"),
+    ("grid_plane", 20, None, 150,
+     "22aae5cdea6e91b2e0f4ea4401de580413410c7f939f468326424f682542ecdb"),
+]
+
+
+@pytest.mark.parametrize("shape,n,seed,target,digest", DECIMATE_DIGESTS)
+def test_decimate_pinned_digest(shape, n, seed, target, digest):
+    """decimate's output bytes equal a pinned digest, so a rewrite of the
+    collapse queue that changes any pop order or position fails here."""
+    require_golden_build()
+    m = bumpy_sphere(n, seed=seed) if shape == "bumpy_sphere" \
+        else grid_plane(n)
+    out, keep = decimate(m, target)
+    assert out.n_vertices == target
+    h = hashlib.sha256()
+    for a, dtype in ((out.vertices, np.float64), (out.faces, np.int64),
+                     (keep, np.int64)):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_stops_early_when_no_valid_collapse_remains():
+    """A torus needs at least 7 vertices and every accepted collapse keeps
+    its genus, so the queue runs dry above a target of 4."""
+    t = torus()
+    r = remesh_with_correspondence(t, (4, 4), np.random.default_rng(0))
+    assert r.target_count == 4
+    assert r.achieved_count > r.target_count
+    assert r.achieved_count == r.mesh.n_vertices
+    report = validation_report(r.mesh)
+    assert "0 boundary, 0 non-manifold" in report
+    assert "components: 1" in report
+    assert "winding: consistent" in report
+    # the collapses kept the genus: V - E + F == 0
+    n_edges = len(r.mesh.edges())
+    assert r.mesh.n_vertices - n_edges + r.mesh.n_faces == 0
 
 
 def test_invalid_target_raises():
