@@ -160,18 +160,29 @@ def _parse_value(field, value):
             return False
         raise ConfigError(f"{key}: expected boolean, got {value!r}")
     if kind in (int, float):
-        return kind(value)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got "
+                              f"{value!r}") from None
     if key == "datasets":
         if value.lower() == "all":
             return ALL_DATASETS
         return tuple(d.strip() for d in value.split(",") if d.strip())
     if key == "resolution":
-        w, h = value.lower().split("x")
-        return (int(w), int(h))
+        return _parse_int_pair(key, value.lower(), "x", "WIDTHxHEIGHT")
     if key == "count_range":
-        lo, hi = value.split("-")
-        return (int(lo), int(hi))
+        return _parse_int_pair(key, value, "-", "LOW-HIGH")
     return value
+
+
+def _parse_int_pair(key, value, sep, form):
+    try:
+        a, b = value.split(sep)
+        return (int(a), int(b))
+    except ValueError:
+        raise ConfigError(f"{key}: expected {form} (two integers), got "
+                          f"{value!r}") from None
 
 
 def _format_value(field, value):

@@ -101,6 +101,19 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "frobnicate" in out and "min_overlap" in out
 
+    @pytest.mark.parametrize("override,expected", [
+        ("n_cam_pos=abc", "n_cam_pos: expected int"),
+        ("resolution=32", "resolution: expected WIDTHxHEIGHT"),
+        ("count_range=5", "count_range: expected LOW-HIGH"),
+    ])
+    def test_malformed_value_exit_2(self, workspace, capsys, override,
+                                    expected):
+        ws, _ = workspace
+        code = main(gen_args(ws, ws / "out", extra=["--set", override]))
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "config error: " + expected in out
+
     def test_rerun_from_echoed_config(self, workspace):
         ws, _ = workspace
         assert main(gen_args(ws, ws / "a")) == 0
