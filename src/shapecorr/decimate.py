@@ -4,6 +4,19 @@ Garland-Heckbert error quadrics drive a greedy collapse queue. Collapses
 that would flip a face normal or create a non-manifold edge are rejected.
 Boundary edges get constraint quadrics (plane through the edge perpendicular
 to the adjacent face) so open scans keep their silhouettes.
+
+The queue's numpy work is batched: one ``edge_entries`` call prices a whole
+set of edges (the initial heap, in chunks, then every edge around the
+vertex each collapse leaves) with one batched SVD conditioning test, one
+batched solve and one stacked cost, and ``flips_normal`` tests every face
+around a collapse with one ``np.cross``. The output must stay bit-identical
+to per-edge and per-face arithmetic, because the heap pops in (cost, seq)
+order and a last-bit change in a cost can reorder collapses. Batched
+``np.linalg.svd``/``solve``, batched ``np.cross``, stacked ``matmul`` and
+``np.vecdot`` round exactly like their per-item calls (numpy 2.4);
+``einsum`` and ``(a * b).sum(-1)`` sum in another order and do not, so
+they are not used here. Per-vertex quadrics are summed with one
+``np.add.at`` in (face, corner) order, the order of a per-face loop.
 """
 
 from __future__ import annotations
@@ -14,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrio import load_correspondence, save_correspondence
-from .geometry import project_points_to_surface
+from .geometry import evaluate_correspondence, project_points_to_surface
 from .meshes import DenseCorrespondence, Mesh, identity_correspondence
 from .meshio import load_mesh, save_mesh
 from .store import ContentStore
 
 _SINGULAR_COND = 1e12
+# edges per batch of the initial heap; bounds the batch's (k, 4, 4) arrays
+_ENTRY_CHUNK = 4096
 
 
 @dataclass
@@ -75,22 +90,32 @@ def _boundary_quadrics(vertices, faces):
     return out
 
 
-def _optimal_position(q, vi_pos, vj_pos):
-    """Collapse target minimizing the combined quadric; midpoint/endpoint
-    fallback when the 3x3 system is ill-conditioned."""
-    A = q[:3, :3]
-    b = -q[:3, 3]
+def _quadric_costs(q, p):
+    """``h @ q @ h`` with ``h = (p, 1)``, for stacks of 4x4 quadrics ``q``
+    and points ``p`` that broadcast against each other."""
+    h = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1)
+    return (h[..., None, :] @ q @ h[..., :, None])[..., 0, 0]
+
+
+def _optimal_positions(q, vi_pos, vj_pos):
+    """Collapse targets minimizing each combined quadric of the (k, 4, 4)
+    stack ``q``; the cheapest of midpoint and endpoints where the 3x3
+    system is ill-conditioned."""
+    A = q[:, :3, :3]
+    b = -q[:, :3, 3]
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] > 0 and s[2] > 0 and s[0] / s[2] < _SINGULAR_COND:
-        return np.linalg.solve(A, b)
-    candidates = [(vi_pos + vj_pos) / 2.0, vi_pos, vj_pos]
-    costs = [_quadric_cost(q, p) for p in candidates]
-    return candidates[int(np.argmin(costs))]
-
-
-def _quadric_cost(q, p):
-    h = np.append(p, 1.0)
-    return float(h @ q @ h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = ((s[:, 0] > 0) & (s[:, 2] > 0)
+              & (s[:, 0] / s[:, 2] < _SINGULAR_COND))
+    pos = np.empty_like(b)
+    pos[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+    bad = ~ok
+    if bad.any():
+        vi, vj = vi_pos[bad], vj_pos[bad]
+        candidates = np.stack([(vi + vj) / 2.0, vi, vj], axis=1)  # (k, 3, 3)
+        costs = _quadric_costs(q[bad, None], candidates)
+        pos[bad] = candidates[np.arange(len(costs)), costs.argmin(axis=1)]
+    return pos
 
 
 class _DecimationState:
@@ -105,9 +130,8 @@ class _DecimationState:
                 self.vertex_faces[vv].add(fi)
         self.quadrics = _face_quadrics(self.v, mesh.faces)
         self.Q = np.zeros((mesh.n_vertices, 4, 4))
-        for fi, f in self.faces.items():
-            for vv in f:
-                self.Q[vv] += self.quadrics[fi]
+        # (face, corner) order, the order a per-face loop would add in
+        np.add.at(self.Q, mesh.faces, self.quadrics[:, None])
         for vv, q in _boundary_quadrics(self.v, mesh.faces).items():
             self.Q[vv] += q
         self.version = np.zeros(mesh.n_vertices, dtype=np.int64)
@@ -120,12 +144,17 @@ class _DecimationState:
         out.discard(i)
         return out
 
-    def edge_entry(self, i, j, seq):
-        i, j = (i, j) if i < j else (j, i)
+    def edge_entries(self, pairs, seq):
+        """Heap entries ``(cost, seq, i, j, version[i], version[j], pos)``
+        for the (k, 2) edge array ``pairs`` (``i < j`` in each row), with
+        sequence numbers ``seq, seq + 1, ...``."""
+        i, j = pairs[:, 0], pairs[:, 1]
         q = self.Q[i] + self.Q[j]
-        pos = _optimal_position(q, self.v[i], self.v[j])
-        cost = _quadric_cost(q, pos)
-        return (cost, seq, i, j, self.version[i], self.version[j], pos)
+        pos = _optimal_positions(q, self.v[i], self.v[j])
+        cost = _quadric_costs(q, pos)
+        return list(zip(cost.tolist(), range(seq, seq + len(pairs)),
+                        i.tolist(), j.tolist(), self.version[i].tolist(),
+                        self.version[j].tolist(), pos))
 
     def link_condition(self, i, j):
         shared_faces = self.vertex_faces[i] & self.vertex_faces[j]
@@ -136,18 +165,18 @@ class _DecimationState:
         return shared_verts == third and len(shared_faces) in (1, 2)
 
     def flips_normal(self, i, j, pos):
-        for vid in (i, j):
-            for fi in self.vertex_faces[vid]:
-                f = self.faces[fi]
-                if i in f and j in f:
-                    continue  # face disappears
-                pts = [pos if vv == vid else self.v[vv] for vv in f]
-                n_new = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-                old = [self.v[vv] for vv in f]
-                n_old = np.cross(old[1] - old[0], old[2] - old[0])
-                if n_new @ n_old <= 0:
-                    return True
-        return False
+        """Whether moving i and j to pos turns any surviving face around
+        them (the faces holding one of the two) by 90 degrees or more."""
+        faces = [self.faces[fi]
+                 for fi in self.vertex_faces[i] ^ self.vertex_faces[j]]
+        if not faces:
+            return False
+        f = np.array(faces)
+        tri = np.stack([self.v[f]] * 2)  # (2, k, 3, 3): before, after
+        tri[1][(f == i) | (f == j)] = pos
+        n_old, n_new = np.cross(tri[:, :, 1] - tri[:, :, 0],
+                                tri[:, :, 2] - tri[:, :, 0])
+        return bool((np.vecdot(n_new, n_old) <= 0).any())
 
     def collapse(self, i, j, pos):
         """Merge j into i, moving i to pos."""
@@ -182,16 +211,15 @@ def decimate(mesh, target_vertices):
         return mesh, np.arange(mesh.n_vertices)
 
     st = _DecimationState(mesh)
+    # every edge once, in order of first appearance in the face list
+    e = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, first = np.unique(e, axis=0, return_index=True)
+    edges = e[np.sort(first)]
     heap = []
-    seq = 0
-    seen = set()
-    for f in mesh.faces:
-        for i, j in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            key = (min(i, j), max(i, j))
-            if key not in seen:
-                seen.add(key)
-                heapq.heappush(heap, st.edge_entry(*key, seq))
-                seq += 1
+    for start in range(0, len(edges), _ENTRY_CHUNK):
+        heap += st.edge_entries(edges[start:start + _ENTRY_CHUNK], start)
+    heapq.heapify(heap)  # (cost, seq) keys are unique: same pops as pushes
+    seq = len(heap)
 
     while st.n_alive > target_vertices and heap:
         cost, _, i, j, vi, vj, pos = heapq.heappop(heap)
@@ -206,9 +234,11 @@ def decimate(mesh, target_vertices):
         if st.flips_normal(i, j, pos):
             continue
         st.collapse(i, j, pos)
-        for k in sorted(st.neighbors(i)):
-            heapq.heappush(heap, st.edge_entry(i, k, seq))
-            seq += 1
+        ks = np.array(sorted(st.neighbors(i)), dtype=np.int64)
+        pairs = np.stack([np.minimum(ks, i), np.maximum(ks, i)], axis=1)
+        for entry in st.edge_entries(pairs, seq):
+            heapq.heappush(heap, entry)
+        seq += len(pairs)
 
     keep = np.flatnonzero(st.alive_v)
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -249,7 +279,6 @@ def remesh_with_correspondence(mesh, count_range, rng, cache=None):
             return cached
     dec, _ = decimate(mesh, target)
     corr = back_correspondence(dec, mesh)
-    from .geometry import evaluate_correspondence
     mapped = evaluate_correspondence(corr, mesh)
     err = float(np.linalg.norm(mapped - dec.vertices, axis=1).max())
     result = RemeshResult(dec, corr, target_count=target,

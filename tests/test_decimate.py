@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
-from shapecorr.decimate import (RemeshCache, back_correspondence, decimate,
+from shapecorr.decimate import (_SINGULAR_COND, RemeshCache,
+                                _DecimationState, _boundary_quadrics,
+                                _face_quadrics, back_correspondence, decimate,
                                 remesh_with_correspondence)
 from shapecorr.meshes import Mesh
 from shapecorr.meshio import validation_report
@@ -118,6 +120,95 @@ def test_stops_early_when_no_valid_collapse_remains():
     # the collapses kept the genus: V - E + F == 0
     n_edges = len(r.mesh.edges())
     assert r.mesh.n_vertices - n_edges + r.mesh.n_faces == 0
+
+
+# per-item reference formulas for the batched collapse queue
+
+
+def reference_cost(q, p):
+    h = np.append(p, 1.0)
+    return float(h @ q @ h)
+
+
+def reference_position(q, vi_pos, vj_pos):
+    """(position, solved) for one combined quadric."""
+    A = q[:3, :3]
+    b = -q[:3, 3]
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[0] > 0 and s[2] > 0 and s[0] / s[2] < _SINGULAR_COND:
+        return np.linalg.solve(A, b), True
+    candidates = [(vi_pos + vj_pos) / 2.0, vi_pos, vj_pos]
+    costs = [reference_cost(q, p) for p in candidates]
+    return candidates[int(np.argmin(costs))], False
+
+
+def reference_flips_normal(st, i, j, pos):
+    for vid in (i, j):
+        for fi in st.vertex_faces[vid]:
+            f = st.faces[fi]
+            if i in f and j in f:
+                continue
+            pts = [pos if vv == vid else st.v[vv] for vv in f]
+            n_new = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+            old = [st.v[vv] for vv in f]
+            n_old = np.cross(old[1] - old[0], old[2] - old[0])
+            if n_new @ n_old <= 0:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("mesh", [bumpy_sphere(3), grid_plane(10)],
+                         ids=["bumpy_sphere", "grid_plane"])
+def test_vertex_quadrics_match_per_face_sum(mesh):
+    st = _DecimationState(mesh)
+    quadrics = _face_quadrics(mesh.vertices, mesh.faces)
+    Q = np.zeros((mesh.n_vertices, 4, 4))
+    for fi, f in enumerate(mesh.faces):
+        for vv in f:
+            Q[vv] += quadrics[fi]
+    for vv, q in _boundary_quadrics(mesh.vertices, mesh.faces).items():
+        Q[vv] += q
+    assert Q.tobytes() == st.Q.tobytes()
+
+
+@pytest.mark.parametrize("mesh", [bumpy_sphere(3), grid_plane(10)],
+                         ids=["bumpy_sphere", "grid_plane"])
+def test_edge_entries_match_per_edge_reference(mesh):
+    """One batch over every edge equals the per-edge solve or fallback and
+    ``h @ q @ h``, bit for bit."""
+    st = _DecimationState(mesh)
+    edges = mesh.edges()
+    entries = st.edge_entries(edges, 7)
+    assert len(entries) == len(edges)
+    solved = []
+    for k, ((i, j), entry) in enumerate(zip(edges, entries)):
+        q = st.Q[i] + st.Q[j]
+        pos, ok = reference_position(q, st.v[i], st.v[j])
+        solved.append(ok)
+        cost, seq, ei, ej, vi, vj, epos = entry
+        assert (seq, ei, ej, vi, vj) == (7 + k, i, j, 0, 0)
+        assert epos.tobytes() == pos.tobytes()
+        assert cost == reference_cost(q, pos)
+    if mesh.id.startswith("grid"):  # a batch with both kinds of row
+        assert 0 < sum(solved) < len(solved)
+
+
+@pytest.mark.parametrize("mesh", [bumpy_sphere(3), grid_plane(10)],
+                         ids=["bumpy_sphere", "grid_plane"])
+def test_flips_normal_matches_per_face_loop(mesh, rng):
+    """Random candidate collapses, moved from near the edge midpoint to far
+    off the surface, get the per-face loop's verdict."""
+    st = _DecimationState(mesh)
+    edges = mesh.edges()
+    scale = np.linalg.norm(np.ptp(mesh.vertices, axis=0))
+    verdicts = []
+    for k in rng.choice(len(edges), size=300, replace=False):
+        i, j = (int(x) for x in edges[k])
+        pos = (st.v[i] + st.v[j]) / 2 + rng.normal(size=3) * scale \
+            * 10.0 ** rng.uniform(-4, 0)
+        verdicts.append(reference_flips_normal(st, i, j, pos))
+        assert st.flips_normal(i, j, pos) == verdicts[-1]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_invalid_target_raises():
