@@ -128,10 +128,10 @@ class _DecimationState:
         for fi, f in self.faces.items():
             for vv in f:
                 self.vertex_faces[vv].add(fi)
-        self.quadrics = _face_quadrics(self.v, mesh.faces)
         self.Q = np.zeros((mesh.n_vertices, 4, 4))
         # (face, corner) order, the order a per-face loop would add in
-        np.add.at(self.Q, mesh.faces, self.quadrics[:, None])
+        np.add.at(self.Q, mesh.faces,
+                  _face_quadrics(self.v, mesh.faces)[:, None])
         for vv, q in _boundary_quadrics(self.v, mesh.faces).items():
             self.Q[vv] += q
         self.version = np.zeros(mesh.n_vertices, dtype=np.int64)
