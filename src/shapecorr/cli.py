@@ -90,9 +90,14 @@ def cmd_evaluate(args):
             n_skipped += 1
             continue
         shape_x, shape_y, gt, meta = load_instance(instances_dir / name)
-        pred = load_prediction(pred_path)
-        rep = evaluate_instance(shape_y, gt, pred, meta["setting"],
-                                float(meta["area_full_y"]))
+        try:
+            pred = load_prediction(pred_path)
+            rep = evaluate_instance(shape_y, gt, pred, meta["setting"],
+                                    float(meta["area_full_y"]))
+        except ValueError as exc:
+            _log(f"SKIP {name}: bad prediction file {pred_path}: {exc}")
+            n_skipped += 1
+            continue
         write_report(rep, out_dir / name)
         reports.append(rep)
         _log(f"eval {name}: auc={rep.auc:.3f}")

@@ -17,6 +17,10 @@ order and a last-bit change in a cost can reorder collapses. Batched
 ``einsum`` and ``(a * b).sum(-1)`` sum in another order and do not, so
 they are not used here. Per-vertex quadrics are summed with one
 ``np.add.at`` in (face, corner) order, the order of a per-face loop.
+Boundary quadrics are priced in one batch too: ``np.sqrt(np.vecdot(n,
+n))`` rounds like the per-row ``np.linalg.norm`` and ``norm(axis=1)``
+does not. They are summed with one ``np.add.at`` edge by edge, ``i``
+before ``j``, the order of a per-edge loop.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 
 from .corrio import load_correspondence, save_correspondence
 from .geometry import evaluate_correspondence, project_points_to_surface
-from .meshes import DenseCorrespondence, Mesh, identity_correspondence
+from .meshes import (DenseCorrespondence, Mesh, edge_incidence,
+                     identity_correspondence)
 from .meshio import load_mesh, save_mesh
 from .store import ContentStore
 
@@ -63,33 +68,25 @@ def _face_quadrics(vertices, faces):
 
 
 def _boundary_quadrics(vertices, faces):
-    """Constraint quadrics for boundary edges, keyed by vertex."""
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    owner = np.tile(np.arange(len(faces)), 3)
-    se = np.sort(e, axis=1)
-    uniq, inverse, counts = np.unique(se, axis=0, return_inverse=True,
-                                      return_counts=True)
-    boundary = counts == 1
-    out = {}
-    if not boundary.any():
-        return out
-    for k in np.flatnonzero(boundary[inverse]):
-        i, j = e[k]
-        fi = owner[k]
-        fa, fb, fc = vertices[faces[fi]]
-        fn = np.cross(fb - fa, fc - fa)
-        edge = vertices[j] - vertices[i]
-        n = np.cross(edge, fn)
-        ln = np.linalg.norm(n)
-        if ln < 1e-15:
-            continue
-        n /= ln
-        d = -n @ vertices[i]
-        plane = np.concatenate([n, [d]])
-        q = np.outer(plane, plane) * (edge @ edge)
-        for v in (int(i), int(j)):
-            out[v] = out.get(v, 0.0) + q
-    return out
+    """Constraint quadrics for boundary edges: the vertices on a boundary
+    edge and, per vertex, the (4, 4) sum of its edges' quadrics."""
+    directed, inverse, _, counts = edge_incidence(faces, len(vertices))
+    rows = np.flatnonzero(counts[inverse] == 1)
+    fa, fb, fc = (vertices[faces[rows % len(faces), k]] for k in range(3))
+    i, j = directed[rows].T
+    edge = vertices[j] - vertices[i]
+    n = np.cross(edge, np.cross(fb - fa, fc - fa))
+    ln = np.sqrt(np.vecdot(n, n))
+    keep = ~(ln < 1e-15)
+    i, j, edge = i[keep], j[keep], edge[keep]
+    n = n[keep] / ln[keep, None]
+    plane = np.concatenate([n, np.vecdot(-n, vertices[i])[:, None]], axis=1)
+    q = (plane[:, :, None] * plane[:, None, :]
+         * np.vecdot(edge, edge)[:, None, None])
+    vids, slot = np.unique(np.stack([i, j], axis=1), return_inverse=True)
+    out = np.zeros((len(vids), 4, 4))
+    np.add.at(out, slot.reshape(-1, 2), q[:, None])
+    return vids, out
 
 
 def _quadric_costs(q, p):
@@ -134,8 +131,8 @@ class _DecimationState:
         # (face, corner) order, the order a per-face loop would add in
         np.add.at(self.Q, mesh.faces,
                   _face_quadrics(self.v, mesh.faces)[:, None])
-        for vv, q in _boundary_quadrics(self.v, mesh.faces).items():
-            self.Q[vv] += q
+        vids, q = _boundary_quadrics(self.v, mesh.faces)
+        self.Q[vids] += q
         self.version = np.zeros(mesh.n_vertices, dtype=np.int64)
         self.n_alive = mesh.n_vertices
 
@@ -214,9 +211,10 @@ def decimate(mesh, target_vertices):
 
     st = _DecimationState(mesh)
     # every edge once, in order of first appearance in the face list
-    e = np.sort(mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, first = np.unique(e, axis=0, return_index=True)
-    edges = e[np.sort(first)]
+    _, inverse, edges, _ = edge_incidence(mesh.faces, mesh.n_vertices)
+    ids = inverse.reshape(3, -1).T.ravel()  # face-major
+    _, first = np.unique(ids, return_index=True)
+    edges = edges[ids[np.sort(first)]]
     heap = []
     for start in range(0, len(edges), _ENTRY_CHUNK):
         heap += st.edge_entries(edges[start:start + _ENTRY_CHUNK], start)
@@ -245,8 +243,7 @@ def decimate(mesh, target_vertices):
     keep = np.flatnonzero(st.alive_v)
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
-    faces = np.array([[remap[v] for v in f]
-                      for _, f in sorted(st.faces.items())], dtype=np.int64)
+    faces = remap[np.array([f for _, f in sorted(st.faces.items())])]
     out = Mesh(st.v[keep], faces, id=mesh.id, metadata=mesh.metadata)
     return out, keep
 

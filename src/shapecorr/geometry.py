@@ -8,7 +8,8 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .meshes import (DenseCorrespondence, Mesh, RigidTransform,
-                     SimilarityTransform, SurfacePoint, UNMATCHED)
+                     SimilarityTransform, SurfacePoint, UNMATCHED,
+                     edge_incidence)
 
 
 def face_areas(mesh, face_indices=None):
@@ -37,26 +38,19 @@ def connected_components(mesh, face_subset=None):
             raise ValueError("face_subset out of range")
     if len(fidx) == 0:
         return []
-    f = mesh.faces[fidx]
-    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    owner = np.tile(np.arange(len(fidx)), 3)  # edge blocks are per-corner
-    _, inverse = np.unique(edges, axis=0, return_inverse=True)
-    # faces sharing an edge id become graph neighbours: chain each run of
-    # equal ids through its consecutive members
-    order = np.argsort(inverse, kind="stable")
-    inv_sorted = inverse[order]
-    own_sorted = owner[order]
-    same = inv_sorted[1:] == inv_sorted[:-1]
-    rows, cols = own_sorted[:-1][same], own_sorted[1:][same]
     n = len(fidx)
-    adj = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    n_comp, labels = csgraph.connected_components(adj, directed=False)
+    _, inverse, edges, _ = edge_incidence(mesh.faces[fidx], mesh.n_vertices)
+    # one graph: faces are nodes 0..n-1, linked to their edges, nodes n..;
+    # directed row r belongs to face r % n
+    graph = sparse.coo_matrix(
+        (np.ones(3 * n), (np.arange(3 * n) % n, n + inverse)),
+        shape=(n + len(edges),) * 2)
+    labels = csgraph.connected_components(graph, directed=False)[1][:n]
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
     areas = face_areas(mesh, fidx)
-    comps = []
-    for ci in range(n_comp):
-        member = labels == ci
-        comps.append((fidx[member], float(areas[member].sum())))
+    comps = [(fidx[member], float(areas[member].sum()))
+             for member in np.split(order, cuts)]
     comps.sort(key=lambda fa: (-fa[1], fa[0][0]))
     return comps
 

@@ -18,6 +18,23 @@ class MeshValidationError(ValueError):
     """A mesh violates a structural invariant (bad indices, degenerate faces...)."""
 
 
+def edge_incidence(faces, n_vertices):
+    """Edge incidence of the (m, 3) faces: ``(directed, inverse, edges,
+    counts)``. ``directed`` (3m, 2) holds the edges (a, b), (b, c), (c, a)
+    corner-major: row ``k * m + f`` is edge ``k`` of face ``f``. ``inverse``
+    gives each row's undirected edge id into ``edges``, the unique
+    ``(lo, hi)`` pairs in lexicographic order, and ``counts`` the faces
+    sharing each edge. One 1-D ``np.unique`` over ``lo * n_vertices + hi``
+    gives the result of a row-wise ``np.unique(axis=0)``, ~10x faster."""
+    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]],
+                               faces[:, [2, 0]]])
+    lo, hi = directed.min(axis=1), directed.max(axis=1)
+    keys, inverse, counts = np.unique(lo * n_vertices + hi,
+                                      return_inverse=True, return_counts=True)
+    edges = np.stack(np.divmod(keys, n_vertices), axis=1)
+    return directed, inverse, edges, counts
+
+
 class Mesh:
     """Indexed triangle surface.
 
@@ -75,10 +92,7 @@ class Mesh:
 
     def edges(self):
         """Unique undirected edges as a sorted (e, 2) int array."""
-        f = self.faces
-        e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0)
+        return edge_incidence(self.faces, self.n_vertices)[2]
 
     def with_vertices(self, vertices, id=None):
         """Same connectivity, new vertex positions."""
@@ -145,6 +159,8 @@ class DenseCorrespondence:
         self.weights = np.array(weights, dtype=np.float64, order="C")
         if self.faces.ndim != 1 or self.weights.shape != (len(self.faces), 3):
             raise ValueError("faces must be (n,), weights (n, 3)")
+        if (self.faces < UNMATCHED).any():
+            raise ValueError("correspondence face index below -1")
         matched = self.faces != UNMATCHED
         if matched.any():
             w = self.weights[matched]
@@ -177,8 +193,7 @@ class DenseCorrespondence:
             raise ValueError(
                 f"correspondence length {len(self)} != source vertex count "
                 f"{source_mesh.n_vertices}")
-        m = self.matched
-        if m.any() and self.faces[m].max() >= target_mesh.n_faces:
+        if self.faces.max(initial=UNMATCHED) >= target_mesh.n_faces:
             raise ValueError("correspondence references invalid target face")
 
     @classmethod
@@ -274,19 +289,12 @@ class VertexLabels:
 def identity_correspondence(mesh, source_id=None, target_id=None):
     """Map every vertex of ``mesh`` to itself: weight 1 on a corner of its
     lowest-index incident face."""
-    n = mesh.n_vertices
-    faces = np.full(n, UNMATCHED, dtype=np.int64)
-    corner = np.zeros(n, dtype=np.int64)
-    # iterate faces in reverse so the lowest face index wins
-    for fi in range(mesh.n_faces - 1, -1, -1):
-        for k in range(3):
-            v = mesh.faces[fi, k]
-            faces[v] = fi
-            corner[v] = k
-    if (faces == UNMATCHED).any():
+    # a vertex's first occurrence in the face list is in its lowest face
+    vids, first = np.unique(mesh.faces.ravel(), return_index=True)
+    if len(vids) != mesh.n_vertices:
         raise ValueError("mesh has isolated vertices; identity map undefined")
-    weights = np.zeros((n, 3))
-    weights[np.arange(n), corner] = 1.0
+    faces, corner = np.divmod(first, 3)
+    weights = np.eye(3)[corner]
     sid = source_id if source_id is not None else mesh.id
     tid = target_id if target_id is not None else mesh.id
     return DenseCorrespondence(sid, tid, faces, weights)

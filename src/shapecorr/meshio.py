@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshes import Mesh, MeshValidationError
+from .meshes import Mesh, MeshValidationError, edge_incidence
 
 _FORMATS = ("off", "ply", "obj")
 
@@ -350,11 +350,8 @@ def validation_report(mesh):
     from .geometry import connected_components
 
     lines = [f"mesh {mesh.id}: {mesh.n_vertices} vertices, {mesh.n_faces} faces"]
-    f = mesh.faces
-    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    edges, inverse, counts = np.unique(und, axis=0, return_inverse=True,
-                                       return_counts=True)
+    directed, inverse, edges, counts = edge_incidence(mesh.faces,
+                                                      mesh.n_vertices)
     n_boundary = int((counts == 1).sum())
     nonmanifold = np.where(counts > 2)[0]
     lines.append(f"edges: {len(edges)} total, {n_boundary} boundary, "
@@ -367,7 +364,7 @@ def validation_report(mesh):
     lines.append(f"components: {len(comps)}")
     # winding: an interior edge of a consistently wound surface appears once
     # in each direction
-    sorted_dirs = directed[np.argsort(inverse.ravel(), kind="stable")]
+    sorted_dirs = directed[np.argsort(inverse, kind="stable")]
     first = (np.cumsum(counts) - counts)[counts == 2]
     flipped = int((sorted_dirs[first, 0] == sorted_dirs[first + 1, 0]).sum())
     if flipped:

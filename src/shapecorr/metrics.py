@@ -40,6 +40,8 @@ def _as_pred(pred, n):
     pred = np.asarray(pred, dtype=np.int64)
     if pred.shape != (n,):
         raise ValueError(f"prediction has shape {pred.shape}, expected ({n},)")
+    if (pred < UNMATCHED).any():
+        raise ValueError("prediction index below -1")
     return pred
 
 
@@ -53,8 +55,7 @@ def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
     if target_full_area <= 0:
         raise ValueError("target area must be positive")
     gt_vertex = geo.snap_correspondence_to_vertices(gt, target_mesh)
-    if pred[pred != UNMATCHED].size and \
-            pred[pred != UNMATCHED].max() >= target_mesh.n_vertices:
+    if pred.max(initial=UNMATCHED) >= target_mesh.n_vertices:
         raise ValueError("prediction references invalid target vertex")
     gm = gt_vertex != UNMATCHED
     pm = pred != UNMATCHED

@@ -144,8 +144,7 @@ def cast_scan(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None):
     return hit
 
 
-def extract_partial(mesh, hit_faces, camera, restore, parent=None,
-                    parent_id=None):
+def extract_partial(mesh, hit_faces, camera, restore, parent=None):
     """Largest-area connected component of the hit faces as a PartialMesh.
 
     ``mesh`` is the scanned (normalized) mesh; vertex positions of the
@@ -163,17 +162,20 @@ def extract_partial(mesh, hit_faces, camera, restore, parent=None,
     remap[vids] = np.arange(len(vids))
     sub = Mesh(parent.vertices[vids], remap[mesh.faces[keep_faces]],
                id=f"{parent.id}#partial", metadata=parent.metadata)
-    return PartialMesh(mesh=sub,
-                       parent_id=parent_id if parent_id is not None else parent.id,
+    return PartialMesh(mesh=sub, parent_id=parent.id,
                        parent_vertex=vids, parent_face=keep_faces,
                        camera=camera, restore=restore)
 
 
-def scan_partial(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None):
-    """Normalize, scan from the given pose, keep the largest component."""
+def scan_partial(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None,
+                 parent=None):
+    """Normalize, scan from the given pose, keep the largest component,
+    with the vertices of ``parent`` (default: mesh), a mesh of the same
+    faces."""
     normalized, restore = geo.normalize_to_unit_box(mesh)
     hit = cast_scan(normalized, camera, resolution, cache=cache)
-    return extract_partial(normalized, hit, camera, restore, parent=mesh)
+    return extract_partial(normalized, hit, camera, restore,
+                           parent=parent if parent is not None else mesh)
 
 
 def generate_partial(mesh, rng, resolution=DEFAULT_RESOLUTION, cache=None,
@@ -246,17 +248,11 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
         cam_x, cam_y = sample_constrained_pair(rng, alpha)
         try:
             px = scan_partial(mx, cam_x, resolution, cache=cache)
-            py_aligned = scan_partial(aligned_my, cam_y, resolution, cache=cache)
+            # scan the aligned mesh, keep the original (unaligned) pose
+            py = scan_partial(aligned_my, cam_y, resolution, cache=cache,
+                              parent=my)
         except EmptyScanError:
             continue
-        # re-seat the y partial on the original (unaligned) mesh
-        py = PartialMesh(
-            mesh=Mesh(my.vertices[py_aligned.parent_vertex],
-                      py_aligned.mesh.faces, id=f"{my.id}#partial",
-                      metadata=my.metadata),
-            parent_id=my.id, parent_vertex=py_aligned.parent_vertex,
-            parent_face=py_aligned.parent_face, camera=cam_y,
-            restore=py_aligned.restore)
         stats = compute_overlap(px, py, corr_xy, corr_yx,
                                 iterations_used=it, overlap_range=(lo, hi))
         if stats.within_range:

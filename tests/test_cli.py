@@ -172,6 +172,36 @@ class TestEvaluate:
         for n in names[1:]:
             assert (ws / "eval" / n / "curve.txt").exists()
 
+    @pytest.mark.parametrize("bad", ["garbled", "short", "below_unmatched",
+                                     "out_of_range"])
+    def test_malformed_prediction_skipped(self, workspace, capsys, bad):
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out")) == 0
+        names = (ws / "out" / "instances.manifest").read_text().split()
+        pred_dir = write_gt_predictions(ws, names)
+        path = pred_dir / f"{names[0]}.txt"
+        lines = path.read_text().splitlines()
+        if bad == "garbled":
+            lines[5] = "12x"
+        elif bad == "short":
+            lines = lines[:-1]
+        elif bad == "below_unmatched":
+            lines[5] = "-2"
+        else:
+            lines[5] = "100000"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--instances", str(ws / "out"),
+                     "--predictions", str(pred_dir),
+                     "--output", str(ws / "eval")])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"SKIP {names[0]}: bad prediction file" in "\n".join(out)
+        assert out[-1].endswith(" n_skipped=1")
+        assert not (ws / "eval" / names[0]).exists()
+        for n in names[1:]:
+            assert (ws / "eval" / n / "curve.txt").exists()
+
     def test_no_predictions_exit_1(self, workspace):
         ws, _ = workspace
         assert main(gen_args(ws, ws / "out")) == 0

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from shapecorr.corrio import load_correspondence, save_correspondence
-from shapecorr.meshes import identity_correspondence
+from shapecorr.meshes import DenseCorrespondence, identity_correspondence
 
 from conftest import icosphere
 
@@ -15,3 +16,72 @@ def test_binary_corr_cut_anywhere_raises_value_error(tmp_path):
         p.write_bytes(data[:n])
         with pytest.raises(ValueError):
             load_correspondence(p)
+
+
+def text_corr(tmp_path):
+    """A text .corr with unmatched rows and weights that need all 17
+    digits."""
+    rng = np.random.default_rng(5)
+    faces = rng.integers(0, 80, size=42)
+    faces[::5] = -1
+    corr = DenseCorrespondence("src:1", "tgt:2", faces,
+                               rng.dirichlet(np.ones(3), size=42))
+    path = tmp_path / "text.corr"
+    save_correspondence(corr, path, binary=False)
+    return corr, path
+
+
+def test_text_corr_roundtrip_bit_exact(tmp_path):
+    """The text file holds every weight bit for bit, and loading it gives
+    what loading the binary file gives."""
+    corr, path = text_corr(tmp_path)
+    assert path.read_text().startswith("corr src:1 tgt:2 42\n")
+    records = np.loadtxt(path, skiprows=1)
+    assert records[:, 0].astype(np.int64).tolist() == corr.faces.tolist()
+    assert records[:, 1:].tobytes() == corr.weights.tobytes()
+    save_correspondence(corr, tmp_path / "binary.corr")
+    back = load_correspondence(path)
+    assert back == load_correspondence(tmp_path / "binary.corr")
+    assert back.weights.tobytes() == \
+        load_correspondence(tmp_path / "binary.corr").weights.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "short_record", "garbled",
+                                    "bad_header", "empty"])
+def test_text_corr_damaged_raises_value_error(tmp_path, damage):
+    _, path = text_corr(tmp_path)
+    lines = path.read_text().splitlines()
+    if damage == "truncated":
+        lines = lines[:20]
+    elif damage == "short_record":
+        lines[7] = lines[7].rsplit(" ", 1)[0]
+    elif damage == "garbled":
+        lines[7] = lines[7].replace(".", ",", 1)
+    elif damage == "bad_header":
+        lines[0] = "corr src:1 tgt:2"
+    else:
+        lines = []
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError):
+        load_correspondence(path)
+
+
+def test_text_corr_face_below_unmatched_raises_value_error(tmp_path):
+    _, path = text_corr(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] = "-2 0 0 0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="below -1"):
+        load_correspondence(path)
+
+
+def test_binary_corr_face_below_unmatched_raises_value_error(tmp_path):
+    corr, _ = text_corr(tmp_path)
+    path = tmp_path / "binary.corr"
+    save_correspondence(corr, path)
+    data = bytearray(path.read_bytes())
+    record = len(data) - 28 * (len(corr) - 2)  # records are 28 bytes
+    data[record:record + 4] = (-3).to_bytes(4, "little", signed=True)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="below -1"):
+        load_correspondence(path)

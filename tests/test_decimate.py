@@ -157,6 +157,61 @@ def reference_flips_normal(st, i, j, pos):
     return False
 
 
+def reference_boundary_quadrics(vertices, faces):
+    """{vertex: quadric sum}, one boundary edge at a time, i before j."""
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    _, inverse, counts = np.unique(np.sort(e, axis=1), axis=0,
+                                   return_inverse=True, return_counts=True)
+    out = {}
+    for k in np.flatnonzero(counts[inverse.ravel()] == 1):
+        i, j = e[k]
+        fa, fb, fc = vertices[faces[k % len(faces)]]
+        fn = np.cross(fb - fa, fc - fa)
+        edge = vertices[j] - vertices[i]
+        n = np.cross(edge, fn)
+        ln = np.linalg.norm(n)
+        if ln < 1e-15:
+            continue
+        n /= ln
+        d = -n @ vertices[i]
+        plane = np.concatenate([n, [d]])
+        q = np.outer(plane, plane) * (edge @ edge)
+        for v in (int(i), int(j)):
+            out[v] = out.get(v, 0.0) + q
+    return out
+
+
+def open_patch():
+    """bumpy_sphere(3) minus a cap: a curved open surface."""
+    m = bumpy_sphere(3)
+    c = m.vertices[m.faces].mean(axis=1)
+    up = c[:, 2] / np.linalg.norm(c, axis=1)
+    return Mesh(m.vertices, m.faces[up < 0.8], id="patch")
+
+
+def bowtie():
+    """Two triangles on one vertex, which lies on four boundary edges, as
+    the second vertex of the first and the first vertex of the next."""
+    return Mesh([[0.1, 0.2, 0.3], [1.3, 0.1, -0.2], [0.7, 1.1, 0.4],
+                 [-0.9, -0.3, 0.6], [-0.4, -1.2, -0.7]],
+                [[1, 0, 2], [0, 3, 4]], id="bowtie")
+
+
+@pytest.mark.parametrize("mesh", [grid_plane(10), open_patch(), bowtie()],
+                         ids=["grid_plane", "open_patch", "bowtie"])
+def test_boundary_quadrics_match_per_edge_loop(mesh):
+    vids, q = _boundary_quadrics(mesh.vertices, mesh.faces)
+    want = reference_boundary_quadrics(mesh.vertices, mesh.faces)
+    assert vids.tolist() == sorted(want)
+    assert q.tobytes() == np.array([want[v] for v in sorted(want)]).tobytes()
+
+
+def test_closed_mesh_has_no_boundary_quadrics():
+    m = icosphere(1)
+    vids, q = _boundary_quadrics(m.vertices, m.faces)
+    assert vids.shape == (0,) and q.shape == (0, 4, 4)
+
+
 @pytest.mark.parametrize("mesh", [bumpy_sphere(3), grid_plane(10)],
                          ids=["bumpy_sphere", "grid_plane"])
 def test_vertex_quadrics_match_per_face_sum(mesh):
@@ -166,9 +221,54 @@ def test_vertex_quadrics_match_per_face_sum(mesh):
     for fi, f in enumerate(mesh.faces):
         for vv in f:
             Q[vv] += quadrics[fi]
-    for vv, q in _boundary_quadrics(mesh.vertices, mesh.faces).items():
+    for vv, q in reference_boundary_quadrics(mesh.vertices,
+                                             mesh.faces).items():
         Q[vv] += q
     assert Q.tobytes() == st.Q.tobytes()
+
+
+@pytest.mark.parametrize("mesh", [bumpy_sphere(2), grid_plane(6), bowtie()],
+                         ids=["bumpy_sphere", "grid_plane", "bowtie"])
+def test_initial_heap_edges_in_face_order(mesh, monkeypatch):
+    """The initial heap prices every edge once, in order of first
+    appearance in the face list; its entries take seq 0, 1, ..."""
+    want = []
+    for f in mesh.faces.tolist():
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            if (min(a, b), max(a, b)) not in want:
+                want.append((min(a, b), max(a, b)))
+    priced = []
+    entries = _DecimationState.edge_entries
+
+    def record(st, pairs, seq):
+        if seq < len(want):
+            priced.extend(map(tuple, pairs.tolist()))
+        return entries(st, pairs, seq)
+
+    monkeypatch.setattr(_DecimationState, "edge_entries", record)
+    decimate(mesh, mesh.n_vertices - 1)
+    assert priced == want
+
+
+@pytest.mark.parametrize("mesh,target", [(bumpy_sphere(3), 150),
+                                         (grid_plane(10), 40)],
+                         ids=["bumpy_sphere", "grid_plane"])
+def test_output_faces_match_per_vertex_remap(mesh, target, monkeypatch):
+    states = []
+    init = _DecimationState.__init__
+
+    def record(st, m):
+        init(st, m)
+        states.append(st)
+
+    monkeypatch.setattr(_DecimationState, "__init__", record)
+    out, keep = decimate(mesh, target)
+    st, = states
+    remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    faces = np.array([[remap[v] for v in f]
+                      for _, f in sorted(st.faces.items())], dtype=np.int64)
+    assert out.faces.tobytes() == faces.tobytes()
 
 
 @pytest.mark.parametrize("mesh", [bumpy_sphere(3), grid_plane(10)],

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy import sparse
+from scipy.sparse import csgraph
+
 from shapecorr import geometry as geo
 from shapecorr.meshes import Mesh, RigidTransform, SurfacePoint
+from shapecorr.scanning import CameraPose, cast_scan
 
 from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
                       icosphere, random_rigid)
@@ -85,6 +89,45 @@ class TestConnectedComponents:
         comps = geo.connected_components(m, subset)
         all_faces = sorted(int(f) for fa, _ in comps for f in fa)
         assert all_faces == sorted(subset)
+
+
+def reference_connected_components(mesh, fidx):
+    """Chain each run of faces sharing an edge, then one mask per
+    component."""
+    f = mesh.faces[fidx]
+    edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]],
+                                    f[:, [2, 0]]]), axis=1)
+    owner = np.tile(np.arange(len(fidx)), 3)
+    _, inverse = np.unique(edges, axis=0, return_inverse=True)
+    order = np.argsort(inverse.ravel(), kind="stable")
+    inv_sorted, own_sorted = inverse.ravel()[order], owner[order]
+    same = inv_sorted[1:] == inv_sorted[:-1]
+    n = len(fidx)
+    adj = sparse.coo_matrix((np.ones(same.sum()), (own_sorted[:-1][same],
+                                                   own_sorted[1:][same])),
+                            shape=(n, n))
+    n_comp, labels = csgraph.connected_components(adj, directed=False)
+    areas = geo.face_areas(mesh, fidx)
+    comps = [(fidx[labels == ci], float(areas[labels == ci].sum()))
+             for ci in range(n_comp)]
+    comps.sort(key=lambda fa: (-fa[1], fa[0][0]))
+    return comps
+
+
+@pytest.mark.parametrize("resolution", [(48, 48), (64, 64), (256, 256)])
+def test_connected_components_of_scans_match_reference(resolution):
+    """Coarse scans of a bumpy sphere fall apart into hundreds of
+    components; faces, areas and order match the reference."""
+    m, _ = geo.normalize_to_unit_box(bumpy_sphere(4))
+    hit = cast_scan(m, CameraPose(0.3, 0.2, 2.5), resolution)
+    comps = geo.connected_components(m, hit)
+    want = reference_connected_components(m, hit)
+    assert len(comps) == len(want)
+    if resolution != (256, 256):
+        assert len(comps) > 300
+    for (faces, area), (want_faces, want_area) in zip(comps, want):
+        assert faces.tobytes() == want_faces.tobytes()
+        assert area == want_area
 
 
 class TestClosestPointOnTriangle:

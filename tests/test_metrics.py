@@ -97,6 +97,19 @@ class TestGeodesicError:
         with pytest.raises(ValueError):
             geodesic_error(pred, gt, mesh, 1.0, "full_full")
 
+    @pytest.mark.parametrize("setting", ["full_full", "partial_partial"])
+    def test_prediction_below_unmatched_rejected(self, setting):
+        """-2 is not a vertex: read as an index it would score vertex
+        n - 2."""
+        mesh = icosphere(1)
+        gt = random_correspondence(mesh, np.random.default_rng(3))
+        pred = gt_as_prediction(gt, mesh)
+        pred[4] = -2
+        with pytest.raises(ValueError, match="below -1"):
+            geodesic_error(pred, gt, mesh, 1.0, setting)
+        with pytest.raises(ValueError, match="below -1"):
+            evaluate_instance(mesh, gt, pred, setting, 1.0)
+
 
 class TestInvariance:
     def test_rigid_invariance(self):

@@ -157,6 +157,19 @@ class TestExtractPartial:
         np.testing.assert_array_equal(p.parent_vertex[p.mesh.faces],
                                       m.faces[p.parent_face])
 
+    def test_scan_moved_copy_at_parent_pose(self, rng):
+        m = icosphere(2)
+        moved = m.with_vertices(random_rigid(rng).apply(m.vertices),
+                                id="moved")
+        p = scan_partial(moved, CameraPose(1.0, 0.4), (64, 64), parent=m)
+        q = scan_partial(moved, CameraPose(1.0, 0.4), (64, 64))
+        np.testing.assert_array_equal(p.parent_face, q.parent_face)
+        np.testing.assert_array_equal(p.mesh.faces, q.mesh.faces)
+        assert p.mesh.vertices.tobytes() == \
+            m.vertices[q.parent_vertex].tobytes()
+        assert (p.parent_id, p.mesh.id) == (m.id, f"{m.id}#partial")
+        assert p.restore.scale == q.restore.scale
+
 
 class TestComputeOverlap:
     def test_full_total_correspondence_is_one(self):
