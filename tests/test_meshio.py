@@ -288,3 +288,61 @@ def test_validation_report_counts_each_flipped_edge():
     assert want > 0
     report = validation_report(Mesh(m.vertices, f))
     assert f"winding: {want} interior edges" in report
+
+
+TRI_OFF_BODY = "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+
+
+def test_headerless_off(tmp_path):
+    m = load_mesh(write(tmp_path / "t.off", "3 1 0\n" + TRI_OFF_BODY))
+    np.testing.assert_array_equal(m.vertices, TRI_V[:3])
+    np.testing.assert_array_equal(m.faces, [[0, 1, 2]])
+
+
+def test_off_colour_columns_ignored(tmp_path):
+    text = ("OFF\n4 2 0\n0 0 0 255 0 0 255\n1 0 0 0 255 0 255\n"
+            "0 1 0\n1 1 0.5 0.5 0.5 0.5\n"
+            "3 0 1 2 255 0 0\n3 1 3 2 0.25 0.5 0.75 1\n")
+    m = load_mesh(write(tmp_path / "c.off", text))
+    np.testing.assert_array_equal(m.vertices, TRI_V)
+    np.testing.assert_array_equal(m.faces, TRI_F)
+
+
+def test_off_comments_and_blank_lines(tmp_path):
+    text = ("# made by hand\nOFF  # keyword\n\n3 1 0\n# vertices\n"
+            "0 0 0\n\n1 0 0 # second\n0 1 0\n  \n# faces\n3 0 1 2\n# end\n")
+    m = load_mesh(write(tmp_path / "c.off", text))
+    np.testing.assert_array_equal(m.vertices, TRI_V[:3])
+    np.testing.assert_array_equal(m.faces, [[0, 1, 2]])
+
+
+def test_off_quad_rejected_with_line(tmp_path):
+    text = "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n3 0 1 2\n4 0 1 3 2\n"
+    with pytest.raises(MeshFormatError, match="q.off:8"):
+        load_mesh(write(tmp_path / "q.off", text))
+
+
+def test_obj_quad_rejected_with_line(tmp_path):
+    text = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 1 2 4 3\n"
+    with pytest.raises(MeshFormatError, match="q.obj:6"):
+        load_mesh(write(tmp_path / "q.obj", text))
+
+
+def test_off_fewer_vertex_lines_than_count(tmp_path):
+    text = "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n"
+    with pytest.raises(MeshFormatError, match="expected 4 vertices"):
+        load_mesh(write(tmp_path / "short.off", text))
+
+
+def test_obj_negative_indices_and_normal_only_form(tmp_path):
+    text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf -3//1 -2//1 -1//1\n"
+            "v 1 1 0.5\nf 2//1 -1//1 3//1\n")
+    m = load_mesh(write(tmp_path / "n.obj", text))
+    np.testing.assert_array_equal(m.vertices, TRI_V)
+    np.testing.assert_array_equal(m.faces, [[0, 1, 2], [1, 3, 2]])
+
+
+def test_obj_bad_vertex_value_names_line(tmp_path):
+    text = "v 0 0 0\nv 1 0 0\nvn 0 0 1\nv 0 x 0\nf 1 2 3\n"
+    with pytest.raises(MeshFormatError, match="b.obj:4"):
+        load_mesh(write(tmp_path / "b.obj", text))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,3 +319,28 @@ class TestReports:
         p.write_text("0\n5\n-1\n2  # trailing comment\n")
         np.testing.assert_array_equal(load_prediction(p),
                                       np.array([0, 5, -1, 2]))
+
+
+class TestPredictionFile:
+    def test_comments_and_blank_lines(self, tmp_path):
+        p = tmp_path / "pred.txt"
+        p.write_text("# vertex map\n\n3\n  # indented comment\n-1\n\n7 # x\n")
+        np.testing.assert_array_equal(load_prediction(p), [3, -1, 7])
+
+    @pytest.mark.parametrize("text", ["1 2\n", "0\n1 2\n3\n", "0 1\n2 3\n",
+                                      "0\n1.5\n", "0\nx\n"])
+    def test_not_one_integer_per_line_raises_value_error(self, tmp_path,
+                                                          text):
+        p = tmp_path / "pred.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError):
+            load_prediction(p)
+
+    @pytest.mark.parametrize("text", ["", "\n", "# nothing\n\n"])
+    def test_empty_file_is_empty_array(self, tmp_path, text):
+        p = tmp_path / "pred.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = load_prediction(p)
+        assert pred.dtype == np.int64 and pred.shape == (0,)

@@ -9,7 +9,7 @@ from shapecorr.meshes import (DenseCorrespondence, Mesh, UNKNOWN_LABEL,
 from shapecorr.meshio import save_mesh
 from shapecorr.network import (NetworkError, ShapeNetwork, ShapeNode,
                                build_network, compose, correspondence_between,
-                               nearest_annotated, project_template_pair,
+                               load_annotation, nearest_annotated, project_template_pair,
                                propagate_annotation, shortest_path)
 from shapecorr.spatial import brute_force_nearest
 
@@ -322,3 +322,19 @@ class TestBuildNetwork:
         p.write_text("frobnicate A B\n")
         with pytest.raises(NetworkError, match="unknown directive"):
             build_network(p)
+
+
+def test_load_annotation_skips_comments_and_blank_lines(tmp_path):
+    p = tmp_path / "s.labels"
+    p.write_text("# left/right\n0\n\n1  # right\n-1\n")
+    labels = load_annotation(p, "s")
+    assert labels.shape_id == "s"
+    np.testing.assert_array_equal(labels.labels, [0, 1, -1])
+
+
+@pytest.mark.parametrize("text", ["0 1\n", "0\n1 1\n", "0\n0.5\n", "left\n"])
+def test_load_annotation_not_one_integer_per_line(tmp_path, text):
+    p = tmp_path / "s.labels"
+    p.write_text(text)
+    with pytest.raises(ValueError):
+        load_annotation(p, "s")
