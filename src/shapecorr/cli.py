@@ -89,13 +89,15 @@ def cmd_evaluate(args):
             _log(f"SKIP {name}: no prediction file {pred_path}")
             n_skipped += 1
             continue
-        shape_x, shape_y, gt, meta = load_instance(instances_dir / name)
+        what = "unreadable instance"
         try:
+            _, shape_y, gt, meta = load_instance(instances_dir / name)
+            what = f"bad prediction file {pred_path}"
             pred = load_prediction(pred_path)
             rep = evaluate_instance(shape_y, gt, pred, meta["setting"],
                                     float(meta["area_full_y"]))
-        except ValueError as exc:
-            _log(f"SKIP {name}: bad prediction file {pred_path}: {exc}")
+        except (OSError, ValueError) as exc:
+            _log(f"SKIP {name}: {what}: {exc}")
             n_skipped += 1
             continue
         write_report(rep, out_dir / name)

@@ -7,10 +7,14 @@ Text variant::
     ...
 
 Face index -1 marks an unmatched vertex; its weights are written as zeros.
+The records are read by meshio's text-table path.
 
 Binary variant: magic ``DCOR``, format version byte, the two ids as
 length-prefixed UTF-8, vertex count as little-endian uint64, then n records
-of (int32 face, 3x float64 weights). Bit-exact round trips.
+of (int32 face, 3x float64 weights).
+
+Both variants round-trip bit for bit: a load checks the weights but does not
+renormalize them.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .meshes import DenseCorrespondence, UNMATCHED
+from .meshio import _data_lines, _table
 
 _MAGIC = b"DCOR"
 _VERSION = 1
@@ -57,19 +62,16 @@ def _save_text(corr, path):
 def _load_text(path):
     with open(path, "r") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != "corr":
-            raise ValueError(f"{path}: bad correspondence header")
-        source_id, target_id, n = header[1], header[2], int(header[3])
-        faces = np.empty(n, dtype=np.int64)
-        weights = np.zeros((n, 3))
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}: bad record at vertex {i}")
-            faces[i] = int(parts[0])
-            if faces[i] != UNMATCHED:
-                weights[i] = [float(parts[1]), float(parts[2]), float(parts[3])]
-    return DenseCorrespondence(source_id, target_id, faces, weights)
+    if (len(header) != 4 or header[0] != "corr"
+            or not header[3].isdecimal()):
+        raise ValueError(f"{path}: bad correspondence header")
+    n = int(header[3])
+    rows = _data_lines(path)[1:n + 1]  # the first data line is the header
+    if len(rows) < n:
+        raise ValueError(f"{path}: expected {n} records, got {len(rows)}")
+    rec = _table(path, rows, "record", [("face", "i8"), ("w", "f8", 3)])
+    return DenseCorrespondence._exact(header[1], header[2], rec["face"],
+                                      rec["w"])
 
 
 def _save_binary(corr, path):
@@ -107,5 +109,4 @@ def _load_binary(path):
         (n,) = struct.unpack("<Q", read(8))
         rec = np.frombuffer(read(n * 28),
                             dtype=[("face", "<i4"), ("w", "<f8", 3)])
-    return DenseCorrespondence(sid, tid, rec["face"].astype(np.int64),
-                               rec["w"].astype(np.float64))
+    return DenseCorrespondence._exact(sid, tid, rec["face"], rec["w"])

@@ -174,6 +174,16 @@ class DenseCorrespondence:
         self.faces.setflags(write=False)
         self.weights.setflags(write=False)
 
+    @classmethod
+    def _exact(cls, source_id, target_id, faces, weights):
+        """Checked as the constructor checks, but keeping the matched
+        weights bit for bit, as a file load must: renormalizing weights
+        that already sum to 1 can move their last bits."""
+        corr = cls(source_id, target_id, faces, weights)
+        corr.weights = np.where(corr.matched[:, None], weights, 0.0)
+        corr.weights.setflags(write=False)
+        return corr
+
     def __len__(self):
         return len(self.faces)
 

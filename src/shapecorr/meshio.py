@@ -1,4 +1,7 @@
-"""Mesh file I/O: OFF, ASCII/binary PLY and OBJ (positions + faces only).
+"""Mesh file I/O: OFF, ASCII/binary PLY and OBJ (positions + faces only),
+and the text-table reader OFF, OBJ, text ``.corr``, prediction and
+``.labels`` files share: one ``np.loadtxt`` call per table, ``#`` comments
+and blank lines skipped, a bad row reported with its line number.
 
 Vertex and face order is preserved bit-exactly on load; binary PLY stores
 positions as float64 so save -> load round-trips are lossless.
@@ -13,6 +16,7 @@ short file raises ``MeshFormatError``.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,8 @@ _FORMATS = ("off", "ply", "obj")
 
 
 class MeshFormatError(ValueError):
-    """Parse failure; carries the offending line number when known."""
+    """Parse failure of a mesh or other text-table file; carries the
+    offending line number when known."""
 
     def __init__(self, path, message, line=None):
         loc = f"{path}:{line}" if line is not None else str(path)
@@ -67,74 +72,72 @@ def save_mesh(mesh, path, format=None):
         _write_obj(mesh, path)
 
 
-# --- OFF ---
+# --- text tables: OFF, OBJ, text .corr, predictions and labels ---
 
 def _data_lines(path):
-    """Yield (lineno, stripped line) skipping blanks and comments."""
+    """The (line number, text) pairs of the lines of ``path`` that hold
+    data: ``#`` comments and blank lines are dropped."""
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+        lines = [line.split("#", 1)[0] for line in fh.read().split("\n")]
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1)
+            if line and not line.isspace()]
+
+
+def _table(path, rows, what, dtype, usecols=None):
+    """``rows`` ((line number, text) pairs) as a record array of ``dtype``,
+    parsed by one ``np.loadtxt`` call; each row holds exactly the record's
+    columns, or at least ``usecols``. Only on failure are the rows parsed
+    one at a time, to name the first bad line."""
+    if not rows:
+        return np.empty(0, dtype)  # np.loadtxt warns on empty input
+    try:
+        return np.loadtxt([text for _, text in rows], dtype, usecols=usecols,
+                          ndmin=1)
+    except ValueError:
+        for lineno, text in rows:
+            try:
+                np.loadtxt([text], dtype, usecols=usecols)
+            except ValueError:
+                raise MeshFormatError(path, f"bad {what} line {text!r}",
+                                      lineno) from None
+        raise
+
+
+def load_vertex_values(path):
+    """One integer per line, as an (n,) int64 array: prediction files and
+    ``.labels`` files. ``#`` comments and blank lines are skipped."""
+    return _table(path, _data_lines(path), "value", [("v", "i8")])["v"]
+
+
+_XYZ = [("xyz", "f8", 3)]
 
 
 def _read_off(path):
-    lines = _data_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
+    rows = _data_lines(path)
+    if not rows:
         raise MeshFormatError(path, "empty file")
-    counts = None
-    if header.upper().startswith("OFF"):
-        rest = header[3:].strip()
-        if rest:  # counts on the same line as the keyword
-            counts = (lineno, rest)
-    else:
-        counts = (lineno, header)  # headerless OFF variant
-    if counts is None:
-        try:
-            counts = next(lines)
-        except StopIteration:
-            raise MeshFormatError(path, "missing count line")
-    lineno, line = counts
-    parts = line.split()
-    if len(parts) < 2:
+    lineno, line = rows.pop(0)
+    line = line.strip()
+    if line.upper().startswith("OFF"):  # else a headerless OFF
+        line = line[3:].strip()
+        if not line and rows:  # the counts are on the next line
+            lineno, line = rows.pop(0)
+    counts = line.split()[:2]
+    if len(counts) < 2 or not all(c.isdecimal() for c in counts):
         raise MeshFormatError(path, f"bad count line {line!r}", lineno)
-    try:
-        nv, nf = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MeshFormatError(path, f"bad count line {line!r}", lineno)
-
-    vertices = np.empty((nv, 3))
-    for i in range(nv):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshFormatError(path, f"expected {nv} vertices, got {i}")
-        parts = line.split()
-        if len(parts) < 3:
-            raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-        try:
-            vertices[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-        except ValueError:
-            raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshFormatError(path, f"expected {nf} faces, got {i}")
-        parts = line.split()
-        try:
-            k = int(parts[0])
-            idx = [int(p) for p in parts[1:1 + k]]
-        except (ValueError, IndexError):
-            raise MeshFormatError(path, f"bad face line {line!r}", lineno)
-        if k != 3 or len(idx) != 3:
-            raise MeshFormatError(path, f"only triangles supported, got {k}-gon", lineno)
-        faces[i] = idx
-    return vertices, faces
+    nv, nf = map(int, counts)
+    if len(rows) < nv:
+        raise MeshFormatError(path, f"expected {nv} vertices, got {len(rows)}")
+    if len(rows) < nv + nf:
+        raise MeshFormatError(path, f"expected {nf} faces, got {len(rows) - nv}")
+    # usecols skips the optional colour columns of vertex and face rows
+    vertices = _table(path, rows[:nv], "vertex", _XYZ, usecols=(0, 1, 2))
+    faces = _table(path, rows[nv:nv + nf], "face",
+                   [("n", "i8"), ("idx", "i8", 3)], usecols=(0, 1, 2, 3))
+    for k in np.flatnonzero(faces["n"] != 3)[:1]:
+        raise MeshFormatError(path, "only triangles supported, got "
+                              f"{faces['n'][k]}-gon", rows[nv + k][0])
+    return vertices["xyz"], faces["idx"]
 
 
 def _write_off(mesh, path):
@@ -297,38 +300,27 @@ def save_colored_ply(mesh, colors, path):
 
 # --- OBJ ---
 
+# the /vt/vn tails of the v/vt, v/vt/vn and v//vn face corner forms
+_CORNER_TAIL = re.compile(r"/\S*")
+
+
 def _read_obj(path):
-    vertices, faces = [], []
-    for lineno, line in _data_lines_obj(path):
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-            try:
-                vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-            except ValueError:
-                raise MeshFormatError(path, f"bad vertex line {line!r}", lineno)
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise MeshFormatError(path, "only triangle faces supported", lineno)
-            try:
-                # v, v/vt, v/vt/vn and v//vn forms; normals/UVs ignored
-                idx = [int(p.split("/")[0]) for p in parts[1:]]
-            except ValueError:
-                raise MeshFormatError(path, f"bad face line {line!r}", lineno)
-            faces.append([i - 1 if i > 0 else len(vertices) + i for i in idx])
-        # vn/vt/usemtl/groups silently ignored
-    if not vertices:
+    rows = {"v": [], "f": []}  # vn/vt/usemtl/groups silently ignored
+    for lineno, line in _data_lines(path):
+        key = line.split(None, 1)[0]
+        if key in rows:
+            rows[key].append((lineno, line))
+    if not rows["v"]:
         raise MeshFormatError(path, "no vertices found")
-    return np.asarray(vertices, dtype=np.float64), np.asarray(faces, dtype=np.int64)
-
-
-def _data_lines_obj(path):
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    vertices = _table(path, rows["v"], "vertex", _XYZ, usecols=(1, 2, 3))
+    linenos = [lineno for lineno, _ in rows["f"]]
+    corners = _CORNER_TAIL.sub("", "\n".join(line for _, line in rows["f"]))
+    faces = _table(path, list(zip(linenos, corners.split("\n"))), "face",
+                   [("f", "U1"), ("idx", "i8", 3)])["idx"]
+    # a negative index counts back from the last vertex above its face
+    above = np.searchsorted([lineno for lineno, _ in rows["v"]], linenos)
+    faces = np.where(faces > 0, faces - 1, faces + above[:, None])
+    return vertices["xyz"], faces
 
 
 def _write_obj(mesh, path):

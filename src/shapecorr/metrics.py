@@ -16,6 +16,7 @@ import numpy as np
 
 from . import geometry as geo
 from .meshes import UNMATCHED
+from .meshio import load_vertex_values
 
 DEFAULT_THRESHOLDS = np.round(np.arange(0, 1001) * 0.001, 3)
 
@@ -235,10 +236,7 @@ def write_summary(summary, path):
 
 def load_prediction(path):
     """Vertex map file: one target vertex index per line, -1 = unmatched."""
-    vals = [int(line.split("#", 1)[0])
-            for line in Path(path).read_text().splitlines()
-            if line.split("#", 1)[0].strip()]
-    return np.array(vals, dtype=np.int64)
+    return load_vertex_values(path)
 
 
 def gt_as_prediction(gt, target_mesh):

@@ -17,7 +17,7 @@ from . import geometry as geo
 from .corrio import load_correspondence
 from .meshes import (DenseCorrespondence, Mesh, UNMATCHED, UNKNOWN_LABEL,
                      VertexLabels, identity_correspondence)
-from .meshio import load_mesh
+from .meshio import load_mesh, load_vertex_values
 
 
 class NetworkError(ValueError):
@@ -217,12 +217,7 @@ def project_template_pair(morphed_a, mesh_b, missing_mask_a=None):
 
 def load_annotation(path, shape_id):
     """Per-vertex integer labels, one per line; '#' comments allowed."""
-    labels = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            labels.append(int(line))
-    return VertexLabels(shape_id, np.array(labels, dtype=np.int64))
+    return VertexLabels(shape_id, load_vertex_values(path))
 
 
 def parse_manifest(path):

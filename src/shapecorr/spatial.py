@@ -68,7 +68,7 @@ def exhaustive_first_hits(mesh, origins, directions):
 class TriangleBVH:
     """Median-split BVH stored in flat arrays."""
 
-    def __init__(self, mesh, leaf_size=_LEAF_SIZE):
+    def __init__(self, mesh):
         a, b, c = mesh.face_corners()
         self._tri = (a, b, c)
         lo = np.minimum(np.minimum(a, b), c)
@@ -91,7 +91,7 @@ class TriangleBVH:
             bmax = hi[sel].max(axis=0)
             node_min[idx] = bmin
             node_max[idx] = bmax
-            if end - start > leaf_size:
+            if end - start > _LEAF_SIZE:
                 axis = int(np.argmax(bmax - bmin))
                 # stable sort on (centroid, face idx) keeps builds deterministic
                 key = centroids[sel, axis]
@@ -104,7 +104,7 @@ class TriangleBVH:
                 build(mid, end)
             return idx
 
-        # median splits keep the depth near log2(n_faces / leaf_size) + 1
+        # median splits keep the depth near log2(n_faces / _LEAF_SIZE) + 1
         build(0, mesh.n_faces)
 
         self.node_min = np.asarray(node_min)

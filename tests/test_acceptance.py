@@ -3,6 +3,8 @@
 Each test is one criterion; together they gate the whole package.
 """
 
+import dataclasses
+import shutil
 import time
 
 import numpy as np
@@ -229,8 +231,8 @@ def test_criterion_8_split_hygiene_and_counts():
     assert not (manifest.categories("train") & manifest.categories("test"))
 
 
-def _toy_world(n=5):
-    base = icosphere(2)
+def _toy_world(n=5, base=None):
+    base = icosphere(2) if base is None else base
     rng = np.random.default_rng(1009)
     ids = [f"faust:{i:04d}" for i in range(n)]
     nodes, edges = {}, {}
@@ -284,3 +286,19 @@ def test_criterion_9_pinned_digest(tmp_path):
     net, manifest = _toy_world()
     run_generation(_criterion_9_config(), net, manifest, tmp_path)
     assert digest_tree(tmp_path) == GOLDEN_DIGEST
+
+
+def test_warm_remesh_cache_writes_cold_bytes(tmp_path):
+    """A run that finds its decimations in a copied cache writes the
+    instance bytes of the run that filled it."""
+    net, manifest = _toy_world(base=bumpy_sphere(3))
+    cfg = dataclasses.replace(_criterion_9_config(), count_range=(300, 320))
+    run_generation(cfg, net, manifest, tmp_path / "cold")
+    shutil.copytree(tmp_path / "cold" / "cache", tmp_path / "warm" / "cache")
+    run_generation(cfg, net, manifest, tmp_path / "warm")
+    names = (tmp_path / "cold" / "instances.manifest").read_text().split()
+    assert len(names) == 10
+    for name in names:
+        assert (tmp_path / "warm" / name / "gt.corr").read_bytes() == \
+            (tmp_path / "cold" / name / "gt.corr").read_bytes(), name
+    assert digest_tree(tmp_path / "warm") == digest_tree(tmp_path / "cold")

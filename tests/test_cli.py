@@ -202,6 +202,26 @@ class TestEvaluate:
         for n in names[1:]:
             assert (ws / "eval" / n / "curve.txt").exists()
 
+    def test_unreadable_instance_skipped(self, workspace, capsys):
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out")) == 0
+        names = (ws / "out" / "instances.manifest").read_text().split()
+        pred_dir = write_gt_predictions(ws, names)
+        x = ws / "out" / names[0] / "x.ply"
+        x.write_bytes(x.read_bytes()[:-7])
+        capsys.readouterr()
+        code = main(["evaluate", "--instances", str(ws / "out"),
+                     "--predictions", str(pred_dir),
+                     "--output", str(ws / "eval")])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"SKIP {names[0]}: unreadable instance" in "\n".join(out)
+        assert out[-1].endswith(" n_skipped=1")
+        assert (ws / "eval" / "summary.txt").exists()
+        assert not (ws / "eval" / names[0]).exists()
+        for n in names[1:]:
+            assert (ws / "eval" / n / "curve.txt").exists()
+
     def test_no_predictions_exit_1(self, workspace):
         ws, _ = workspace
         assert main(gen_args(ws, ws / "out")) == 0

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from shapecorr.corrio import load_correspondence, save_correspondence
+from shapecorr.decimate import back_correspondence, decimate
 from shapecorr.meshes import DenseCorrespondence, identity_correspondence
 
-from conftest import icosphere
+from conftest import bumpy_sphere, icosphere
 
 
 def test_binary_corr_cut_anywhere_raises_value_error(tmp_path):
@@ -85,3 +86,16 @@ def test_binary_corr_face_below_unmatched_raises_value_error(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="below -1"):
         load_correspondence(path)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_load_keeps_saved_weights_bit_for_bit(tmp_path, binary):
+    """Renormalizing a back-projection's weights moves the last bits of
+    some rows; a load must return the saved weights unchanged."""
+    original = bumpy_sphere(4)
+    corr = back_correspondence(decimate(original, 800)[0], original)
+    path = tmp_path / "c.corr"
+    save_correspondence(corr, path, binary=binary)
+    back = load_correspondence(path)
+    assert back.faces.tobytes() == corr.faces.tobytes()
+    assert back.weights.tobytes() == corr.weights.tobytes()

@@ -377,6 +377,17 @@ class TestRemeshWithCorrespondence:
         assert r2.to_original == r1.to_original
         assert r2.max_projection_error == r1.max_projection_error
 
+    def test_cache_hit_returns_the_missed_result(self, tmp_path):
+        m = bumpy_sphere(4)
+        cache = RemeshCache(tmp_path / "cache")
+        r1 = remesh_with_correspondence(m, (800, 800), np.random.default_rng(0),
+                                        cache=cache)
+        r2 = remesh_with_correspondence(m, (800, 800), np.random.default_rng(0),
+                                        cache=cache)
+        assert r2.mesh == r1.mesh
+        assert r2.to_original.weights.tobytes() == \
+            r1.to_original.weights.tobytes()
+
     def test_cache_disabled_use(self, tmp_path):
         m = bumpy_sphere(2)
         cache = RemeshCache(tmp_path / "cache", use=False, update=True)

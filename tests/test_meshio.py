@@ -346,3 +346,10 @@ def test_obj_bad_vertex_value_names_line(tmp_path):
     text = "v 0 0 0\nv 1 0 0\nvn 0 0 1\nv 0 x 0\nf 1 2 3\n"
     with pytest.raises(MeshFormatError, match="b.obj:4"):
         load_mesh(write(tmp_path / "b.obj", text))
+
+
+def test_obj_inline_comments_dropped(tmp_path):
+    text = "v 0 0 0  # origin\nv 1 0 0\nv 0 1 0\nf 1 2 3 # c\n"
+    m = load_mesh(write(tmp_path / "c.obj", text))
+    np.testing.assert_array_equal(m.vertices, TRI_V[:3])
+    np.testing.assert_array_equal(m.faces, [[0, 1, 2]])
