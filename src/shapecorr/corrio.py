@@ -7,7 +7,7 @@ Text variant::
     ...
 
 Face index -1 marks an unmatched vertex; its weights are written as zeros.
-The records are read by meshio's text-table path.
+The records are read by ``textio``'s table reader.
 
 Binary variant: magic ``DCOR``, format version byte, the two ids as
 length-prefixed UTF-8, vertex count as little-endian uint64, then n records
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .meshes import DenseCorrespondence, UNMATCHED
-from .meshio import _data_lines, _table
+from .textio import data_lines, read_table
 
 _MAGIC = b"DCOR"
 _VERSION = 1
@@ -66,10 +66,10 @@ def _load_text(path):
             or not header[3].isdecimal()):
         raise ValueError(f"{path}: bad correspondence header")
     n = int(header[3])
-    rows = _data_lines(path)[1:n + 1]  # the first data line is the header
+    rows = data_lines(path)[1:n + 1]  # the first data line is the header
     if len(rows) < n:
         raise ValueError(f"{path}: expected {n} records, got {len(rows)}")
-    rec = _table(path, rows, "record", [("face", "i8"), ("w", "f8", 3)])
+    rec = read_table(path, rows, "record", [("face", "i8"), ("w", "f8", 3)])
     return DenseCorrespondence._exact(header[1], header[2], rec["face"],
                                       rec["w"])
 

@@ -152,6 +152,23 @@ class DenseCorrespondence:
     """
 
     def __init__(self, source_id, target_id, faces, weights):
+        self._set(source_id, target_id, faces, weights)
+        matched = self.matched
+        self.weights[matched] /= self.weights[matched].sum(axis=1, keepdims=True)
+        self.weights.setflags(write=False)
+
+    @classmethod
+    def _exact(cls, source_id, target_id, faces, weights):
+        """Checked and clipped as the constructor does, but keeping the
+        matched weights bit for bit, as a file load must: renormalizing
+        weights that already sum to 1 can move their last bits."""
+        corr = cls.__new__(cls)
+        corr._set(source_id, target_id, faces, weights)
+        corr.weights.setflags(write=False)
+        return corr
+
+    def _set(self, source_id, target_id, faces, weights):
+        """Copy and check; clip the weights at 0, zero unmatched rows."""
         self.source_id = source_id
         self.target_id = target_id
         # copy so read-only inputs can be reused and normalization stays local
@@ -169,20 +186,8 @@ class DenseCorrespondence:
             if np.abs(w.sum(axis=1) - 1.0).max() > 1e-6:
                 raise ValueError("barycentric weights must sum to 1")
             np.clip(self.weights, 0.0, None, out=self.weights)
-            self.weights[matched] /= self.weights[matched].sum(axis=1, keepdims=True)
         self.weights[~matched] = 0.0
         self.faces.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    @classmethod
-    def _exact(cls, source_id, target_id, faces, weights):
-        """Checked as the constructor checks, but keeping the matched
-        weights bit for bit, as a file load must: renormalizing weights
-        that already sum to 1 can move their last bits."""
-        corr = cls(source_id, target_id, faces, weights)
-        corr.weights = np.where(corr.matched[:, None], weights, 0.0)
-        corr.weights.setflags(write=False)
-        return corr
 
     def __len__(self):
         return len(self.faces)

@@ -1,7 +1,5 @@
-"""Mesh file I/O: OFF, ASCII/binary PLY and OBJ (positions + faces only),
-and the text-table reader OFF, OBJ, text ``.corr``, prediction and
-``.labels`` files share: one ``np.loadtxt`` call per table, ``#`` comments
-and blank lines skipped, a bad row reported with its line number.
+"""Mesh file I/O: OFF, ASCII/binary PLY and OBJ (positions + faces only).
+OFF and OBJ bodies are read by ``textio.read_table``.
 
 Vertex and face order is preserved bit-exactly on load; binary PLY stores
 positions as float64 so save -> load round-trips are lossless.
@@ -22,19 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .meshes import Mesh, MeshValidationError, edge_incidence
+from .textio import FormatError as MeshFormatError, data_lines, read_table
 
 _FORMATS = ("off", "ply", "obj")
-
-
-class MeshFormatError(ValueError):
-    """Parse failure of a mesh or other text-table file; carries the
-    offending line number when known."""
-
-    def __init__(self, path, message, line=None):
-        loc = f"{path}:{line}" if line is not None else str(path)
-        super().__init__(f"{loc}: {message}")
-        self.path = str(path)
-        self.line = line
 
 
 def load_mesh(path, id=None):
@@ -45,12 +33,7 @@ def load_mesh(path, id=None):
         raise MeshFormatError(path, f"unsupported extension {ext!r} (want off/ply/obj)")
     if not path.exists():
         raise FileNotFoundError(path)
-    if ext == "off":
-        v, f = _read_off(path)
-    elif ext == "ply":
-        v, f = _read_ply(path)
-    else:
-        v, f = _read_obj(path)
+    v, f = {"off": _read_off, "ply": _read_ply, "obj": _read_obj}[ext](path)
     return Mesh(v, f, id=id if id is not None else path.stem)
 
 
@@ -64,56 +47,16 @@ def save_mesh(mesh, path, format=None):
     if fmt not in _FORMATS:
         raise MeshFormatError(path, f"unsupported format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "off":
-        _write_off(mesh, path)
-    elif fmt == "ply":
-        _write_ply(mesh, path)
-    else:
-        _write_obj(mesh, path)
+    {"off": _write_off, "ply": _write_ply, "obj": _write_obj}[fmt](mesh, path)
 
 
-# --- text tables: OFF, OBJ, text .corr, predictions and labels ---
-
-def _data_lines(path):
-    """The (line number, text) pairs of the lines of ``path`` that hold
-    data: ``#`` comments and blank lines are dropped."""
-    with open(path, "r") as fh:
-        lines = [line.split("#", 1)[0] for line in fh.read().split("\n")]
-    return [(lineno, line) for lineno, line in enumerate(lines, start=1)
-            if line and not line.isspace()]
-
-
-def _table(path, rows, what, dtype, usecols=None):
-    """``rows`` ((line number, text) pairs) as a record array of ``dtype``,
-    parsed by one ``np.loadtxt`` call; each row holds exactly the record's
-    columns, or at least ``usecols``. Only on failure are the rows parsed
-    one at a time, to name the first bad line."""
-    if not rows:
-        return np.empty(0, dtype)  # np.loadtxt warns on empty input
-    try:
-        return np.loadtxt([text for _, text in rows], dtype, usecols=usecols,
-                          ndmin=1)
-    except ValueError:
-        for lineno, text in rows:
-            try:
-                np.loadtxt([text], dtype, usecols=usecols)
-            except ValueError:
-                raise MeshFormatError(path, f"bad {what} line {text!r}",
-                                      lineno) from None
-        raise
-
-
-def load_vertex_values(path):
-    """One integer per line, as an (n,) int64 array: prediction files and
-    ``.labels`` files. ``#`` comments and blank lines are skipped."""
-    return _table(path, _data_lines(path), "value", [("v", "i8")])["v"]
-
+# --- OFF ---
 
 _XYZ = [("xyz", "f8", 3)]
 
 
 def _read_off(path):
-    rows = _data_lines(path)
+    rows = data_lines(path)
     if not rows:
         raise MeshFormatError(path, "empty file")
     lineno, line = rows.pop(0)
@@ -131,9 +74,9 @@ def _read_off(path):
     if len(rows) < nv + nf:
         raise MeshFormatError(path, f"expected {nf} faces, got {len(rows) - nv}")
     # usecols skips the optional colour columns of vertex and face rows
-    vertices = _table(path, rows[:nv], "vertex", _XYZ, usecols=(0, 1, 2))
-    faces = _table(path, rows[nv:nv + nf], "face",
-                   [("n", "i8"), ("idx", "i8", 3)], usecols=(0, 1, 2, 3))
+    vertices = read_table(path, rows[:nv], "vertex", _XYZ, usecols=(0, 1, 2))
+    faces = read_table(path, rows[nv:nv + nf], "face",
+                       [("n", "i8"), ("idx", "i8", 3)], usecols=(0, 1, 2, 3))
     for k in np.flatnonzero(faces["n"] != 3)[:1]:
         raise MeshFormatError(path, "only triangles supported, got "
                               f"{faces['n'][k]}-gon", rows[nv + k][0])
@@ -306,17 +249,17 @@ _CORNER_TAIL = re.compile(r"/\S*")
 
 def _read_obj(path):
     rows = {"v": [], "f": []}  # vn/vt/usemtl/groups silently ignored
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         key = line.split(None, 1)[0]
         if key in rows:
             rows[key].append((lineno, line))
     if not rows["v"]:
         raise MeshFormatError(path, "no vertices found")
-    vertices = _table(path, rows["v"], "vertex", _XYZ, usecols=(1, 2, 3))
+    vertices = read_table(path, rows["v"], "vertex", _XYZ, usecols=(1, 2, 3))
     linenos = [lineno for lineno, _ in rows["f"]]
     corners = _CORNER_TAIL.sub("", "\n".join(line for _, line in rows["f"]))
-    faces = _table(path, list(zip(linenos, corners.split("\n"))), "face",
-                   [("f", "U1"), ("idx", "i8", 3)])["idx"]
+    faces = read_table(path, list(zip(linenos, corners.split("\n"))), "face",
+                       [("f", "U1"), ("idx", "i8", 3)])["idx"]
     # a negative index counts back from the last vertex above its face
     above = np.searchsorted([lineno for lineno, _ in rows["v"]], linenos)
     faces = np.where(faces > 0, faces - 1, faces + above[:, None])

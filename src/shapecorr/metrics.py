@@ -16,7 +16,8 @@ import numpy as np
 
 from . import geometry as geo
 from .meshes import UNMATCHED
-from .meshio import load_vertex_values
+# a vertex map file: one target vertex index per line, -1 = unmatched
+from .textio import load_int_column as load_prediction
 
 DEFAULT_THRESHOLDS = np.round(np.arange(0, 1001) * 0.001, 3)
 
@@ -232,11 +233,6 @@ def write_summary(summary, path):
     lines = [f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
              for k, v in summary.items()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_prediction(path):
-    """Vertex map file: one target vertex index per line, -1 = unmatched."""
-    return load_vertex_values(path)
 
 
 def gt_as_prediction(gt, target_mesh):

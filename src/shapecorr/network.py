@@ -17,7 +17,8 @@ from . import geometry as geo
 from .corrio import load_correspondence
 from .meshes import (DenseCorrespondence, Mesh, UNMATCHED, UNKNOWN_LABEL,
                      VertexLabels, identity_correspondence)
-from .meshio import load_mesh, load_vertex_values
+from .meshio import load_mesh
+from .textio import load_int_column
 
 
 class NetworkError(ValueError):
@@ -217,7 +218,7 @@ def project_template_pair(morphed_a, mesh_b, missing_mask_a=None):
 
 def load_annotation(path, shape_id):
     """Per-vertex integer labels, one per line; '#' comments allowed."""
-    return VertexLabels(shape_id, load_vertex_values(path))
+    return VertexLabels(shape_id, load_int_column(path))
 
 
 def parse_manifest(path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,21 @@ def test_load_keeps_saved_weights_bit_for_bit(tmp_path, binary):
     back = load_correspondence(path)
     assert back.faces.tobytes() == corr.faces.tobytes()
     assert back.weights.tobytes() == corr.weights.tobytes()
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_load_clips_tiny_negative_weights(tmp_path, binary):
+    """A saved weight in [-1e-9, 0) loads as 0.0; the others keep their
+    bits."""
+    weights = np.array([[0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
+    path = tmp_path / "c.corr"
+    save_correspondence(DenseCorrespondence("a", "b", [0, -1], weights),
+                        path, binary=binary)
+    data = path.read_bytes()
+    if binary:
+        w0 = len(data) - 2 * 28 + 4  # the first weight of row 0
+        data = data[:w0] + struct.pack("<d", -1e-10) + data[w0 + 8:]
+    else:
+        data = data.replace(b"\n0 0.0 ", b"\n0 -1e-10 ")
+    path.write_bytes(data)
+    assert load_correspondence(path).weights.tobytes() == weights.tobytes()
