@@ -2,14 +2,13 @@
 matching instances."""
 
 from .meshes import (DenseCorrespondence, Mesh, MeshValidationError,
-                     RigidTransform, SimilarityTransform, SurfacePoint,
-                     UNKNOWN_LABEL, UNMATCHED, VertexLabels,
+                     RigidTransform, UNKNOWN_LABEL, UNMATCHED, VertexLabels,
                      identity_correspondence)
 from .meshio import MeshFormatError, load_mesh, save_mesh, validation_report
-from .geometry import (closest_point_on_triangle, connected_components,
-                       evaluate_surface_point, geodesic_distances,
+from .geometry import (closest_points_on_triangles, connected_components,
+                       evaluate_correspondence, geodesic_distance_fields,
                        normalize_area, normalize_to_unit_box, procrustes_align,
-                       project_to_surface, rotate_z, surface_area)
+                       project_points_to_surface, rotate_z, surface_area)
 from .config import GenerationConfig
 from .decimate import decimate, remesh_with_correspondence
 from .scanning import (CameraPose, PartialMesh, generate_partial,
@@ -29,12 +28,11 @@ __all__ = [
     "default_split_manifest", "MatchingInstance", "generate_instance",
     "run_generation", "evaluate_matching",
     "DenseCorrespondence", "Mesh", "MeshValidationError", "MeshFormatError",
-    "RigidTransform", "SimilarityTransform", "SurfacePoint", "VertexLabels",
-    "UNKNOWN_LABEL", "UNMATCHED",
+    "RigidTransform", "VertexLabels", "UNKNOWN_LABEL", "UNMATCHED",
     "identity_correspondence", "load_mesh", "save_mesh", "validation_report",
-    "closest_point_on_triangle", "connected_components",
-    "evaluate_surface_point", "geodesic_distances", "normalize_area",
-    "normalize_to_unit_box", "procrustes_align", "project_to_surface",
+    "closest_points_on_triangles", "connected_components",
+    "evaluate_correspondence", "geodesic_distance_fields", "normalize_area",
+    "normalize_to_unit_box", "procrustes_align", "project_points_to_surface",
     "rotate_z", "surface_area",
 ]
 

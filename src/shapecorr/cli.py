@@ -14,14 +14,16 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, GenerationConfig
-from .corrio import save_correspondence
+from .corrio import load_correspondence, save_correspondence
+from .meshes import UNMATCHED
+from .meshio import load_mesh
 from .metrics import (aggregate_reports, evaluate_instance, load_prediction,
                       write_report, write_summary)
 from .network import NetworkError, build_network, correspondence_between, \
     propagate_annotation
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
                     parse_split_manifest)
-from .pipeline import load_instance, run_generation
+from .pipeline import read_meta, run_generation
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
 
@@ -91,11 +93,10 @@ def cmd_evaluate(args):
             continue
         what = "unreadable instance"
         try:
-            _, shape_y, gt, meta = load_instance(instances_dir / name)
+            shape_y, gt, setting, area = _load_scored(instances_dir / name)
             what = f"bad prediction file {pred_path}"
             pred = load_prediction(pred_path)
-            rep = evaluate_instance(shape_y, gt, pred, meta["setting"],
-                                    float(meta["area_full_y"]))
+            rep = evaluate_instance(shape_y, gt, pred, setting, area)
         except (OSError, ValueError) as exc:
             _log(f"SKIP {name}: {what}: {exc}")
             n_skipped += 1
@@ -111,6 +112,21 @@ def cmd_evaluate(args):
     _log(" ".join(f"{k}={v}" for k, v in summary.items())
          + f" n_skipped={n_skipped}")
     return EXIT_VALIDATION if n_skipped else EXIT_OK
+
+
+def _load_scored(directory):
+    """What ``evaluate`` scores against: ``y.ply``, ``gt.corr`` and the
+    setting and full target area from ``meta.txt``; ``x.ply`` is not read."""
+    meta = read_meta(directory / "meta.txt")
+    try:
+        setting, area = meta["setting"], float(meta["area_full_y"])
+    except KeyError as exc:
+        raise ValueError(f"meta.txt has no {exc} entry") from None
+    shape_y = load_mesh(directory / "y.ply")
+    gt = load_correspondence(directory / "gt.corr")
+    if gt.faces.max(initial=UNMATCHED) >= shape_y.n_faces:
+        raise ValueError("gt.corr references a face beyond y.ply")
+    return shape_y, gt, setting, area
 
 
 def cmd_propagate(args):

@@ -7,9 +7,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .meshes import (DenseCorrespondence, Mesh, RigidTransform,
-                     SimilarityTransform, SurfacePoint, UNMATCHED,
-                     edge_incidence)
+from .meshes import RigidTransform, UNMATCHED, edge_incidence
 
 
 def face_areas(mesh, face_indices=None):
@@ -113,27 +111,6 @@ def closest_points_on_triangles(p, a, b, c):
     return points, bary
 
 
-def closest_point_on_triangle(p, a, b, c):
-    """Closest point to p on a single triangle, with barycentric weights."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if np.linalg.norm(np.cross(b - a, c - a)) < 1e-15:
-        raise ValueError("degenerate triangle")
-    pts, bary = closest_points_on_triangles(p, a[None], b[None], c[None])
-    return pts[0], bary[0]
-
-
-def project_to_surface(p, mesh):
-    """Globally nearest surface point to p, as a SurfacePoint.
-
-    One-point case of ``project_points_to_surface``; ties broken by lowest
-    face index. Equals the exhaustive per-face minimum.
-    """
-    faces, bary = mesh.bvh.nearest_points(np.asarray(p, dtype=np.float64)[None])
-    return SurfacePoint(int(faces[0]), bary[0])
-
-
 def project_points_to_surface(points, mesh):
     """Globally nearest surface point to each of ``points`` (n, 3).
 
@@ -142,14 +119,6 @@ def project_points_to_surface(points, mesh):
     lowest face index.
     """
     return mesh.bvh.nearest_points(points)
-
-
-def evaluate_surface_point(mesh, sp):
-    """3D position of a SurfacePoint: barycentric blend of its face corners."""
-    if not 0 <= sp.face < mesh.n_faces:
-        raise IndexError(f"face {sp.face} out of range for mesh {mesh.id}")
-    tri = mesh.vertices[mesh.faces[sp.face]]
-    return sp.weights @ tri
 
 
 def evaluate_correspondence(corr, target_mesh):
@@ -195,16 +164,14 @@ def rotate_z(mesh, angle):
 
 def normalize_to_unit_box(mesh):
     """Center at the origin and scale uniformly so the largest axis-aligned
-    extent is 1. Returns (mesh, restore) where restore maps back to the
-    original pose."""
+    extent is 1."""
     lo = mesh.vertices.min(axis=0)
     hi = mesh.vertices.max(axis=0)
     extent = float((hi - lo).max())
     if extent <= 0:
         raise ValueError("zero-extent mesh cannot be normalized")
     center = (lo + hi) / 2.0
-    normalized = mesh.with_vertices((mesh.vertices - center) / extent)
-    return normalized, SimilarityTransform(extent, center)
+    return mesh.with_vertices((mesh.vertices - center) / extent)
 
 
 def normalize_area(mesh):
@@ -222,12 +189,6 @@ def edge_graph(mesh):
     n = mesh.n_vertices
     g = sparse.coo_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n))
     return (g + g.T).tocsr()
-
-
-def geodesic_distances(mesh, source):
-    """Shortest-path distances from ``source`` on the vertex-edge graph with
-    Euclidean weights (Dijkstra). Unreachable vertices get +inf."""
-    return geodesic_distance_fields(mesh, [source])[0]
 
 
 def geodesic_distance_fields(mesh, sources):

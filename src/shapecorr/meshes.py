@@ -1,5 +1,5 @@
-"""Core data types: triangle meshes, surface points, dense correspondences,
-rigid/similarity transforms and per-vertex labels."""
+"""Core data types: triangle meshes, dense correspondences, rigid
+transforms and per-vertex labels."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 UNMATCHED = -1
 UNKNOWN_LABEL = -1
 
-_ORTHO_TOL = 1e-9
 _WEIGHT_TOL = 1e-9
 
 
@@ -119,30 +118,6 @@ class Mesh:
         return f"Mesh(id={self.id!r}, n_vertices={self.n_vertices}, n_faces={self.n_faces})"
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point on a mesh surface: face index plus barycentric weights."""
-
-    face: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (3,):
-            raise ValueError("weights must be a length-3 vector")
-        # clamp float fuzz; anything materially negative is a real error
-        if w.min() < -_WEIGHT_TOL:
-            raise ValueError(f"negative barycentric weight: {w}")
-        w = np.clip(w, 0.0, None)
-        s = w.sum()
-        if abs(s - 1.0) > 1e-6:
-            raise ValueError(f"barycentric weights sum to {s}, expected 1")
-        w = w / s
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "face", int(self.face))
-
-
 class DenseCorrespondence:
     """Per-source-vertex map onto a target surface.
 
@@ -197,12 +172,6 @@ class DenseCorrespondence:
         """Boolean mask of matched source vertices."""
         return self.faces != UNMATCHED
 
-    def entry(self, i):
-        """SurfacePoint for source vertex i, or None if unmatched."""
-        if self.faces[i] == UNMATCHED:
-            return None
-        return SurfacePoint(self.faces[i], self.weights[i])
-
     def validate_against(self, source_mesh, target_mesh):
         if len(self) != source_mesh.n_vertices:
             raise ValueError(
@@ -210,11 +179,6 @@ class DenseCorrespondence:
                 f"{source_mesh.n_vertices}")
         if self.faces.max(initial=UNMATCHED) >= target_mesh.n_faces:
             raise ValueError("correspondence references invalid target face")
-
-    @classmethod
-    def all_unmatched(cls, source_id, target_id, n):
-        return cls(source_id, target_id,
-                   np.full(n, UNMATCHED, dtype=np.int64), np.zeros((n, 3)))
 
     def __eq__(self, other):
         if not isinstance(other, DenseCorrespondence):
@@ -242,50 +206,8 @@ class RigidTransform:
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points):
         return np.asarray(points) @ self.rotation.T + self.translation
-
-    def inverse(self):
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def compose(self, other):
-        """self after other: (self @ other)(x) = self(other(x))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-
-@dataclass(frozen=True)
-class SimilarityTransform:
-    """Uniform scale + translation, x -> scale * x + translation.
-
-    Used as the restore descriptor of unit-box normalization: applying it to
-    normalized coordinates returns the original pose.
-    """
-
-    scale: float
-    translation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(
-            self, "translation",
-            np.asarray(self.translation, dtype=np.float64).reshape(3))
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, np.zeros(3))
-
-    def apply(self, points):
-        return np.asarray(points) * self.scale + self.translation
-
-    def inverse(self):
-        return SimilarityTransform(1.0 / self.scale, -self.translation / self.scale)
 
 
 @dataclass
@@ -301,7 +223,7 @@ class VertexLabels:
             raise ValueError("labels must be one-dimensional")
 
 
-def identity_correspondence(mesh, source_id=None, target_id=None):
+def identity_correspondence(mesh):
     """Map every vertex of ``mesh`` to itself: weight 1 on a corner of its
     lowest-index incident face."""
     # a vertex's first occurrence in the face list is in its lowest face
@@ -310,6 +232,4 @@ def identity_correspondence(mesh, source_id=None, target_id=None):
         raise ValueError("mesh has isolated vertices; identity map undefined")
     faces, corner = np.divmod(first, 3)
     weights = np.eye(3)[corner]
-    sid = source_id if source_id is not None else mesh.id
-    tid = target_id if target_id is not None else mesh.id
-    return DenseCorrespondence(sid, tid, faces, weights)
+    return DenseCorrespondence(mesh.id, mesh.id, faces, weights)

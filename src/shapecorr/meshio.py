@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshes import Mesh, MeshValidationError, edge_incidence
+from .meshes import Mesh, edge_incidence
 from .textio import FormatError as MeshFormatError, data_lines, read_table
 
 _FORMATS = ("off", "ply", "obj")

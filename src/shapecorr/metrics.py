@@ -56,9 +56,11 @@ def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
     pred = _as_pred(pred, len(gt))
     if target_full_area <= 0:
         raise ValueError("target area must be positive")
-    gt_vertex = geo.snap_correspondence_to_vertices(gt, target_mesh)
+    if gt.faces.max(initial=UNMATCHED) >= target_mesh.n_faces:
+        raise ValueError("ground truth references invalid target face")
     if pred.max(initial=UNMATCHED) >= target_mesh.n_vertices:
         raise ValueError("prediction references invalid target vertex")
+    gt_vertex = geo.snap_correspondence_to_vertices(gt, target_mesh)
     gm = gt_vertex != UNMATCHED
     pm = pred != UNMATCHED
     errors = np.full(len(gt), np.nan)

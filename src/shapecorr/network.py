@@ -18,7 +18,7 @@ from .corrio import load_correspondence
 from .meshes import (DenseCorrespondence, Mesh, UNMATCHED, UNKNOWN_LABEL,
                      VertexLabels, identity_correspondence)
 from .meshio import load_mesh
-from .textio import load_int_column
+from .textio import key_values, load_int_column
 
 
 class NetworkError(ValueError):
@@ -185,8 +185,8 @@ def nearest_annotated(net, target):
 def propagate_annotation(net, target):
     """Labels for ``target`` pulled from the nearest annotated node.
 
-    Each target vertex takes the label of the dominant-weight vertex of its
-    corresponding SurfacePoint; unmatched vertices get UNKNOWN_LABEL.
+    Each target vertex takes the label of the dominant-weight corner of the
+    face it maps to; unmatched vertices get UNKNOWN_LABEL.
     """
     source = nearest_annotated(net, target)
     src_labels = net.annotations[source].labels
@@ -200,19 +200,10 @@ def propagate_annotation(net, target):
     return VertexLabels(target, out)
 
 
-def project_template_pair(morphed_a, mesh_b, missing_mask_a=None):
-    """Correspondence from a morphed template A onto template B.
-
-    Each A-vertex projects to its nearest surface point on B; vertices in
-    ``missing_mask_a`` (regions absent from B) are emitted UNMATCHED.
-    """
+def project_template_pair(morphed_a, mesh_b):
+    """Correspondence from a morphed template A onto template B: each
+    A-vertex projects to its nearest surface point on B."""
     faces, bary = geo.project_points_to_surface(morphed_a.vertices, mesh_b)
-    if missing_mask_a is not None:
-        missing = np.asarray(sorted(missing_mask_a), dtype=np.int64)
-        faces = faces.copy()
-        faces[missing] = UNMATCHED
-        bary = bary.copy()
-        bary[missing] = 0.0
     return DenseCorrespondence(morphed_a.id, mesh_b.id, faces, bary)
 
 
@@ -245,10 +236,10 @@ def parse_manifest(path):
         kind = parts[0]
         try:
             if kind == "dataset":
-                datasets[parts[1]] = _kv(parts[2:])
+                datasets[parts[1]] = key_values(parts[2:])
             elif kind == "shape":
                 sid = parts[1]
-                kv = _kv(parts[2:])
+                kv = key_values(parts[2:])
                 shapes[sid] = ShapeNode(
                     id=sid, dataset=kv["dataset"],
                     category=kv.get("category", ""),
@@ -257,29 +248,19 @@ def parse_manifest(path):
                     scale=float(kv.get("scale", 1.0)))
             elif kind == "edge":
                 a, b = parts[1], parts[2]
-                kv = _kv(parts[3:])
+                kv = key_values(parts[3:])
                 edges.append((a, b, base / kv["forward"],
                               base / kv["backward"]))
             elif kind == "annotation":
-                kv = _kv(parts[2:])
+                kv = key_values(parts[2:])
                 annotations[parts[1]] = base / kv["labels"]
             else:
                 raise NetworkError(f"unknown directive {kind!r}")
-        except (KeyError, IndexError) as exc:
+        except (KeyError, IndexError, ValueError) as exc:
             raise NetworkError(
                 f"{path}:{lineno}: malformed {kind!r} line ({exc})") from None
     return {"datasets": datasets, "shapes": shapes, "edges": edges,
             "annotations": annotations}
-
-
-def _kv(tokens):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise NetworkError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
 
 
 def build_network(manifest_path):

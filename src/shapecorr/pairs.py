@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-SHAPE_TYPES = ("human", "four-legged", "centaur")
+from .textio import key_values
 
 # type pairs considered compatible when building manifests
 COMPATIBLE_TYPES = {
@@ -72,7 +72,7 @@ def parse_split_manifest(path):
         parts = line.split()
         try:
             if parts[0] == "shape":
-                kv = dict(t.split("=", 1) for t in parts[2:])
+                kv = key_values(parts[2:])
                 shapes[parts[1]] = ShapeRecord(
                     parts[1], kv["dataset"], kv["category"], kv["type"])
             elif parts[0] == "pair":

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .config import GenerationConfig
 from .corrio import load_correspondence, save_correspondence
 from .decimate import RemeshCache, remesh_with_correspondence
 from .meshes import DenseCorrespondence, Mesh, UNMATCHED

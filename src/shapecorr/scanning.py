@@ -58,7 +58,6 @@ class PartialMesh:
     parent_vertex: np.ndarray  # per-vertex index into the parent
     parent_face: np.ndarray  # per-face index into the parent
     camera: CameraPose
-    restore: object  # SimilarityTransform used during scanning
 
 
 @dataclass
@@ -144,7 +143,7 @@ def cast_scan(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None):
     return hit
 
 
-def extract_partial(mesh, hit_faces, camera, restore, parent=None):
+def extract_partial(mesh, hit_faces, camera, parent=None):
     """Largest-area connected component of the hit faces as a PartialMesh.
 
     ``mesh`` is the scanned (normalized) mesh; vertex positions of the
@@ -164,7 +163,7 @@ def extract_partial(mesh, hit_faces, camera, restore, parent=None):
                id=f"{parent.id}#partial", metadata=parent.metadata)
     return PartialMesh(mesh=sub, parent_id=parent.id,
                        parent_vertex=vids, parent_face=keep_faces,
-                       camera=camera, restore=restore)
+                       camera=camera)
 
 
 def scan_partial(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None,
@@ -172,9 +171,9 @@ def scan_partial(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None,
     """Normalize, scan from the given pose, keep the largest component,
     with the vertices of ``parent`` (default: mesh), a mesh of the same
     faces."""
-    normalized, restore = geo.normalize_to_unit_box(mesh)
+    normalized = geo.normalize_to_unit_box(mesh)
     hit = cast_scan(normalized, camera, resolution, cache=cache)
-    return extract_partial(normalized, hit, camera, restore,
+    return extract_partial(normalized, hit, camera,
                            parent=parent if parent is not None else mesh)
 
 
@@ -195,8 +194,8 @@ def compute_overlap(px, py, corr_xy, corr_yx, iterations_used=1,
     """Mutual overlap fractions between two partial shapes.
 
     A vertex of px counts as overlapping when its parent vertex is matched
-    by corr_xy and the matched SurfacePoint's face belongs to py's parent
-    faces. Unmatched parents stay in the denominator.
+    by corr_xy onto a face that belongs to py's parent faces. Unmatched
+    parents stay in the denominator.
     """
     if corr_xy.source_id != px.parent_id or corr_xy.target_id != py.parent_id:
         raise ValueError("corr_xy does not connect the parents of px and py")

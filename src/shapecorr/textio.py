@@ -1,6 +1,7 @@
 """The text-table reader of OFF, OBJ, text ``.corr``, prediction and
 ``.labels`` files: ``#`` comments and blank lines skipped, one
-``np.loadtxt`` call per table, a bad row named by its line number."""
+``np.loadtxt`` call per table, a bad row named by its line number. Also
+the ``key=value`` token parser of the network and split manifests."""
 
 from __future__ import annotations
 
@@ -54,3 +55,16 @@ def read_table(path, rows, what, dtype, usecols=None):
 def load_int_column(path):
     """One integer per line, as an (n,) int64 array: predictions, labels."""
     return read_table(path, data_lines(path), "value", [("v", "i8")])["v"]
+
+
+def key_values(tokens):
+    """``key=value`` tokens as a dict; a later key wins. A token without
+    ``=`` raises ``ValueError``, which the manifest readers report with
+    their path and line."""
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        k, v = tok.split("=", 1)
+        out[k] = v
+    return out

@@ -1,10 +1,12 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from shapecorr.cli import main
-from shapecorr.corrio import save_correspondence
+from shapecorr.corrio import load_correspondence, save_correspondence
 from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
-from shapecorr.meshio import save_mesh
+from shapecorr.meshio import load_mesh, save_mesh
 from shapecorr.metrics import gt_as_prediction
 from shapecorr.pipeline import load_instance
 
@@ -207,20 +209,45 @@ class TestEvaluate:
         assert main(gen_args(ws, ws / "out")) == 0
         names = (ws / "out" / "instances.manifest").read_text().split()
         pred_dir = write_gt_predictions(ws, names)
-        x = ws / "out" / names[0] / "x.ply"
-        x.write_bytes(x.read_bytes()[:-7])
-        capsys.readouterr()
-        code = main(["evaluate", "--instances", str(ws / "out"),
-                     "--predictions", str(pred_dir),
-                     "--output", str(ws / "eval")])
-        assert code == 1
-        out = capsys.readouterr().out.splitlines()
-        assert f"SKIP {names[0]}: unreadable instance" in "\n".join(out)
-        assert out[-1].endswith(" n_skipped=1")
-        assert (ws / "eval" / "summary.txt").exists()
-        assert not (ws / "eval" / names[0]).exists()
-        for n in names[1:]:
-            assert (ws / "eval" / n / "curve.txt").exists()
+
+        def truncate(path):
+            path.write_bytes(path.read_bytes()[:-7])
+
+        def drop_setting(path):
+            path.write_text("".join(
+                line for line in path.read_text().splitlines(keepends=True)
+                if not line.startswith("setting=")))
+
+        def face_beyond_y(path):
+            gt = load_correspondence(path)
+            faces = gt.faces.copy()
+            faces[0] = load_mesh(path.parent / "y.ply").n_faces
+            save_correspondence(DenseCorrespondence(
+                gt.source_id, gt.target_id, faces, gt.weights), path)
+
+        # evaluate reads y.ply, gt.corr and meta.txt; x.ply is not scored
+        cases = [("y.ply", truncate, True), ("meta.txt", drop_setting, True),
+                 ("gt.corr", face_beyond_y, True), ("x.ply", truncate, False)]
+        for i, (file, damage, skipped) in enumerate(cases):
+            inst, ev = ws / f"out{i}", ws / f"eval{i}"
+            shutil.copytree(ws / "out", inst)
+            damage(inst / names[0] / file)
+            capsys.readouterr()
+            code = main(["evaluate", "--instances", str(inst),
+                         "--predictions", str(pred_dir),
+                         "--output", str(ev)])
+            out = capsys.readouterr().out.splitlines()
+            assert (ev / "summary.txt").exists(), file
+            for n in names[1:]:
+                assert (ev / n / "curve.txt").exists()
+            if not skipped:
+                assert code == 0
+                assert (ev / names[0] / "curve.txt").exists()
+                continue
+            assert code == 1, file
+            assert f"SKIP {names[0]}: unreadable instance" in "\n".join(out)
+            assert out[-1].endswith(" n_skipped=1")
+            assert not (ev / names[0]).exists()
 
     def test_no_predictions_exit_1(self, workspace):
         ws, _ = workspace

@@ -5,8 +5,9 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from shapecorr import geometry as geo
-from shapecorr.meshes import Mesh, RigidTransform, SurfacePoint
+from shapecorr.meshes import DenseCorrespondence, Mesh
 from shapecorr.scanning import CameraPose, cast_scan
+from shapecorr.spatial import brute_force_nearest
 
 from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
                       icosphere, random_rigid)
@@ -118,7 +119,7 @@ def reference_connected_components(mesh, fidx):
 def test_connected_components_of_scans_match_reference(resolution):
     """Coarse scans of a bumpy sphere fall apart into hundreds of
     components; faces, areas and order match the reference."""
-    m, _ = geo.normalize_to_unit_box(bumpy_sphere(4))
+    m = geo.normalize_to_unit_box(bumpy_sphere(4))
     hit = cast_scan(m, CameraPose(0.3, 0.2, 2.5), resolution)
     comps = geo.connected_components(m, hit)
     want = reference_connected_components(m, hit)
@@ -130,26 +131,34 @@ def test_connected_components_of_scans_match_reference(resolution):
         assert area == want_area
 
 
+def closest_point(p, a, b, c):
+    """``closest_points_on_triangles`` on one-row arrays."""
+    pts, bary = geo.closest_points_on_triangles(p, a[None], b[None], c[None])
+    return pts[0], bary[0]
+
+
+def surface_positions(mesh, faces, weights):
+    """3D positions of the surface points (faces, weights) of ``mesh``."""
+    corr = DenseCorrespondence("points", mesh.id, faces, weights)
+    return geo.evaluate_correspondence(corr, mesh)
+
+
 class TestClosestPointOnTriangle:
     A = np.array([0.0, 0.0, 0.0])
     B = np.array([2.0, 0.0, 0.0])
     C = np.array([0.0, 2.0, 0.0])
 
     def test_query_at_vertex(self):
-        pt, w = geo.closest_point_on_triangle(self.A, self.A, self.B, self.C)
+        pt, w = closest_point(self.A, self.A, self.B, self.C)
         np.testing.assert_allclose(w, [1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(pt, self.A, atol=1e-12)
 
     def test_lifted_centroid(self):
         centroid = (self.A + self.B + self.C) / 3.0
         p = centroid + np.array([0, 0, 5.0])
-        pt, w = geo.closest_point_on_triangle(p, self.A, self.B, self.C)
+        pt, w = closest_point(p, self.A, self.B, self.C)
         np.testing.assert_allclose(w, [1 / 3] * 3, atol=1e-12)
         np.testing.assert_allclose(pt, centroid, atol=1e-12)
-
-    def test_degenerate_triangle_raises(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            geo.closest_point_on_triangle(self.A, self.A, self.B, self.B)
 
     def test_weights_reconstruct_point(self, rng):
         for _ in range(200):
@@ -157,7 +166,7 @@ class TestClosestPointOnTriangle:
             if np.linalg.norm(np.cross(b - a, c - a)) < 1e-6:
                 continue
             p = rng.normal(size=3) * 2
-            pt, w = geo.closest_point_on_triangle(p, a, b, c)
+            pt, w = closest_point(p, a, b, c)
             assert w.min() >= 0 and abs(w.sum() - 1) < 1e-9
             np.testing.assert_allclose(w[0] * a + w[1] * b + w[2] * c, pt,
                                        atol=1e-9)
@@ -165,7 +174,7 @@ class TestClosestPointOnTriangle:
     def test_against_rejection_sampling_oracle(self, rng):
         a, b, c = rng.normal(size=(3, 3))
         p = rng.normal(size=3) * 1.5
-        pt, w = geo.closest_point_on_triangle(p, a, b, c)
+        pt, w = closest_point(p, a, b, c)
         d = np.linalg.norm(pt - p)
         # dense barycentric sampling of the triangle
         u = rng.random(10 ** 6)
@@ -184,54 +193,58 @@ class TestProjection:
         m = icosphere(1)
         a, b, c = m.vertices[m.faces[7]]
         p = (a + b + c) / 3.0
-        sp = geo.project_to_surface(p, m)
-        np.testing.assert_allclose(geo.evaluate_surface_point(m, sp), p, atol=1e-12)
+        faces, bary = geo.project_points_to_surface(p[None], m)
+        np.testing.assert_allclose(surface_positions(m, faces, bary)[0], p,
+                                   atol=1e-12)
 
     def test_equidistant_tie_breaks_to_lowest_face(self):
         # two parallel triangles, query point exactly between them
         m = Mesh([[0, 0, 1], [1, 0, 1], [0, 1, 1],
                   [0, 0, -1], [1, 0, -1], [0, 1, -1]],
                  [[0, 1, 2], [3, 4, 5]])
-        sp = geo.project_to_surface([0.2, 0.2, 0.0], m)
-        assert sp.face == 0
+        faces, _ = geo.project_points_to_surface(np.array([[0.2, 0.2, 0.0]]),
+                                                 m)
+        assert faces[0] == 0
 
     def test_matches_exhaustive_scan(self, rng):
-        from shapecorr.spatial import brute_force_nearest
         m = bumpy_sphere(2)
         pts = rng.normal(size=(1000, 3))
-        for p in pts:
-            sp = geo.project_to_surface(p, m)
+        faces, bary = geo.project_points_to_surface(pts, m)
+        got = surface_positions(m, faces, bary)
+        for p, f, g in zip(pts, faces, got):
             f_o, pt_o, _ = brute_force_nearest(m, p)
-            got = geo.evaluate_surface_point(m, sp)
-            assert np.linalg.norm(got - p) == pytest.approx(
+            assert np.linalg.norm(g - p) == pytest.approx(
                 np.linalg.norm(pt_o - p), abs=1e-12)
-            assert sp.face == f_o
+            assert f == f_o
 
 
 class TestEvaluateSurfacePoint:
+    """``evaluate_correspondence`` on single surface points."""
+
     def test_corner_weight(self):
         m = icosphere(1)
-        sp = SurfacePoint(4, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(geo.evaluate_surface_point(m, sp),
-                                      m.vertices[m.faces[4, 0]])
+        np.testing.assert_array_equal(
+            surface_positions(m, [4], [[1.0, 0.0, 0.0]])[0],
+            m.vertices[m.faces[4, 0]])
 
     def test_centroid(self):
         m = icosphere(1)
-        sp = SurfacePoint(4, [1 / 3, 1 / 3, 1 / 3])
-        np.testing.assert_allclose(geo.evaluate_surface_point(m, sp),
-                                   m.vertices[m.faces[4]].mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(
+            surface_positions(m, [4], [[1 / 3, 1 / 3, 1 / 3]])[0],
+            m.vertices[m.faces[4]].mean(axis=0), atol=1e-12)
 
     def test_invalid_face_raises(self):
         with pytest.raises(IndexError):
-            geo.evaluate_surface_point(icosphere(1), SurfacePoint(10 ** 6, [1, 0, 0]))
+            surface_positions(icosphere(1), [10 ** 6], [[1.0, 0.0, 0.0]])
 
     def test_projection_roundtrip(self, rng):
         m = icosphere(2)
-        f = rng.integers(0, m.n_faces)
-        w = rng.dirichlet([1, 1, 1])
-        p = geo.evaluate_surface_point(m, SurfacePoint(f, w))
-        sp = geo.project_to_surface(p, m)
-        np.testing.assert_allclose(geo.evaluate_surface_point(m, sp), p, atol=1e-9)
+        f = rng.integers(0, m.n_faces, size=1)
+        w = rng.dirichlet([1, 1, 1], size=1)
+        p = surface_positions(m, f, w)
+        faces, bary = geo.project_points_to_surface(p, m)
+        np.testing.assert_allclose(surface_positions(m, faces, bary), p,
+                                   atol=1e-9)
 
 
 class TestProcrustes:
@@ -299,26 +312,27 @@ class TestTransforms:
         f = [[0, 1, 3], [0, 3, 2], [4, 6, 7], [4, 7, 5], [0, 4, 5], [0, 5, 1],
              [2, 3, 7], [2, 7, 6], [0, 2, 6], [0, 6, 4], [1, 5, 7], [1, 7, 3]]
         cube = Mesh(v, f)
-        norm, restore = geo.normalize_to_unit_box(cube)
+        norm = geo.normalize_to_unit_box(cube)
         np.testing.assert_allclose(norm.vertices, cube.vertices, atol=1e-12)
-        assert restore.scale == pytest.approx(1.0)
 
     def test_normalize_unit_box_roundtrip(self):
         m = bumpy_sphere(1)
         shifted = m.with_vertices(m.vertices * 5.0 + np.array([10.0, 0, 0]))
-        norm, restore = geo.normalize_to_unit_box(shifted)
+        norm = geo.normalize_to_unit_box(shifted)
         ext = norm.vertices.max(axis=0) - norm.vertices.min(axis=0)
         assert ext.max() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(norm.vertices.mean(axis=0) * 0 + (
             norm.vertices.max(axis=0) + norm.vertices.min(axis=0)) / 2, 0,
             atol=1e-12)
-        np.testing.assert_allclose(restore.apply(norm.vertices),
-                                   shifted.vertices, atol=1e-9)
+        lo, hi = shifted.vertices.min(axis=0), shifted.vertices.max(axis=0)
+        np.testing.assert_allclose(norm.vertices * (hi - lo).max()
+                                   + (lo + hi) / 2, shifted.vertices,
+                                   atol=1e-9)
 
     def test_normalize_unit_box_uniform_scale(self):
         m = bumpy_sphere(1)
         stretched = m.with_vertices(m.vertices * np.array([3.0, 1.0, 1.0]))
-        norm, _ = geo.normalize_to_unit_box(stretched)
+        norm = geo.normalize_to_unit_box(stretched)
         e_in = stretched.vertices.max(axis=0) - stretched.vertices.min(axis=0)
         e_out = norm.vertices.max(axis=0) - norm.vertices.min(axis=0)
         np.testing.assert_allclose(e_out / e_out.max(), e_in / e_in.max(),
@@ -342,7 +356,7 @@ class TestTransforms:
 class TestGeodesics:
     def test_source_distance_zero(self):
         m = icosphere(1)
-        d = geo.geodesic_distances(m, 5)
+        d = geo.geodesic_distance_fields(m, [5])[0]
         assert d[5] == 0.0
 
     def test_chain_of_edges(self):
@@ -351,7 +365,7 @@ class TestGeodesics:
              [0, 1, 0], [1, 1, 0], [2, 1, 0], [3, 1, 0]]
         f = [[0, 1, 4], [1, 5, 4], [1, 2, 5], [2, 6, 5], [2, 3, 6], [3, 7, 6]]
         m = Mesh(v, f)
-        d = geo.geodesic_distances(m, 0)
+        d = geo.geodesic_distance_fields(m, [0])[0]
         assert d[3] == pytest.approx(3.0, abs=1e-12)
 
     def test_against_floyd_warshall(self):
@@ -377,7 +391,7 @@ class TestGeodesics:
         m = bumpy_sphere(1)
         T = random_rigid(rng)
         m2 = m.with_vertices(T.apply(m.vertices))
-        np.testing.assert_allclose(geo.geodesic_distances(m2, 3),
-                                   geo.geodesic_distances(m, 3), rtol=1e-9,
-                                   atol=1e-12)
+        np.testing.assert_allclose(geo.geodesic_distance_fields(m2, [3])[0],
+                                   geo.geodesic_distance_fields(m, [3])[0],
+                                   rtol=1e-9, atol=1e-12)
         assert geo.surface_area(m2) == pytest.approx(geo.surface_area(m), rel=1e-9)

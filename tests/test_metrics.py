@@ -99,6 +99,16 @@ class TestGeodesicError:
         with pytest.raises(ValueError):
             geodesic_error(pred, gt, mesh, 1.0, "full_full")
 
+    def test_gt_face_out_of_range_rejected(self):
+        mesh = icosphere(1)
+        gt = random_correspondence(mesh, np.random.default_rng(3))
+        faces = gt.faces.copy()
+        faces[0] = mesh.n_faces
+        gt = DenseCorrespondence("x", "y", faces, gt.weights)
+        pred = np.zeros(mesh.n_vertices, dtype=np.int64)
+        with pytest.raises(ValueError, match="ground truth"):
+            geodesic_error(pred, gt, mesh, 1.0, "full_full")
+
     @pytest.mark.parametrize("setting", ["full_full", "partial_partial"])
     def test_prediction_below_unmatched_rejected(self, setting):
         """-2 is not a vertex: read as an index it would score vertex

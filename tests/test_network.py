@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,9 @@ class TestCompose:
 
     def test_all_unmatched_absorbs(self):
         net, meshes, _ = chain_network(2)
-        empty = DenseCorrespondence.all_unmatched("s0", "s1",
-                                                  meshes[0].n_vertices)
+        n = meshes[0].n_vertices
+        empty = DenseCorrespondence("s0", "s1", np.full(n, UNMATCHED),
+                                    np.zeros((n, 3)))
         out = compose(empty, net.edges[("s1", "s0")], meshes[1], meshes[0])
         assert not out.matched.any()
 
@@ -200,11 +203,6 @@ class TestProjectTemplatePair:
         pos = geo.evaluate_correspondence(out, m)
         np.testing.assert_allclose(pos, m.vertices, atol=1e-9)
         assert out.matched.all()
-
-    def test_all_masked(self):
-        m = icosphere(1)
-        out = project_template_pair(m, m, set(range(m.n_vertices)))
-        assert not out.matched.any()
 
     def test_matches_brute_force_residuals(self):
         a = icosphere(2)
@@ -321,6 +319,16 @@ class TestBuildNetwork:
         p = tmp_path / "bad.manifest"
         p.write_text("frobnicate A B\n")
         with pytest.raises(NetworkError, match="unknown directive"):
+            build_network(p)
+
+    def test_bare_token_names_line_and_token(self, tmp_path):
+        p = self.write_fixture(tmp_path)
+        lines = p.read_text().splitlines()
+        lines[3] = "shape A dataset=test a.ply template=true"
+        p.write_text("\n".join(lines) + "\n")
+        want = (re.escape(f"{p}:4: ") + ".*"
+                + re.escape("expected key=value, got 'a.ply'"))
+        with pytest.raises(NetworkError, match=want):
             build_network(p)
 
 

@@ -1,0 +1,40 @@
+"""Smoke tests of the package's public names and the checked-in scripts,
+so that a deleted or renamed function they use fails here."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import shapecorr
+from shapecorr.pairs import write_split_manifest
+from shapecorr.scanning import REGIME_ALPHA
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_resolves():
+    assert [n for n in shapecorr.__all__ if not hasattr(shapecorr, n)] == []
+
+
+def test_default_manifest_script_rebuilds_shipped_file(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "make_default_manifest", ROOT / "scripts" / "make_default_manifest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "default_split.manifest"
+    write_split_manifest(script.build(), out)
+    shipped = ROOT / "src" / "shapecorr" / "data" / "default_split.manifest"
+    assert out.read_bytes() == shipped.read_bytes()
+
+
+def test_overlap_histogram_script_runs():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "overlap_histogram.py"),
+         "--pairs", "1", "--resolution", "16"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("regime=") == len(REGIME_ALPHA)

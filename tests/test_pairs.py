@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from shapecorr.config import GenerationConfig
@@ -106,6 +108,14 @@ class TestManifestIO:
     def test_unknown_shape_in_pair(self):
         with pytest.raises(ManifestError):
             SplitManifest({}, {"train": [("a", "b")]})
+
+    def test_bare_token_names_line_and_token(self, tmp_path):
+        p = tmp_path / "split.manifest"
+        p.write_text("# shapes\nshape a dataset=faust category=c type=human\n"
+                     "shape b dataset=faust human\n")
+        want = re.escape(f"{p}:3: expected key=value, got 'human'")
+        with pytest.raises(ManifestError, match=want):
+            parse_split_manifest(p)
 
 
 class TestDefaultManifest:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapecorr import geometry as geo
-from shapecorr.meshes import DenseCorrespondence, SurfacePoint, UNMATCHED
+from shapecorr.meshes import DenseCorrespondence, UNMATCHED
 from shapecorr.network import compose
 
 from conftest import icosphere
@@ -28,7 +28,8 @@ class TestBarycentricClosure:
     @given(triangles(), st.tuples(finite, finite, finite))
     @settings(max_examples=200, deadline=None)
     def test_closest_point_weights_are_convex(self, tri, p):
-        _, bary = geo.closest_point_on_triangle(np.array(p), *tri)
+        a, b, c = tri[:, None]
+        _, bary = geo.closest_points_on_triangles(np.array(p), a, b, c)
         assert (bary >= 0).all()
         assert bary.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -37,9 +38,9 @@ class TestBarycentricClosure:
     @settings(max_examples=200, deadline=None)
     def test_surface_point_renormalizes(self, raw):
         w = np.array(raw) / sum(raw)
-        sp = SurfacePoint(0, w)
-        assert sp.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (sp.weights >= 0).all()
+        corr = DenseCorrespondence("a", "b", [0], [w])
+        assert corr.weights[0].sum() == pytest.approx(1.0, abs=1e-12)
+        assert (corr.weights >= 0).all()
 
 
 def random_corr(mesh, rng, unmatched_frac):

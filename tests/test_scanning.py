@@ -108,7 +108,7 @@ class TestCastScan:
         assert list(hit) == [0]
 
     def test_matches_exhaustive_oracle(self):
-        m, _ = geo.normalize_to_unit_box(icosphere(2))
+        m = geo.normalize_to_unit_box(icosphere(2))
         cam = sample_camera(np.random.default_rng(7))
         origins, dirs = camera_rays(cam, (48, 48))
         faces, _ = exhaustive_first_hits(m, origins, dirs)
@@ -116,7 +116,7 @@ class TestCastScan:
         assert set(int(f) for f in cast_scan(m, cam, (48, 48))) == oracle
 
     def test_closed_sphere_back_faces_occluded(self):
-        m, _ = geo.normalize_to_unit_box(icosphere(2))
+        m = geo.normalize_to_unit_box(icosphere(2))
         cam = CameraPose(azimuth=0.3, elevation=0.2)
         hit = cast_scan(m, cam, resolution=(128, 128))
         assert 0 < len(hit) < m.n_faces
@@ -125,9 +125,9 @@ class TestCastScan:
 class TestExtractPartial:
     def test_full_hit_is_identity(self):
         m = icosphere(1)
-        norm, restore = geo.normalize_to_unit_box(m)
+        norm = geo.normalize_to_unit_box(m)
         cam = CameraPose(0.0, 0.0)
-        p = extract_partial(norm, np.arange(m.n_faces), cam, restore, parent=m)
+        p = extract_partial(norm, np.arange(m.n_faces), cam, parent=m)
         np.testing.assert_array_equal(p.parent_face, np.arange(m.n_faces))
         np.testing.assert_array_equal(p.parent_vertex, np.arange(m.n_vertices))
         np.testing.assert_array_equal(p.mesh.vertices, m.vertices)
@@ -135,21 +135,21 @@ class TestExtractPartial:
 
     def test_largest_area_patch_kept(self):
         m = icosphere(2)
-        norm, restore = geo.normalize_to_unit_box(m)
+        norm = geo.normalize_to_unit_box(m)
         # two disjoint patches: faces around vertex 0 vs a single far face
         big = sorted(int(f) for f in np.flatnonzero((m.faces == 0).any(axis=1)))
         lone_candidates = [f for f in range(m.n_faces)
                            if not (set(m.faces[f]) & set(np.unique(m.faces[big])))]
         subset = big + [lone_candidates[-1]]
-        p = extract_partial(norm, subset, CameraPose(0, 0), restore, parent=m)
+        p = extract_partial(norm, subset, CameraPose(0, 0), parent=m)
         comps = geo.connected_components(m, np.array(subset))
         np.testing.assert_array_equal(p.parent_face, np.sort(comps[0][0]))
 
     def test_empty_hit_raises(self):
         m = icosphere(1)
-        norm, restore = geo.normalize_to_unit_box(m)
+        norm = geo.normalize_to_unit_box(m)
         with pytest.raises(EmptyScanError):
-            extract_partial(norm, [], CameraPose(0, 0), restore, parent=m)
+            extract_partial(norm, [], CameraPose(0, 0), parent=m)
 
     def test_parent_maps_consistent(self):
         m = icosphere(2)
@@ -168,18 +168,17 @@ class TestExtractPartial:
         assert p.mesh.vertices.tobytes() == \
             m.vertices[q.parent_vertex].tobytes()
         assert (p.parent_id, p.mesh.id) == (m.id, f"{m.id}#partial")
-        assert p.restore.scale == q.restore.scale
 
 
 class TestComputeOverlap:
     def test_full_total_correspondence_is_one(self):
         mx, my, cxy, cyx = sphere_pair()
-        norm_x, rx = geo.normalize_to_unit_box(mx)
-        norm_y, ry = geo.normalize_to_unit_box(my)
+        norm_x = geo.normalize_to_unit_box(mx)
+        norm_y = geo.normalize_to_unit_box(my)
         px = extract_partial(norm_x, np.arange(mx.n_faces), CameraPose(0, 0),
-                             rx, parent=mx)
+                             parent=mx)
         py = extract_partial(norm_y, np.arange(my.n_faces), CameraPose(0, 0),
-                             ry, parent=my)
+                             parent=my)
         st = compute_overlap(px, py, cxy, cyx)
         assert st.frac_x_to_y == 1.0
         assert st.frac_y_to_x == 1.0
@@ -295,7 +294,7 @@ class TestGeneratePartialPair:
 
 class TestRaycastCache:
     def test_roundtrip_and_flags(self, tmp_path):
-        m, _ = geo.normalize_to_unit_box(icosphere(2))
+        m = geo.normalize_to_unit_box(icosphere(2))
         cam = CameraPose(0.5, 0.1)
         cache = RaycastCache(tmp_path / "rays")
         fresh = cast_scan(m, cam, (48, 48), cache=cache)
@@ -305,7 +304,7 @@ class TestRaycastCache:
         assert cache.load(m, cam, (48, 48)) is None
 
     def test_no_write_when_update_disabled(self, tmp_path):
-        m, _ = geo.normalize_to_unit_box(icosphere(1))
+        m = geo.normalize_to_unit_box(icosphere(1))
         cam = CameraPose(0.5, 0.1)
         cache = RaycastCache(tmp_path / "rays", use=True, update=False)
         cast_scan(m, cam, (16, 16), cache=cache)
