@@ -122,6 +122,9 @@ def _load_scored(directory):
         setting, area = meta["setting"], float(meta["area_full_y"])
     except KeyError as exc:
         raise ValueError(f"meta.txt has no {exc} entry") from None
+    if not 0 < area < float("inf"):
+        raise ValueError(f"meta.txt area_full_y={area!r} is not a positive "
+                         "finite area")
     shape_y = load_mesh(directory / "y.ply")
     gt = load_correspondence(directory / "gt.corr")
     if gt.faces.max(initial=UNMATCHED) >= shape_y.n_faces:

@@ -183,21 +183,33 @@ def normalize_area(mesh):
 
 
 def edge_graph(mesh):
-    """Sparse symmetric vertex adjacency with Euclidean edge lengths."""
+    """Sparse symmetric vertex adjacency with Euclidean edge lengths.
+
+    Both directions of every edge are stored explicitly, so a zero-length
+    edge (coincident vertices) stays an edge: ``csgraph`` keeps explicit
+    zeros, while a sparse sum ``g + g.T`` would drop them.
+    """
     e = mesh.edges()
     w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     n = mesh.n_vertices
-    g = sparse.coo_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n))
-    return (g + g.T).tocsr()
+    both = (np.concatenate([e[:, 0], e[:, 1]]),
+            np.concatenate([e[:, 1], e[:, 0]]))
+    return sparse.csr_matrix((np.concatenate([w, w]), both), shape=(n, n))
 
 
-def geodesic_distance_fields(mesh, sources):
-    """Distance fields from several source vertices at once, shape (s, n)."""
+def geodesic_distance_fields(mesh, sources, limit=np.inf):
+    """Distance fields from several source vertices at once, shape (s, n).
+
+    Entries farther than ``limit`` from their source are ``inf``; the
+    others are bit-identical to an unlimited run (weights are
+    non-negative, so every vertex on a shortest path within ``limit`` is
+    settled in both runs).
+    """
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
         raise IndexError("source vertex out of range")
     g = edge_graph(mesh)
-    return csgraph.dijkstra(g, directed=False, indices=sources)
+    return csgraph.dijkstra(g, directed=False, indices=sources, limit=limit)
 
 
 def snap_correspondence_to_vertices(corr, target_mesh):

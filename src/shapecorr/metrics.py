@@ -47,15 +47,33 @@ def _as_pred(pred, n):
     return pred
 
 
+# Dijkstra runs over at most this many sources at once: the peak distance
+# matrix is SOURCE_CHUNK * n * 8 bytes
+SOURCE_CHUNK = 256
+# the first Dijkstra pass stops at this fraction of sqrt(full target area)
+LIMIT_FRACTION = 0.1
+
+
 def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
     """Normalized per-source-vertex geodesic errors.
 
     NaN marks vertices excluded from the curve denominator (gt-unmatched in
     F2F/P2F; both-unmatched in P2P); +inf marks overlap mismatches.
+
+    Only the scored (gt vertex, prediction) pairs are computed, bit for bit
+    as one Dijkstra over every source would give them. A pair whose
+    prediction is its gt vertex scores 0.0 without a search. The other
+    sources run in chunks of ``SOURCE_CHUNK``, so the peak distance matrix
+    is ``SOURCE_CHUNK * n * 8`` bytes for an n-vertex target. Each chunk
+    first stops at ``L = LIMIT_FRACTION * sqrt(target_full_area)``; only the
+    pairs that came back ``inf`` run again without a limit. That is exact:
+    edge weights are non-negative, so every vertex on a shortest path to a
+    vertex within L is itself within L and is settled in both runs, and
+    each distance is the minimum of the same candidate sums.
     """
     pred = _as_pred(pred, len(gt))
-    if target_full_area <= 0:
-        raise ValueError("target area must be positive")
+    if not 0 < target_full_area < np.inf:
+        raise ValueError("target area must be positive and finite")
     if gt.faces.max(initial=UNMATCHED) >= target_mesh.n_faces:
         raise ValueError("ground truth references invalid target face")
     if pred.max(initial=UNMATCHED) >= target_mesh.n_vertices:
@@ -69,12 +87,18 @@ def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
     else:
         errors[gm & ~pm] = np.inf
     both = gm & pm
-    if both.any():
-        sources = np.unique(gt_vertex[both])
-        dist = geo.geodesic_distance_fields(target_mesh, sources)
-        row = np.searchsorted(sources, gt_vertex[both])
-        d = dist[row, pred[both]]
-        errors[both] = d / np.sqrt(target_full_area)
+    src, dst = gt_vertex[both], pred[both]
+    d = np.zeros(len(src))
+    todo = np.flatnonzero(src != dst)
+    for limit in (LIMIT_FRACTION * np.sqrt(target_full_area), np.inf):
+        sources, row = np.unique(src[todo], return_inverse=True)
+        for lo in range(0, len(sources), SOURCE_CHUNK):
+            dist = geo.geodesic_distance_fields(
+                target_mesh, sources[lo:lo + SOURCE_CHUNK], limit=limit)
+            k = (row >= lo) & (row < lo + SOURCE_CHUNK)
+            d[todo[k]] = dist[row[k] - lo, dst[todo[k]]]
+        todo = todo[np.isinf(d[todo])]
+    errors[both] = d / np.sqrt(target_full_area)
     return errors
 
 
@@ -164,11 +188,10 @@ def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
     shape_y/gt are the emitted target mesh and ground truth; pred is a
     per-source-vertex target vertex map. Labels are optional.
     """
-    pred = _as_pred(pred, len(gt))
     errors = geodesic_error(pred, gt, shape_y, target_full_area, setting)
     th, fr = error_curve(errors, thresholds)
     gm = gt.matched
-    pm = pred != UNMATCHED
+    pm = np.asarray(pred) != UNMATCHED
     iou_val = f1_val = None
     if setting == "partial_partial":
         iou_val = iou(pm, gm) * 100.0

@@ -31,6 +31,7 @@ from .network import (compose, correspondence_between, project_template_pair,
 from .pairs import enumerate_pairs
 from .scanning import (REGIME_ALPHA, OverlapStats, RaycastCache,
                        generate_partial, generate_partial_pair)
+from .textio import key_values
 
 # role bytes for per-instance seed streams
 ROLE_REMESH_X = 0
@@ -241,11 +242,15 @@ def _meta_fmt(v):
 
 
 def read_meta(path):
+    """``meta.txt`` as a dict; a line without ``=`` raises ``ValueError``
+    naming ``path:line``."""
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line:
-            k, v = line.split("=", 1)
-            out[k] = v
+            try:
+                out.update(key_values([line]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

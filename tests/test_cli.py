@@ -225,10 +225,29 @@ class TestEvaluate:
             save_correspondence(DenseCorrespondence(
                 gt.source_id, gt.target_id, faces, gt.weights), path)
 
-        # evaluate reads y.ply, gt.corr and meta.txt; x.ply is not scored
-        cases = [("y.ply", truncate, True), ("meta.txt", drop_setting, True),
-                 ("gt.corr", face_beyond_y, True), ("x.ply", truncate, False)]
-        for i, (file, damage, skipped) in enumerate(cases):
+        def meta_line(line):
+            """Put ``line`` second in meta.txt, in place of the area."""
+            def damage(path):
+                lines = [ln for ln in path.read_text().splitlines()
+                         if not ln.startswith("area_full_y=")]
+                lines.insert(1, line)
+                path.write_text("\n".join(lines) + "\n")
+            return damage
+
+        # evaluate reads y.ply, gt.corr and meta.txt; x.ply is not scored.
+        # A non-finite area would score AUC 100; a line without "=" is
+        # named by file and line.
+        cases = [("y.ply", truncate, True, ""),
+                 ("meta.txt", drop_setting, True, ""),
+                 ("gt.corr", face_beyond_y, True, ""),
+                 ("x.ply", truncate, False, ""),
+                 ("meta.txt", meta_line("area_full_y=nan"), True,
+                  "area_full_y=nan"),
+                 ("meta.txt", meta_line("area_full_y=inf"), True,
+                  "area_full_y=inf"),
+                 ("meta.txt", meta_line("no equals sign"), True,
+                  "meta.txt:2: expected key=value")]
+        for i, (file, damage, skipped, reason) in enumerate(cases):
             inst, ev = ws / f"out{i}", ws / f"eval{i}"
             shutil.copytree(ws / "out", inst)
             damage(inst / names[0] / file)
@@ -245,7 +264,8 @@ class TestEvaluate:
                 assert (ev / names[0] / "curve.txt").exists()
                 continue
             assert code == 1, file
-            assert f"SKIP {names[0]}: unreadable instance" in "\n".join(out)
+            skip = f"SKIP {names[0]}: unreadable instance: "
+            assert any(skip in ln and reason in ln for ln in out), out
             assert out[-1].endswith(" n_skipped=1")
             assert not (ev / names[0]).exists()
 

@@ -395,3 +395,25 @@ class TestGeodesics:
                                    geo.geodesic_distance_fields(m, [3])[0],
                                    rtol=1e-9, atol=1e-12)
         assert geo.surface_area(m2) == pytest.approx(geo.surface_area(m), rel=1e-9)
+
+    def test_zero_length_edge_kept(self):
+        """Vertex 3 coincides with vertex 1 and is joined to the strip only
+        through the zero-length edge (1, 3) and its two faces."""
+        v = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [1, 0, 0], [1, 1, 0]]
+        f = [[0, 1, 4], [1, 3, 4], [3, 2, 4]]
+        m = Mesh(v, f)
+        assert geo.edge_graph(m).nnz == 2 * len(m.edges())
+        d = geo.geodesic_distance_fields(m, np.arange(m.n_vertices))
+        np.testing.assert_allclose(d, floyd_warshall_distances(m), atol=1e-12)
+        assert d[0, 3] == 1.0
+
+    def test_limit_truncates_exactly(self):
+        m = bumpy_sphere(2)
+        sources = np.arange(0, m.n_vertices, 7)
+        full = geo.geodesic_distance_fields(m, sources)
+        limit = float(np.median(full))
+        cut = geo.geodesic_distance_fields(m, sources, limit=limit)
+        within = full <= limit
+        assert within.any() and not within.all()
+        np.testing.assert_array_equal(cut[within], full[within])
+        assert np.isinf(cut[~within]).all()

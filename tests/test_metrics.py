@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapecorr import geometry as geo
-from shapecorr.meshes import DenseCorrespondence, UNMATCHED
-from shapecorr.metrics import (aggregate_reports, auc, error_curve,
+from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
+                              identity_correspondence)
+from shapecorr.metrics import (LIMIT_FRACTION, SOURCE_CHUNK,
+                               aggregate_reports, auc, error_curve,
                                evaluate_instance, f1, geodesic_error,
                                gt_as_prediction, iou, load_prediction,
                                lr_accuracy, write_report, write_summary)
 
-from conftest import floyd_warshall_distances, grid_plane, icosphere
+from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
+                      icosphere, near_miss)
 
 
 def random_correspondence(mesh, rng, unmatched_frac=0.0):
@@ -37,6 +40,23 @@ def oracle_snap(corr, mesh):
         best = min(int(tri[k]) for k in range(3) if w[k] == w.max())
         out[i] = best
     return out
+
+
+def full_matrix_geodesic_error(pred, gt, mesh, area, setting):
+    """One unlimited Dijkstra over every matched gt vertex, reading one
+    entry per row: the reference the pair path must equal bit for bit."""
+    pred = np.asarray(pred, dtype=np.int64)
+    gtv = geo.snap_correspondence_to_vertices(gt, mesh)
+    gm, pm = gtv != UNMATCHED, pred != UNMATCHED
+    errors = np.full(len(gt), np.nan)
+    errors[(gm != pm) if setting == "partial_partial" else gm & ~pm] = np.inf
+    both = gm & pm
+    if both.any():
+        sources = np.unique(gtv[both])
+        dist = geo.geodesic_distance_fields(mesh, sources)
+        row = np.searchsorted(sources, gtv[both])
+        errors[both] = dist[row, pred[both]] / np.sqrt(area)
+    return errors
 
 
 class TestGeodesicError:
@@ -121,6 +141,101 @@ class TestGeodesicError:
             geodesic_error(pred, gt, mesh, 1.0, setting)
         with pytest.raises(ValueError, match="below -1"):
             evaluate_instance(mesh, gt, pred, setting, 1.0)
+
+
+    @pytest.mark.parametrize("area", [np.nan, np.inf, 0.0, -1.0])
+    def test_area_not_positive_finite_rejected(self, area):
+        """A NaN area would exclude every vertex and an infinite one would
+        score every vertex 0; both would report AUC 100."""
+        mesh = icosphere(1)
+        rng = np.random.default_rng(13)
+        gt = random_correspondence(mesh, rng)
+        pred = rng.integers(0, mesh.n_vertices, size=mesh.n_vertices)
+        with pytest.raises(ValueError, match="area"):
+            geodesic_error(pred, gt, mesh, area, "full_full")
+
+
+class TestPairPath:
+    """Self pairs, source chunks and the limited first pass give the
+    full-matrix errors bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def sphere(self):
+        return bumpy_sphere(3)  # 642 vertices: three source chunks
+
+    @staticmethod
+    def check(pred, gt, mesh, setting="full_full"):
+        area = geo.surface_area(mesh)
+        got = geodesic_error(pred, gt, mesh, area, setting)
+        want = full_matrix_geodesic_error(pred, gt, mesh, area, setting)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    @pytest.mark.parametrize("kind", ["random", "near_miss", "self"])
+    def test_bumpy_sphere(self, sphere, kind):
+        n = sphere.n_vertices
+        rng = np.random.default_rng(14)
+        gt = random_correspondence(sphere, rng)
+        gtv = gt_as_prediction(gt, sphere)
+        pred = {"random": rng.integers(0, n, size=n),
+                "near_miss": near_miss(sphere, gtv, rng),
+                "self": gtv}[kind]
+        errors = self.check(pred, gt, sphere)
+        moved = pred != gtv
+        assert (errors[~moved] == 0.0).all()
+        if kind != "self":
+            # both passes score pairs: some lie within the limit, some beyond
+            assert (errors[moved] <= LIMIT_FRACTION).any()
+            assert (errors[moved] > LIMIT_FRACTION).any()
+
+    def test_one_chunk_plus_one_source(self, sphere):
+        n = sphere.n_vertices
+        gt = identity_correspondence(sphere)
+        np.testing.assert_array_equal(gt_as_prediction(gt, sphere),
+                                      np.arange(n))
+        rng = np.random.default_rng(15)
+        k = SOURCE_CHUNK + 1
+        pred = np.arange(n)
+        pred[:k] = (pred[:k] + rng.integers(1, n, size=k)) % n
+        errors = self.check(pred, gt, sphere)
+        assert (errors[:k] > 0).all() and (errors[k:] == 0).all()
+
+    def test_every_prediction_beyond_limit(self, sphere):
+        n = sphere.n_vertices
+        gt = identity_correspondence(sphere)
+        full = geo.geodesic_distance_fields(sphere, np.arange(n))
+        pred = full.argmax(axis=1)  # the farthest vertex
+        errors = self.check(pred, gt, sphere)
+        assert (errors > LIMIT_FRACTION).all() and np.isfinite(errors).all()
+
+    def test_two_components_stay_inf(self):
+        a = icosphere(1)
+        mesh = Mesh(np.vstack([a.vertices, a.vertices + [5.0, 0.0, 0.0]]),
+                    np.vstack([a.faces, a.faces + a.n_vertices]))
+        gt = identity_correspondence(mesh)
+        rng = np.random.default_rng(16)
+        pred = rng.integers(0, mesh.n_vertices, size=mesh.n_vertices)
+        errors = self.check(pred, gt, mesh)
+        gtv = gt_as_prediction(gt, mesh)
+        cross = (gtv < a.n_vertices) != (pred < a.n_vertices)
+        assert cross.any() and np.isinf(errors[cross]).all()
+        assert np.isfinite(errors[~cross]).all()
+
+    def test_partial_partial_unmatched_either_side(self, sphere):
+        n = sphere.n_vertices
+        rng = np.random.default_rng(17)
+        gt = random_correspondence(sphere, rng, unmatched_frac=0.3)
+        gm = gt.matched
+        pred = rng.integers(0, n, size=n)
+        pred[gm] = near_miss(sphere, gt_as_prediction(gt, sphere)[gm], rng)
+        pred[rng.random(n) < 0.3] = UNMATCHED
+        errors = self.check(pred, gt, sphere, "partial_partial")
+        pm = pred != UNMATCHED
+        assert (gm & ~pm).any() and (~gm & pm).any()
+        assert np.isinf(errors[gm != pm]).all()
+        assert np.isnan(errors[~gm & ~pm]).all()
+        assert np.isfinite(errors[gm & pm]).all()
 
 
 class TestInvariance:
