@@ -15,10 +15,9 @@ from pathlib import Path
 
 from .config import ConfigError, GenerationConfig
 from .corrio import load_correspondence, save_correspondence
-from .meshes import UNMATCHED
 from .meshio import load_mesh
-from .metrics import (aggregate_reports, evaluate_instance, load_prediction,
-                      write_report, write_summary)
+from .metrics import (aggregate_reports, check_target, evaluate_instance,
+                      load_prediction, write_report, write_summary)
 from .network import NetworkError, build_network, correspondence_between, \
     propagate_annotation
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
@@ -122,13 +121,9 @@ def _load_scored(directory):
         setting, area = meta["setting"], float(meta["area_full_y"])
     except KeyError as exc:
         raise ValueError(f"meta.txt has no {exc} entry") from None
-    if not 0 < area < float("inf"):
-        raise ValueError(f"meta.txt area_full_y={area!r} is not a positive "
-                         "finite area")
     shape_y = load_mesh(directory / "y.ply")
     gt = load_correspondence(directory / "gt.corr")
-    if gt.faces.max(initial=UNMATCHED) >= shape_y.n_faces:
-        raise ValueError("gt.corr references a face beyond y.ply")
+    check_target(gt, shape_y, area)
     return shape_y, gt, setting, area
 
 

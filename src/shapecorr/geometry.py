@@ -197,19 +197,13 @@ def edge_graph(mesh):
     return sparse.csr_matrix((np.concatenate([w, w]), both), shape=(n, n))
 
 
-def geodesic_distance_fields(mesh, sources, limit=np.inf):
-    """Distance fields from several source vertices at once, shape (s, n).
-
-    Entries farther than ``limit`` from their source are ``inf``; the
-    others are bit-identical to an unlimited run (weights are
-    non-negative, so every vertex on a shortest path within ``limit`` is
-    settled in both runs).
-    """
+def geodesic_distance_fields(mesh, sources):
+    """Distance fields from several source vertices at once, shape (s, n)."""
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
         raise IndexError("source vertex out of range")
     g = edge_graph(mesh)
-    return csgraph.dijkstra(g, directed=False, indices=sources, limit=limit)
+    return csgraph.dijkstra(g, directed=False, indices=sources)
 
 
 def snap_correspondence_to_vertices(corr, target_mesh):

@@ -50,8 +50,17 @@ def _as_pred(pred, n):
 # Dijkstra runs over at most this many sources at once: the peak distance
 # matrix is SOURCE_CHUNK * n * 8 bytes
 SOURCE_CHUNK = 256
-# the first Dijkstra pass stops at this fraction of sqrt(full target area)
-LIMIT_FRACTION = 0.1
+
+
+def check_target(gt, target_mesh, target_full_area):
+    """Raise ``ValueError`` unless the ground truth names only faces of the
+    target mesh and the full target area is positive and finite (a NaN area
+    would exclude every vertex, an infinite one score every vertex 0)."""
+    if not 0 < target_full_area < np.inf:
+        raise ValueError(f"target area {target_full_area!r} is not positive "
+                         "and finite")
+    if gt.faces.max(initial=UNMATCHED) >= target_mesh.n_faces:
+        raise ValueError("ground truth references invalid target face")
 
 
 def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
@@ -62,20 +71,14 @@ def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
 
     Only the scored (gt vertex, prediction) pairs are computed, bit for bit
     as one Dijkstra over every source would give them. A pair whose
-    prediction is its gt vertex scores 0.0 without a search. The other
-    sources run in chunks of ``SOURCE_CHUNK``, so the peak distance matrix
-    is ``SOURCE_CHUNK * n * 8`` bytes for an n-vertex target. Each chunk
-    first stops at ``L = LIMIT_FRACTION * sqrt(target_full_area)``; only the
-    pairs that came back ``inf`` run again without a limit. That is exact:
-    edge weights are non-negative, so every vertex on a shortest path to a
-    vertex within L is itself within L and is settled in both runs, and
-    each distance is the minimum of the same candidate sums.
+    prediction is its gt vertex scores 0.0 without a search, which is the
+    distance Dijkstra gives a source. The other sources run in chunks of
+    ``SOURCE_CHUNK``, so the peak distance matrix is
+    ``SOURCE_CHUNK * n * 8`` bytes for an n-vertex target; a source's row
+    does not depend on which other sources share its run.
     """
     pred = _as_pred(pred, len(gt))
-    if not 0 < target_full_area < np.inf:
-        raise ValueError("target area must be positive and finite")
-    if gt.faces.max(initial=UNMATCHED) >= target_mesh.n_faces:
-        raise ValueError("ground truth references invalid target face")
+    check_target(gt, target_mesh, target_full_area)
     if pred.max(initial=UNMATCHED) >= target_mesh.n_vertices:
         raise ValueError("prediction references invalid target vertex")
     gt_vertex = geo.snap_correspondence_to_vertices(gt, target_mesh)
@@ -90,14 +93,12 @@ def geodesic_error(pred, gt, target_mesh, target_full_area, setting):
     src, dst = gt_vertex[both], pred[both]
     d = np.zeros(len(src))
     todo = np.flatnonzero(src != dst)
-    for limit in (LIMIT_FRACTION * np.sqrt(target_full_area), np.inf):
-        sources, row = np.unique(src[todo], return_inverse=True)
-        for lo in range(0, len(sources), SOURCE_CHUNK):
-            dist = geo.geodesic_distance_fields(
-                target_mesh, sources[lo:lo + SOURCE_CHUNK], limit=limit)
-            k = (row >= lo) & (row < lo + SOURCE_CHUNK)
-            d[todo[k]] = dist[row[k] - lo, dst[todo[k]]]
-        todo = todo[np.isinf(d[todo])]
+    sources, row = np.unique(src[todo], return_inverse=True)
+    for lo in range(0, len(sources), SOURCE_CHUNK):
+        dist = geo.geodesic_distance_fields(target_mesh,
+                                            sources[lo:lo + SOURCE_CHUNK])
+        k = (row >= lo) & (row < lo + SOURCE_CHUNK)
+        d[todo[k]] = dist[row[k] - lo, dst[todo[k]]]
     errors[both] = d / np.sqrt(target_full_area)
     return errors
 

@@ -77,22 +77,6 @@ def grid_plane(n=10, size=1.0):
     return Mesh(vv, np.array(faces, dtype=np.int64), id=f"grid{n}")
 
 
-def near_miss(mesh, targets, rng):
-    """Each of ``targets`` moved by a random walk of 1-3 mesh edges (it may
-    walk back to where it started)."""
-    e = mesh.edges()
-    arcs = np.concatenate([e, e[:, ::-1]])
-    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
-    start = np.searchsorted(arcs[:, 0], np.arange(mesh.n_vertices + 1))
-    out = np.array(targets, dtype=np.int64)
-    steps = rng.integers(1, 4, size=len(out))
-    for s in range(3):
-        v = out[steps > s]
-        out[steps > s] = arcs[start[v] + rng.integers(0, start[v + 1] -
-                                                       start[v]), 1]
-    return out
-
-
 def floyd_warshall_distances(mesh):
     """All-pairs shortest paths on the vertex-edge graph, hand-rolled; the
     independent oracle for Dijkstra-based geodesics."""

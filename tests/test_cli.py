@@ -242,9 +242,9 @@ class TestEvaluate:
                  ("gt.corr", face_beyond_y, True, ""),
                  ("x.ply", truncate, False, ""),
                  ("meta.txt", meta_line("area_full_y=nan"), True,
-                  "area_full_y=nan"),
+                  "target area nan"),
                  ("meta.txt", meta_line("area_full_y=inf"), True,
-                  "area_full_y=inf"),
+                  "target area inf"),
                  ("meta.txt", meta_line("no equals sign"), True,
                   "meta.txt:2: expected key=value")]
         for i, (file, damage, skipped, reason) in enumerate(cases):

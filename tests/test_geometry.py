@@ -406,14 +406,3 @@ class TestGeodesics:
         d = geo.geodesic_distance_fields(m, np.arange(m.n_vertices))
         np.testing.assert_allclose(d, floyd_warshall_distances(m), atol=1e-12)
         assert d[0, 3] == 1.0
-
-    def test_limit_truncates_exactly(self):
-        m = bumpy_sphere(2)
-        sources = np.arange(0, m.n_vertices, 7)
-        full = geo.geodesic_distance_fields(m, sources)
-        limit = float(np.median(full))
-        cut = geo.geodesic_distance_fields(m, sources, limit=limit)
-        within = full <= limit
-        assert within.any() and not within.all()
-        np.testing.assert_array_equal(cut[within], full[within])
-        assert np.isinf(cut[~within]).all()
