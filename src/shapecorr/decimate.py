@@ -5,13 +5,43 @@ that would flip a face normal or create a non-manifold edge are rejected.
 Boundary edges get constraint quadrics (plane through the edge perpendicular
 to the adjacent face) so open scans keep their silhouettes.
 
-The queue's numpy work is batched: one ``edge_entries`` call prices a whole
-set of edges (the initial heap, in chunks, then every edge around the
-vertex each collapse leaves) with one batched SVD conditioning test, one
-batched solve and one stacked cost, and ``flips_normal`` tests every face
-around a collapse with one ``np.cross``. The output must stay bit-identical
-to per-edge and per-face arithmetic, because the heap pops in (cost, seq)
-order and a last-bit change in a cost can reorder collapses. Batched
+The output is that of the sequential loop: pop entries in (cost, seq)
+order; skip a stale entry (an endpoint's version changed since it was
+pushed) or an invalid one; else collapse and push the edges around the kept
+vertex with consecutive seq. The queue makes those collapses in windows:
+
+1. Pop entries in key order. Drop one that is stale against the state at
+   the window's start: versions only grow, so the loop would skip it too.
+   Plan the candidates that pass the neighbour and link tests while each
+   is independent of every candidate s planned before it, rule (a):
+   ``{i, j}`` does not meet ``R_s = N(i_s) | N(j_s) | {i_s, j_s}``. Sharing
+   a face is symmetric, so ``{i_s, j_s}`` does not meet ``R`` either, and
+   no planned collapse changes the faces, positions, quadrics or versions
+   that another one's tests and prices read. Stop popping at the first
+   entry that fails (a) or at the window cap.
+2. Run one flip test over the faces of every planned candidate.
+3. Price the would-be new edges of every survivor in one batch, from
+   ``Q_i + Q_j``, the new position and the neighbours ``neighbors(i)``
+   will list after the collapse: the vertices of the faces that hold
+   exactly one of i and j (``N(i) | N(j)`` would keep the third vertex of
+   a shared face that was its only link). Each edge's endpoints go in
+   (min, max) order, as ``edge_entries`` gets them after the collapse: the
+   fallback keeps the first of equally cheap candidates.
+4. Commit in key order, with seq in commit order. Stop at the first entry
+   whose cost is above the cheapest new entry already pushed, rule (b):
+   the loop would pop that new entry first. A new entry of equal cost has
+   a larger seq and pops after. Rejected entries before the stop are
+   dropped, as the loop drops them.
+5. Push every entry from the stop on back unchanged. Keys are unique, so
+   the pop order does not change.
+
+When stale entries outnumber live ones (at most one live entry per edge)
+the heap is filtered and heapified, which keeps the pop order too.
+
+The numpy work is batched: ``edge_entries`` prices the initial heap in
+chunks, and a window makes one flip test and one pricing batch. Batches
+must round like per-edge and per-face arithmetic, because a last-bit
+change in a cost can reorder collapses. Batched
 ``np.linalg.svd``/``solve``, batched ``np.cross``, stacked ``matmul`` and
 ``np.vecdot`` round exactly like their per-item calls (numpy 2.4);
 ``einsum`` and ``(a * b).sum(-1)`` sum in another order and do not, so
@@ -36,12 +66,17 @@ from .meshes import (DenseCorrespondence, Mesh, edge_incidence,
                      identity_correspondence)
 from .meshio import load_mesh, save_mesh
 from .store import ContentStore
+from .textio import FormatError, key_values
 
 _SINGULAR_COND = 1e12
 # edges per batch of the initial heap; small enough that the batch's
 # (k, 4, 4) temporaries add no measurable peak RSS (4096 added ~0.25 MB
 # when decimating a 642-vertex mesh) and no measurable time
 _ENTRY_CHUNK = 256
+# candidates planned per window of the collapse queue; windows end at an
+# entry that fails rule (a) long before this (mean 4.4-4.8 at 642 -> 160
+# vertices, 13.5 at 10242 -> 2500)
+_WINDOW = 64
 
 
 @dataclass
@@ -121,8 +156,7 @@ class _DecimationState:
     def __init__(self, mesh):
         self.v = mesh.vertices.copy()
         self.alive_v = np.ones(mesh.n_vertices, dtype=bool)
-        self.faces = {i: tuple(int(x) for x in f)
-                      for i, f in enumerate(mesh.faces)}
+        self.faces = dict(enumerate(zip(*mesh.faces.T.tolist())))
         self.vertex_faces = {i: set() for i in range(mesh.n_vertices)}
         for fi, f in self.faces.items():
             for vv in f:
@@ -133,8 +167,21 @@ class _DecimationState:
                   _face_quadrics(self.v, mesh.faces)[:, None])
         vids, q = _boundary_quadrics(self.v, mesh.faces)
         self.Q[vids] += q
-        self.version = np.zeros(mesh.n_vertices, dtype=np.int64)
+        self.version = [0] * mesh.n_vertices
         self.n_alive = mesh.n_vertices
+        # every edge once, in order of first appearance in the face list
+        _, inverse, edges, _ = edge_incidence(mesh.faces, mesh.n_vertices)
+        ids = inverse.reshape(3, -1).T.ravel()  # face-major
+        _, first = np.unique(ids, return_index=True)
+        edges = edges[ids[np.sort(first)]]
+        # at most one live entry per edge, so this bounds the live entries
+        self.n_edges = len(edges)
+        self.heap = []
+        for start in range(0, len(edges), _ENTRY_CHUNK):
+            self.heap += self.edge_entries(edges[start:start + _ENTRY_CHUNK],
+                                           start)
+        heapq.heapify(self.heap)  # unique (cost, seq) keys: pops as pushed
+        self.seq = len(self.heap)
 
     def neighbors(self, i):
         out = set()
@@ -143,58 +190,167 @@ class _DecimationState:
         out.discard(i)
         return out
 
+    def merged_neighbors(self, i, j):
+        """``sorted(neighbors(i))`` as it will be once j is merged into i:
+        the vertices of the faces holding exactly one of the two."""
+        out = set()
+        for fi in self.vertex_faces[i] ^ self.vertex_faces[j]:
+            out.update(self.faces[fi])
+        out.discard(i)
+        out.discard(j)
+        return sorted(out)
+
     def edge_entries(self, pairs, seq):
-        """Heap entries ``(cost, seq, i, j, version[i], version[j], pos)``
-        for the (k, 2) edge array ``pairs`` (``i < j`` in each row), with
-        sequence numbers ``seq, seq + 1, ...``."""
-        i, j = pairs[:, 0], pairs[:, 1]
+        """Heap entries ``(cost, seq, i, j, version[i], version[j], x, y,
+        z)``, with the collapse position ``(x, y, z)`` inline (plain floats
+        hold less memory than a row per entry), for the (k, 2) edge array
+        ``pairs`` (``i < j`` in each row), with sequence numbers ``seq, seq
+        + 1, ...``."""
+        i, j = pairs[:, 0].tolist(), pairs[:, 1].tolist()
         q = self.Q[i] + self.Q[j]
         pos = _optimal_positions(q, self.v[i], self.v[j])
         cost = _quadric_costs(q, pos)
-        return list(zip(cost.tolist(), range(seq, seq + len(pairs)),
-                        i.tolist(), j.tolist(), self.version[i].tolist(),
-                        self.version[j].tolist(), pos))
+        return list(zip(cost.tolist(), range(seq, seq + len(pairs)), i, j,
+                        [self.version[k] for k in i],
+                        [self.version[k] for k in j], *pos.T.tolist()))
 
-    def link_condition(self, i, j):
+    def link_condition(self, i, j, ni, nj):
+        """The link test, given ``ni = neighbors(i)`` and ``nj =
+        neighbors(j)``."""
         shared_faces = self.vertex_faces[i] & self.vertex_faces[j]
-        shared_verts = self.neighbors(i) & self.neighbors(j)
         third = set()
         for fi in shared_faces:
-            third.update(v for v in self.faces[fi] if v not in (i, j))
-        return shared_verts == third and len(shared_faces) in (1, 2)
+            third.update(self.faces[fi])
+        third -= {i, j}
+        return (ni & nj) == third and len(shared_faces) in (1, 2)
 
-    def flips_normal(self, i, j, pos):
-        """Whether moving i and j to pos turns any surviving face around
-        them (the faces holding one of the two) by 90 degrees or more."""
-        faces = [self.faces[fi]
-                 for fi in self.vertex_faces[i] ^ self.vertex_faces[j]]
+    def flips_normal(self, candidates):
+        """Per ``(i, j, pos)`` candidate: whether moving i and j to pos
+        turns any surviving face around them (the faces holding one of the
+        two) by 90 degrees or more."""
+        faces, owner = [], []
+        for c, (i, j, _) in enumerate(candidates):
+            ring = self.vertex_faces[i] ^ self.vertex_faces[j]
+            faces += [self.faces[fi] for fi in ring]
+            owner += [c] * len(ring)
         if not faces:
-            return False
+            return np.zeros(len(candidates), dtype=bool)
         f = np.array(faces)
-        tri = np.stack([self.v[f]] * 2)  # (2, k, 3, 3): before, after
-        tri[1][(f == i) | (f == j)] = pos
+        owner = np.array(owner)
+        ij = np.array([c[:2] for c in candidates])[owner]
+        pos = np.array([c[2] for c in candidates])[owner]
+        old = self.v[f]
+        moving = (f == ij[:, :1]) | (f == ij[:, 1:])
+        tri = np.stack([old, np.where(moving[..., None], pos[:, None], old)])
         n_old, n_new = np.cross(tri[:, :, 1] - tri[:, :, 0],
                                 tri[:, :, 2] - tri[:, :, 0])
-        return bool((np.vecdot(n_new, n_old) <= 0).any())
+        flips = owner[np.vecdot(n_new, n_old) <= 0]
+        return np.bincount(flips, minlength=len(candidates)) > 0
+
+    def merged_entries(self, candidates):
+        """Per ``(i, j, pos)`` candidate, ``(cost, lo, hi, x, y, z)`` of
+        every edge that collapsing it pushes, in push order: what
+        ``edge_entries`` gives after ``collapse``, priced before it."""
+        ks = [self.merged_neighbors(i, j) for i, j, _ in candidates]
+        owner = np.repeat(np.arange(len(ks)), [len(k) for k in ks])
+        k = np.array([x for kk in ks for x in kk], dtype=np.int64)
+        i, j, p = zip(*candidates)
+        q = (self.Q[list(i)] + self.Q[list(j)])[owner] + self.Q[k]
+        i = np.array(i)[owner]
+        # the endpoints in (min, max) order, as edge_entries gets them: the
+        # fallback keeps the first of the equally cheap candidates
+        i_lo = (i < k)[:, None]
+        p, vk = np.array(p)[owner], self.v[k]
+        pos = _optimal_positions(q, np.where(i_lo, p, vk),
+                                 np.where(i_lo, vk, p))
+        rows = list(zip(_quadric_costs(q, pos).tolist(),
+                        np.minimum(i, k).tolist(), np.maximum(i, k).tolist(),
+                        *pos.T.tolist()))
+        ends = np.cumsum([len(kk) for kk in ks]).tolist()
+        return [rows[a:b] for a, b in zip([0] + ends, ends)]
+
+    def plan(self, cap):
+        """Pop live entries in key order until ``cap`` pass the neighbour
+        and link tests or one meets the ring of one planned before it.
+        Returns the popped live entries and, per entry, True when planned,
+        False when rejected, None when it met a ring."""
+        window, planned, ring = [], [], set()
+        n_planned, version = 0, self.version
+        while self.heap and n_planned < cap:
+            entry = heapq.heappop(self.heap)
+            _, _, i, j, vi, vj = entry[:6]
+            if vi != version[i] or vj != version[j]:
+                continue  # stale now, so stale whenever the loop pops it
+            window.append(entry)
+            if i in ring or j in ring:  # rule (a)
+                planned.append(None)
+                break
+            ni = self.neighbors(i)
+            ok = j in ni
+            if ok:
+                nj = self.neighbors(j)
+                ok = self.link_condition(i, j, ni, nj)
+            planned.append(ok)
+            if ok:
+                ring |= ni | nj
+                n_planned += 1
+        return window, planned
 
     def collapse(self, i, j, pos):
         """Merge j into i, moving i to pos."""
-        dead = self.vertex_faces[i] & self.vertex_faces[j]
+        vf, faces = self.vertex_faces, self.faces
+        dead = vf[i] & vf[j]
         for fi in dead:
-            for vv in self.faces[fi]:
-                self.vertex_faces[vv].discard(fi)
-            del self.faces[fi]
-        for fi in list(self.vertex_faces[j]):
-            f = self.faces[fi]
-            self.faces[fi] = tuple(i if vv == j else vv for vv in f)
-            self.vertex_faces[j].discard(fi)
-            self.vertex_faces[i].add(fi)
+            for vv in faces.pop(fi):
+                vf[vv].discard(fi)
+        for fi in vf[j]:
+            a, b, c = faces[fi]
+            faces[fi] = (i if a == j else a, i if b == j else b,
+                         i if c == j else c)
+        vf[i] |= vf[j]
+        vf[j].clear()
         self.v[i] = pos
         self.Q[i] = self.Q[i] + self.Q[j]
         self.alive_v[j] = False
         self.version[i] += 1
         self.version[j] += 1
         self.n_alive -= 1
+        # edge (i, j) goes, and (j, k) folds into (i, k) per shared face
+        self.n_edges -= 1 + len(dead)
+
+    def commit_window(self, budget):
+        """Make the next at most ``budget`` collapses of the sequential
+        loop (see the module docstring)."""
+        window, planned = self.plan(min(_WINDOW, budget))
+        cands = [(e[2], e[3], e[6:]) for e, ok in zip(window, planned) if ok]
+        if cands:
+            flips = self.flips_normal(cands).tolist()
+            cands = [c for c, f in zip(cands, flips) if not f]
+        merged = (dict(zip([c[:2] for c in cands],
+                           self.merged_entries(cands))) if cands else {})
+        cheapest_new = np.inf
+        for n, (entry, ok) in enumerate(zip(window, planned)):
+            if ok is None or entry[0] > cheapest_new:  # rule (b)
+                break
+            i, j = entry[2:4]
+            if (i, j) not in merged:
+                continue  # rejected: the sequential loop skips it too
+            self.collapse(i, j, entry[6:])
+            for cost, lo, hi, x, y, z in merged[i, j]:
+                heapq.heappush(self.heap, (cost, self.seq, lo, hi,
+                                           self.version[lo],
+                                           self.version[hi], x, y, z))
+                cheapest_new = min(cheapest_new, cost)
+                self.seq += 1
+        else:
+            n = len(window)
+        for entry in window[n:]:
+            heapq.heappush(self.heap, entry)  # unique keys: same pop order
+        if len(self.heap) > 2 * self.n_edges:  # stale outnumber live
+            v = self.version
+            self.heap = [e for e in self.heap
+                         if e[4] == v[e[2]] and e[5] == v[e[3]]]
+            heapq.heapify(self.heap)
 
 
 def decimate(mesh, target_vertices):
@@ -210,35 +366,8 @@ def decimate(mesh, target_vertices):
         return mesh, np.arange(mesh.n_vertices)
 
     st = _DecimationState(mesh)
-    # every edge once, in order of first appearance in the face list
-    _, inverse, edges, _ = edge_incidence(mesh.faces, mesh.n_vertices)
-    ids = inverse.reshape(3, -1).T.ravel()  # face-major
-    _, first = np.unique(ids, return_index=True)
-    edges = edges[ids[np.sort(first)]]
-    heap = []
-    for start in range(0, len(edges), _ENTRY_CHUNK):
-        heap += st.edge_entries(edges[start:start + _ENTRY_CHUNK], start)
-    heapq.heapify(heap)  # (cost, seq) keys are unique: same pops as pushes
-    seq = len(heap)
-
-    while st.n_alive > target_vertices and heap:
-        cost, _, i, j, vi, vj, pos = heapq.heappop(heap)
-        if not (st.alive_v[i] and st.alive_v[j]):
-            continue
-        if vi != st.version[i] or vj != st.version[j]:
-            continue  # stale entry
-        if j not in st.neighbors(i):
-            continue
-        if not st.link_condition(i, j):
-            continue
-        if st.flips_normal(i, j, pos):
-            continue
-        st.collapse(i, j, pos)
-        ks = np.array(sorted(st.neighbors(i)), dtype=np.int64)
-        pairs = np.stack([np.minimum(ks, i), np.maximum(ks, i)], axis=1)
-        for entry in st.edge_entries(pairs, seq):
-            heapq.heappush(heap, entry)
-        seq += len(pairs)
+    while st.n_alive > target_vertices and st.heap:
+        st.commit_window(st.n_alive - target_vertices)
 
     keep = np.flatnonzero(st.alive_v)
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -306,10 +435,14 @@ class RemeshCache(ContentStore):
 
     def read(self, paths, mesh, target):
         mesh_path, corr_path, meta_path = paths
+        meta = key_values(meta_path.read_text().split())
+        if "max_projection_error" not in meta:
+            raise FormatError(meta_path, "no max_projection_error")
         dec = load_mesh(mesh_path, id=mesh.id)
         corr = load_correspondence(corr_path)
-        meta = dict(line.split("=", 1) for line in
-                    meta_path.read_text().splitlines() if line)
+        # the entry may come from another shape of the same geometry: take
+        # this mesh's ids, as a miss would
+        corr.source_id = corr.target_id = mesh.id
         return RemeshResult(dec, corr, target_count=target,
                             achieved_count=dec.n_vertices,
                             max_projection_error=float(meta["max_projection_error"]))

@@ -85,12 +85,10 @@ def _read_off(path):
 
 def _write_off(mesh, path):
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
+        fh.write("".join(f"{x!r} {y!r} {z!r}\n"
+                         for x, y, z in mesh.vertices.tolist()))
+        fh.write("".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.faces.tolist()))
 
 
 # --- PLY ---
@@ -268,10 +266,10 @@ def _read_obj(path):
 
 def _write_obj(mesh, path):
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write("".join(f"v {x!r} {y!r} {z!r}\n"
+                         for x, y, z in mesh.vertices.tolist()))
+        fh.write("".join(f"f {a} {b} {c}\n"
+                         for a, b, c in (mesh.faces + 1).tolist()))
 
 
 # --- validation report ---

@@ -106,6 +106,10 @@ class TriangleBVH:
 
         # median splits keep the depth near log2(n_faces / _LEAF_SIZE) + 1
         build(0, mesh.n_faces)
+        # build's closure holds build itself: clear that cell, or the cycle
+        # keeps the face arrays it captured alive until the cycle collector
+        # runs, which raises peak RSS
+        del build
 
         self.node_min = np.asarray(node_min)
         self.node_max = np.asarray(node_max)

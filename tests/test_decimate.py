@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 
 import numpy as np
 import pytest
@@ -227,16 +228,23 @@ def test_vertex_quadrics_match_per_face_sum(mesh):
     assert Q.tobytes() == st.Q.tobytes()
 
 
+def edges_in_face_order(mesh):
+    """Every edge once as (lo, hi), in order of first appearance in the
+    face list."""
+    out = []
+    for f in mesh.faces.tolist():
+        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+            if (min(a, b), max(a, b)) not in out:
+                out.append((min(a, b), max(a, b)))
+    return out
+
+
 @pytest.mark.parametrize("mesh", [bumpy_sphere(2), grid_plane(6), bowtie()],
                          ids=["bumpy_sphere", "grid_plane", "bowtie"])
 def test_initial_heap_edges_in_face_order(mesh, monkeypatch):
     """The initial heap prices every edge once, in order of first
     appearance in the face list; its entries take seq 0, 1, ..."""
-    want = []
-    for f in mesh.faces.tolist():
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            if (min(a, b), max(a, b)) not in want:
-                want.append((min(a, b), max(a, b)))
+    want = edges_in_face_order(mesh)
     priced = []
     entries = _DecimationState.edge_entries
 
@@ -285,9 +293,9 @@ def test_edge_entries_match_per_edge_reference(mesh):
         q = st.Q[i] + st.Q[j]
         pos, ok = reference_position(q, st.v[i], st.v[j])
         solved.append(ok)
-        cost, seq, ei, ej, vi, vj, epos = entry
+        cost, seq, ei, ej, vi, vj, *epos = entry
         assert (seq, ei, ej, vi, vj) == (7 + k, i, j, 0, 0)
-        assert epos.tobytes() == pos.tobytes()
+        assert np.array(epos).tobytes() == pos.tobytes()
         assert cost == reference_cost(q, pos)
     if mesh.id.startswith("grid"):  # a batch with both kinds of row
         assert 0 < sum(solved) < len(solved)
@@ -297,18 +305,144 @@ def test_edge_entries_match_per_edge_reference(mesh):
                          ids=["bumpy_sphere", "grid_plane"])
 def test_flips_normal_matches_per_face_loop(mesh, rng):
     """Random candidate collapses, moved from near the edge midpoint to far
-    off the surface, get the per-face loop's verdict."""
+    off the surface, get the per-face loop's verdict, alone and in one
+    batch (whose candidates share faces)."""
     st = _DecimationState(mesh)
     edges = mesh.edges()
     scale = np.linalg.norm(np.ptp(mesh.vertices, axis=0))
-    verdicts = []
+    candidates, verdicts = [], []
     for k in rng.choice(len(edges), size=300, replace=False):
         i, j = (int(x) for x in edges[k])
         pos = (st.v[i] + st.v[j]) / 2 + rng.normal(size=3) * scale \
             * 10.0 ** rng.uniform(-4, 0)
+        candidates.append((i, j, pos.tolist()))
         verdicts.append(reference_flips_normal(st, i, j, pos))
-        assert st.flips_normal(i, j, pos) == verdicts[-1]
+        assert st.flips_normal(candidates[-1:]).tolist() == verdicts[-1:]
+    assert st.flips_normal(candidates).tolist() == verdicts
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+# the plain sequential collapse loop that decimate's windows reproduce
+
+
+def reference_link_condition(st, i, j):
+    shared_faces = st.vertex_faces[i] & st.vertex_faces[j]
+    shared_verts = st.neighbors(i) & st.neighbors(j)
+    third = set()
+    for fi in shared_faces:
+        third.update(v for v in st.faces[fi] if v not in (i, j))
+    return shared_verts == third and len(shared_faces) in (1, 2)
+
+
+def sequential_decimate(mesh, target):
+    """One collapse per pop: pop in (cost, seq) order, skip a stale or
+    invalid entry, else collapse and price the edges around the kept
+    vertex with consecutive seq."""
+    st = _DecimationState(mesh)
+    heap = st.edge_entries(np.array(edges_in_face_order(mesh)), 0)
+    heapq.heapify(heap)
+    seq = len(heap)
+    while st.n_alive > target and heap:
+        _, _, i, j, vi, vj, *pos = heapq.heappop(heap)
+        if vi != st.version[i] or vj != st.version[j]:
+            continue
+        if j not in st.neighbors(i) or not reference_link_condition(st, i, j):
+            continue
+        if reference_flips_normal(st, i, j, np.array(pos)):
+            continue
+        st.collapse(i, j, pos)
+        ks = sorted(st.neighbors(i))
+        pairs = np.array([(min(i, k), max(i, k)) for k in ks], dtype=np.int64)
+        for entry in st.edge_entries(pairs.reshape(-1, 2), seq):
+            heapq.heappush(heap, entry)
+        seq += len(pairs)
+    keep = np.flatnonzero(st.alive_v)
+    remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    faces = [[remap[v] for v in f] for _, f in sorted(st.faces.items())]
+    return st.v[keep], np.array(faces, dtype=np.int64), keep
+
+
+def flat_and_curved(n=6, bend=0.5):
+    """A grid plane whose x > 0.5 half bends up into a parabola. Costs in
+    the flat half are rounding-level (about -1e-17): a collapse there can
+    price a new edge below an edge planned after it in the same window,
+    and the sequential loop pops that new edge first (rule (b))."""
+    m = grid_plane(n)
+    v = m.vertices.copy()
+    x = v[:, 0] - 0.5
+    v[:, 2] = np.where(x > 0, bend * x * x, 0.0)
+    return Mesh(v, m.faces, id="flat_and_curved")
+
+
+WINDOW_CASES = [(bumpy_sphere(3, seed=s), t) for s in (0, 1)
+                for t in (100, 300, 600)]
+WINDOW_CASES += [(bumpy_sphere(2, seed=5), t) for t in (20, 80)]
+WINDOW_CASES += [(grid_plane(n), t) for n, t in ((6, 10), (10, 40), (10, 90),
+                                                  (20, 150))]
+WINDOW_CASES += [(open_patch(), t) for t in (80, 200, 500)]
+WINDOW_CASES += [(bowtie(), 4), (torus(), 4), (torus(), 40), (torus(), 80)]
+# the budget runs out where rule (b) decides: at 46, the window planned at
+# 48 vertices holds back its second collapse, and the last collapse goes
+# to a cheaper edge that its first one pushed
+WINDOW_CASES += [(flat_and_curved(), t) for t in (46, 41, 30)]
+
+
+@pytest.mark.parametrize(
+    "mesh,target", WINDOW_CASES,
+    ids=[f"{m.id}-{m.n_vertices}-{t}" for m, t in WINDOW_CASES])
+def test_windows_match_sequential_loop(mesh, target):
+    out, keep = decimate(mesh, target)
+    vertices, faces, want_keep = sequential_decimate(mesh, target)
+    assert out.vertices.tobytes() == vertices.tobytes()
+    assert out.faces.tobytes() == faces.tobytes()
+    assert keep.tobytes() == want_keep.tobytes()
+
+
+def test_merged_entries_price_the_post_collapse_edges():
+    """Every edge a window prices before a collapse is the edge, cost and
+    position that pricing after it gives, including where a shared face
+    dangles (its third vertex is no neighbour once the face is gone)."""
+    m = open_patch()
+    st = _DecimationState(m)
+    dangling = 0
+    for i, j in m.edges()[::7].tolist():
+        if not reference_link_condition(st, i, j):
+            continue
+        pos = ((st.v[i] + st.v[j]) / 2).tolist()
+        (priced,) = st.merged_entries([(i, j, pos)])
+        before = st.neighbors(i) | st.neighbors(j)
+        after = _DecimationState(m)
+        after.collapse(i, j, pos)
+        ks = sorted(after.neighbors(i))
+        dangling += len(before - {i, j} - set(ks))
+        pairs = np.array([(min(i, k), max(i, k)) for k in ks]).reshape(-1, 2)
+        want = after.edge_entries(pairs, 0)
+        assert priced == [e[0:1] + e[2:4] + e[6:] for e in want]
+    assert dangling > 0
+
+
+def test_merged_entries_keep_the_endpoint_order_of_the_fallback():
+    """A singular quadric takes the cheapest of (midpoint, lower vertex,
+    higher vertex), the first on a tie; the window prices each new edge
+    with its endpoints in that order, as edge_entries after the collapse
+    does. Here both endpoints cost -1 and the midpoint 0."""
+    m = grid_plane(3)
+    st = _DecimationState(m)
+    i, j = 5, 6
+    k = min(st.merged_neighbors(i, j))
+    assert k < i  # the new edge (k, i) has the kept vertex second
+    st.Q[:] = 0.0
+    st.Q[i, 0, 0] = -1.0  # cost -x^2, singular
+    st.v[k] = [-1.0, 0.0, 0.0]
+    pos = [1.0, 0.0, 0.0]
+    (priced,) = st.merged_entries([(i, j, pos)])
+    st.collapse(i, j, pos)
+    ks = sorted(st.neighbors(i))
+    pairs = np.array([(min(i, k), max(i, k)) for k in ks])
+    want = st.edge_entries(pairs, 0)
+    assert priced == [e[0:1] + e[2:4] + e[6:] for e in want]
+    assert priced[0] == (-1.0, k, i, -1.0, 0.0, 0.0)
 
 
 def test_invalid_target_raises():
@@ -387,6 +521,42 @@ class TestRemeshWithCorrespondence:
         assert r2.mesh == r1.mesh
         assert r2.to_original.weights.tobytes() == \
             r1.to_original.weights.tobytes()
+
+    def test_cache_hit_takes_the_ids_of_the_mesh(self, tmp_path):
+        """Two shapes of the same geometry share a cache entry; a hit on
+        the second carries its ids, as a miss does."""
+        a = bumpy_sphere(2, id="faust_001")
+        b = bumpy_sphere(2, id="shrec_017")
+        cache = RemeshCache(tmp_path / "cache")
+        remesh_with_correspondence(a, (30, 30), np.random.default_rng(0),
+                                   cache=cache)
+        assert cache.load(b, 30) is not None
+        hit = remesh_with_correspondence(b, (30, 30),
+                                         np.random.default_rng(0), cache=cache)
+        miss = remesh_with_correspondence(b, (30, 30),
+                                          np.random.default_rng(0))
+        assert hit.mesh.id == "shrec_017"
+        assert (hit.to_original.source_id,
+                hit.to_original.target_id) == ("shrec_017", "shrec_017")
+        assert hit.to_original == miss.to_original
+
+    @pytest.mark.parametrize("text", ["", "comment=none\n"],
+                             ids=["empty", "no_key"])
+    def test_meta_without_error_is_a_miss_and_rewritten(self, tmp_path,
+                                                        text):
+        m = bumpy_sphere(2)
+        cache = RemeshCache(tmp_path / "cache")
+        r1 = remesh_with_correspondence(m, (30, 30), np.random.default_rng(0),
+                                        cache=cache)
+        (meta,) = (tmp_path / "cache").glob("*.meta")
+        written = meta.read_text()
+        meta.write_text(text)
+        assert cache.load(m, 30) is None
+        r2 = remesh_with_correspondence(m, (30, 30), np.random.default_rng(0),
+                                        cache=cache)
+        assert meta.read_text() == written
+        assert r2.mesh == r1.mesh
+        assert r2.max_projection_error == r1.max_projection_error
 
     def test_cache_disabled_use(self, tmp_path):
         m = bumpy_sphere(2)

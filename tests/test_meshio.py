@@ -5,7 +5,7 @@ from shapecorr.meshes import Mesh, MeshValidationError
 from shapecorr.meshio import (MeshFormatError, load_mesh, save_colored_ply,
                               save_mesh, validation_report)
 
-from conftest import icosphere
+from conftest import bumpy_sphere, icosphere
 
 
 def write(path, text):
@@ -216,6 +216,24 @@ def test_off_roundtrip_preserves_order(tmp_path):
     again = load_mesh(tmp_path / "s.off")
     assert np.array_equal(again.vertices, m.vertices)
     assert np.array_equal(again.faces, m.faces)
+
+
+@pytest.mark.parametrize("ext", ["off", "obj"])
+def test_text_writers_match_per_row_reference(tmp_path, ext):
+    """The OFF and OBJ writers emit the bytes of one ``repr`` row per vertex
+    and one index row per face, in plain and exponent float notation."""
+    m = bumpy_sphere(2)
+    m = Mesh(m.vertices * [1.0, 1e-7, 1e17], m.faces)
+    rows = [f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n"
+            for v in m.vertices]
+    if ext == "off":
+        rows = ["OFF\n", f"{m.n_vertices} {m.n_faces} 0\n"] + rows
+        rows += [f"3 {f[0]} {f[1]} {f[2]}\n" for f in m.faces]
+    else:
+        rows = ["v " + row for row in rows]
+        rows += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in m.faces]
+    save_mesh(m, tmp_path / f"m.{ext}")
+    assert (tmp_path / f"m.{ext}").read_bytes() == "".join(rows).encode()
 
 
 def test_degenerate_face_rejected():

@@ -146,6 +146,19 @@ def test_deterministic_build():
     np.testing.assert_array_equal(b1.node_min, b2.node_min)
 
 
+def test_build_leaves_no_cycle():
+    """The recursive build closure is freed by reference counting, so the
+    arrays it captured do not wait for the cycle collector."""
+    m = bumpy_sphere(2)
+    gc.collect()
+    gc.disable()
+    try:
+        TriangleBVH(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_mesh_with_bvh_freed_without_cycle_collector():
     m = icosphere(1)
     assert m.bvh is not None
