@@ -1,16 +1,16 @@
 """Wall time, peak RSS and output digest of ``decimate`` at paper scale.
 
-Decimates a seeded bumpy icosphere at 40962 -> 10000 and 10242 -> 2500
+Decimates a bumpy icosphere (seed 7) at 10242 -> 2500 and 40962 -> 10000
 vertices (the paper remeshes to 9-10k vertices) and prints, per case, the
-wall seconds of the ``decimate`` call, the process's peak RSS so far and
-the sha256 over the output (vertices, faces, vertex map) bytes. Two trees
-that print the same digests decimate alike.
+wall seconds of the ``decimate`` call, the process's peak RSS and the
+sha256 over the output (vertices, faces, vertex map) bytes. Two trees that
+print the same digests decimate alike. The peak RSS is the process's peak
+so far; the cases run smallest first, so each line's figure is the peak
+of its own case.
 
-Usage: python3 scripts/decimate_probe.py [--cases 40962:10000,10242:2500]
-       [--seed S]
+Usage: python3 scripts/decimate_probe.py
 """
 
-import argparse
 import hashlib
 import resource
 import sys
@@ -24,8 +24,8 @@ from shapecorr.decimate import decimate
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import bumpy_sphere  # noqa: E402
 
-# icosphere subdivision level per vertex count
-LEVELS = {10 * 4 ** k + 2: k for k in range(8)}
+# (icosphere subdivision level, source vertex count, target vertex count)
+CASES = ((5, 10242, 2500), (6, 40962, 10000))
 
 
 def digest(out, keep):
@@ -37,15 +37,8 @@ def digest(out, keep):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--cases", default="40962:10000,10242:2500",
-                    help="comma-separated source:target vertex counts; "
-                         "sources are icosphere sizes (10*4^k+2)")
-    ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
-    for case in args.cases.split(","):
-        n, target = (int(x) for x in case.split(":"))
-        mesh = bumpy_sphere(LEVELS[n], seed=args.seed)
+    for level, n, target in CASES:
+        mesh = bumpy_sphere(level, seed=7)
         t0 = time.perf_counter()
         out, keep = decimate(mesh, target)
         wall = time.perf_counter() - t0

@@ -18,7 +18,8 @@ vertex with consecutive seq. The queue makes those collapses in windows:
    a face is symmetric, so ``{i_s, j_s}`` does not meet ``R`` either, and
    no planned collapse changes the faces, positions, quadrics or versions
    that another one's tests and prices read. Stop popping at the first
-   entry that fails (a) or at the window cap.
+   entry that fails (a) or when the remaining budget of collapses is
+   planned.
 2. Run one flip test over the faces of every planned candidate.
 3. Price the would-be new edges of every survivor in one batch, from
    ``Q_i + Q_j``, the new position and the neighbours ``neighbors(i)``
@@ -73,10 +74,6 @@ _SINGULAR_COND = 1e12
 # (k, 4, 4) temporaries add no measurable peak RSS (4096 added ~0.25 MB
 # when decimating a 642-vertex mesh) and no measurable time
 _ENTRY_CHUNK = 256
-# candidates planned per window of the collapse queue; windows end at an
-# entry that fails rule (a) long before this (mean 4.4-4.8 at 642 -> 160
-# vertices, 13.5 at 10242 -> 2500)
-_WINDOW = 64
 
 
 @dataclass
@@ -269,14 +266,14 @@ class _DecimationState:
         ends = np.cumsum([len(kk) for kk in ks]).tolist()
         return [rows[a:b] for a, b in zip([0] + ends, ends)]
 
-    def plan(self, cap):
-        """Pop live entries in key order until ``cap`` pass the neighbour
+    def plan(self, budget):
+        """Pop live entries in key order until ``budget`` pass the neighbour
         and link tests or one meets the ring of one planned before it.
         Returns the popped live entries and, per entry, True when planned,
         False when rejected, None when it met a ring."""
         window, planned, ring = [], [], set()
         n_planned, version = 0, self.version
-        while self.heap and n_planned < cap:
+        while self.heap and n_planned < budget:
             entry = heapq.heappop(self.heap)
             _, _, i, j, vi, vj = entry[:6]
             if vi != version[i] or vj != version[j]:
@@ -321,7 +318,7 @@ class _DecimationState:
     def commit_window(self, budget):
         """Make the next at most ``budget`` collapses of the sequential
         loop (see the module docstring)."""
-        window, planned = self.plan(min(_WINDOW, budget))
+        window, planned = self.plan(budget)
         cands = [(e[2], e[3], e[6:]) for e, ok in zip(window, planned) if ok]
         if cands:
             flips = self.flips_normal(cands).tolist()
