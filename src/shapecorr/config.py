@@ -11,6 +11,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .textio import data_lines
+
 ALL_DATASETS = ("faust", "scape", "tosca", "kids", "dt4d", "smal", "shrec20")
 COMBINATIONS = ("human", "four-legged", "human_centaur",
                 "four-legged_centaur", "all")
@@ -121,10 +123,8 @@ class GenerationConfig:
     @classmethod
     def from_file(cls, path, overrides=None):
         mapping = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, text in data_lines(path):
+            line = text.strip()
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, "
                                   f"got {line!r}")

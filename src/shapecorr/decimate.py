@@ -365,6 +365,12 @@ def decimate(mesh, target_vertices):
     st = _DecimationState(mesh)
     while st.n_alive > target_vertices and st.heap:
         st.commit_window(st.n_alive - target_vertices)
+    if not st.faces:
+        # vertices that no face references count toward the target
+        unref = mesh.n_vertices - len(np.unique(mesh.faces))
+        raise ValueError(
+            f"decimating to {target_vertices} vertices removed every face; "
+            f"{unref} of the {mesh.n_vertices} vertices are in no face")
 
     keep = np.flatnonzero(st.alive_v)
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)

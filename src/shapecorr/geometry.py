@@ -24,9 +24,9 @@ def connected_components(mesh, face_subset=None):
     """Partition faces into edge-adjacent components.
 
     Returns a list of (face index array, area) sorted by area descending;
-    equal areas are ordered by smallest contained face index. Edge adjacency
-    means a shared (unordered) vertex pair, so non-manifold fans count as
-    connected.
+    equal areas are ordered by smallest contained face index. Each array is
+    in ascending face index. Edge adjacency means a shared (unordered)
+    vertex pair, so non-manifold fans count as connected.
     """
     if face_subset is None:
         fidx = np.arange(mesh.n_faces)

@@ -18,7 +18,7 @@ from .corrio import load_correspondence
 from .meshes import (DenseCorrespondence, Mesh, UNMATCHED, UNKNOWN_LABEL,
                      VertexLabels, identity_correspondence)
 from .meshio import load_mesh
-from .textio import key_values, load_int_column
+from .textio import data_lines, key_values, load_int_column
 
 
 class NetworkError(ValueError):
@@ -228,10 +228,7 @@ def parse_manifest(path):
     path = Path(path)
     base = path.parent
     datasets, shapes, edges, annotations = {}, {}, [], {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(path):
         parts = line.split()
         kind = parts[0]
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .textio import key_values
+from .textio import data_lines, key_values
 
 # type pairs considered compatible when building manifests
 COMPATIBLE_TYPES = {
@@ -65,10 +65,7 @@ class SplitManifest:
 
 def parse_split_manifest(path):
     shapes, pairs = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(path):
         parts = line.split()
         try:
             if parts[0] == "shape":

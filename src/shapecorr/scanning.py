@@ -150,11 +150,10 @@ def extract_partial(mesh, hit_faces, camera, parent=None):
     output are taken from ``parent`` (default: mesh itself) so the partial
     sits at the original scale and pose, bit-exactly.
     """
-    hit_faces = np.asarray(sorted(hit_faces), dtype=np.int64)
-    if len(hit_faces) == 0:
-        raise EmptyScanError("scan hit no faces")
     comps = geo.connected_components(mesh, hit_faces)
-    keep_faces = np.sort(comps[0][0])
+    if not comps:
+        raise EmptyScanError("scan hit no faces")
+    keep_faces = comps[0][0]  # ascending: components keep sorted order
     parent = parent if parent is not None else mesh
     vids = np.unique(mesh.faces[keep_faces])
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)

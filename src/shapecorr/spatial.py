@@ -5,6 +5,11 @@ intersection, ties at shared edges broken by lowest face index) and nearest
 surface point queries (identical to the exhaustive per-face minimum, ties
 broken by lowest face index). Both take a whole batch of rays or points per
 call and walk the flat node arrays with numpy, not one traversal per query.
+
+Each leaf's faces sit in one table row in ascending face index, so
+``np.argmin`` over a leaf's hit parameters returns the lowest-index face
+among equal ones; across leaves, a hit replaces an equal one only when its
+face index is lower.
 """
 
 from __future__ import annotations
@@ -45,28 +50,26 @@ def ray_triangle_intersections(origins, directions, a, b, c):
     return np.where(ok, t, np.inf)
 
 
-def _first_hit_reduce(t_matrix, face_ids):
-    """Min-t per ray with lowest-face-index tie-break (exact t equality)."""
-    order = np.argsort(face_ids, kind="stable")
-    t = t_matrix[:, order]
-    ids = face_ids[order]
-    k = np.argmin(t, axis=1)  # first minimum in face-index order
-    best_t = t[np.arange(len(t)), k]
-    best_f = np.where(np.isfinite(best_t), ids[k], -1)
-    return best_f, best_t
-
-
 def exhaustive_first_hits(mesh, origins, directions):
     """Brute-force first hits over all faces; the BVH oracle."""
     a, b, c = mesh.face_corners()
     t = ray_triangle_intersections(np.asarray(origins, dtype=np.float64),
                                    np.asarray(directions, dtype=np.float64),
                                    a, b, c)
-    return _first_hit_reduce(t, np.arange(mesh.n_faces))
+    k = np.argmin(t, axis=1)  # argmin keeps the lowest face index on ties
+    best_t = t[np.arange(len(t)), k]
+    return np.where(np.isfinite(best_t), k, -1), best_t
 
 
 class TriangleBVH:
-    """Median-split BVH stored in flat arrays."""
+    """Median-split BVH stored in flat arrays.
+
+    Nodes are numbered in pre-order: inner node i has its left child at
+    i + 1 and its right child at ``node_left[i]``, and ``node_min`` /
+    ``node_max`` hold each node's box. ``leaf_row[i]`` is node i's row of
+    ``leaf_faces``, -1 for an inner node. A row lists the leaf's faces in
+    ascending index, padded at the end with -1 to the largest leaf size.
+    """
 
     def __init__(self, mesh):
         a, b, c = mesh.face_corners()
@@ -76,56 +79,47 @@ class TriangleBVH:
         centroids = (a + b + c) / 3.0
 
         order = np.arange(mesh.n_faces)
-        node_min, node_max = [], []
-        node_left, node_start, node_count = [], [], []
-
-        def build(start, end):
+        node_min, node_max, node_left, leaf_row, leaf_count = [], [], [], [], []
+        # (start, end, parent): a right child fills its parent's node_left;
+        # popping left children first numbers the nodes in pre-order
+        stack = [(0, mesh.n_faces, -1)]
+        while stack:
+            start, end, parent = stack.pop()
             idx = len(node_min)
-            node_min.append(None)
-            node_max.append(None)
-            node_left.append(-1)
-            node_start.append(start)
-            node_count.append(end - start)
+            if parent >= 0:
+                node_left[parent] = idx
             sel = order[start:end]
-            bmin = lo[sel].min(axis=0)
-            bmax = hi[sel].max(axis=0)
-            node_min[idx] = bmin
-            node_max[idx] = bmax
+            node_min.append(lo[sel].min(axis=0))
+            node_max.append(hi[sel].max(axis=0))
+            node_left.append(-1)
             if end - start > _LEAF_SIZE:
-                axis = int(np.argmax(bmax - bmin))
+                axis = int(np.argmax(node_max[-1] - node_min[-1]))
                 # stable sort on (centroid, face idx) keeps builds deterministic
-                key = centroids[sel, axis]
-                local = np.argsort(key, kind="stable")
-                order[start:end] = sel[local]
+                order[start:end] = sel[np.argsort(centroids[sel, axis],
+                                                  kind="stable")]
+                # median splits keep the depth near log2(n / _LEAF_SIZE) + 1
                 mid = start + (end - start) // 2
-                node_count[idx] = 0
-                build(start, mid)
-                node_left[idx] = len(node_min)
-                build(mid, end)
-            return idx
-
-        # median splits keep the depth near log2(n_faces / _LEAF_SIZE) + 1
-        build(0, mesh.n_faces)
-        # build's closure holds build itself: clear that cell, or the cycle
-        # keeps the face arrays it captured alive until the cycle collector
-        # runs, which raises peak RSS
-        del build
+                stack += [(mid, end, idx), (start, mid, -1)]
+                leaf_row.append(-1)
+            else:
+                leaf_row.append(len(leaf_count))
+                leaf_count.append(end - start)
 
         self.node_min = np.asarray(node_min)
         self.node_max = np.asarray(node_max)
         self.node_left = np.asarray(node_left, dtype=np.int64)
-        self.node_start = np.asarray(node_start, dtype=np.int64)
-        self.node_count = np.asarray(node_count, dtype=np.int64)
-        self.face_order = order
+        self.leaf_row = np.asarray(leaf_row, dtype=np.int64)
 
-        # padded leaf -> faces table (-1 pads) and node -> table row map
-        leaves = np.flatnonzero(self.node_count)
-        counts = self.node_count[leaves, None]
+        # pre-order meets the leaves left to right, so they tile order; each
+        # row is sorted with its pads as n_faces, which puts them last
+        counts = np.asarray(leaf_count)
         cols = np.arange(counts.max())
-        slot = np.minimum(self.node_start[leaves, None] + cols, len(order) - 1)
-        self.leaf_faces = np.where(cols < counts, order[slot], -1)
-        self.leaf_row = np.full(len(self.node_count), -1, dtype=np.int64)
-        self.leaf_row[leaves] = np.arange(len(leaves))
+        slot = np.minimum((np.cumsum(counts) - counts)[:, None] + cols,
+                          len(order) - 1)
+        self.leaf_faces = np.where(cols < counts[:, None], order[slot],
+                                   mesh.n_faces)
+        self.leaf_faces.sort(axis=1)
+        self.leaf_faces[self.leaf_faces == mesh.n_faces] = -1
 
     # --- ray queries ---
 
@@ -149,12 +143,15 @@ class TriangleBVH:
             rays = rays[live]
             if len(rays) == 0:
                 continue
-            if self.node_count[node] > 0:
-                s = self.node_start[node]
-                faces = self.face_order[s:s + self.node_count[node]]
+            row = self.leaf_row[node]
+            if row >= 0:
+                faces = self.leaf_faces[row]
+                faces = faces[faces >= 0]
                 t = ray_triangle_intersections(origins[rays], directions[rays],
                                                a[faces], b[faces], c[faces])
-                f, tt = _first_hit_reduce(t, faces)
+                k = np.argmin(t, axis=1)  # lowest face index among equal t
+                tt = t[np.arange(len(t)), k]
+                f = np.where(np.isfinite(tt), faces[k], -1)
                 better = (tt < best_t[rays]) | (
                     (tt == best_t[rays]) & (f >= 0) & (f < best_f[rays]))
                 upd = rays[better]
@@ -202,13 +199,13 @@ class TriangleBVH:
         m = len(p)
         # 1. descend greedily to one leaf per point; its faces bound d2 above
         leaf = np.zeros(m, dtype=np.int64)
-        inner = np.flatnonzero(self.node_count[leaf] == 0)
+        inner = np.flatnonzero(self.leaf_row[leaf] < 0)
         while len(inner):
             left, right = leaf[inner] + 1, self.node_left[leaf[inner]]
             nearer_left = (self._box_d2(p[inner], left)
                            < self._box_d2(p[inner], right))
             leaf[inner] = np.where(nearer_left, left, right)
-            inner = inner[self.node_count[leaf[inner]] == 0]
+            inner = inner[self.leaf_row[leaf[inner]] < 0]
         best_d2 = np.full(m, np.inf)
         best_face = np.full(m, -1, dtype=np.int64)
         self._scan_leaves(p, np.arange(m), leaf, best_d2, best_face)
@@ -221,7 +218,7 @@ class TriangleBVH:
         while len(fp):
             keep = self._box_d2(p[fp], fn) <= best_d2[fp]
             fp, fn = fp[keep], fn[keep]
-            at_leaf = self.node_count[fn] > 0
+            at_leaf = self.leaf_row[fn] >= 0
             new = at_leaf & (fn != leaf[fp])
             hit_pt.append(fp[new])
             hit_node.append(fn[new])

@@ -253,10 +253,16 @@ def _toy_world(n=5, base=None):
     return ShapeNetwork(nodes, edges), manifest
 
 
-# digest_tree of the criterion-9 tree, cache/ included, measured on
-# conftest.GOLDEN_BUILD
-GOLDEN_DIGEST = \
-    "16b1718b0ddc87c2e1b06d5f3f211c0661fe1289cb36ddb1fb97cf66a0c5690f"
+# digest_tree of the criterion-9 tree per setting, cache/ included,
+# measured on conftest.GOLDEN_BUILD
+GOLDEN_DIGESTS = {
+    "partial_partial":
+        "16b1718b0ddc87c2e1b06d5f3f211c0661fe1289cb36ddb1fb97cf66a0c5690f",
+    "partial_full":
+        "b64b9517d3ebf29a97323c2e0ce593006f49cec954e2e9af87f1301cc82b5c2a",
+    "full_full":
+        "8f0e528739147e56586f42f3e67974f64822ee53448ef20335833a3e011cce19",
+}
 
 
 def _criterion_9_config():
@@ -279,13 +285,15 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     assert digest_tree(tmp_path / "c") == digest_tree(tmp_path / "a")
 
 
-def test_criterion_9_pinned_digest(tmp_path):
-    """The criterion-9 tree equals a pinned digest, so a change to any
-    output byte fails here even when two runs still agree."""
+@pytest.mark.parametrize("setting", sorted(GOLDEN_DIGESTS))
+def test_criterion_9_pinned_digest(tmp_path, setting):
+    """The criterion-9 tree equals a pinned digest in every setting, so a
+    change to any output byte fails here even when two runs still agree."""
     require_golden_build()
     net, manifest = _toy_world()
-    run_generation(_criterion_9_config(), net, manifest, tmp_path)
-    assert digest_tree(tmp_path) == GOLDEN_DIGEST
+    cfg = dataclasses.replace(_criterion_9_config(), setting=setting)
+    run_generation(cfg, net, manifest, tmp_path)
+    assert digest_tree(tmp_path) == GOLDEN_DIGESTS[setting]
 
 
 def test_warm_remesh_cache_writes_cold_bytes(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from shapecorr.config import ALL_DATASETS, ConfigError, GenerationConfig
@@ -39,6 +41,18 @@ def test_parse_typed_values(tmp_path):
     assert cfg.resolution == (128, 96)
     assert cfg.count_range == (500, 800)
     assert cfg.datasets == ("faust", "tosca")
+
+
+def test_bad_line_named_by_path_and_number(tmp_path):
+    """Comments and blank lines count toward the line number; CRLF line
+    ends read like LF ones."""
+    p = tmp_path / "a.cfg"
+    p.write_bytes(b"# comment\r\n\r\nglobal_seed=3  # inline\r\nbogus\r\n")
+    want = re.escape(f"{p}:4: expected key=value, got 'bogus'")
+    with pytest.raises(ConfigError, match=want):
+        GenerationConfig.from_file(p)
+    p.write_bytes(b"# comment\r\n\r\nglobal_seed=3  # inline\r\n")
+    assert GenerationConfig.from_file(p).global_seed == 3
 
 
 def test_overrides_win(tmp_path):

@@ -213,6 +213,16 @@ def test_closed_mesh_has_no_boundary_quadrics():
     assert vids.shape == (0,) and q.shape == (0, 4, 4)
 
 
+def test_unreferenced_vertices_leave_no_face():
+    """open_patch keeps 593 of its 642 vertices in faces; the 49 others
+    count toward the target, so at 51 every face is collapsed away."""
+    m = open_patch()
+    with pytest.raises(ValueError, match="49 of the 642 vertices"):
+        decimate(m, 51)
+    out, _ = decimate(m, 52)
+    assert out.n_faces > 0
+
+
 @pytest.mark.parametrize("mesh", [bumpy_sphere(3), grid_plane(10)],
                          ids=["bumpy_sphere", "grid_plane"])
 def test_vertex_quadrics_match_per_face_sum(mesh):

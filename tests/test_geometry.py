@@ -128,6 +128,7 @@ def test_connected_components_of_scans_match_reference(resolution):
         assert len(comps) > 300
     for (faces, area), (want_faces, want_area) in zip(comps, want):
         assert faces.tobytes() == want_faces.tobytes()
+        assert (np.diff(faces) > 0).all()
         assert area == want_area
 
 

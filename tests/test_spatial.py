@@ -142,13 +142,47 @@ def test_nearest_points_across_chunk_boundary(rng):
 def test_deterministic_build():
     m = bumpy_sphere(2)
     b1, b2 = TriangleBVH(m), TriangleBVH(m)
-    np.testing.assert_array_equal(b1.face_order, b2.face_order)
+    np.testing.assert_array_equal(b1.leaf_faces, b2.leaf_faces)
     np.testing.assert_array_equal(b1.node_min, b2.node_min)
 
 
+@pytest.mark.parametrize("mesh_builder", [lambda: bumpy_sphere(3),
+                                          lambda: grid_plane(5)],
+                         ids=["bumpy_sphere", "grid_plane"])
+def test_tree_structure(mesh_builder):
+    """Each inner node's box is the union of its children's boxes (left
+    child node + 1, right child node_left[node]); each leaf's box bounds
+    its faces; leaf rows are index-sorted with -1 pads last and together
+    hold every face once."""
+    m = mesh_builder()
+    bvh = TriangleBVH(m)
+    a, b, c = m.face_corners()
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    inner = np.flatnonzero(bvh.leaf_row < 0)
+    left, right = inner + 1, bvh.node_left[inner]
+    assert (right > left).all()
+    np.testing.assert_array_equal(
+        bvh.node_min[inner], np.minimum(bvh.node_min[left], bvh.node_min[right]))
+    np.testing.assert_array_equal(
+        bvh.node_max[inner], np.maximum(bvh.node_max[left], bvh.node_max[right]))
+    leaves = np.flatnonzero(bvh.leaf_row >= 0)
+    np.testing.assert_array_equal(bvh.leaf_row[leaves], np.arange(len(leaves)))
+    assert len(bvh.leaf_faces) == len(leaves)
+    for node in leaves:
+        row = bvh.leaf_faces[bvh.leaf_row[node]]
+        faces = row[row >= 0]
+        assert (row[len(faces):] == -1).all()
+        assert (np.diff(faces) > 0).all()
+        np.testing.assert_array_equal(bvh.node_min[node], lo[faces].min(axis=0))
+        np.testing.assert_array_equal(bvh.node_max[node], hi[faces].max(axis=0))
+    table = bvh.leaf_faces[bvh.leaf_faces >= 0]
+    np.testing.assert_array_equal(np.sort(table), np.arange(m.n_faces))
+
+
 def test_build_leaves_no_cycle():
-    """The recursive build closure is freed by reference counting, so the
-    arrays it captured do not wait for the cycle collector."""
+    """A build creates no reference cycle, so the arrays it holds do not
+    wait for the cycle collector."""
     m = bumpy_sphere(2)
     gc.collect()
     gc.disable()
