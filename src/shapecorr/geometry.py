@@ -21,7 +21,8 @@ def surface_area(mesh):
 
 
 def connected_components(mesh, face_subset=None):
-    """Partition faces into edge-adjacent components.
+    """Partition faces, or the integer array ``face_subset`` of them, into
+    edge-adjacent components.
 
     Returns a list of (face index array, area) sorted by area descending;
     equal areas are ordered by smallest contained face index. Each array is
@@ -31,7 +32,7 @@ def connected_components(mesh, face_subset=None):
     if face_subset is None:
         fidx = np.arange(mesh.n_faces)
     else:
-        fidx = np.asarray(sorted(face_subset), dtype=np.int64)
+        fidx = np.sort(np.asarray(face_subset, dtype=np.int64))
         if len(fidx) and (fidx[0] < 0 or fidx[-1] >= mesh.n_faces):
             raise ValueError("face_subset out of range")
     if len(fidx) == 0:

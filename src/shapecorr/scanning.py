@@ -235,7 +235,9 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
         raise ValueError("need 0 <= min_overlap < max_overlap <= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    aligned_my = _align_to(my, mx, corr_xy)
+    # normalized once: each normalized mesh builds its BVH on first use
+    nx = geo.normalize_to_unit_box(mx)
+    ny = geo.normalize_to_unit_box(_align_to(my, mx, corr_xy))
 
     def dist_to_range(f):
         return max(0.0, lo - f, f - hi)
@@ -245,10 +247,11 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
     for it in range(1, m + 1):
         cam_x, cam_y = sample_constrained_pair(rng, alpha)
         try:
-            px = scan_partial(mx, cam_x, resolution, cache=cache)
+            px = extract_partial(nx, cast_scan(nx, cam_x, resolution, cache),
+                                 cam_x, parent=mx)
             # scan the aligned mesh, keep the original (unaligned) pose
-            py = scan_partial(aligned_my, cam_y, resolution, cache=cache,
-                              parent=my)
+            py = extract_partial(ny, cast_scan(ny, cam_y, resolution, cache),
+                                 cam_y, parent=my)
         except EmptyScanError:
             continue
         stats = compute_overlap(px, py, corr_xy, corr_yx,

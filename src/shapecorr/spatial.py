@@ -1,15 +1,11 @@
 """Bounding-volume hierarchy over mesh triangles.
 
 Answers first-hit ray queries (identical to exhaustive Moller-Trumbore
-intersection, ties at shared edges broken by lowest face index) and nearest
-surface point queries (identical to the exhaustive per-face minimum, ties
-broken by lowest face index). Both take a whole batch of rays or points per
-call and walk the flat node arrays with numpy, not one traversal per query.
-
-Each leaf's faces sit in one table row in ascending face index, so
-``np.argmin`` over a leaf's hit parameters returns the lowest-index face
-among equal ones; across leaves, a hit replaces an equal one only when its
-face index is lower.
+intersection) and nearest surface point queries (identical to the
+exhaustive per-face minimum), ties broken by lowest face index. Both walk
+the tree breadth-first over (query, node) pairs, a chunk of queries at a
+time, and reduce each leaf they reach to the lowest (key, face) per query:
+the key is the hit parameter t of a ray, the squared distance of a point.
 """
 
 from __future__ import annotations
@@ -20,29 +16,28 @@ from .geometry import closest_points_on_triangles
 
 RAY_EPS = 1e-9
 _LEAF_SIZE = 8
-_QUERY_POINTS = 256  # points per nearest-point chunk
-_QUERY_PAIRS = 1024  # (point, face) pairs per closest-point evaluation
+_QUERY_CHUNK = 256  # rays or points per walk
+_QUERY_PAIRS = 1024  # (query, face) pairs per leaf-scan step
 
 
 def ray_triangle_intersections(origins, directions, a, b, c):
-    """Moller-Trumbore for every (ray, triangle) combination.
+    """Moller-Trumbore hit parameter of each ray against each triangle.
 
-    origins/directions: (r, 3); a/b/c: (m, 3). Returns (r, m) array of hit
-    parameters t, +inf where there is no hit. Edge hits within RAY_EPS count
-    for both adjacent faces; callers tie-break by face index.
+    origins/directions/a/b/c: (..., 3) arrays that broadcast together.
+    Returns t with the broadcast shape less the last axis, +inf where there
+    is no hit. Edge hits within RAY_EPS count for both adjacent faces;
+    callers tie-break by face index.
     """
-    o = origins[:, None, :]
-    d = directions[:, None, :]
-    e1 = (b - a)[None, :, :]
-    e2 = (c - a)[None, :, :]
-    pvec = np.cross(d, e2)
+    e1 = b - a
+    e2 = c - a
+    pvec = np.cross(directions, e2)
     det = (e1 * pvec).sum(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / det
-        tvec = o - a[None, :, :]
+        tvec = origins - a
         u = (tvec * pvec).sum(-1) * inv
         qvec = np.cross(tvec, e1)
-        v = (d * qvec).sum(-1) * inv
+        v = (directions * qvec).sum(-1) * inv
         t = ((e2 * qvec).sum(-1)) * inv
     ok = ((np.abs(det) > RAY_EPS)
           & (u >= -RAY_EPS) & (v >= -RAY_EPS) & (u + v <= 1.0 + RAY_EPS)
@@ -53,9 +48,9 @@ def ray_triangle_intersections(origins, directions, a, b, c):
 def exhaustive_first_hits(mesh, origins, directions):
     """Brute-force first hits over all faces; the BVH oracle."""
     a, b, c = mesh.face_corners()
-    t = ray_triangle_intersections(np.asarray(origins, dtype=np.float64),
-                                   np.asarray(directions, dtype=np.float64),
-                                   a, b, c)
+    t = ray_triangle_intersections(
+        np.asarray(origins, dtype=np.float64)[:, None],
+        np.asarray(directions, dtype=np.float64)[:, None], a, b, c)
     k = np.argmin(t, axis=1)  # argmin keeps the lowest face index on ties
     best_t = t[np.arange(len(t)), k]
     return np.where(np.isfinite(best_t), k, -1), best_t
@@ -69,6 +64,9 @@ class TriangleBVH:
     ``node_max`` hold each node's box. ``leaf_row[i]`` is node i's row of
     ``leaf_faces``, -1 for an inner node. A row lists the leaf's faces in
     ascending index, padded at the end with -1 to the largest leaf size.
+
+    Both queries run ``_walk``, which prunes (query, node) pairs with a
+    per-query test and scans the leaves it reaches with ``_scan_leaves``.
     """
 
     def __init__(self, mesh):
@@ -129,44 +127,38 @@ class TriangleBVH:
         directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
         n = len(origins)
         best_t = np.full(n, np.inf)
-        best_f = np.full(n, -1, dtype=np.int64)
+        best_face = np.full(n, -1, dtype=np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_d = 1.0 / directions
         a, b, c = self._tri
-        stack = [(0, np.arange(n))]
-        while stack:
-            node, rays = stack.pop()
-            tmin = self._slab_entry(origins[rays], inv_d[rays], node)
-            # prune when the box is missed (entry inf) or cannot contain a
-            # better-or-equal hit; equal-t lower-index faces are never skipped
-            live = np.isfinite(tmin) & (tmin <= best_t[rays])
-            rays = rays[live]
-            if len(rays) == 0:
-                continue
-            row = self.leaf_row[node]
-            if row >= 0:
-                faces = self.leaf_faces[row]
-                faces = faces[faces >= 0]
-                t = ray_triangle_intersections(origins[rays], directions[rays],
-                                               a[faces], b[faces], c[faces])
-                k = np.argmin(t, axis=1)  # lowest face index among equal t
-                tt = t[np.arange(len(t)), k]
-                f = np.where(np.isfinite(tt), faces[k], -1)
-                better = (tt < best_t[rays]) | (
-                    (tt == best_t[rays]) & (f >= 0) & (f < best_f[rays]))
-                upd = rays[better]
-                best_t[upd] = tt[better]
-                best_f[upd] = f[better]
-            else:
-                stack.append((self.node_left[node], rays))
-                stack.append((node + 1, rays))
-        return best_f, best_t
+
+        def keep(q, node):
+            # a missed box has entry inf; <= keeps boxes that may hold an
+            # equal-t face of lower index
+            entry = self._slab_entry(origins[q], inv_d[q], node)
+            return np.isfinite(entry) & (entry <= best_t[q])
+
+        def keys(q, face):
+            return ray_triangle_intersections(origins[q], directions[q],
+                                              a[face], b[face], c[face])
+
+        for s in range(0, n, _QUERY_CHUNK):
+            q = np.arange(s, min(s + _QUERY_CHUNK, n))
+            self._walk(q, np.zeros(len(q), dtype=np.int64), keep, keys,
+                       best_t, best_face)
+        return best_face, best_t
 
     def _slab_entry(self, origins, inv_d, node):
-        t0 = (self.node_min[node] - origins) * inv_d
-        t1 = (self.node_max[node] - origins) * inv_d
-        tmin = np.minimum(t0, t1).max(axis=1)
-        tmax = np.maximum(t0, t1).min(axis=1)
+        """Ray parameter where each origins[i] + t d[i] (t >= 0) enters the
+        box of node[i], +inf where it misses."""
+        with np.errstate(invalid="ignore"):
+            t0 = (self.node_min[node] - origins) * inv_d
+            t1 = (self.node_max[node] - origins) * inv_d
+        # 0 * inf: a ray parallel to an axis, starting in the plane of a box
+        # face, stays inside that axis' slab for every t
+        flat = np.isnan(t0) | np.isnan(t1)
+        tmin = np.where(flat, -np.inf, np.minimum(t0, t1)).max(axis=1)
+        tmax = np.where(flat, np.inf, np.maximum(t0, t1)).min(axis=1)
         entry = np.maximum(tmin, 0.0)
         entry[tmax < entry] = np.inf
         return entry
@@ -187,8 +179,8 @@ class TriangleBVH:
         faces = np.empty(len(points), dtype=np.int64)
         bary = np.empty((len(points), 3))
         a, b, c = self._tri
-        for s in range(0, len(points), _QUERY_POINTS):
-            p = points[s:s + _QUERY_POINTS]
+        for s in range(0, len(points), _QUERY_CHUNK):
+            p = points[s:s + _QUERY_CHUNK]
             f = self._nearest_faces(p)
             faces[s:s + len(p)] = f
             bary[s:s + len(p)] = closest_points_on_triangles(p, a[f], b[f], c[f])[1]
@@ -197,7 +189,13 @@ class TriangleBVH:
     def _nearest_faces(self, p):
         """Nearest face for each point of one chunk p (m, 3)."""
         m = len(p)
-        # 1. descend greedily to one leaf per point; its faces bound d2 above
+        a, b, c = self._tri
+
+        def keys(q, face):
+            near, _ = closest_points_on_triangles(p[q], a[face], b[face], c[face])
+            return ((near - p[q]) ** 2).sum(axis=1)
+
+        # descend greedily to one leaf per point; its faces bound d2 above
         leaf = np.zeros(m, dtype=np.int64)
         inner = np.flatnonzero(self.leaf_row[leaf] < 0)
         while len(inner):
@@ -208,26 +206,17 @@ class TriangleBVH:
             inner = inner[self.leaf_row[leaf[inner]] < 0]
         best_d2 = np.full(m, np.inf)
         best_face = np.full(m, -1, dtype=np.int64)
-        self._scan_leaves(p, np.arange(m), leaf, best_d2, best_face)
+        q = np.arange(m)
+        self._scan_leaves(q, leaf, keys, best_d2, best_face)
 
-        # 2. every other leaf whose box is within the bound (<= keeps exact
-        # ties); the greedy leaf is already scanned, so rounding that puts
-        # its box distance above the bound its own faces set cannot drop it
-        hit_pt, hit_node = [], []
-        fp, fn = np.arange(m), np.zeros(m, dtype=np.int64)
-        while len(fp):
-            keep = self._box_d2(p[fp], fn) <= best_d2[fp]
-            fp, fn = fp[keep], fn[keep]
-            at_leaf = self.leaf_row[fn] >= 0
-            new = at_leaf & (fn != leaf[fp])
-            hit_pt.append(fp[new])
-            hit_node.append(fn[new])
-            fp, fn = fp[~at_leaf], fn[~at_leaf]
-            fp, fn = np.tile(fp, 2), np.concatenate([fn + 1, self.node_left[fn]])
+        # then every other box within the bound (<= keeps exact ties); the
+        # greedy leaf is already scanned, so rounding that puts its box
+        # distance above the bound its own faces set cannot drop it
+        def keep(q, node):
+            return (self._box_d2(p[q], node) <= best_d2[q]) & (node != leaf[q])
 
-        # 3. and 4. exact distances to their faces, lowest (d2, face) wins
-        self._scan_leaves(p, np.concatenate(hit_pt), np.concatenate(hit_node),
-                          best_d2, best_face)
+        self._walk(q, np.zeros(m, dtype=np.int64), keep, keys, best_d2,
+                   best_face)
         return best_face
 
     def _box_d2(self, p, node):
@@ -236,30 +225,44 @@ class TriangleBVH:
         d = np.maximum(d, p - self.node_max[node])
         return (d * d).sum(axis=1)
 
-    def _scan_leaves(self, p, pt, node, best_d2, best_face):
-        """Lower best_d2/best_face[pt[i]] to the faces of leaf node[i] that
-        are nearer to p[pt[i]], or as near with a lower index.
+    # --- the shared walk ---
 
-        Works in chunks of at most _QUERY_PAIRS (point, face) pairs.
+    def _walk(self, q, node, keep, keys, best, best_face):
+        """Walk down from the pairs (query q[i], node node[i]), one tree
+        level per step, keeping a pair while ``keep(q, node)`` holds. The
+        leaves reached are scanned at once, so deeper levels prune against
+        the lowered bests."""
+        while len(q):
+            live = keep(q, node)
+            q, node = q[live], node[live]
+            leaf = self.leaf_row[node] >= 0
+            self._scan_leaves(q[leaf], node[leaf], keys, best, best_face)
+            q, node = q[~leaf], node[~leaf]
+            q, node = np.tile(q, 2), np.concatenate([node + 1,
+                                                     self.node_left[node]])
+
+    def _scan_leaves(self, q, node, keys, best, best_face):
+        """Lower best/best_face[q[i]] to the faces of leaf node[i] whose
+        ``keys(query, face)`` is lower, or equal with a lower face index.
+
+        Works in chunks of at most _QUERY_PAIRS (query, face) pairs.
         """
-        a, b, c = self._tri
         step = max(1, _QUERY_PAIRS // self.leaf_faces.shape[1])
-        for s in range(0, len(pt), step):
+        for s in range(0, len(q), step):
             table = self.leaf_faces[self.leaf_row[node[s:s + step]]]
             valid = table >= 0
-            row = np.broadcast_to(pt[s:s + step, None], table.shape)[valid]
+            row = np.broadcast_to(q[s:s + step, None], table.shape)[valid]
             face = table[valid]
-            q = p[row]
-            near, _ = closest_points_on_triangles(q, a[face], b[face], c[face])
-            d2 = ((near - q) ** 2).sum(axis=1)
-            order = np.lexsort((face, d2, row))
+            key = keys(row, face)
+            order = np.lexsort((face, key, row))
             first = np.ones(len(order), dtype=bool)
             first[1:] = row[order[1:]] != row[order[:-1]]
             win = order[first]
-            row, face, d2 = row[win], face[win], d2[win]
-            better = (d2 < best_d2[row]) | (
-                (d2 == best_d2[row]) & (face < best_face[row]))
-            best_d2[row[better]] = d2[better]
+            row, face, key = row[win], face[win], key[win]
+            # a miss (key inf) never replaces: its face is above best's -1
+            better = (key < best[row]) | (
+                (key == best[row]) & (face < best_face[row]))
+            best[row[better]] = key[better]
             best_face[row[better]] = face[better]
 
 

@@ -59,7 +59,7 @@ class TestConnectedComponents:
         a, b, c = m.face_corners()
         zc = (a[:, 2] + b[:, 2] + c[:, 2]) / 3.0
         keep = np.flatnonzero(np.abs(zc) > 0.25)
-        comps = geo.connected_components(m, set(keep.tolist()))
+        comps = geo.connected_components(m, keep)
         assert len(comps) >= 2  # hemispheres plus possible stray faces
         got = np.sort(np.concatenate([fa for fa, _ in comps]))
         np.testing.assert_array_equal(got, np.sort(keep))
@@ -86,10 +86,10 @@ class TestConnectedComponents:
 
     def test_face_subset_partition(self):
         m = icosphere(1)
-        subset = set(range(0, 40, 3))
+        subset = np.arange(0, 40, 3)
         comps = geo.connected_components(m, subset)
         all_faces = sorted(int(f) for fa, _ in comps for f in fa)
-        assert all_faces == sorted(subset)
+        assert all_faces == subset.tolist()
 
 
 def reference_connected_components(mesh, fidx):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
+from shapecorr import spatial
 from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
 from shapecorr.scanning import (CameraPose, EmptyScanError, RaycastCache,
                                 angular_disparity, camera_rays, cast_scan,
@@ -268,6 +269,24 @@ class TestGeneratePartialPair:
         assert r1[0].mesh == r2[0].mesh
         assert r1[1].mesh == r2[1].mesh
         assert r1[2].frac_x_to_y == r2[2].frac_x_to_y
+
+    def test_one_bvh_build_per_shape(self, monkeypatch):
+        # an overlap window no attempt reaches makes all m attempts run
+        builds = []
+
+        class CountingBVH(spatial.TriangleBVH):
+            def __init__(self, mesh):
+                builds.append(mesh.id)
+                super().__init__(mesh)
+
+        monkeypatch.setattr(spatial, "TriangleBVH", CountingBVH)
+        mx, my, cxy, cyx = sphere_pair()
+        params = dict(self.PARAMS, min_overlap=0.0, max_overlap=1e-9, m=5)
+        _, _, st = generate_partial_pair(mx, my, cxy, cyx, params,
+                                         np.random.default_rng(24),
+                                         resolution=(32, 32))
+        assert not st.within_range
+        assert sorted(builds) == ["pairx", "pairy"]
 
     def test_degenerate_correspondence_rejected(self):
         mx, my, cxy, cyx = sphere_pair()

@@ -62,6 +62,34 @@ def test_bvh_matches_exhaustive_10k_rays(mesh_builder, rng):
     np.testing.assert_array_equal(t_bvh, t_ex)
 
 
+def assert_first_hits_match_oracle(mesh, origins, dirs):
+    """BVH first hits equal exhaustive_first_hits; returns the faces."""
+    f_bvh, t_bvh = mesh.bvh.first_hits(origins, dirs)
+    f_ex, t_ex = exhaustive_first_hits(mesh, origins, dirs)
+    np.testing.assert_array_equal(f_bvh, f_ex)
+    np.testing.assert_array_equal(t_bvh, t_ex)
+    return f_bvh
+
+
+def test_axis_parallel_rays_in_box_face_planes():
+    # straight down onto grid vertices and edge midpoints: each ray's x and
+    # y lie in the planes of box faces, where the slab test meets 0 * inf
+    g = grid_plane(8)
+    v, f = g.vertices, g.faces
+    mids = np.concatenate([(v[f[:, i]] + v[f[:, (i + 1) % 3]]) / 2.0
+                           for i in range(3)])
+    origins = np.concatenate([v, mids]) + [0, 0, 1.0]
+    dirs = np.broadcast_to([0.0, 0.0, -1.0], origins.shape)
+    assert (assert_first_hits_match_oracle(g, origins, dirs) >= 0).all()
+
+
+def test_first_hits_empty():
+    faces, t = bumpy_sphere(2).bvh.first_hits(np.empty((0, 3)),
+                                              np.empty((0, 3)))
+    assert faces.shape == (0,)
+    assert t.shape == (0,)
+
+
 def test_shared_edge_hit_lowest_face(rng):
     # ray aimed exactly at the shared edge of two triangles
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
@@ -70,6 +98,26 @@ def test_shared_edge_hit_lowest_face(rng):
     f, _ = m.bvh.first_hits([mid + [0, 0, 2.0]], [[0.0, 0.0, -1.0]])
     fo, _ = exhaustive_first_hits(m, [mid + [0, 0, 2.0]], [[0.0, 0.0, -1.0]])
     assert f[0] == fo[0] == 0
+
+
+def test_shared_edge_hit_across_tree_levels():
+    # a strip of 17 triangles along x: the root splits it into a leaf of
+    # the first 8 by centroid and an inner node over the other 9, so the
+    # shared edge of the 8th and 9th lies across two tree levels, and the
+    # deeper face has the lower index; its box is entered at the same t
+    # as the best hit found so far, which must not prune it
+    bottom = [[k, 0.0, 0.0] for k in range(10)]
+    top = [[k + 0.5, 1.0, 0.0] for k in range(9)]
+    up = [[k, k + 1, 10 + k] for k in range(9)]
+    down = [[k + 1, 11 + k, 10 + k] for k in range(8)]
+    m = Mesh(bottom + top, up + down)
+    bvh = TriangleBVH(m)
+    assert bvh.leaf_row[1] >= 0 and bvh.leaf_row[bvh.node_left[0]] < 0
+    origin = [[4.25, 0.5, 1.0]]  # above the edge shared by up[4], down[3]
+    f, t = bvh.first_hits(origin, [[0.0, 0.0, -1.0]])
+    fo, to = exhaustive_first_hits(m, origin, [[0.0, 0.0, -1.0]])
+    assert f[0] == fo[0] == 4
+    assert t[0] == to[0] == 1.0
 
 
 def assert_nearest_matches_oracle(mesh, points):
@@ -133,10 +181,14 @@ def test_nearest_points_empty():
     assert bary.shape == (0, 3)
 
 
-def test_nearest_points_across_chunk_boundary(rng):
+@pytest.mark.parametrize("query", ["first_hits", "nearest_points"])
+def test_query_across_chunk_boundary(query, rng):
     m = bumpy_sphere(2)
-    assert_nearest_matches_oracle(
-        m, rng.normal(size=(spatial._QUERY_POINTS + 1, 3)) * 1.5)
+    n = spatial._QUERY_CHUNK + 1
+    if query == "first_hits":
+        assert_first_hits_match_oracle(m, *random_rays_at(m, rng, n))
+    else:
+        assert_nearest_matches_oracle(m, rng.normal(size=(n, 3)) * 1.5)
 
 
 def test_deterministic_build():
