@@ -43,15 +43,19 @@ The numpy work is batched: ``edge_entries`` prices the initial heap in
 chunks, and a window makes one flip test and one pricing batch. Batches
 must round like per-edge and per-face arithmetic, because a last-bit
 change in a cost can reorder collapses. Batched
-``np.linalg.svd``/``solve``, batched ``np.cross``, stacked ``matmul`` and
-``np.vecdot`` round exactly like their per-item calls (numpy 2.4);
-``einsum`` and ``(a * b).sum(-1)`` sum in another order and do not, so
-they are not used here. Per-vertex quadrics are summed with one
-``np.add.at`` in (face, corner) order, the order of a per-face loop.
-Boundary quadrics are priced in one batch too: ``np.sqrt(np.vecdot(n,
-n))`` rounds like the per-row ``np.linalg.norm`` and ``norm(axis=1)``
-does not. They are summed with one ``np.add.at`` edge by edge, ``i``
-before ``j``, the order of a per-edge loop.
+``np.linalg.svd``/``solve``, stacked ``matmul`` and ``np.vecdot`` round
+exactly like their per-item calls (numpy 2.4), and so do cross products
+spelled per component (``a1*b2 - a2*b1``, as ``np.cross`` computes them
+without its wrapper); ``einsum`` and ``(a * b).sum(-1)`` sum in another
+order and do not, so they are not used here. Per-vertex quadrics are
+summed with one ``np.add.at`` in (face, corner) order, the order of a
+per-face loop. Boundary quadrics are priced in one batch too:
+``np.sqrt(np.vecdot(n, n))`` rounds like the per-row ``np.linalg.norm``
+and ``norm(axis=1)`` does not. They are summed with one ``np.add.at``
+edge by edge, ``i`` before ``j``, the order of a per-edge loop. Only the
+``ok`` mask of the conditioning SVD is read; a determinant test proves
+most rows well conditioned, and only the others are decomposed
+(``_well_conditioned``).
 """
 
 from __future__ import annotations
@@ -70,6 +74,10 @@ from .store import ContentStore
 from .textio import FormatError, key_values
 
 _SINGULAR_COND = 1e12
+# condition bound that the determinant test proves without an SVD; the
+# factor 1000 under _SINGULAR_COND absorbs rounding (see _well_conditioned)
+_DECIDED_COND = 1e9
+_TINY = np.finfo(np.float64).tiny
 # edges per batch of the initial heap; small enough that the batch's
 # (k, 4, 4) temporaries add no measurable peak RSS (4096 added ~0.25 MB
 # when decimating a 642-vertex mesh) and no measurable time
@@ -85,11 +93,20 @@ class RemeshResult:
     max_projection_error: float
 
 
+def _cross(a, b):
+    """``np.cross`` of (..., 3) arrays, spelled per component without the
+    wrapper; it rounds exactly like ``np.cross`` (numpy 2.4)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=-1)
+
+
 def _face_quadrics(vertices, faces):
     a = vertices[faces[:, 0]]
     b = vertices[faces[:, 1]]
     c = vertices[faces[:, 2]]
-    n = np.cross(b - a, c - a)
+    n = _cross(b - a, c - a)
     double_area = np.linalg.norm(n, axis=1)
     safe = np.where(double_area > 0, double_area, 1.0)
     n = n / safe[:, None]
@@ -107,7 +124,7 @@ def _boundary_quadrics(vertices, faces):
     fa, fb, fc = (vertices[faces[rows % len(faces), k]] for k in range(3))
     i, j = directed[rows].T
     edge = vertices[j] - vertices[i]
-    n = np.cross(edge, np.cross(fb - fa, fc - fa))
+    n = _cross(edge, _cross(fb - fa, fc - fa))
     ln = np.sqrt(np.vecdot(n, n))
     keep = ~(ln < 1e-15)
     i, j, edge = i[keep], j[keep], edge[keep]
@@ -128,16 +145,45 @@ def _quadric_costs(q, p):
     return (h[..., None, :] @ q @ h[..., :, None])[..., 0, 0]
 
 
+def _well_conditioned(A):
+    """Rows of the (k, 3, 3) stack ``A`` whose condition number, as the
+    singular values of ``np.linalg.svd`` give it, is finite and below
+    ``_SINGULAR_COND``.
+
+    A cheap test decides most rows, and only the others go through the
+    SVD. With ``F = ||A||_F`` and singular values ``s0 >= s1 >= s2``:
+    ``s0, s1 <= F`` and ``s2 = |det A| / (s0 s1)``, so ``cond = s0 / s2 <=
+    F**3 / |det A|``. The cofactor determinant is off by at most about
+    ``10 eps F**3`` (its six products sum to at most ``F**3`` in absolute
+    value), so a row with ``F**3 < _DECIDED_COND * |det|`` computed has
+    ``cond < 1.0001 * _DECIDED_COND``. The singular values LAPACK returns
+    are off by at most ``p eps s0`` for a small ``p``, so their ratio stays
+    far below ``_SINGULAR_COND = 1000 * _DECIDED_COND`` and the SVD would
+    accept the row too. ``F**3`` must not underflow, or the rounding of
+    the determinant is no longer relative; NaN and overflow fail the test
+    and go to the SVD.
+    """
+    flat = A.reshape(len(A), 9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.vecdot(A[:, 0], _cross(A[:, 1], A[:, 2]))
+        fro3 = np.sqrt(np.vecdot(flat, flat)) ** 3
+        ok = (fro3 < _DECIDED_COND * np.abs(det)) & (fro3 >= _TINY)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        s = np.linalg.svd(A[rest], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok[rest] = ((s[:, 0] > 0) & (s[:, 2] > 0)
+                        & (s[:, 0] / s[:, 2] < _SINGULAR_COND))
+    return ok
+
+
 def _optimal_positions(q, vi_pos, vj_pos):
     """Collapse targets minimizing each combined quadric of the (k, 4, 4)
     stack ``q``; the cheapest of midpoint and endpoints where the 3x3
     system is ill-conditioned."""
     A = q[:, :3, :3]
     b = -q[:, :3, 3]
-    s = np.linalg.svd(A, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = ((s[:, 0] > 0) & (s[:, 2] > 0)
-              & (s[:, 0] / s[:, 2] < _SINGULAR_COND))
+    ok = _well_conditioned(A)
     pos = np.empty_like(b)
     pos[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
     bad = ~ok
@@ -239,8 +285,8 @@ class _DecimationState:
         old = self.v[f]
         moving = (f == ij[:, :1]) | (f == ij[:, 1:])
         tri = np.stack([old, np.where(moving[..., None], pos[:, None], old)])
-        n_old, n_new = np.cross(tri[:, :, 1] - tri[:, :, 0],
-                                tri[:, :, 2] - tri[:, :, 0])
+        n_old, n_new = _cross(tri[:, :, 1] - tri[:, :, 0],
+                              tri[:, :, 2] - tri[:, :, 0])
         flips = owner[np.vecdot(n_new, n_old) <= 0]
         return np.bincount(flips, minlength=len(candidates)) > 0
 

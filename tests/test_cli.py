@@ -1,4 +1,8 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,66 @@ class TestEvaluate:
                      "--predictions", str(empty),
                      "--output", str(ws / "eval")])
         assert code == 1
+
+
+# Generates F2F (with remeshing) and P2P instances in a fresh interpreter,
+# then evaluates them: generation must not load scipy.sparse, evaluation
+# must load it on first use and still score. The predictions are the ground
+# truth shifted by one row, so that evaluation needs Dijkstra.
+NUMPY_ONLY_GENERATION = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import shapecorr
+from shapecorr.cli import main
+from shapecorr.metrics import gt_as_prediction
+from shapecorr.pipeline import load_instance
+
+ws = Path(sys.argv[1])
+common = ["--config", str(ws / "run.cfg"),
+          "--network", str(ws / "network.manifest"),
+          "--split-manifest", str(ws / "split.manifest")]
+runs = {"f2f": ["--set", "remesh=true", "--set", "count_range=80-120"],
+        "p2p": ["--set", "setting=partial_partial"]}
+for out, extra in runs.items():
+    assert main(["generate", *common, "--output", str(ws / out), *extra]) == 0
+print("after generation", "scipy.sparse" in sys.modules)
+for out in runs:
+    names = (ws / out / "instances.manifest").read_text().split()
+    preds = ws / (out + "_preds")
+    preds.mkdir()
+    for n in names:
+        _, shape_y, gt, _ = load_instance(ws / out / n)
+        pred = np.roll(gt_as_prediction(gt, shape_y), 1)
+        (preds / (n + ".txt")).write_text(
+            "\\n".join(str(int(v)) for v in pred) + "\\n")
+    assert main(["evaluate", "--instances", str(ws / out), "--predictions",
+                 str(preds), "--output", str(ws / (out + "_eval"))]) == 0
+print("after evaluation", "scipy.sparse" in sys.modules)
+"""
+
+
+def test_generation_runs_without_scipy(workspace):
+    """The pytest process has imported scipy already, so this runs in a
+    subprocess."""
+    ws, _ = workspace
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_GENERATION,
+                           str(ws)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "after generation False" in lines
+    assert "after evaluation True" in lines
+    for out in ("f2f", "p2p"):
+        assert len((ws / out / "instances.manifest").read_text().split()) == 2
+        summary = (ws / (out + "_eval") / "summary.txt").read_text()
+        auc = float(summary.split("mean_auc=")[1].split()[0])
+        assert 0.0 < auc < 100.0
 
 
 class TestOtherCommands:

@@ -7,7 +7,8 @@ import pytest
 from shapecorr import geometry as geo
 from shapecorr.decimate import (_SINGULAR_COND, RemeshCache,
                                 _DecimationState, _boundary_quadrics,
-                                _face_quadrics, back_correspondence, decimate,
+                                _face_quadrics, _well_conditioned,
+                                back_correspondence, decimate,
                                 remesh_with_correspondence)
 from shapecorr.meshes import Mesh
 from shapecorr.meshio import validation_report
@@ -141,6 +142,45 @@ def reference_position(q, vi_pos, vj_pos):
     candidates = [(vi_pos + vj_pos) / 2.0, vi_pos, vj_pos]
     costs = [reference_cost(q, p) for p in candidates]
     return candidates[int(np.argmin(costs))], False
+
+
+def test_well_conditioned_matches_svd_rule(rng, monkeypatch):
+    """The determinant test decides rows without changing the mask of the
+    per-row SVD rule, on rows near both condition bounds, of rank 0-2 and
+    at extreme scales; it leaves some rows, not all, to the SVD."""
+    spectra = [(1, 1, 1), (1, 0.3, 1e-5)]
+    for cond in (1e9, 1e12):
+        spectra += [(1, 1, 1 / (cond * f)) for f in (0.999, 1, 1.001)]
+        spectra += [(1, 1 / np.sqrt(cond), 1 / (cond * f))
+                    for f in (0.999, 1, 1.001)]
+    spectra += [(1, 1, 0), (1, 0, 0), (0, 0, 0)]
+    spectra += [(1, 10 ** -u, 0) for u in rng.uniform(0, 3, size=20)]
+    spectra += [(1, 10 ** -u, 10 ** -(u + v)) for u, v in
+                rng.uniform(0, 7, size=(100, 2))]
+    rows = []
+    for s in spectra:
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        w, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        # at 1e-106 the Frobenius cube underflows and the rounding of a
+        # rank-2 determinant can leave it nonzero
+        for scale in (1e-106, 1e-30, 1.0, 1e30, 1e103):
+            rows += [scale * (u * s) @ u.T, scale * (u * s) @ w.T]
+    rows = np.array(rows)
+    want = []
+    for a in rows:
+        sv = np.linalg.svd(a, compute_uv=False)
+        want.append(sv[0] > 0 and sv[2] > 0 and sv[0] / sv[2] < _SINGULAR_COND)
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, **kw):
+        decomposed.append(len(a))
+        return svd(a, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    np.testing.assert_array_equal(_well_conditioned(rows), want)
+    assert 0 < sum(decomposed) < len(rows)
+    assert 0 < sum(want) < len(rows)
 
 
 def reference_flips_normal(st, i, j, pos):

@@ -121,15 +121,78 @@ def test_connected_components_of_scans_match_reference(resolution):
     components; faces, areas and order match the reference."""
     m = geo.normalize_to_unit_box(bumpy_sphere(4))
     hit = cast_scan(m, CameraPose(0.3, 0.2, 2.5), resolution)
-    comps = geo.connected_components(m, hit)
-    want = reference_connected_components(m, hit)
-    assert len(comps) == len(want)
+    comps = assert_components_match_reference(m, hit)
     if resolution != (256, 256):
         assert len(comps) > 300
+
+
+def assert_components_match_reference(mesh, fidx):
+    """``connected_components`` equals the reference on the sorted distinct
+    ``fidx`` in faces, areas and order, bit for bit; returns the
+    components."""
+    comps = geo.connected_components(mesh, fidx)
+    want = reference_connected_components(mesh, np.unique(fidx))
+    assert len(comps) == len(want)
     for (faces, area), (want_faces, want_area) in zip(comps, want):
         assert faces.tobytes() == want_faces.tobytes()
         assert (np.diff(faces) > 0).all()
         assert area == want_area
+    return comps
+
+
+def strip(n_quads, seed):
+    """A long strip of 2 * n_quads triangles with shuffled face ids: one
+    component whose dual graph is a path in random index order."""
+    x = np.arange(n_quads + 1.0)
+    vertices = np.concatenate([np.stack([x, 0 * x, 0 * x], axis=1),
+                               np.stack([x, 0 * x + 1, 0 * x], axis=1)])
+    k = np.arange(n_quads)
+    top = k + n_quads + 1
+    faces = np.concatenate([np.stack([k, k + 1, top], axis=1),
+                            np.stack([k + 1, top + 1, top], axis=1)])
+    return Mesh(vertices, faces[np.random.default_rng(seed).permutation(
+        len(faces))])
+
+
+class TestComponentsAgainstReference:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_shuffled_strip(self, reverse):
+        m = strip(2000, seed=3)
+        if reverse:
+            m = Mesh(m.vertices, m.faces[::-1])
+        comps = assert_components_match_reference(m, np.arange(m.n_faces))
+        assert len(comps) == 1
+        # drop the quads at x = 250, 750, 1250 and 1750: five pieces
+        x = m.vertices[m.faces].mean(axis=1)[:, 0]
+        keep = np.flatnonzero(np.floor(x) % 500 != 250)
+        assert len(assert_components_match_reference(m, keep)) == 5
+
+    def test_non_manifold_fan(self):
+        # three faces on the edge (0, 1), and one face apart
+        m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                  [5, 0, 0], [6, 0, 0], [5, 1, 0]],
+                 [[5, 6, 7], [0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        comps = assert_components_match_reference(m, np.arange(4))
+        np.testing.assert_array_equal(comps[0][0], [1, 2, 3])
+
+    def test_subset_with_isolated_faces(self):
+        m = icosphere(3)
+        subset = np.concatenate([np.arange(0, m.n_faces, 17),
+                                 np.arange(100, 140)])
+        comps = assert_components_match_reference(m, subset)
+        assert sum(len(f) == 1 for f, _ in comps) > 10
+
+    def test_empty_subset(self):
+        m = icosphere(1)
+        empty = np.array([], dtype=np.int64)
+        assert assert_components_match_reference(m, empty) == []
+
+    def test_repeated_ids_count_once(self):
+        m = icosphere(1)
+        (faces, area), = geo.connected_components(m, np.array([5, 5]))
+        np.testing.assert_array_equal(faces, [5])
+        assert area == geo.face_areas(m, [5])[0]
+        assert_components_match_reference(m, np.array([5, 7, 5, 7, 30]))
 
 
 def closest_point(p, a, b, c):
