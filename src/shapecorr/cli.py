@@ -16,8 +16,9 @@ from pathlib import Path
 from .config import ConfigError, GenerationConfig
 from .corrio import load_correspondence, save_correspondence
 from .meshio import load_mesh
-from .metrics import (aggregate_reports, check_target, evaluate_instance,
-                      load_prediction, write_report, write_summary)
+from .metrics import (aggregate_reports, check_setting, check_target,
+                      evaluate_instance, load_prediction, write_report,
+                      write_summary)
 from .network import NetworkError, build_network, correspondence_between, \
     propagate_annotation
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
@@ -121,6 +122,7 @@ def _load_scored(directory):
         setting, area = meta["setting"], float(meta["area_full_y"])
     except KeyError as exc:
         raise ValueError(f"meta.txt has no {exc} entry") from None
+    check_setting(setting)
     shape_y = load_mesh(directory / "y.ply")
     gt = load_correspondence(directory / "gt.corr")
     check_target(gt, shape_y, area)

@@ -226,15 +226,24 @@ def edge_graph(mesh):
     return sparse.csr_matrix((np.concatenate([w, w]), both), shape=(n, n))
 
 
-def geodesic_distance_fields(mesh, sources):
-    """Distance fields from several source vertices at once, shape (s, n)."""
+def geodesic_distance_fields(mesh, sources, limit=np.inf):
+    """Distance fields from several source vertices at once, shape (s, n).
+
+    Each row is one Dijkstra search over ``mesh.graph``, the mesh's
+    ``edge_graph``, built once per mesh. That graph stores both directions
+    of every edge, so a directed search sees the same edges as an
+    undirected one and gives its values bit for bit, without scipy merging
+    the graph with its transpose. A search stops at distance ``limit``:
+    weights are non-negative, so every vertex within ``limit`` gets the
+    value of an unlimited search, and every other vertex ``inf``.
+    """
     sources = np.asarray(sources, dtype=np.int64)
     if len(sources) and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
         raise IndexError("source vertex out of range")
     from scipy.sparse import csgraph
 
-    g = edge_graph(mesh)
-    return csgraph.dijkstra(g, directed=False, indices=sources)
+    return csgraph.dijkstra(mesh.graph, directed=True, indices=sources,
+                            limit=limit)
 
 
 def snap_correspondence_to_vertices(corr, target_mesh):

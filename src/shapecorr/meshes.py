@@ -56,6 +56,7 @@ class Mesh:
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
         self._bvh = None
+        self._graph = None
 
     def _validate(self):
         if not np.isfinite(self.vertices).all():
@@ -105,6 +106,14 @@ class Mesh:
             from .spatial import TriangleBVH
             self._bvh = TriangleBVH(self)
         return self._bvh
+
+    @property
+    def graph(self):
+        # the edge graph of geodesic searches, built lazily like the BVH
+        if self._graph is None:
+            from .geometry import edge_graph
+            self._graph = edge_graph(self)
+        return self._graph
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):

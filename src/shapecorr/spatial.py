@@ -76,41 +76,11 @@ class TriangleBVH:
         hi = np.maximum(np.maximum(a, b), c)
         centroids = (a + b + c) / 3.0
 
-        order = np.arange(mesh.n_faces)
-        node_min, node_max, node_left, leaf_row, leaf_count = [], [], [], [], []
-        # (start, end, parent): a right child fills its parent's node_left;
-        # popping left children first numbers the nodes in pre-order
-        stack = [(0, mesh.n_faces, -1)]
-        while stack:
-            start, end, parent = stack.pop()
-            idx = len(node_min)
-            if parent >= 0:
-                node_left[parent] = idx
-            sel = order[start:end]
-            node_min.append(lo[sel].min(axis=0))
-            node_max.append(hi[sel].max(axis=0))
-            node_left.append(-1)
-            if end - start > _LEAF_SIZE:
-                axis = int(np.argmax(node_max[-1] - node_min[-1]))
-                # stable sort on (centroid, face idx) keeps builds deterministic
-                order[start:end] = sel[np.argsort(centroids[sel, axis],
-                                                  kind="stable")]
-                # median splits keep the depth near log2(n / _LEAF_SIZE) + 1
-                mid = start + (end - start) // 2
-                stack += [(mid, end, idx), (start, mid, -1)]
-                leaf_row.append(-1)
-            else:
-                leaf_row.append(len(leaf_count))
-                leaf_count.append(end - start)
-
-        self.node_min = np.asarray(node_min)
-        self.node_max = np.asarray(node_max)
-        self.node_left = np.asarray(node_left, dtype=np.int64)
-        self.leaf_row = np.asarray(leaf_row, dtype=np.int64)
+        (order, self.node_min, self.node_max, self.node_left, self.leaf_row,
+         counts) = _median_split_tree(lo, hi, centroids)
 
         # pre-order meets the leaves left to right, so they tile order; each
         # row is sorted with its pads as n_faces, which puts them last
-        counts = np.asarray(leaf_count)
         cols = np.arange(counts.max())
         slot = np.minimum((np.cumsum(counts) - counts)[:, None] + cols,
                           len(order) - 1)
@@ -264,6 +234,80 @@ class TriangleBVH:
                 (key == best[row]) & (face < best_face[row]))
             best[row[better]] = key[better]
             best_face[row[better]] = face[better]
+
+
+def _median_split_tree(lo, hi, centroids):
+    """Median-split tree over the faces with boxes ``lo`` / ``hi`` (m, 3),
+    built one level at a time.
+
+    A node with more than ``_LEAF_SIZE`` faces sorts them, stably, by the
+    centroid coordinate on the longest axis of its box and gives the lower
+    half (rounded down) to its left child; the stable sort keeps builds
+    deterministic, and median splits keep the depth near
+    log2(m / _LEAF_SIZE) + 1. Each level is a few whole-array operations:
+    boxes by ``reduceat`` over the level's runs, and one ``lexsort`` of
+    every run to split.
+
+    Returns ``(order, node_min, node_max, node_left, leaf_row,
+    leaf_count)``: ``order`` lists the faces so that every node holds a
+    contiguous run of it, the node arrays are as ``TriangleBVH`` keeps
+    them, and ``leaf_count[r]`` is the size of leaf row r.
+    """
+    lo_t, hi_t, cen_t = (np.ascontiguousarray(x.T)
+                         for x in (lo, hi, centroids))
+    order = np.arange(len(lo))
+    start, size = np.zeros(1, dtype=np.int64), np.array([len(lo)])
+    levels = []  # (start, size, box min, box max, inner) per depth
+    while len(start):
+        # a level's nodes tile disjoint runs of order, in position order
+        offset = np.cumsum(size) - size
+        pos = np.repeat(start - offset, size) + np.arange(offset[-1] + size[-1])
+        face = order[pos]
+        box_min = np.minimum.reduceat(lo_t[:, face], offset, axis=1).T
+        box_max = np.maximum.reduceat(hi_t[:, face], offset, axis=1).T
+        inner = size > _LEAF_SIZE
+        levels.append((start, size, box_min, box_max, inner))
+        # lexsort is stable and pos ascends, so ties on (node, centroid)
+        # keep the order the parent's sort left them in
+        node = np.repeat(np.arange(len(start)), size)
+        split = inner[node]
+        node, pos, face = node[split], pos[split], face[split]
+        axis = np.argmax(box_max - box_min, axis=1)
+        key = cen_t[axis[node], face]
+        order[pos] = face[np.lexsort((key, node))]
+        start, size = start[inner], size[inner]
+        half = size // 2
+        start = np.column_stack([start, start + half]).ravel()
+        size = np.column_stack([half, size - half]).ravel()
+
+    # the children of a level's j-th inner node are the next level's nodes
+    # 2j and 2j + 1; subtree node counts go bottom-up, pre-order ids
+    # top-down: a left child follows its parent, a right child follows the
+    # left child's subtree
+    count = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        count[d][levels[d][4]] += count[d + 1][0::2] + count[d + 1][1::2]
+    n_nodes = int(count[0][0])
+    node_min, node_max = np.empty((n_nodes, 3)), np.empty((n_nodes, 3))
+    node_left = np.full(n_nodes, -1, dtype=np.int64)
+    ids = np.zeros(1, dtype=np.int64)
+    leaf_start, leaf_size, leaf_id = [], [], []
+    for d, (start, size, box_min, box_max, inner) in enumerate(levels):
+        node_min[ids], node_max[ids] = box_min, box_max
+        leaf_start.append(start[~inner])
+        leaf_size.append(size[~inner])
+        leaf_id.append(ids[~inner])
+        if d + 1 < len(levels):
+            parent = ids[inner]
+            right = parent + 1 + count[d + 1][0::2]
+            node_left[parent] = right
+            ids = np.column_stack([parent + 1, right]).ravel()
+    # pre-order meets the leaves in position order
+    by_start = np.argsort(np.concatenate(leaf_start))
+    leaf_row = np.full(n_nodes, -1, dtype=np.int64)
+    leaf_row[np.concatenate(leaf_id)[by_start]] = np.arange(len(by_start))
+    return (order, node_min, node_max, node_left, leaf_row,
+            np.concatenate(leaf_size)[by_start])
 
 
 def brute_force_nearest(mesh, p):

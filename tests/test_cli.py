@@ -222,6 +222,12 @@ class TestEvaluate:
                 line for line in path.read_text().splitlines(keepends=True)
                 if not line.startswith("setting=")))
 
+        def misspell_setting(path):
+            path.write_text("".join(
+                "setting=partial-partial\n" if line.startswith("setting=")
+                else line
+                for line in path.read_text().splitlines(keepends=True)))
+
         def face_beyond_y(path):
             gt = load_correspondence(path)
             faces = gt.faces.copy()
@@ -239,10 +245,12 @@ class TestEvaluate:
             return damage
 
         # evaluate reads y.ply, gt.corr and meta.txt; x.ply is not scored.
-        # A non-finite area would score AUC 100; a line without "=" is
-        # named by file and line.
+        # A non-finite area would score AUC 100, an unknown setting as F2F;
+        # a line without "=" is named by file and line.
         cases = [("y.ply", truncate, True, ""),
                  ("meta.txt", drop_setting, True, ""),
+                 ("meta.txt", misspell_setting, True,
+                  "setting 'partial-partial' not in"),
                  ("gt.corr", face_beyond_y, True, ""),
                  ("x.ply", truncate, False, ""),
                  ("meta.txt", meta_line("area_full_y=nan"), True,

@@ -461,12 +461,54 @@ class TestGeodesics:
         assert geo.surface_area(m2) == pytest.approx(geo.surface_area(m), rel=1e-9)
 
     def test_zero_length_edge_kept(self):
-        """Vertex 3 coincides with vertex 1 and is joined to the strip only
-        through the zero-length edge (1, 3) and its two faces."""
-        v = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [1, 0, 0], [1, 1, 0]]
-        f = [[0, 1, 4], [1, 3, 4], [3, 2, 4]]
-        m = Mesh(v, f)
+        m = zero_length_strip()
         assert geo.edge_graph(m).nnz == 2 * len(m.edges())
         d = geo.geodesic_distance_fields(m, np.arange(m.n_vertices))
         np.testing.assert_allclose(d, floyd_warshall_distances(m), atol=1e-12)
         assert d[0, 3] == 1.0
+
+    @pytest.mark.parametrize("builder", [
+        lambda: zero_length_strip(),
+        lambda: two_spheres(),
+        lambda: bumpy_sphere(4)], ids=["zero_length_strip", "two_components",
+                                       "bumpy_sphere"])
+    def test_limited_field_is_unlimited_within_limit(self, builder):
+        """A search with a limit gives every vertex within it (<=) the
+        unlimited value bit for bit and every other vertex inf. The
+        unlimited directed search on the symmetric graph equals scipy's
+        undirected search."""
+        m = builder()
+        sources = np.arange(0, m.n_vertices, max(1, m.n_vertices // 40))
+        full = geo.geodesic_distance_fields(m, sources)
+        undirected = csgraph.dijkstra(geo.edge_graph(m), directed=False,
+                                      indices=sources)
+        assert full.tobytes() == undirected.tobytes()
+        finite = np.unique(full[np.isfinite(full)])
+        for limit in [0.0, *np.quantile(finite, [0.1, 0.5, 0.9]),
+                      finite[len(finite) // 3], finite.max()]:
+            part = geo.geodesic_distance_fields(m, sources, limit)
+            within = full <= limit
+            assert part[within].tobytes() == full[within].tobytes()
+            assert np.isinf(part[~within]).all()
+
+    def test_graph_built_once_per_mesh(self):
+        m = icosphere(1)
+        geo.geodesic_distance_fields(m, [0])
+        g = m.graph
+        geo.geodesic_distance_fields(m, [1], 0.5)
+        assert m.graph is g
+        assert m.with_vertices(m.vertices * 2).graph is not g
+
+
+def zero_length_strip():
+    """Vertex 3 coincides with vertex 1 and is joined to the strip only
+    through the zero-length edge (1, 3) and its two faces."""
+    v = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [1, 0, 0], [1, 1, 0]]
+    f = [[0, 1, 4], [1, 3, 4], [3, 2, 4]]
+    return Mesh(v, f)
+
+
+def two_spheres():
+    a = icosphere(1)
+    return Mesh(np.vstack([a.vertices, a.vertices + [5.0, 0.0, 0.0]]),
+                np.vstack([a.faces, a.faces + a.n_vertices]))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from shapecorr import geometry as geo
+from shapecorr import metrics
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
 from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
@@ -58,9 +60,41 @@ def near_miss(mesh, targets, rng):
     return out
 
 
+def folded_strip(arm=24, radius=0.05):
+    """A unit-wide strip bent into a U: two straight arms of ``arm`` unit
+    segments, 2 * radius apart, joined by a half turn. A vertex and the one
+    facing it on the other arm are close in space but far along the
+    strip. Vertex 2 * i + k sits at station i of the centre line, at
+    height z = k."""
+    turn = np.pi * radius
+    steps = np.concatenate([np.arange(arm + 1.0),
+                            arm + turn * np.arange(1, 8) / 8,
+                            arm + turn + np.arange(arm + 1.0)])
+    centre = []
+    for t in steps:
+        if t <= arm:
+            centre.append([t, 0.0])
+        elif t < arm + turn:
+            a = (t - arm) / radius
+            centre.append([arm + radius * np.sin(a),
+                           radius - radius * np.cos(a)])
+        else:
+            centre.append([arm - (t - arm - turn), 2 * radius])
+    centre = np.array(centre)
+    v = np.repeat(np.column_stack([centre, np.zeros(len(centre))]), 2,
+                  axis=0)
+    v[1::2, 2] = 1.0
+    i = 2 * np.arange(len(centre) - 1)
+    f = np.concatenate([np.column_stack([i, i + 2, i + 1]),
+                        np.column_stack([i + 1, i + 2, i + 3])])
+    return Mesh(v, f, id="u_strip")
+
+
 def full_matrix_geodesic_error(pred, gt, mesh, area, setting):
-    """One Dijkstra over every matched gt vertex, reading one
-    entry per row: the reference the pair path must equal bit for bit."""
+    """One unlimited undirected Dijkstra over every matched gt vertex,
+    reading one entry per row: the reference the pair path must equal bit
+    for bit. It calls scipy itself, so it shares no search code with
+    ``geodesic_error``."""
     pred = np.asarray(pred, dtype=np.int64)
     gtv = geo.snap_correspondence_to_vertices(gt, mesh)
     gm, pm = gtv != UNMATCHED, pred != UNMATCHED
@@ -69,7 +103,8 @@ def full_matrix_geodesic_error(pred, gt, mesh, area, setting):
     both = gm & pm
     if both.any():
         sources = np.unique(gtv[both])
-        dist = geo.geodesic_distance_fields(mesh, sources)
+        dist = csgraph.dijkstra(geo.edge_graph(mesh), directed=False,
+                                indices=sources)
         row = np.searchsorted(sources, gtv[both])
         errors[both] = dist[row, pred[both]] / np.sqrt(area)
     return errors
@@ -159,6 +194,17 @@ class TestGeodesicError:
             evaluate_instance(mesh, gt, pred, setting, 1.0)
 
 
+    @pytest.mark.parametrize("setting", ["partial-partial", "", "F2F"])
+    def test_unknown_setting_rejected(self, setting):
+        """Every setting but partial_partial would be scored as F2F."""
+        mesh = icosphere(1)
+        gt = random_correspondence(mesh, np.random.default_rng(3))
+        pred = gt_as_prediction(gt, mesh)
+        with pytest.raises(ValueError, match=repr(setting)):
+            geodesic_error(pred, gt, mesh, 1.0, setting)
+        with pytest.raises(ValueError, match=repr(setting)):
+            evaluate_instance(mesh, gt, pred, setting, 1.0)
+
     @pytest.mark.parametrize("area", [np.nan, np.inf, 0.0, -1.0])
     def test_area_not_positive_finite_rejected(self, area):
         """A NaN area would exclude every vertex and an infinite one would
@@ -177,7 +223,7 @@ class TestPairPath:
 
     @pytest.fixture(scope="class")
     def sphere(self):
-        return bumpy_sphere(3)  # 642 vertices: three source chunks
+        return bumpy_sphere(3)  # 642 vertices: many source chunks
 
     @staticmethod
     def check(pred, gt, mesh, setting="full_full"):
@@ -226,6 +272,37 @@ class TestPairPath:
         cross = (gtv < a.n_vertices) != (pred < a.n_vertices)
         assert cross.any() and np.isinf(errors[cross]).all()
         assert np.isfinite(errors[~cross]).all()
+
+    def test_folded_strip_reruns_without_limit(self, monkeypatch):
+        """Pairs across the arms of a U lie 0.1 apart in space and several
+        units apart along the strip, so their limited search misses them
+        and one unlimited re-run scores them. Pairs along one arm finish
+        within the limit."""
+        mesh = folded_strip()
+        n = mesh.n_vertices
+        gt = identity_correspondence(mesh)
+        station, k = np.divmod(np.arange(n), 2)
+        pred = 2 * (n // 2 - 1 - station) + k  # facing it on the other arm
+        pred[::3] = np.minimum(np.arange(0, n, 3) + 2, n - 1)  # next station
+        limits = []
+        search = geo.geodesic_distance_fields
+
+        def spy(mesh, sources, limit=np.inf):
+            limits.append(limit)
+            return search(mesh, sources, limit)
+
+        monkeypatch.setattr(geo, "geodesic_distance_fields", spy)
+        errors = self.check(pred, gt, mesh)
+        assert np.isinf(limits).any() and np.isfinite(limits).any()
+        assert (limits[-1] == np.inf) and np.isfinite(limits[0])
+        # every cross-arm pair is further along the strip than its own
+        # bound: _REACH times its chord
+        v = mesh.vertices
+        cross = np.flatnonzero((v[:, 1] == 0) & (v[pred, 1] > 0.09))
+        chord = np.linalg.norm(v[cross] - v[pred[cross]], axis=1)
+        area = geo.surface_area(mesh)
+        assert len(cross) > 10
+        assert (errors[cross] * np.sqrt(area) > metrics._REACH * chord).all()
 
     def test_partial_partial_unmatched_either_side(self, sphere):
         n = sphere.n_vertices

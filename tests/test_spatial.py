@@ -232,6 +232,70 @@ def test_tree_structure(mesh_builder):
     np.testing.assert_array_equal(np.sort(table), np.arange(m.n_faces))
 
 
+def stack_build(mesh):
+    """The one-node-per-iteration median-split build: the reference the
+    level-at-a-time build must equal array for array. Returns (node_min,
+    node_max, node_left, leaf_row, leaf_faces)."""
+    a, b, c = mesh.face_corners()
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    centroids = (a + b + c) / 3.0
+    order = np.arange(mesh.n_faces)
+    node_min, node_max, node_left, leaf_row, leaves = [], [], [], [], []
+    # (start, end, parent): a right child fills its parent's node_left;
+    # popping left children first numbers the nodes in pre-order
+    stack = [(0, mesh.n_faces, -1)]
+    while stack:
+        start, end, parent = stack.pop()
+        idx = len(node_min)
+        if parent >= 0:
+            node_left[parent] = idx
+        sel = order[start:end]
+        node_min.append(lo[sel].min(axis=0))
+        node_max.append(hi[sel].max(axis=0))
+        node_left.append(-1)
+        if end - start > spatial._LEAF_SIZE:
+            axis = int(np.argmax(node_max[-1] - node_min[-1]))
+            order[start:end] = sel[np.argsort(centroids[sel, axis],
+                                              kind="stable")]
+            mid = start + (end - start) // 2
+            stack += [(mid, end, idx), (start, mid, -1)]
+            leaf_row.append(-1)
+        else:
+            leaf_row.append(len(leaves))
+            leaves.append(np.sort(sel))
+    width = max(len(f) for f in leaves)
+    leaf_faces = np.array([np.pad(f, (0, width - len(f)), constant_values=-1)
+                           for f in leaves])
+    return (np.asarray(node_min), np.asarray(node_max),
+            np.asarray(node_left), np.asarray(leaf_row), leaf_faces)
+
+
+def random_soup(rng, n_faces):
+    """Independent random triangles; some share exact centroid
+    coordinates, so the stable tie order counts."""
+    v = rng.normal(size=(3 * n_faces, 3))
+    v[rng.random(len(v)) < 0.2, 0] = 0.5
+    return Mesh(np.round(v, 1), np.arange(3 * n_faces).reshape(-1, 3),
+                validate=False)
+
+
+@pytest.mark.parametrize("mesh_builder", [
+    lambda rng: bumpy_sphere(3), lambda rng: grid_plane(7),
+    lambda rng: icosphere(0),
+    *(lambda rng, k=k: random_soup(rng, k)
+      for k in (1, 8, 9, 17, 100, 1000, 4097))])
+def test_level_build_matches_stack_build(mesh_builder, rng):
+    m = mesh_builder(rng)
+    bvh = TriangleBVH(m)
+    got = (bvh.node_min, bvh.node_max, bvh.node_left, bvh.leaf_row,
+           bvh.leaf_faces)
+    for name, a, b in zip(("node_min", "node_max", "node_left", "leaf_row",
+                           "leaf_faces"), got, stack_build(m)):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_build_leaves_no_cycle():
     """A build creates no reference cycle, so the arrays it holds do not
     wait for the cycle collector."""
