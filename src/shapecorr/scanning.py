@@ -20,6 +20,7 @@ CAMERA_DISTANCE = 2.0
 _FOV_MARGIN = 1.05
 _POLE_ELEVATION = np.deg2rad(85.0)
 DEFAULT_RESOLUTION = (256, 256)
+SCAN_ATTEMPTS = 5  # cameras generate_partial samples before it gives up
 
 # angular disparity per cam_pos_regime config value
 REGIME_ALPHA = {"low": np.pi / 8, "medium": np.pi / 4, "high": np.pi / 2}
@@ -72,24 +73,24 @@ class EmptyScanError(RuntimeError):
     """The scan hit no faces; the caller resamples the camera."""
 
 
-def sample_camera(rng, distance=CAMERA_DISTANCE):
-    """Uniform-on-the-sphere camera pose: azimuth ~ U[0, 2pi), elevation
-    arcsin-distributed so positions are area-uniform."""
+def sample_camera(rng):
+    """Uniform-on-the-sphere camera pose at CAMERA_DISTANCE: azimuth ~
+    U[0, 2pi), elevation arcsin-distributed so positions are area-uniform."""
     azimuth = rng.uniform(0.0, 2 * np.pi)
     elevation = np.arcsin(rng.uniform(-1.0, 1.0))
-    return CameraPose(azimuth % (2 * np.pi), elevation, distance)
+    return CameraPose(azimuth % (2 * np.pi), elevation)
 
 
-def sample_constrained_pair(rng, alpha, distance=CAMERA_DISTANCE):
+def sample_constrained_pair(rng, alpha):
     """A free pose plus a second pose within ``alpha`` of it in both azimuth
     (wrapped) and elevation (clamped)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    first = sample_camera(rng, distance)
+    first = sample_camera(rng)
     az = (first.azimuth + rng.uniform(-alpha, alpha)) % (2 * np.pi)
     el = np.clip(first.elevation + rng.uniform(-alpha, alpha),
                  -np.pi / 2, np.pi / 2)
-    return first, CameraPose(az, el, distance)
+    return first, CameraPose(az, el)
 
 
 def angular_disparity(a, b):
@@ -165,27 +166,21 @@ def extract_partial(mesh, hit_faces, camera, parent=None):
                        camera=camera)
 
 
-def scan_partial(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None,
-                 parent=None):
-    """Normalize, scan from the given pose, keep the largest component,
-    with the vertices of ``parent`` (default: mesh), a mesh of the same
-    faces."""
+def generate_partial(mesh, rng, resolution=DEFAULT_RESOLUTION, cache=None):
+    """Partial shape from a random camera; resamples the camera after an
+    empty scan, up to SCAN_ATTEMPTS cameras."""
+    # normalized once: the normalized mesh builds its BVH on first use
     normalized = geo.normalize_to_unit_box(mesh)
-    hit = cast_scan(normalized, camera, resolution, cache=cache)
-    return extract_partial(normalized, hit, camera,
-                           parent=parent if parent is not None else mesh)
-
-
-def generate_partial(mesh, rng, resolution=DEFAULT_RESOLUTION, cache=None,
-                     max_retries=5):
-    """Partial shape from a random camera; retries empty scans."""
-    for _ in range(max_retries):
+    for _ in range(SCAN_ATTEMPTS):
         camera = sample_camera(rng)
         try:
-            return scan_partial(mesh, camera, resolution, cache=cache)
+            return extract_partial(
+                normalized, cast_scan(normalized, camera, resolution, cache),
+                camera, parent=mesh)
         except EmptyScanError:
             continue
-    raise EmptyScanError(f"no visible faces after {max_retries} camera samples")
+    raise EmptyScanError(f"no visible faces after {SCAN_ATTEMPTS} camera "
+                         "samples")
 
 
 def compute_overlap(px, py, corr_xy, corr_yx, iterations_used=1,

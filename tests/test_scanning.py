@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
-from shapecorr import spatial
+from shapecorr import scanning, spatial
 from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
 from shapecorr.scanning import (CameraPose, EmptyScanError, RaycastCache,
                                 angular_disparity, camera_rays, cast_scan,
                                 compute_overlap, extract_partial,
                                 generate_partial, generate_partial_pair,
-                                sample_camera, sample_constrained_pair,
-                                scan_partial)
+                                sample_camera, sample_constrained_pair)
 from shapecorr.spatial import exhaustive_first_hits
 
-from conftest import icosphere, random_rigid
+from conftest import bumpy_sphere, icosphere, random_rigid
 
 
 def sphere_pair(subdiv=2, seed=99):
@@ -154,7 +153,10 @@ class TestExtractPartial:
 
     def test_parent_maps_consistent(self):
         m = icosphere(2)
-        p = scan_partial(m, CameraPose(1.0, 0.4), resolution=(64, 64))
+        norm = geo.normalize_to_unit_box(m)
+        cam = CameraPose(1.0, 0.4)
+        p = extract_partial(norm, cast_scan(norm, cam, (64, 64)), cam,
+                            parent=m)
         np.testing.assert_array_equal(p.parent_vertex[p.mesh.faces],
                                       m.faces[p.parent_face])
 
@@ -162,13 +164,30 @@ class TestExtractPartial:
         m = icosphere(2)
         moved = m.with_vertices(random_rigid(rng).apply(m.vertices),
                                 id="moved")
-        p = scan_partial(moved, CameraPose(1.0, 0.4), (64, 64), parent=m)
-        q = scan_partial(moved, CameraPose(1.0, 0.4), (64, 64))
+        norm = geo.normalize_to_unit_box(moved)
+        cam = CameraPose(1.0, 0.4)
+        hit = cast_scan(norm, cam, (64, 64))
+        p = extract_partial(norm, hit, cam, parent=m)
+        q = extract_partial(norm, hit, cam, parent=moved)
         np.testing.assert_array_equal(p.parent_face, q.parent_face)
         np.testing.assert_array_equal(p.mesh.faces, q.mesh.faces)
         assert p.mesh.vertices.tobytes() == \
             m.vertices[q.parent_vertex].tobytes()
         assert (p.parent_id, p.mesh.id) == (m.id, f"{m.id}#partial")
+
+    def test_kept_fraction_at_default_resolution(self):
+        # the largest component drops the faces of the other scan fragments;
+        # at 256x256 these 8 cameras kept 0.80-0.95 of the hit faces, and the
+        # bound sits 0.10 below the smallest share
+        m = geo.normalize_to_unit_box(bumpy_sphere(5))
+        rng = np.random.default_rng(0)
+        kept = []
+        for _ in range(8):
+            cam = sample_camera(rng)
+            hit = cast_scan(m, cam)
+            kept.append(len(extract_partial(m, hit, cam).parent_face)
+                        / len(hit))
+        assert min(kept) >= 0.70
 
 
 class TestComputeOverlap:
@@ -231,6 +250,30 @@ class TestGeneratePartial:
         p = generate_partial(m, np.random.default_rng(10), resolution=(64, 64))
         np.testing.assert_array_equal(p.mesh.vertices,
                                       m.vertices[p.parent_vertex])
+
+    def test_one_bvh_build_across_empty_scans(self, monkeypatch):
+        # the first two cameras see nothing; all three scan one normalized
+        # mesh, so one BVH serves them
+        builds, attempts = [], []
+        extract = scanning.extract_partial
+
+        class CountingBVH(spatial.TriangleBVH):
+            def __init__(self, mesh):
+                builds.append(mesh.id)
+                super().__init__(mesh)
+
+        def empty_twice(*args, **kwargs):
+            attempts.append(args[2])
+            if len(attempts) <= 2:
+                raise EmptyScanError("scan hit no faces")
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(spatial, "TriangleBVH", CountingBVH)
+        monkeypatch.setattr(scanning, "extract_partial", empty_twice)
+        p = generate_partial(icosphere(2), np.random.default_rng(12),
+                             resolution=(32, 32))
+        assert p.camera == attempts[2]
+        assert len(builds) == 1
 
 
 class TestGeneratePartialPair:

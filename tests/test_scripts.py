@@ -1,0 +1,38 @@
+"""Every script under ``scripts/`` imports against today's ``src/`` and
+perfbench names, and runs nothing until it is called."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def load(monkeypatch):
+    """Import a script by file name; the import path and the bytecode flag
+    it may change are restored afterwards, and no bytecode is written."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"scripts_{Path(name).stem}", SCRIPTS / name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_imports_without_running(name, load, capsys):
+    load(name)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_record_pins_every_case(load):
+    record = load("paper_record.py")
+    assert len(record.CASES) == 12
+    assert list(record.PINNED) == list(record.CASES)
