@@ -17,13 +17,13 @@ from .config import ConfigError, GenerationConfig
 from .corrio import load_correspondence, save_correspondence
 from .meshio import load_mesh
 from .metrics import (aggregate_reports, check_setting, check_target,
-                      evaluate_instance, load_prediction, write_report,
-                      write_summary)
+                      evaluate_instance, load_prediction, write_report)
 from .network import NetworkError, build_network, correspondence_between, \
     propagate_annotation
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
                     parse_split_manifest)
-from .pipeline import read_meta, run_generation
+from .pipeline import run_generation
+from .textio import key_values, read_key_values, write_key_values
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
 
@@ -36,19 +36,12 @@ def _log(msg):
     print(f"[{time.strftime('%H:%M:%S')}] {msg}", flush=True)
 
 
-def _parse_overrides(pairs):
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value",
-                              known_keys=GenerationConfig.known_keys())
-        k, v = item.split("=", 1)
-        out[k] = v
-    return out
-
-
 def _load_config(args):
-    overrides = _parse_overrides(getattr(args, "set", None))
+    try:
+        overrides = key_values(getattr(args, "set", None) or [])
+    except ValueError as exc:
+        raise ConfigError(f"--set: {exc}",
+                          known_keys=GenerationConfig.known_keys()) from None
     if getattr(args, "seed", None) is not None:
         overrides["global_seed"] = str(args.seed)
     if args.config:
@@ -80,7 +73,7 @@ def cmd_evaluate(args):
     names = [line for line in
              (instances_dir / "instances.manifest").read_text().split()
              if line]
-    if args.limit:
+    if args.limit is not None:
         names = names[:args.limit]
     reports = []
     n_skipped = 0
@@ -108,7 +101,7 @@ def cmd_evaluate(args):
         _log(f"no instances evaluated n_skipped={n_skipped}")
         return EXIT_VALIDATION
     summary = aggregate_reports(reports)
-    write_summary(summary, out_dir / "summary.txt")
+    write_key_values(out_dir / "summary.txt", summary)
     _log(" ".join(f"{k}={v}" for k, v in summary.items())
          + f" n_skipped={n_skipped}")
     return EXIT_VALIDATION if n_skipped else EXIT_OK
@@ -117,7 +110,7 @@ def cmd_evaluate(args):
 def _load_scored(directory):
     """What ``evaluate`` scores against: ``y.ply``, ``gt.corr`` and the
     setting and full target area from ``meta.txt``; ``x.ply`` is not read."""
-    meta = read_meta(directory / "meta.txt")
+    meta = read_key_values(directory / "meta.txt")
     try:
         setting, area = meta["setting"], float(meta["area_full_y"])
     except KeyError as exc:
@@ -172,6 +165,15 @@ def cmd_validate_network(args):
     return EXIT_OK if report["templates_connected"] else EXIT_VALIDATION
 
 
+def _limit(text):
+    """A ``--limit``: an integer of at least 1 (a slice would drop
+    instances from the end on a negative one)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="shapecorr",
@@ -188,7 +190,8 @@ def build_parser():
     gen.add_argument("--split-manifest",
                      help="split manifest (default: shipped)")
     gen.add_argument("--seed", type=int, help="override global_seed")
-    gen.add_argument("--limit", type=int, help="generate first N pairs only")
+    gen.add_argument("--limit", type=_limit,
+                     help="generate first N pairs only")
     gen.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key")
     gen.set_defaults(func=cmd_generate)
@@ -198,7 +201,8 @@ def build_parser():
     ev.add_argument("--predictions", required=True,
                     help="directory of <instance>.txt vertex-map files")
     ev.add_argument("--output", required=True)
-    ev.add_argument("--limit", type=int)
+    ev.add_argument("--limit", type=_limit,
+                    help="evaluate first N instances only")
     ev.set_defaults(func=cmd_evaluate)
 
     pr = sub.add_parser("propagate-annotations",

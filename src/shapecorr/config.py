@@ -1,4 +1,5 @@
-"""Generation config: flat key=value file, one option per line.
+"""Generation config: flat key=value file (see ``textio``), one option
+per line.
 
 Key names follow the pipeline's main configuration file one-to-one.
 ``original_settings=true`` activates hard assertions pinning every
@@ -9,9 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .textio import data_lines
+from .textio import (FormatError, parse_bool, read_key_values,
+                     write_key_values)
 
 ALL_DATASETS = ("faust", "scape", "tosca", "kids", "dt4d", "smal", "shrec20")
 COMBINATIONS = ("human", "four-legged", "human_centaur",
@@ -122,29 +123,19 @@ class GenerationConfig:
 
     @classmethod
     def from_file(cls, path, overrides=None):
-        mapping = {}
-        for lineno, text in data_lines(path):
-            line = text.strip()
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, "
-                                  f"got {line!r}")
-            k, v = line.split("=", 1)
-            mapping[k.strip()] = v.strip()
+        try:
+            mapping = read_key_values(path)
+        except FormatError as exc:
+            raise ConfigError(str(exc)) from None
         if overrides:
             mapping.update(overrides)
         return cls.from_mapping(mapping)
 
     def to_file(self, path):
         """Echo the fully-resolved config; re-loading reproduces it."""
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(self.dumps())
-
-    def dumps(self):
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            lines.append(f"{f.name}={_format_value(f, v)}")
-        return "\n".join(lines) + "\n"
+        write_key_values(path, {
+            f.name: _format_value(f.name, getattr(self, f.name))
+            for f in dataclasses.fields(self)})
 
 
 # a field's value type is the type of its default
@@ -152,16 +143,9 @@ def _parse_value(field, value):
     if not isinstance(value, str):
         return value
     key, kind = field.name, type(field.default)
-    if kind is bool:
-        low = value.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected boolean, got {value!r}")
-    if kind in (int, float):
+    if kind in (bool, int, float):
         try:
-            return kind(value)
+            return parse_bool(value) if kind is bool else kind(value)
         except ValueError:
             raise ConfigError(f"{key}: expected {kind.__name__}, got "
                               f"{value!r}") from None
@@ -185,14 +169,11 @@ def _parse_int_pair(key, value, sep, form):
                           f"{value!r}") from None
 
 
-def _format_value(field, value):
-    key = field.name
-    if type(field.default) is bool:
-        return "true" if value else "false"
+def _format_value(key, value):
     if key == "datasets":
         return ",".join(value)
     if key == "resolution":
         return f"{value[0]}x{value[1]}"
     if key == "count_range":
         return f"{value[0]}-{value[1]}"
-    return str(value)
+    return value

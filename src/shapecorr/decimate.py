@@ -71,7 +71,7 @@ from .meshes import (DenseCorrespondence, Mesh, edge_incidence,
                      identity_correspondence)
 from .meshio import load_mesh, save_mesh
 from .store import ContentStore
-from .textio import FormatError, key_values
+from .textio import FormatError, read_key_values, write_key_values
 
 _SINGULAR_COND = 1e12
 # condition bound that the determinant test proves without an SVD; the
@@ -484,7 +484,7 @@ class RemeshCache(ContentStore):
 
     def read(self, paths, mesh, target):
         mesh_path, corr_path, meta_path = paths
-        meta = key_values(meta_path.read_text().split())
+        meta = read_key_values(meta_path)
         if "max_projection_error" not in meta:
             raise FormatError(meta_path, "no max_projection_error")
         dec = load_mesh(mesh_path, id=mesh.id)
@@ -500,5 +500,5 @@ class RemeshCache(ContentStore):
         mesh_path, corr_path, meta_path = paths
         save_mesh(result.mesh, mesh_path)
         save_correspondence(result.to_original, corr_path, binary=True)
-        meta_path.write_text(
-            f"max_projection_error={result.max_projection_error!r}\n")
+        write_key_values(meta_path, {
+            "max_projection_error": result.max_projection_error})

@@ -4,6 +4,7 @@ transforms and per-vertex labels."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +56,6 @@ class Mesh:
             self._validate()
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
-        self._bvh = None
-        self._graph = None
 
     def _validate(self):
         if not np.isfinite(self.vertices).all():
@@ -99,21 +98,17 @@ class Mesh:
         return Mesh(vertices, self.faces, id=id if id is not None else self.id,
                     metadata=self.metadata, validate=False)
 
-    @property
+    @cached_property
     def bvh(self):
         # built lazily; the mesh is immutable so the index stays valid
-        if self._bvh is None:
-            from .spatial import TriangleBVH
-            self._bvh = TriangleBVH(self)
-        return self._bvh
+        from .spatial import TriangleBVH
+        return TriangleBVH(self)
 
-    @property
+    @cached_property
     def graph(self):
         # the edge graph of geodesic searches, built lazily like the BVH
-        if self._graph is None:
-            from .geometry import edge_graph
-            self._graph = edge_graph(self)
-        return self._graph
+        from .geometry import edge_graph
+        return edge_graph(self)
 
     def __eq__(self, other):
         if not isinstance(other, Mesh):

@@ -19,6 +19,7 @@ from .config import SETTINGS
 from .meshes import UNMATCHED
 # a vertex map file: one target vertex index per line, -1 = unmatched
 from .textio import load_int_column as load_prediction
+from .textio import write_key_values
 
 DEFAULT_THRESHOLDS = np.round(np.arange(0, 1001) * 0.001, 3)
 
@@ -272,21 +273,12 @@ def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
 def write_report(report, directory):
     """Flat key=value record plus a two-column curve export for plotting."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"setting={report.setting}",
-        f"auc={report.auc!r}",
-        f"n_denominator={report.n_denominator}",
-        f"n_excluded={report.n_excluded}",
-        f"n_inf_pred_unmatched={report.n_inf_pred_unmatched}",
-        f"n_inf_gt_unmatched={report.n_inf_gt_unmatched}",
-    ]
-    if report.iou is not None:
-        lines.append(f"iou={report.iou!r}")
-        lines.append(f"f1={report.f1!r}")
-    if report.lr_accuracy is not None:
-        lines.append(f"lr_accuracy={report.lr_accuracy!r}")
-    (directory / "report.txt").write_text("\n".join(lines) + "\n")
+    keys = ("setting", "auc", "n_denominator", "n_excluded",
+            "n_inf_pred_unmatched", "n_inf_gt_unmatched", "iou", "f1",
+            "lr_accuracy")
+    record = {k: getattr(report, k) for k in keys}
+    write_key_values(directory / "report.txt",
+                     {k: v for k, v in record.items() if v is not None})
     curve = "\n".join(f"{t:.6f} {f:.9f}"
                       for t, f in zip(report.thresholds, report.fractions))
     (directory / "curve.txt").write_text(curve + "\n")
@@ -308,13 +300,6 @@ def aggregate_reports(reports):
     if lrs:
         out["mean_lr_accuracy"] = float(np.mean(lrs))
     return out
-
-
-def write_summary(summary, path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
-             for k, v in summary.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def gt_as_prediction(gt, target_mesh):

@@ -18,7 +18,8 @@ from .corrio import load_correspondence
 from .meshes import (DenseCorrespondence, Mesh, UNMATCHED, UNKNOWN_LABEL,
                      VertexLabels, identity_correspondence)
 from .meshio import load_mesh
-from .textio import data_lines, key_values, load_int_column
+from .textio import (data_lines, key_values, load_int_column,
+                     parse_bool)
 
 
 class NetworkError(ValueError):
@@ -240,7 +241,7 @@ def parse_manifest(path):
                 shapes[sid] = ShapeNode(
                     id=sid, dataset=kv["dataset"],
                     category=kv.get("category", ""),
-                    template=kv.get("template", "false").lower() == "true",
+                    template=parse_bool(kv.get("template", "false")),
                     mesh_path=base / kv["mesh"] if "mesh" in kv else None,
                     scale=float(kv.get("scale", 1.0)))
             elif kind == "edge":

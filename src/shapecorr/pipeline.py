@@ -31,7 +31,7 @@ from .network import (compose, correspondence_between, project_template_pair,
 from .pairs import enumerate_pairs
 from .scanning import (REGIME_ALPHA, OverlapStats, RaycastCache,
                        generate_partial, generate_partial_pair)
-from .textio import key_values
+from .textio import read_key_values, write_key_values
 
 # role bytes for per-instance seed streams
 ROLE_REMESH_X = 0
@@ -225,33 +225,11 @@ def write_instance(instance, directory, store_vis=False):
             meta["overlap_y_to_x"] = instance.overlap.frac_y_to_x
             meta["overlap_iterations"] = instance.overlap.iterations_used
             meta["overlap_within_range"] = instance.overlap.within_range
-        lines = [f"{k}={_meta_fmt(v)}" for k, v in meta.items()]
-        (tmp / "meta.txt").write_text("\n".join(lines) + "\n")
+        write_key_values(tmp / "meta.txt", meta)
         os.replace(tmp, directory)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-
-
-def _meta_fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def read_meta(path):
-    """``meta.txt`` as a dict; a line without ``=`` raises ``ValueError``
-    naming ``path:line``."""
-    out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if line:
-            try:
-                out.update(key_values([line]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
 
 
 def write_vis(instance, directory):
@@ -273,7 +251,7 @@ def write_vis(instance, directory):
 
 def load_instance(directory):
     directory = Path(directory)
-    meta = read_meta(directory / "meta.txt")
+    meta = read_key_values(directory / "meta.txt")
     shape_x = load_mesh(directory / "x.ply")
     shape_y = load_mesh(directory / "y.ply")
     gt = load_correspondence(directory / "gt.corr")

@@ -1,11 +1,15 @@
 """The text-table reader of OFF, OBJ, text ``.corr``, prediction and
 ``.labels`` files: ``#`` comments and blank lines skipped, one
 ``np.loadtxt`` call per table, a bad row named by its line number. Also
-the ``key=value`` token parser of the network and split manifests."""
+the ``key=value`` codec: the token parser of the network and split
+manifests, and the reader and writer of the flat files (the config and its
+echo, ``meta.txt``, ``report.txt``, ``summary.txt``, remesh-cache ``.meta``
+entries)."""
 
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -68,3 +72,47 @@ def key_values(tokens):
         k, v = tok.split("=", 1)
         out[k] = v
     return out
+
+
+def read_key_values(path):
+    """A flat ``key=value`` file as a dict of strings: ``#`` comments and
+    blank lines are skipped, key and value are stripped, a later key wins.
+    A line without ``=`` raises ``FormatError`` naming ``path:line``."""
+    out = {}
+    for lineno, text in data_lines(path):
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise FormatError(
+                path, f"expected key=value, got {text.strip()!r}", lineno)
+        out[key.strip()] = value.strip()
+    return out
+
+
+def format_value(v):
+    """``true``/``false`` for a bool, ``repr`` for a float (it reads back
+    bit for bit), ``str`` for anything else."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def write_key_values(path, mapping):
+    """``mapping`` as one ``key=value`` line per entry, in order; the parent
+    directory is made."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{k}={format_value(v)}\n"
+                            for k, v in mapping.items()))
+
+
+def parse_bool(text):
+    """``true/1/yes/on`` or ``false/0/no/off``, in any case; anything else
+    raises ``ValueError``."""
+    low = text.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected boolean, got {text!r}")

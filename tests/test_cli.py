@@ -132,6 +132,41 @@ class TestGenerate:
             assert digest_tree(ws / "a" / n) == digest_tree(ws / "b" / n)
 
 
+class TestLimit:
+    def eval_args(self, ws, limit):
+        return ["evaluate", "--instances", str(ws / "out"), "--predictions",
+                str(ws / "preds"), "--output", str(ws / f"eval{limit}"),
+                "--limit", limit]
+
+    def test_below_one_is_a_usage_error(self, workspace):
+        """A negative limit used to drop instances from the end, and
+        ``evaluate --limit 0`` scored every instance."""
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out")) == 0
+        write_gt_predictions(
+            ws, (ws / "out" / "instances.manifest").read_text().split())
+        for limit in ("-1", "0"):
+            assert main(gen_args(ws, ws / f"gen{limit}",
+                                 extra=["--limit", limit])) == 2
+            assert not (ws / f"gen{limit}").exists()
+            assert main(self.eval_args(ws, limit)) == 2
+            assert not (ws / f"eval{limit}").exists()
+
+    def test_first_n(self, workspace):
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out", extra=["--limit", "1"])) == 0
+        assert (ws / "out" / "instances.manifest").read_text().split() == \
+            ["train_000000"]
+        assert main(gen_args(ws, ws / "out", extra=["--limit", "2"])) == 0
+        names = (ws / "out" / "instances.manifest").read_text().split()
+        assert names == ["train_000000", "train_000001"]
+        write_gt_predictions(ws, names)
+        for limit in ("1", "2"):
+            assert main(self.eval_args(ws, limit)) == 0
+            summary = (ws / f"eval{limit}" / "summary.txt").read_text()
+            assert f"n_instances={limit}\n" in summary
+
+
 def write_gt_predictions(ws, names):
     """Ground truth as prediction files for the named instances."""
     pred_dir = ws / "preds"

@@ -13,8 +13,8 @@ from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
 from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
                                error_curve, evaluate_instance, f1,
                                geodesic_error, gt_as_prediction, iou,
-                               load_prediction, lr_accuracy, write_report,
-                               write_summary)
+                               load_prediction, lr_accuracy, write_report)
+from shapecorr.textio import write_key_values
 
 from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
                       icosphere)
@@ -518,7 +518,7 @@ class TestReports:
         summary = aggregate_reports([rep, rep])
         assert summary["mean_auc"] == pytest.approx(rep.auc)
         assert summary["mean_iou"] == pytest.approx(100.0)
-        write_summary(summary, tmp_path / "summary.txt")
+        write_key_values(tmp_path / "summary.txt", summary)
         assert "mean_auc" in (tmp_path / "summary.txt").read_text()
 
     def test_prediction_file_roundtrip(self, tmp_path):

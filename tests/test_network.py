@@ -331,6 +331,28 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match=want):
             build_network(p)
 
+    @pytest.mark.parametrize("value,template", [
+        ("yes", True), ("1", True), ("On", True), ("no", False),
+        ("0", False)])
+    def test_template_takes_the_config_booleans(self, tmp_path, value,
+                                                template):
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text().replace(
+            "mesh=c.ply", f"mesh=c.ply template={value}"))
+        net = build_network(p)
+        assert net.nodes["C"].template is template
+        assert ("C" in net.template_ids()) is template
+
+    def test_template_typo_names_line(self, tmp_path):
+        """A misspelt boolean used to load as a non-template node."""
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text().replace(
+            "mesh=c.ply", "mesh=c.ply template=ture"))
+        want = (re.escape(f"{p}:5: ") + ".*"
+                + re.escape("expected boolean, got 'ture'"))
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
 
 def test_load_annotation_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "s.labels"

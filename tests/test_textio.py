@@ -1,13 +1,18 @@
+import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shapecorr.corrio import load_correspondence
 from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
-from shapecorr.textio import FormatError
+from shapecorr.textio import (FormatError, format_value, parse_bool,
+                              read_key_values, write_key_values)
 
 
 def test_bad_row_raises_format_error_naming_its_line(tmp_path):
@@ -60,3 +65,48 @@ def test_non_integer_rejected_where_numpy_only_warns(tmp_path, monkeypatch):
     for read in _readers(tmp_path):
         with pytest.raises(ValueError):
             read()
+
+
+# keys and plain values: no "=" in a key, and no "#" or whitespace anywhere
+tokens = st.from_regex(r"[A-Za-z0-9_.:/+-]+", fullmatch=True)
+keys = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*", fullmatch=True)
+values = st.one_of(st.booleans(), st.integers(),
+                   st.floats(allow_nan=False, allow_infinity=False), tokens)
+
+
+@given(st.dictionaries(keys, values, max_size=8))
+@example({"zero": -0.0, "tiny": 5e-324, "sub": 2.2250738585072e-308,
+          "flag": True, "n": -3, "id": "faust:0001"})
+@settings(max_examples=200, deadline=None)
+def test_key_values_round_trip(tmp_path_factory, mapping):
+    path = tmp_path_factory.mktemp("kv") / "sub" / "meta.txt"
+    write_key_values(path, mapping)
+    back = read_key_values(path)
+    assert back == {k: format_value(v) for k, v in mapping.items()}
+    for k, v in mapping.items():
+        if type(v) is float:
+            assert struct.pack("<d", float(back[k])) == struct.pack("<d", v)
+
+
+def test_read_key_values_rules(tmp_path):
+    """Comments and blank lines are skipped, key and value stripped, a
+    later key wins, and a line without "=" is named by path and line."""
+    p = tmp_path / "a.txt"
+    p.write_text("# head\n\n  a = 1  # note\nb=x=y\na=2\n")
+    assert read_key_values(p) == {"a": "2", "b": "x=y"}
+    p.write_text("a=1\n\n  bogus  \n")
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{p}:3: expected key=value, "
+                                       "got 'bogus'")):
+        read_key_values(p)
+
+
+def test_format_value_and_parse_bool():
+    assert [format_value(v) for v in (True, False, 0.1, 1e-300, 3, "s")] == \
+        ["true", "false", "0.1", "1e-300", "3", "s"]
+    for text in ("true", "1", "YES", "on"):
+        assert parse_bool(text) is True
+    for text in ("false", "0", "No", "OFF"):
+        assert parse_bool(text) is False
+    with pytest.raises(ValueError, match="expected boolean, got 'ture'"):
+        parse_bool("ture")
