@@ -11,8 +11,8 @@ from shapecorr.corrio import load_correspondence
 from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
-from shapecorr.textio import (FormatError, format_value, parse_bool,
-                              read_key_values, write_key_values)
+from shapecorr.textio import (FormatError, format_value, read_key_values,
+                              write_key_values)
 
 
 def test_bad_row_raises_format_error_naming_its_line(tmp_path):
@@ -100,13 +100,3 @@ def test_read_key_values_rules(tmp_path):
                                        "got 'bogus'")):
         read_key_values(p)
 
-
-def test_format_value_and_parse_bool():
-    assert [format_value(v) for v in (True, False, 0.1, 1e-300, 3, "s")] == \
-        ["true", "false", "0.1", "1e-300", "3", "s"]
-    for text in ("true", "1", "YES", "on"):
-        assert parse_bool(text) is True
-    for text in ("false", "0", "No", "OFF"):
-        assert parse_bool(text) is False
-    with pytest.raises(ValueError, match="expected boolean, got 'ture'"):
-        parse_bool("ture")
