@@ -6,6 +6,7 @@ the acceptance rate of the retry loop. Useful for sanity-checking regime
 parameters before a long generation run.
 
 Usage: python3 scripts/overlap_histogram.py [--pairs N] [--seed S]
+                                             [--resolution R]
 """
 
 import argparse
@@ -22,12 +23,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import bumpy_sphere  # noqa: E402
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--pairs", type=int, default=100)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--resolution", type=int, default=64)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     mx = bumpy_sphere(3, seed=1, id="x")
     my = bumpy_sphere(3, seed=2, id="y")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .config import SPLITS
 from .textio import data_lines, key_values
 
 # type pairs considered compatible when building manifests
@@ -73,6 +74,12 @@ def parse_split_manifest(path):
                 shapes[parts[1]] = ShapeRecord(
                     parts[1], kv["dataset"], kv["category"], kv["type"])
             elif parts[0] == "pair":
+                if len(parts) != 4:
+                    raise ManifestError(
+                        f"expected 'pair SPLIT A B', got {line.strip()!r}")
+                if parts[1] not in SPLITS:
+                    raise ManifestError(f"unknown split {parts[1]!r}; "
+                                        f"valid: {', '.join(SPLITS)}")
                 pairs.setdefault(parts[1], []).append((parts[2], parts[3]))
             else:
                 raise ManifestError(f"unknown directive {parts[0]!r}")

@@ -22,15 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
+from .config import ConfigError
 from .corrio import load_correspondence, save_correspondence
 from .decimate import RemeshCache, remesh_with_correspondence
-from .meshes import DenseCorrespondence, Mesh, UNMATCHED
+from .meshes import DenseCorrespondence, Mesh
 from .meshio import load_mesh, save_colored_ply, save_mesh
 from .network import (compose, correspondence_between, project_template_pair,
                       shortest_path)
 from .pairs import enumerate_pairs
-from .scanning import (REGIME_ALPHA, OverlapStats, RaycastCache,
-                       generate_partial, generate_partial_pair)
+from .scanning import (REGIME_ALPHA, OverlapStats, PartialMesh, RaycastCache,
+                       generate_partial, generate_partial_pair, restrict)
 from .textio import read_key_values, write_key_values
 
 # role bytes for per-instance seed streams
@@ -94,30 +95,6 @@ def _emitted_to_emitted(corr_net, back_x, net_mesh_x, net_mesh_y,
     return compose(to_net_y, fwd_y, net_mesh_y, emitted_y)
 
 
-def _restrict_to_partials(corr, px, py, id_x, id_y):
-    """Cut a full-resolution correspondence down to partial discretisations.
-
-    Source rows are re-indexed through px's parent vertices; target entries
-    landing outside py's parent faces become UNMATCHED, the rest re-index
-    into the partial's face numbering.
-    """
-    faces = corr.faces[px.parent_vertex] if px is not None else corr.faces
-    weights = corr.weights[px.parent_vertex] if px is not None \
-        else corr.weights
-    faces = faces.copy()
-    weights = weights.copy()
-    if py is not None:
-        # py.parent_face is sorted; position = face index in the partial
-        pos = np.searchsorted(py.parent_face, faces)
-        pos_ok = (pos < len(py.parent_face)) & \
-            (py.parent_face[np.minimum(pos, len(py.parent_face) - 1)] == faces)
-        keep = (faces != UNMATCHED) & pos_ok
-        faces = np.where(keep, np.minimum(pos, len(py.parent_face) - 1),
-                         UNMATCHED)
-        weights[~keep] = 0.0
-    return DenseCorrespondence(id_x, id_y, faces, weights)
-
-
 def generate_instance(spec, net, config, raycast_cache=None,
                       remesh_cache=None):
     """Fully deterministic instance for one pair spec."""
@@ -142,7 +119,7 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache, seed):
     corr_net = correspondence_between(net, spec.id_x, spec.id_y)
     full_corr = _emitted_to_emitted(corr_net, back_x, net_x, net_y, emit_y)
 
-    px = py = None
+    px, py = PartialMesh.whole(emit_x), PartialMesh.whole(emit_y)
     overlap = None
     if config.setting == "partial_full":
         rng = derived_rng(seed, spec.index, ROLE_PARTIALITY)
@@ -161,11 +138,8 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache, seed):
             emit_x, emit_y, full_corr, back_full, params, rng,
             resolution=config.resolution, cache=raycast_cache)
 
-    gt = _restrict_to_partials(full_corr, px, py,
-                               emit_x.id if px is None else px.mesh.id,
-                               emit_y.id if py is None else py.mesh.id)
-    shape_x = px.mesh if px is not None else emit_x
-    shape_y = py.mesh if py is not None else emit_y
+    gt = restrict(full_corr, px, py)
+    shape_x, shape_y = px.mesh, py.mesh
 
     angles = {"x": 0.0, "y": 0.0}
     if config.one_axis_rotation:
@@ -263,12 +237,14 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
     """Generate all instances for config.split into output_dir.
 
     Resumable: completed instance directories are skipped, and temporaries
-    a killed run left behind are removed first. Failures are logged and the
-    run continues. Returns the list of written (or already present)
-    instance directory names.
+    a killed run left behind are removed first. A ``config.echo`` of another
+    config raises ``ConfigError``: one tree holds one config's instances.
+    Failures are logged and the run continues. Returns the list of written
+    (or already present) instance directory names.
     """
     log = log or (lambda msg: None)
     output_dir = Path(output_dir)
+    _check_echo(config, output_dir / "config.echo")
     output_dir.mkdir(parents=True, exist_ok=True)
     _remove_temporaries(output_dir)
     config.to_file(output_dir / "config.echo")
@@ -308,6 +284,18 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
     manifest_path.write_text("\n".join(done) + ("\n" if done else ""))
     log(f"wrote {len(done)} instances ({failed} failed) to {output_dir}")
     return done
+
+
+def _check_echo(config, echo):
+    """Refuse to resume into a tree whose ``config.echo`` is another
+    config's, naming the first key that differs."""
+    old = type(config).from_file(echo) if echo.exists() else config
+    for key in config.known_keys():
+        if getattr(old, key) != getattr(config, key):
+            raise ConfigError(
+                f"{echo.parent} holds instances made with {key}="
+                f"{getattr(old, key)!r}, not {getattr(config, key)!r}; "
+                "choose another --output")
 
 
 def _remove_temporaries(output_dir):

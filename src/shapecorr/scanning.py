@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .meshes import Mesh, UNMATCHED
+from .meshes import DenseCorrespondence, Mesh, UNMATCHED
 from .store import ContentStore
 
 CAMERA_DISTANCE = 2.0
@@ -56,9 +56,22 @@ class PartialMesh:
 
     mesh: Mesh
     parent_id: str
-    parent_vertex: np.ndarray  # per-vertex index into the parent
-    parent_face: np.ndarray  # per-face index into the parent
-    camera: CameraPose
+    parent_vertex: np.ndarray  # per-vertex index into the parent, ascending
+    parent_face: np.ndarray  # per-face index into the parent, ascending
+    camera: CameraPose | None  # None for a whole partial
+
+    @classmethod
+    def whole(cls, mesh):
+        """A full shape as the partial that keeps all of ``mesh``."""
+        return cls(mesh, mesh.id, np.arange(mesh.n_vertices),
+                   np.arange(mesh.n_faces), None)
+
+    def face_index(self, parent_faces):
+        """Each face's position in the sorted ``parent_face``, or UNMATCHED
+        where this partial does not keep it (or the input is UNMATCHED)."""
+        pos = np.minimum(np.searchsorted(self.parent_face, parent_faces),
+                         len(self.parent_face) - 1)
+        return np.where(self.parent_face[pos] == parent_faces, pos, UNMATCHED)
 
 
 @dataclass
@@ -188,8 +201,8 @@ def compute_overlap(px, py, corr_xy, corr_yx, iterations_used=1,
     """Mutual overlap fractions between two partial shapes.
 
     A vertex of px counts as overlapping when its parent vertex is matched
-    by corr_xy onto a face that belongs to py's parent faces. Unmatched
-    parents stay in the denominator.
+    by corr_xy onto a face py keeps (``py.face_index``, as in ``restrict``).
+    Unmatched parents stay in the denominator.
     """
     if corr_xy.source_id != px.parent_id or corr_xy.target_id != py.parent_id:
         raise ValueError("corr_xy does not connect the parents of px and py")
@@ -205,10 +218,16 @@ def compute_overlap(px, py, corr_xy, corr_yx, iterations_used=1,
 
 
 def _directed_overlap(pa, pb, corr):
-    faces = corr.faces[pa.parent_vertex]
-    matched = faces != UNMATCHED
-    in_b = np.isin(faces, pb.parent_face)
-    return float((matched & in_b).sum() / len(faces))
+    kept = pb.face_index(corr.faces[pa.parent_vertex]) != UNMATCHED
+    return float(kept.sum() / len(kept))
+
+
+def restrict(corr, px, py):
+    """``corr`` between the parents cut down to the partials: px's rows,
+    py's faces (``py.face_index``); the constructor zeroes unmatched rows."""
+    return DenseCorrespondence(
+        px.mesh.id, py.mesh.id, py.face_index(corr.faces[px.parent_vertex]),
+        corr.weights[px.parent_vertex])
 
 
 def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,

@@ -8,6 +8,7 @@ entries)."""
 
 from __future__ import annotations
 
+import os
 import warnings
 from pathlib import Path
 
@@ -62,29 +63,28 @@ def load_int_column(path):
 
 
 def key_values(tokens):
-    """``key=value`` tokens as a dict; a later key wins. A token without
-    ``=`` raises ``ValueError``, which the manifest readers report with
-    their path and line."""
+    """``key=value`` tokens as a dict, key and value stripped; a later key
+    wins. A token without ``=`` raises ``ValueError``, which the manifest
+    readers report with their path and line."""
     out = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok.strip()!r}")
+        out[key.strip()] = value.strip()
     return out
 
 
 def read_key_values(path):
     """A flat ``key=value`` file as a dict of strings: ``#`` comments and
-    blank lines are skipped, key and value are stripped, a later key wins.
-    A line without ``=`` raises ``FormatError`` naming ``path:line``."""
+    blank lines are skipped, each line is read by ``key_values``. A line
+    without ``=`` raises ``FormatError`` naming ``path:line``."""
     out = {}
     for lineno, text in data_lines(path):
-        key, eq, value = text.partition("=")
-        if not eq:
-            raise FormatError(
-                path, f"expected key=value, got {text.strip()!r}", lineno)
-        out[key.strip()] = value.strip()
+        try:
+            out.update(key_values([text]))
+        except ValueError as exc:
+            raise FormatError(path, str(exc), lineno) from None
     return out
 
 
@@ -100,11 +100,14 @@ def format_value(v):
 
 def write_key_values(path, mapping):
     """``mapping`` as one ``key=value`` line per entry, in order; the parent
-    directory is made."""
+    directory is made. The file is written under a temp name and renamed
+    into place, so a killed write leaves no torn file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(f"{k}={format_value(v)}\n"
-                            for k, v in mapping.items()))
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text("".join(f"{k}={format_value(v)}\n"
+                           for k, v in mapping.items()))
+    os.replace(tmp, path)
 
 
 def parse_bool(text):

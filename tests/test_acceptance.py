@@ -12,6 +12,7 @@ import pytest
 
 from shapecorr import geometry as geo
 from shapecorr.config import GenerationConfig
+from shapecorr.corrio import load_correspondence
 from shapecorr.decimate import remesh_with_correspondence
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
@@ -23,6 +24,7 @@ from shapecorr.pairs import (PairSpec, ShapeRecord, SplitManifest,
 from shapecorr.pipeline import run_generation
 from shapecorr.scanning import generate_partial, generate_partial_pair
 from shapecorr.spatial import exhaustive_first_hits
+from shapecorr.textio import read_key_values
 
 from conftest import (bumpy_sphere, digest_tree, floyd_warshall_distances,
                       grid_plane, icosphere, random_rigid, require_golden_build)
@@ -294,6 +296,18 @@ def test_criterion_9_pinned_digest(tmp_path, setting):
     cfg = dataclasses.replace(_criterion_9_config(), setting=setting)
     run_generation(cfg, net, manifest, tmp_path)
     assert digest_tree(tmp_path) == GOLDEN_DIGESTS[setting]
+
+
+def test_criterion_9_overlap_is_matched_share(tmp_path):
+    """Each P2P instance's meta.txt overlap_x_to_y is exactly the matched
+    share of its gt.corr: one face rule measures both."""
+    net, manifest = _toy_world()
+    names = run_generation(_criterion_9_config(), net, manifest, tmp_path)
+    assert len(names) == 10
+    for name in names:
+        meta = read_key_values(tmp_path / name / "meta.txt")
+        gt = load_correspondence(tmp_path / name / "gt.corr")
+        assert float(meta["overlap_x_to_y"]) == gt.matched.sum() / len(gt)
 
 
 def test_warm_remesh_cache_writes_cold_bytes(tmp_path):

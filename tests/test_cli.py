@@ -120,6 +120,23 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "config error: " + expected in out
 
+    def test_set_strips_key_and_value(self, workspace):
+        """``--set`` reads a pair as a config file line does."""
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out",
+                             extra=["--set", " global_seed = 5 "])) == 0
+        assert "global_seed=5\n" in (ws / "out" / "config.echo").read_text()
+
+    def test_resume_with_another_config_exit_2(self, workspace, capsys):
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out", extra=["--limit", "1"])) == 0
+        before = digest_tree(ws / "out")
+        capsys.readouterr()
+        assert main(gen_args(ws, ws / "out", extra=["--seed", "4"])) == 2
+        out = capsys.readouterr().out
+        assert "global_seed=3, not 4; choose another --output" in out
+        assert digest_tree(ws / "out") == before
+
     def test_rerun_from_echoed_config(self, workspace):
         ws, _ = workspace
         assert main(gen_args(ws, ws / "a")) == 0

@@ -117,6 +117,22 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=want):
             parse_split_manifest(p)
 
+    @pytest.mark.parametrize("line,message", [
+        ("pair trian a b", "unknown split 'trian'; valid: train, val, test"),
+        ("pair val a b extra tokens",
+         "expected 'pair SPLIT A B', got 'pair val a b extra tokens'"),
+        ("pair val a", "expected 'pair SPLIT A B', got 'pair val a'"),
+    ])
+    def test_bad_pair_line_names_line(self, tmp_path, line, message):
+        """A misspelled split or a pair line of other than four tokens was
+        stored or loaded silently; its pairs were never enumerated."""
+        p = tmp_path / "split.manifest"
+        p.write_text("shape a dataset=faust category=c type=human\n"
+                     f"shape b dataset=faust category=c type=human\n{line}\n")
+        with pytest.raises(ManifestError,
+                           match=re.escape(f"{p}:3: {message}")):
+            parse_split_manifest(p)
+
 
 class TestDefaultManifest:
     def test_published_split_sizes(self):

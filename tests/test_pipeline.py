@@ -1,18 +1,20 @@
+import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
-from shapecorr.config import GenerationConfig
+from shapecorr.config import ConfigError, GenerationConfig
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
 from shapecorr.network import ShapeNetwork, ShapeNode
 from shapecorr.pairs import PairSpec, ShapeRecord, SplitManifest
-from shapecorr.pipeline import (MatchingInstance, _restrict_to_partials,
-                                derive_seed, generate_instance, load_instance,
+from shapecorr.pipeline import (MatchingInstance, derive_seed,
+                                generate_instance, load_instance,
                                 run_generation, write_instance)
-from shapecorr.scanning import generate_partial
+from shapecorr.scanning import generate_partial, restrict
 
 from conftest import digest_tree, icosphere, random_rigid
 
@@ -149,7 +151,7 @@ class TestRestriction:
         px = generate_partial(m, rng, resolution=(64, 64))
         py = generate_partial(m, rng, resolution=(64, 64))
         full = identity_correspondence(m)
-        out = _restrict_to_partials(full, px, py, "px", "py")
+        out = restrict(full, px, py)
         assert len(out) == px.mesh.n_vertices
         pf = list(py.parent_face)
         for i, pv in enumerate(px.parent_vertex):
@@ -202,6 +204,40 @@ class TestRunGeneration:
         run_generation(cfg, net, manifest, tmp_path / "resumed")
         assert digest_tree(tmp_path / "resumed") == \
             digest_tree(tmp_path / "full")
+
+    def test_resume_refuses_another_config(self, tmp_path):
+        """A tree made by one config is not topped up by another: the
+        refusal names the first differing key and leaves the tree as it
+        was; the same config with another limit resumes."""
+        net, manifest, _ = toy_network()
+        out = tmp_path / "out"
+        cfg = toy_config(setting="partial_partial", global_seed=0)
+        run_generation(cfg, net, manifest, out, limit=1)
+        before = digest_tree(out)
+        other = toy_config(setting="full_full", global_seed=5)
+        with pytest.raises(ConfigError, match=re.escape(
+                "made with setting='partial_partial', not 'full_full'; "
+                "choose another --output")):
+            run_generation(other, net, manifest, out)
+        assert digest_tree(out) == before
+        assert len(run_generation(cfg, net, manifest, out, limit=2)) == 2
+
+    def test_run_killed_writing_its_echo_resumes(self, tmp_path,
+                                                 monkeypatch):
+        """The echo is renamed into place: a run killed while writing it
+        leaves no torn echo for the resume to refuse."""
+        net, manifest, _ = toy_network()
+        out = tmp_path / "out"
+
+        def killed(src, dst):
+            raise KeyboardInterrupt
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", killed)
+            with pytest.raises(KeyboardInterrupt):
+                run_generation(toy_config(), net, manifest, out)
+        assert not (out / "config.echo").exists()
+        assert len(run_generation(toy_config(), net, manifest, out)) == 3
+        assert not list(out.rglob("*.tmp*"))
 
     def test_killed_run_resumes_to_same_tree(self, tmp_path):
         """Torn cache entries and a leftover temp directory, as a run killed

@@ -3,12 +3,14 @@ import pytest
 
 from shapecorr import geometry as geo
 from shapecorr import scanning, spatial
-from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
-from shapecorr.scanning import (CameraPose, EmptyScanError, RaycastCache,
-                                angular_disparity, camera_rays, cast_scan,
-                                compute_overlap, extract_partial,
+from shapecorr.meshes import (UNMATCHED, DenseCorrespondence, Mesh,
+                              identity_correspondence)
+from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
+                                RaycastCache, angular_disparity, camera_rays,
+                                cast_scan, compute_overlap, extract_partial,
                                 generate_partial, generate_partial_pair,
-                                sample_camera, sample_constrained_pair)
+                                restrict, sample_camera,
+                                sample_constrained_pair)
 from shapecorr.spatial import exhaustive_first_hits
 
 from conftest import bumpy_sphere, icosphere, random_rigid
@@ -188,6 +190,35 @@ class TestExtractPartial:
             kept.append(len(extract_partial(m, hit, cam).parent_face)
                         / len(hit))
         assert min(kept) >= 0.70
+
+
+class TestWholePartial:
+    def test_is_the_full_hit_partial(self):
+        """A full shape's whole partial has the maps of a scan that hits
+        every face, and no camera."""
+        m = icosphere(1)
+        w = PartialMesh.whole(m)
+        p = extract_partial(m, np.arange(m.n_faces), CameraPose(0.0, 0.0))
+        np.testing.assert_array_equal(w.parent_face, p.parent_face)
+        np.testing.assert_array_equal(w.parent_vertex, p.parent_vertex)
+        assert w.mesh is m and w.camera is None
+
+    def test_restrict_is_identity(self):
+        """face_index of a whole partial keeps every face and UNMATCHED,
+        so restricting to whole partials re-makes the correspondence."""
+        m = icosphere(1)
+        rng = np.random.default_rng(8)
+        faces = rng.integers(0, m.n_faces, m.n_vertices)
+        faces[rng.random(m.n_vertices) < 0.3] = UNMATCHED
+        corr = DenseCorrespondence(m.id, m.id, faces,
+                                   rng.dirichlet(np.ones(3), m.n_vertices))
+        w = PartialMesh.whole(m)
+        np.testing.assert_array_equal(w.face_index(faces), faces)
+        out = restrict(corr, w, w)
+        np.testing.assert_array_equal(out.faces, corr.faces)
+        np.testing.assert_array_equal(
+            out.weights, DenseCorrespondence(m.id, m.id, corr.faces,
+                                             corr.weights).weights)
 
 
 class TestComputeOverlap:

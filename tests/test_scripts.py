@@ -1,5 +1,6 @@
 """Every script under ``scripts/`` imports against today's ``src/`` and
-perfbench names, and runs nothing until it is called."""
+perfbench names, and runs nothing until it is called; the overlap
+histogram also runs end to end."""
 
 import importlib.util
 import sys
@@ -36,3 +37,11 @@ def test_record_pins_every_case(load):
     record = load("paper_record.py")
     assert len(record.CASES) == 12
     assert list(record.PINNED) == list(record.CASES)
+
+
+def test_overlap_histogram_runs(load, capsys):
+    load("overlap_histogram.py").main(["--pairs", "2", "--resolution", "16"])
+    out = capsys.readouterr().out
+    for regime in ("low", "medium", "high"):
+        block = out.split(f"regime={regime} ")[1].split("regime=")[0]
+        assert "accepted" in block and block.count("  [") == 10

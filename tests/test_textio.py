@@ -11,8 +11,8 @@ from shapecorr.corrio import load_correspondence
 from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
-from shapecorr.textio import (FormatError, format_value, read_key_values,
-                              write_key_values)
+from shapecorr.textio import (FormatError, format_value, key_values,
+                              read_key_values, write_key_values)
 
 
 def test_bad_row_raises_format_error_naming_its_line(tmp_path):
@@ -100,3 +100,11 @@ def test_read_key_values_rules(tmp_path):
                                        "got 'bogus'")):
         read_key_values(p)
 
+
+
+def test_key_values_strips_key_and_value():
+    """Tokens follow the line rule of ``read_key_values``."""
+    assert key_values([" a = 1 ", "b=x = y", "a=2"]) == {"a": "2",
+                                                         "b": "x = y"}
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        key_values(["  bogus "])
