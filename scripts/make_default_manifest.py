@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from shapecorr.pairs import (COMPATIBLE_TYPES, ShapeRecord, SplitManifest,
+from shapecorr.config import COMBINATIONS
+from shapecorr.pairs import (ShapeRecord, SplitManifest, combination_allows,
                              write_split_manifest)
 
 SEED = 20250824
@@ -72,13 +73,19 @@ def build():
                 shapes[sid] = ShapeRecord(sid, dataset, f"{dataset}:{cat}",
                                           typ)
                 by_split.setdefault((dataset, split), []).append(sid)
+    # a type pair is compatible when a combination narrower than "all"
+    # admits it
+    types = {rec.type for rec in shapes.values()}
+    compatible = {frozenset((s, t)) for s in types for t in types
+                  if any(combination_allows(c, s, t)
+                         for c in COMBINATIONS if c != "all")}
     pairs = {}
     for split, quotas in QUOTAS.items():
         for dataset in sorted(quotas):
             pool = by_split[(dataset, split)]
             cands = [(a, b) for a, b in itertools.combinations(pool, 2)
                      if frozenset((shapes[a].type, shapes[b].type))
-                     in COMPATIBLE_TYPES]
+                     in compatible]
             quota = quotas[dataset]
             if quota > len(cands):
                 raise SystemExit(f"{dataset}/{split}: quota {quota} exceeds "

@@ -13,8 +13,9 @@ import argparse
 
 import numpy as np
 
+from shapecorr.config import CAM_POS_REGIMES
 from shapecorr.meshes import DenseCorrespondence, identity_correspondence
-from shapecorr.scanning import REGIME_ALPHA, generate_partial_pair
+from shapecorr.scanning import generate_partial_pair
 
 from pathlib import Path
 import sys
@@ -37,7 +38,7 @@ def main(argv=None):
     cyx = DenseCorrespondence("y", "x", ic.faces, ic.weights)
     res = (args.resolution, args.resolution)
 
-    for regime, alpha in REGIME_ALPHA.items():
+    for regime, alpha in CAM_POS_REGIMES.items():
         rng = np.random.default_rng(args.seed)
         params = {"alpha": alpha, "min_overlap": 0.1, "max_overlap": 0.9,
                   "m": 10}

@@ -9,16 +9,25 @@ science-affecting option to its published default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .textio import (FormatError, parse_bool, read_key_values,
                      write_key_values)
 
 ALL_DATASETS = ("faust", "scape", "tosca", "kids", "dt4d", "smal", "shrec20")
-COMBINATIONS = ("human", "four-legged", "human_centaur",
-                "four-legged_centaur", "all")
+# the shape types a pair may hold under each combinations value; None: any
+COMBINATIONS = {
+    "human": frozenset({"human"}),
+    "four-legged": frozenset({"four-legged"}),
+    "human_centaur": frozenset({"human", "centaur"}),
+    "four-legged_centaur": frozenset({"four-legged", "centaur"}),
+    "all": None,
+}
 SETTINGS = ("full_full", "partial_full", "partial_partial")
-CAM_POS_REGIMES = ("low", "medium", "high")
+# angular disparity of the two scanner cameras per cam_pos_regime value
+CAM_POS_REGIMES = {"low": math.pi / 8, "medium": math.pi / 4,
+                   "high": math.pi / 2}
 SPLITS = ("train", "val", "test")
 
 
@@ -65,13 +74,14 @@ class GenerationConfig:
     def validate(self):
         if self.combinations not in COMBINATIONS:
             raise ConfigError(
-                f"combinations={self.combinations!r} not in {COMBINATIONS}")
+                f"combinations={self.combinations!r} not in "
+                f"{tuple(COMBINATIONS)}")
         if self.setting not in SETTINGS:
             raise ConfigError(f"setting={self.setting!r} not in {SETTINGS}")
         if self.cam_pos_regime not in CAM_POS_REGIMES:
             raise ConfigError(
                 f"cam_pos_regime={self.cam_pos_regime!r} not in "
-                f"{CAM_POS_REGIMES}")
+                f"{tuple(CAM_POS_REGIMES)}")
         if self.split not in SPLITS:
             raise ConfigError(f"split={self.split!r} not in {SPLITS}")
         unknown = [d for d in self.datasets if d not in ALL_DATASETS]
@@ -138,42 +148,39 @@ class GenerationConfig:
             for f in dataclasses.fields(self)})
 
 
+# tuple-valued keys: item separator, and the form a parse error names
+# (None: a list of names rather than two integers)
+_TUPLES = {"datasets": (",", None), "resolution": ("x", "WIDTHxHEIGHT"),
+           "count_range": ("-", "LOW-HIGH")}
+
+
 # a field's value type is the type of its default
 def _parse_value(field, value):
     if not isinstance(value, str):
         return value
     key, kind = field.name, type(field.default)
+    if kind is tuple:
+        sep, form = _TUPLES[key]
+        if form is None:
+            if value.lower() == "all":
+                return ALL_DATASETS
+            return tuple(d.strip() for d in value.split(sep) if d.strip())
+        try:
+            a, b = value.lower().split(sep)
+            return (int(a), int(b))
+        except ValueError:
+            raise ConfigError(f"{key}: expected {form} (two integers), got "
+                              f"{value!r}") from None
     if kind in (bool, int, float):
         try:
             return parse_bool(value) if kind is bool else kind(value)
         except ValueError:
             raise ConfigError(f"{key}: expected {kind.__name__}, got "
                               f"{value!r}") from None
-    if key == "datasets":
-        if value.lower() == "all":
-            return ALL_DATASETS
-        return tuple(d.strip() for d in value.split(",") if d.strip())
-    if key == "resolution":
-        return _parse_int_pair(key, value.lower(), "x", "WIDTHxHEIGHT")
-    if key == "count_range":
-        return _parse_int_pair(key, value, "-", "LOW-HIGH")
     return value
 
 
-def _parse_int_pair(key, value, sep, form):
-    try:
-        a, b = value.split(sep)
-        return (int(a), int(b))
-    except ValueError:
-        raise ConfigError(f"{key}: expected {form} (two integers), got "
-                          f"{value!r}") from None
-
-
 def _format_value(key, value):
-    if key == "datasets":
-        return ",".join(value)
-    if key == "resolution":
-        return f"{value[0]}x{value[1]}"
-    if key == "count_range":
-        return f"{value[0]}-{value[1]}"
+    if key in _TUPLES:
+        return _TUPLES[key][0].join(str(v) for v in value)
     return value

@@ -35,17 +35,27 @@ def edge_incidence(faces, n_vertices):
     return directed, inverse, edges, counts
 
 
+def _frozen(array, dtype):
+    """``array`` as a read-only C-contiguous ``dtype`` array; a writable
+    array is copied, so the caller's stays writable and unshared."""
+    shared = isinstance(array, np.ndarray) and not array.flags.writeable
+    out = np.array(array, dtype, order="C", copy=None if shared else True)
+    out.setflags(write=False)
+    return out
+
+
 class Mesh:
     """Indexed triangle surface.
 
     Vertices are float64 positions of shape (n, 3); faces are int64 index
-    triples of shape (m, 3). Both arrays are copied and frozen so a Mesh can
-    be shared between workers without defensive copies.
+    triples of shape (m, 3). Both arrays are frozen so a Mesh can be shared
+    between workers without defensive copies; a writable input is copied
+    first, a read-only one may be shared.
     """
 
     def __init__(self, vertices, faces, id=None, metadata=None, validate=True):
-        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.faces = np.ascontiguousarray(faces, dtype=np.int64)
+        self.vertices = _frozen(vertices, np.float64)
+        self.faces = _frozen(faces, np.int64)
         self.id = id
         self.metadata = dict(metadata) if metadata else {}
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -54,8 +64,6 @@ class Mesh:
             raise MeshValidationError("faces must have shape (m, 3)")
         if validate:
             self._validate()
-        self.vertices.setflags(write=False)
-        self.faces.setflags(write=False)
 
     def _validate(self):
         if not np.isfinite(self.vertices).all():

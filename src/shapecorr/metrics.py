@@ -19,7 +19,7 @@ from .config import SETTINGS
 from .meshes import UNMATCHED
 # a vertex map file: one target vertex index per line, -1 = unmatched
 from .textio import load_int_column as load_prediction
-from .textio import write_key_values
+from .textio import write_atomic, write_key_values
 
 DEFAULT_THRESHOLDS = np.round(np.arange(0, 1001) * 0.001, 3)
 
@@ -281,7 +281,7 @@ def write_report(report, directory):
                      {k: v for k, v in record.items() if v is not None})
     curve = "\n".join(f"{t:.6f} {f:.9f}"
                       for t, f in zip(report.thresholds, report.fractions))
-    (directory / "curve.txt").write_text(curve + "\n")
+    write_atomic(directory / "curve.txt", curve + "\n")
 
 
 def aggregate_reports(reports):

@@ -48,7 +48,9 @@ class ShapeNode:
 
 
 class ShapeNetwork:
-    """Immutable after build; composition results are memoized per pair."""
+    """Immutable after build; composition results are memoized per pair.
+    The one checker of a network: edges against their nodes' ids and
+    meshes, annotations against their node's vertex count."""
 
     def __init__(self, nodes, edges, annotations=None):
         self.nodes = dict(nodes)  # id -> ShapeNode
@@ -61,10 +63,21 @@ class ShapeNetwork:
                 raise NetworkError(
                     f"edge {a} -> {b} carries correspondence "
                     f"{corr.source_id} -> {corr.target_id}")
+            try:
+                corr.validate_against(self.mesh(a), self.mesh(b))
+            except ValueError as exc:
+                raise NetworkError(f"edge {a} -> {b}: {exc}") from None
             self.edges[(a, b)] = corr
             self.adjacency[a].add(b)
             self.adjacency[b].add(a)
         self.annotations = dict(annotations or {})
+        for sid, lab in self.annotations.items():
+            if sid not in self.nodes:
+                raise NetworkError(f"annotation for unknown node {sid!r}")
+            n = self.mesh(sid).n_vertices
+            if len(lab.labels) != n:
+                raise NetworkError(f"annotation for {sid}: "
+                                   f"{len(lab.labels)} labels for {n} vertices")
         self._pair_cache = {}
 
     def mesh(self, nid):
@@ -213,31 +226,35 @@ def load_annotation(path, shape_id):
     return VertexLabels(shape_id, load_int_column(path))
 
 
+_SHAPE_KEYS = ("dataset", "mesh", "category", "template", "scale")
+
+
 def parse_manifest(path):
     """Line-oriented network manifest.
 
     Directives (one per line, '#' comments):
 
-        dataset <name> [key=value ...]
+        dataset <name> [key=value ...]   (free keys, not read)
         shape <id> dataset=<name> mesh=<path> [category=..] [template=true]
               [scale=<float>]
         edge <id_a> <id_b> forward=<corr path> backward=<corr path>
         annotation <id> labels=<path>
 
-    Relative paths resolve against the manifest's directory.
+    Relative paths resolve against the manifest's directory; an unknown
+    key on a shape, edge or annotation line is an error.
     """
     path = Path(path)
     base = path.parent
-    datasets, shapes, edges, annotations = {}, {}, [], {}
+    shapes, edges, annotations = {}, [], {}
     for lineno, line in data_lines(path):
         parts = line.split()
         kind = parts[0]
         try:
             if kind == "dataset":
-                datasets[parts[1]] = key_values(parts[2:])
+                key_values(parts[2:])  # free keys; nothing reads them
             elif kind == "shape":
                 sid = parts[1]
-                kv = key_values(parts[2:])
+                kv = key_values(parts[2:], _SHAPE_KEYS)
                 shapes[sid] = ShapeNode(
                     id=sid, dataset=kv["dataset"],
                     category=kv.get("category", ""),
@@ -246,54 +263,41 @@ def parse_manifest(path):
                     scale=float(kv.get("scale", 1.0)))
             elif kind == "edge":
                 a, b = parts[1], parts[2]
-                kv = key_values(parts[3:])
+                kv = key_values(parts[3:], ("forward", "backward"))
                 edges.append((a, b, base / kv["forward"],
                               base / kv["backward"]))
             elif kind == "annotation":
-                kv = key_values(parts[2:])
+                kv = key_values(parts[2:], ("labels",))
                 annotations[parts[1]] = base / kv["labels"]
             else:
                 raise NetworkError(f"unknown directive {kind!r}")
         except (KeyError, IndexError, ValueError) as exc:
             raise NetworkError(
                 f"{path}:{lineno}: malformed {kind!r} line ({exc})") from None
-    return {"datasets": datasets, "shapes": shapes, "edges": edges,
-            "annotations": annotations}
+    return {"shapes": shapes, "edges": edges, "annotations": annotations}
+
+
+def _load(what, path, loader, *args):
+    """``loader(path, *args)``; a file that cannot be read or parsed raises
+    a NetworkError naming ``what`` and the path."""
+    try:
+        return loader(path, *args)
+    except FileNotFoundError:
+        raise NetworkError(f"{what}: missing file {path}") from None
+    except (OSError, ValueError) as exc:
+        msg = str(exc) if str(path) in str(exc) else f"{path}: {exc}"
+        raise NetworkError(f"{what}: {msg}") from None
 
 
 def build_network(manifest_path):
     """Load a manifest, its correspondence edges, and annotations into a
     validated ShapeNetwork."""
     spec = parse_manifest(manifest_path)
-    nodes = spec["shapes"]
     edges = {}
     for a, b, fwd, bwd in spec["edges"]:
-        for nid in (a, b):
-            if nid not in nodes:
-                raise NetworkError(f"edge {a} -> {b}: unknown node {nid!r}")
         for src, dst, p in ((a, b, fwd), (b, a, bwd)):
-            if not Path(p).exists():
-                raise NetworkError(f"edge {src} -> {dst}: missing file {p}")
-            corr = load_correspondence(p)
-            if (corr.source_id, corr.target_id) != (src, dst):
-                raise NetworkError(
-                    f"edge {src} -> {dst}: file {p} maps "
-                    f"{corr.source_id} -> {corr.target_id}")
-            try:
-                corr.validate_against(nodes[src].mesh(), nodes[dst].mesh())
-            except ValueError as exc:
-                raise NetworkError(f"edge {src} -> {dst}: {exc}") from None
-            edges[(src, dst)] = corr
-    annotations = {}
-    for sid, p in spec["annotations"].items():
-        if sid not in nodes:
-            raise NetworkError(f"annotation for unknown node {sid!r}")
-        if not Path(p).exists():
-            raise NetworkError(f"annotation for {sid}: missing file {p}")
-        lab = load_annotation(p, sid)
-        if len(lab.labels) != nodes[sid].mesh().n_vertices:
-            raise NetworkError(
-                f"annotation for {sid}: {len(lab.labels)} labels for "
-                f"{nodes[sid].mesh().n_vertices} vertices")
-        annotations[sid] = lab
-    return ShapeNetwork(nodes, edges, annotations)
+            edges[(src, dst)] = _load(f"edge {src} -> {dst}", p,
+                                      load_correspondence)
+    annotations = {sid: _load(f"annotation for {sid}", p, load_annotation, sid)
+                   for sid, p in spec["annotations"].items()}
+    return ShapeNetwork(spec["shapes"], edges, annotations)

@@ -11,17 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
-from .config import SPLITS
-from .textio import data_lines, key_values
-
-# type pairs considered compatible when building manifests
-COMPATIBLE_TYPES = {
-    frozenset(["human"]), frozenset(["four-legged"]),
-    frozenset(["centaur"]), frozenset(["human", "centaur"]),
-    frozenset(["four-legged", "centaur"]),
-}
+from .config import COMBINATIONS, SPLITS
+from .textio import data_lines, key_values, write_atomic
 
 
 class ManifestError(ValueError):
@@ -70,7 +62,7 @@ def parse_split_manifest(path):
         parts = line.split()
         try:
             if parts[0] == "shape":
-                kv = key_values(parts[2:])
+                kv = key_values(parts[2:], ("dataset", "category", "type"))
                 shapes[parts[1]] = ShapeRecord(
                     parts[1], kv["dataset"], kv["category"], kv["type"])
             elif parts[0] == "pair":
@@ -96,8 +88,7 @@ def write_split_manifest(manifest, path):
     for split in ("train", "val", "test"):
         for a, b in manifest.pairs.get(split, []):
             lines.append(f"pair {split} {a} {b}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def default_split_manifest():
@@ -108,18 +99,10 @@ def default_split_manifest():
 
 
 def combination_allows(combination, type_a, type_b):
-    pair = {type_a, type_b}
-    if combination == "all":
-        return True
-    if combination == "human":
-        return pair == {"human"}
-    if combination == "four-legged":
-        return pair == {"four-legged"}
-    if combination == "human_centaur":
-        return pair <= {"human", "centaur"}
-    if combination == "four-legged_centaur":
-        return pair <= {"four-legged", "centaur"}
-    raise ManifestError(f"unknown combination {combination!r}")
+    if combination not in COMBINATIONS:
+        raise ManifestError(f"unknown combination {combination!r}")
+    allowed = COMBINATIONS[combination]
+    return allowed is None or {type_a, type_b} <= allowed
 
 
 def enumerate_pairs(manifest, config):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry as geo
-from .config import ConfigError
+from .config import CAM_POS_REGIMES, ConfigError
 from .corrio import load_correspondence, save_correspondence
 from .decimate import RemeshCache, remesh_with_correspondence
 from .meshes import DenseCorrespondence, Mesh
@@ -30,9 +30,9 @@ from .meshio import load_mesh, save_colored_ply, save_mesh
 from .network import (compose, correspondence_between, project_template_pair,
                       shortest_path)
 from .pairs import enumerate_pairs
-from .scanning import (REGIME_ALPHA, OverlapStats, PartialMesh, RaycastCache,
+from .scanning import (OverlapStats, PartialMesh, RaycastCache,
                        generate_partial, generate_partial_pair, restrict)
-from .textio import read_key_values, write_key_values
+from .textio import read_key_values, write_atomic, write_key_values
 
 # role bytes for per-instance seed streams
 ROLE_REMESH_X = 0
@@ -130,7 +130,7 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache, seed):
         back_full = _emitted_to_emitted(corr_net_back, back_y, net_y, net_x,
                                         emit_x)
         rng = derived_rng(seed, spec.index, ROLE_PARTIALITY)
-        params = {"alpha": REGIME_ALPHA[config.cam_pos_regime],
+        params = {"alpha": CAM_POS_REGIMES[config.cam_pos_regime],
                   "min_overlap": config.min_overlap,
                   "max_overlap": config.max_overlap,
                   "m": config.n_cam_pos}
@@ -280,8 +280,8 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
             continue
         done.append(name)
         log(f"done {name} in {time.monotonic() - t0:.2f}s")
-    manifest_path = output_dir / "instances.manifest"
-    manifest_path.write_text("\n".join(done) + ("\n" if done else ""))
+    write_atomic(output_dir / "instances.manifest",
+                 "\n".join(done) + ("\n" if done else ""))
     log(f"wrote {len(done)} instances ({failed} failed) to {output_dir}")
     return done
 

@@ -22,9 +22,6 @@ _POLE_ELEVATION = np.deg2rad(85.0)
 DEFAULT_RESOLUTION = (256, 256)
 SCAN_ATTEMPTS = 5  # cameras generate_partial samples before it gives up
 
-# angular disparity per cam_pos_regime config value
-REGIME_ALPHA = {"low": np.pi / 8, "medium": np.pi / 4, "high": np.pi / 2}
-
 
 @dataclass(frozen=True)
 class CameraPose:

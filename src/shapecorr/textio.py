@@ -62,16 +62,20 @@ def load_int_column(path):
     return read_table(path, data_lines(path), "value", [("v", "i8")])["v"]
 
 
-def key_values(tokens):
+def key_values(tokens, known=None):
     """``key=value`` tokens as a dict, key and value stripped; a later key
-    wins. A token without ``=`` raises ``ValueError``, which the manifest
-    readers report with their path and line."""
+    wins. A token without ``=``, or a key outside ``known`` when that is
+    given, raises ``ValueError``, which the manifest readers report with
+    their path and line."""
     out = {}
     for tok in tokens:
         key, eq, value = tok.partition("=")
         if not eq:
             raise ValueError(f"expected key=value, got {tok.strip()!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if known is not None and key not in known:
+            raise ValueError(f"unknown key {key!r}; valid: {', '.join(known)}")
+        out[key] = value.strip()
     return out
 
 
@@ -98,16 +102,22 @@ def format_value(v):
     return str(v)
 
 
-def write_key_values(path, mapping):
-    """``mapping`` as one ``key=value`` line per entry, in order; the parent
-    directory is made. The file is written under a temp name and renamed
-    into place, so a killed write leaves no torn file."""
+def write_atomic(path, text):
+    """Write ``text`` to ``path``, making the parent directory. The file is
+    written under a temp name and renamed into place, so a write that is
+    killed or fails leaves the previous file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(f"{k}={format_value(v)}\n"
-                           for k, v in mapping.items()))
+    tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def write_key_values(path, mapping):
+    """``mapping`` as one ``key=value`` line per entry, in order, written
+    by ``write_atomic``."""
+    write_atomic(path, "".join(f"{k}={format_value(v)}\n"
+                               for k, v in mapping.items()))
 
 
 def parse_bool(text):

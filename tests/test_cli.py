@@ -418,6 +418,30 @@ class TestOtherCommands:
         assert main(["validate-network", "--network",
                      str(ws / "network.manifest")]) == 1
 
+    @pytest.mark.parametrize("name,text", [
+        ("e0b.corr", None), ("s0.labels", "0\nleft\n")])
+    def test_validate_network_bad_file(self, workspace, capsys, name,
+                                       text):
+        """A truncated edge file or a malformed labels file used to end
+        the command in a traceback."""
+        ws, _ = workspace
+        path = ws / name
+        if text is None:
+            path.write_bytes(path.read_bytes()[:-7])
+        else:
+            path.write_text(text)
+        assert main(["validate-network", "--network",
+                     str(ws / "network.manifest")]) == 1
+        out = capsys.readouterr().out
+        assert "network invalid: " in out and name in out
+
+    def test_generate_bad_edge_file(self, workspace, capsys):
+        ws, _ = workspace
+        path = ws / "e1f.corr"
+        path.write_bytes(path.read_bytes()[:-7])
+        assert main(gen_args(ws, ws / "out")) == 1
+        assert "e1f.corr: truncated" in capsys.readouterr().out
+
     def test_propagate_annotations(self, workspace):
         ws, ids = workspace
         code = main(["propagate-annotations", "--network",

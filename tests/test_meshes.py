@@ -62,6 +62,19 @@ def test_identity_correspondence_matches_face_loop(mesh):
     assert corr.weights.tobytes() == weights.tobytes()
 
 
+def test_mesh_leaves_caller_arrays_writable_and_unshared():
+    """Mesh(v, f) used to keep ``v`` itself and make it read-only."""
+    base = icosphere(1)
+    v, f = base.vertices.copy(), base.faces.copy()
+    m = Mesh(v, f)
+    assert v.flags.writeable and f.flags.writeable
+    assert not np.shares_memory(m.vertices, v)
+    assert not np.shares_memory(m.faces, f)
+    assert not (m.vertices.flags.writeable or m.faces.flags.writeable)
+    moved = m.with_vertices(v + 1.0)
+    assert moved.faces is m.faces  # read-only input shared, not copied
+
+
 def test_identity_correspondence_rejects_isolated_vertex():
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]], [[0, 1, 2]])
     with pytest.raises(ValueError, match="isolated"):

@@ -353,6 +353,70 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match=want):
             build_network(p)
 
+    @pytest.mark.parametrize("name,text,what", [
+        ("ba.corr", None, "edge B -> A"),
+        ("cb.corr", b"not a correspondence", "edge C -> B"),
+        ("a.labels", b"1\n2.5\n", "annotation for A")])
+    def test_bad_file_names_edge_or_annotation(self, tmp_path, name, text,
+                                               what):
+        """A file that cannot be parsed raised a bare ValueError."""
+        manifest = self.write_fixture(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes()[:-7] if text is None else text)
+        with pytest.raises(NetworkError) as info:
+            build_network(manifest)
+        assert str(info.value).startswith(f"{what}: {path}")
+
+    @pytest.mark.parametrize("old,new,key,valid", [
+        ("mesh=a.ply template=true", "mesh=a.ply templat=true", "templat",
+         "dataset, mesh, category, template, scale"),
+        ("forward=ab.corr", "forwrd=ab.corr", "forwrd", "forward, backward"),
+        ("labels=a.labels", "label=a.labels", "label", "labels")])
+    def test_unknown_key_names_line_and_valid_keys(self, tmp_path, old, new,
+                                                   key, valid):
+        """A misspelt key used to be dropped: ``scal=2.0`` loaded the
+        shape at scale 1."""
+        p = self.write_fixture(tmp_path)
+        text = p.read_text()
+        lineno = text[:text.index(old)].count("\n") + 1
+        p.write_text(text.replace(old, new))
+        want = (re.escape(f"{p}:{lineno}: ") + ".*"
+                + re.escape(f"unknown key {key!r}; valid: {valid}"))
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
+
+class TestNetworkChecks:
+    """ShapeNetwork checks a network however it was built."""
+
+    def nodes(self):
+        m = icosphere(1)
+        return m, {nid: make_node(nid, m) for nid in "ab"}
+
+    def test_wrong_length_edge(self):
+        m, nodes = self.nodes()
+        ic = identity_correspondence(m)
+        short = DenseCorrespondence("a", "b", ic.faces[:5], ic.weights[:5])
+        with pytest.raises(NetworkError, match="edge a -> b: correspondence "
+                                               "length 5"):
+            ShapeNetwork(nodes, {("a", "b"): short})
+
+    def test_edge_to_unknown_node(self):
+        m, nodes = self.nodes()
+        ic = identity_correspondence(m)
+        corr = DenseCorrespondence("a", "z", ic.faces, ic.weights)
+        with pytest.raises(NetworkError, match="unknown node"):
+            ShapeNetwork(nodes, {("a", "z"): corr})
+
+    @pytest.mark.parametrize("sid,n,message", [
+        ("z", 42, "annotation for unknown node 'z'"),
+        ("a", 5, "annotation for a: 5 labels for 42 vertices")])
+    def test_bad_annotation(self, sid, n, message):
+        _, nodes = self.nodes()
+        labels = VertexLabels(sid, np.zeros(n, dtype=np.int64))
+        with pytest.raises(NetworkError, match=re.escape(message)):
+            ShapeNetwork(nodes, {}, {sid: labels})
+
 
 def test_load_annotation_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "s.labels"

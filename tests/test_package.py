@@ -1,32 +1,19 @@
 """Smoke tests of the package's public names and the checked-in scripts,
 so that a deleted or renamed function they use fails here."""
 
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import shapecorr
-from shapecorr.pairs import write_split_manifest
-from shapecorr.scanning import REGIME_ALPHA
+from shapecorr.config import CAM_POS_REGIMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_resolves():
     assert [n for n in shapecorr.__all__ if not hasattr(shapecorr, n)] == []
-
-
-def test_default_manifest_script_rebuilds_shipped_file(tmp_path):
-    spec = importlib.util.spec_from_file_location(
-        "make_default_manifest", ROOT / "scripts" / "make_default_manifest.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "default_split.manifest"
-    write_split_manifest(script.build(), out)
-    shipped = ROOT / "src" / "shapecorr" / "data" / "default_split.manifest"
-    assert out.read_bytes() == shipped.read_bytes()
 
 
 def test_overlap_histogram_script_runs():
@@ -37,4 +24,4 @@ def test_overlap_histogram_script_runs():
          "--pairs", "1", "--resolution", "16"],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("regime=") == len(REGIME_ALPHA)
+    assert proc.stdout.count("regime=") == len(CAM_POS_REGIMES)

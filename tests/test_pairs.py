@@ -95,6 +95,10 @@ class TestCombinationRules:
                                   "centaur")
         assert not combination_allows("four-legged", "four-legged", "centaur")
 
+    def test_unknown_combination(self):
+        with pytest.raises(ManifestError, match="unknown combination"):
+            combination_allows("centaur", "centaur", "centaur")
+
 
 class TestManifestIO:
     def test_roundtrip(self, tmp_path):
@@ -114,6 +118,16 @@ class TestManifestIO:
         p.write_text("# shapes\nshape a dataset=faust category=c type=human\n"
                      "shape b dataset=faust human\n")
         want = re.escape(f"{p}:3: expected key=value, got 'human'")
+        with pytest.raises(ManifestError, match=want):
+            parse_split_manifest(p)
+
+    def test_unknown_shape_key_names_line_and_valid_keys(self, tmp_path):
+        """A misspelt key used to load without a word."""
+        p = tmp_path / "split.manifest"
+        p.write_text("shape a dataset=faust category=c type=human\n"
+                     "shape b dataset=faust category=c type=human typo=1\n")
+        want = re.escape(f"{p}:2: unknown key 'typo'; valid: dataset, "
+                         "category, type")
         with pytest.raises(ManifestError, match=want):
             parse_split_manifest(p)
 

@@ -1,6 +1,7 @@
 """Every script under ``scripts/`` imports against today's ``src/`` and
 perfbench names, and runs nothing until it is called; the overlap
-histogram also runs end to end."""
+histogram also runs end to end, and the manifest generator rebuilds the
+shipped split manifest byte for byte."""
 
 import importlib.util
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from shapecorr.pairs import write_split_manifest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture
@@ -45,3 +49,12 @@ def test_overlap_histogram_runs(load, capsys):
     for regime in ("low", "medium", "high"):
         block = out.split(f"regime={regime} ")[1].split("regime=")[0]
         assert "accepted" in block and block.count("  [") == 10
+
+
+def test_default_manifest_rebuilds_shipped_file(load, tmp_path):
+    """The shipped manifest is what the generator writes, so its derived
+    type-compatibility rule picks the same pairs."""
+    out = tmp_path / "default_split.manifest"
+    write_split_manifest(load("make_default_manifest.py").build(), out)
+    shipped = ROOT / "src" / "shapecorr" / "data" / "default_split.manifest"
+    assert out.read_bytes() == shipped.read_bytes()

@@ -12,7 +12,8 @@ from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
 from shapecorr.textio import (FormatError, format_value, key_values,
-                              read_key_values, write_key_values)
+                              read_key_values, write_atomic,
+                              write_key_values)
 
 
 def test_bad_row_raises_format_error_naming_its_line(tmp_path):
@@ -108,3 +109,13 @@ def test_key_values_strips_key_and_value():
                                                          "b": "x = y"}
     with pytest.raises(ValueError, match="got 'bogus'"):
         key_values(["  bogus "])
+
+
+def test_failed_write_leaves_previous_file_whole(tmp_path):
+    """A write that fails halfway (here: a character the encoder cannot
+    write, after the first line) leaves the old file as it was."""
+    path = tmp_path / "instances.manifest"
+    write_atomic(path, "val_0000\nval_0001\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(path, "val_0000\n\udcff\n")
+    assert path.read_text() == "val_0000\nval_0001\n"
