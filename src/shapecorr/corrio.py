@@ -1,4 +1,5 @@
-"""Dense-correspondence file formats.
+"""Dense-correspondence file formats: both variants below are read,
+correspondences are written in the binary one only.
 
 Text variant::
 
@@ -6,14 +7,14 @@ Text variant::
     <face> <w0> <w1> <w2>          (one record per source vertex)
     ...
 
-Face index -1 marks an unmatched vertex; its weights are written as zeros.
+Face index -1 marks an unmatched vertex; its weights load as zeros.
 The records are read by ``textio``'s table reader.
 
 Binary variant: magic ``DCOR``, format version byte, the two ids as
 length-prefixed UTF-8, vertex count as little-endian uint64, then n records
 of (int32 face, 3x float64 weights).
 
-Both variants round-trip bit for bit: a load checks the weights but does not
+A load keeps the weights bit for bit: it checks them but does not
 renormalize them.
 """
 
@@ -24,20 +25,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshes import DenseCorrespondence, UNMATCHED
+from .meshes import DenseCorrespondence
 from .textio import data_lines, read_table
 
 _MAGIC = b"DCOR"
 _VERSION = 1
 
 
-def save_correspondence(corr, path, binary=True):
+def save_correspondence(corr, path):
+    """Write ``corr`` in the binary variant, making the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if binary:
-        _save_binary(corr, path)
-    else:
-        _save_text(corr, path)
+    sid = str(corr.source_id).encode("utf-8")
+    tid = str(corr.target_id).encode("utf-8")
+    rec = np.empty(len(corr), dtype=[("face", "<i4"), ("w", "<f8", 3)])
+    rec["face"] = corr.faces
+    rec["w"] = corr.weights
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<B", _VERSION))
+        fh.write(struct.pack("<H", len(sid)) + sid)
+        fh.write(struct.pack("<H", len(tid)) + tid)
+        fh.write(struct.pack("<Q", len(corr)))
+        fh.write(rec.tobytes())
 
 
 def load_correspondence(path):
@@ -47,16 +57,6 @@ def load_correspondence(path):
     if magic == _MAGIC:
         return _load_binary(path)
     return _load_text(path)
-
-
-def _save_text(corr, path):
-    with open(path, "w") as fh:
-        fh.write(f"corr {corr.source_id} {corr.target_id} {len(corr)}\n")
-        for f, w in zip(corr.faces, corr.weights):
-            if f == UNMATCHED:
-                fh.write("-1 0 0 0\n")
-            else:
-                fh.write(f"{f} {float(w[0])!r} {float(w[1])!r} {float(w[2])!r}\n")
 
 
 def _load_text(path):
@@ -72,21 +72,6 @@ def _load_text(path):
     rec = read_table(path, rows, "record", [("face", "i8"), ("w", "f8", 3)])
     return DenseCorrespondence._exact(header[1], header[2], rec["face"],
                                       rec["w"])
-
-
-def _save_binary(corr, path):
-    sid = str(corr.source_id).encode("utf-8")
-    tid = str(corr.target_id).encode("utf-8")
-    rec = np.empty(len(corr), dtype=[("face", "<i4"), ("w", "<f8", 3)])
-    rec["face"] = corr.faces
-    rec["w"] = corr.weights
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _VERSION))
-        fh.write(struct.pack("<H", len(sid)) + sid)
-        fh.write(struct.pack("<H", len(tid)) + tid)
-        fh.write(struct.pack("<Q", len(corr)))
-        fh.write(rec.tobytes())
 
 
 def _load_binary(path):

@@ -422,7 +422,7 @@ def decimate(mesh, target_vertices):
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     faces = remap[np.array([f for _, f in sorted(st.faces.items())])]
-    out = Mesh(st.v[keep], faces, id=mesh.id, metadata=mesh.metadata)
+    out = Mesh(st.v[keep], faces, id=mesh.id)
     return out, keep
 
 
@@ -499,6 +499,6 @@ class RemeshCache(ContentStore):
     def write(self, paths, result):
         mesh_path, corr_path, meta_path = paths
         save_mesh(result.mesh, mesh_path)
-        save_correspondence(result.to_original, corr_path, binary=True)
+        save_correspondence(result.to_original, corr_path)
         write_key_values(meta_path, {
             "max_projection_error": result.max_projection_error})

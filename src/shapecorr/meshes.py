@@ -53,11 +53,10 @@ class Mesh:
     first, a read-only one may be shared.
     """
 
-    def __init__(self, vertices, faces, id=None, metadata=None, validate=True):
+    def __init__(self, vertices, faces, id=None, validate=True):
         self.vertices = _frozen(vertices, np.float64)
         self.faces = _frozen(faces, np.int64)
         self.id = id
-        self.metadata = dict(metadata) if metadata else {}
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshValidationError("vertices must have shape (n, 3)")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
@@ -104,7 +103,7 @@ class Mesh:
     def with_vertices(self, vertices, id=None):
         """Same connectivity, new vertex positions."""
         return Mesh(vertices, self.faces, id=id if id is not None else self.id,
-                    metadata=self.metadata, validate=False)
+                    validate=False)
 
     @cached_property
     def bvh(self):

@@ -1,5 +1,6 @@
-"""Mesh file I/O: OFF, ASCII/binary PLY and OBJ (positions + faces only).
-OFF and OBJ bodies are read by ``textio.read_table``.
+"""Mesh file I/O (positions + faces only): OFF, ASCII/binary PLY and OBJ
+are read; meshes are written as binary little-endian PLY only. OFF and
+OBJ bodies are read by ``textio.read_table``.
 
 Vertex and face order is preserved bit-exactly on load; binary PLY stores
 positions as float64 so save -> load round-trips are lossless.
@@ -37,17 +38,14 @@ def load_mesh(path, id=None):
     return Mesh(v, f, id=id if id is not None else path.stem)
 
 
-def save_mesh(mesh, path, format=None):
-    """Write a mesh; format inferred from the extension unless given.
-
-    PLY is written in binary little-endian with float64 positions.
-    """
+def save_mesh(mesh, path):
+    """Write a mesh as binary little-endian PLY with float64 positions; a
+    path that does not end in ``.ply`` raises ``MeshFormatError``."""
     path = Path(path)
-    fmt = (format or path.suffix.lstrip(".")).lower()
-    if fmt not in _FORMATS:
-        raise MeshFormatError(path, f"unsupported format {fmt!r}")
+    if path.suffix.lower() != ".ply":
+        raise MeshFormatError(path, "meshes are written as .ply only")
     path.parent.mkdir(parents=True, exist_ok=True)
-    {"off": _write_off, "ply": _write_ply, "obj": _write_obj}[fmt](mesh, path)
+    _write_ply(mesh, path)
 
 
 # --- OFF ---
@@ -81,14 +79,6 @@ def _read_off(path):
         raise MeshFormatError(path, "only triangles supported, got "
                               f"{faces['n'][k]}-gon", rows[nv + k][0])
     return vertices["xyz"], faces["idx"]
-
-
-def _write_off(mesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n")
-        fh.write("".join(f"{x!r} {y!r} {z!r}\n"
-                         for x, y, z in mesh.vertices.tolist()))
-        fh.write("".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.faces.tolist()))
 
 
 # --- PLY ---
@@ -262,14 +252,6 @@ def _read_obj(path):
     above = np.searchsorted([lineno for lineno, _ in rows["v"]], linenos)
     faces = np.where(faces > 0, faces - 1, faces + above[:, None])
     return vertices["xyz"], faces
-
-
-def _write_obj(mesh, path):
-    with open(path, "w") as fh:
-        fh.write("".join(f"v {x!r} {y!r} {z!r}\n"
-                         for x, y, z in mesh.vertices.tolist()))
-        fh.write("".join(f"f {a} {b} {c}\n"
-                         for a, b, c in (mesh.faces + 1).tolist()))
 
 
 # --- validation report ---

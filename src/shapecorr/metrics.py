@@ -300,9 +300,3 @@ def aggregate_reports(reports):
     if lrs:
         out["mean_lr_accuracy"] = float(np.mean(lrs))
     return out
-
-
-def gt_as_prediction(gt, target_mesh):
-    """Dominant-weight vertex snap of the ground truth; the evaluation
-    ceiling."""
-    return geo.snap_correspondence_to_vertices(gt, target_mesh)

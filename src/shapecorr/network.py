@@ -240,12 +240,14 @@ def parse_manifest(path):
         edge <id_a> <id_b> forward=<corr path> backward=<corr path>
         annotation <id> labels=<path>
 
-    Relative paths resolve against the manifest's directory; an unknown
-    key on a shape, edge or annotation line is an error.
+    Relative paths resolve against the manifest's directory. An unknown
+    key on a shape, edge or annotation line is an error, as are a scale
+    that is not a finite number > 0 (it would mirror or collapse the
+    shape) and a repeated shape id, edge (in either order) or annotation.
     """
     path = Path(path)
     base = path.parent
-    shapes, edges, annotations = {}, [], {}
+    shapes, edges, annotations, seen = {}, [], {}, set()
     for lineno, line in data_lines(path):
         parts = line.split()
         kind = parts[0]
@@ -255,12 +257,16 @@ def parse_manifest(path):
             elif kind == "shape":
                 sid = parts[1]
                 kv = key_values(parts[2:], _SHAPE_KEYS)
+                scale = float(kv.get("scale", 1.0))
+                if not 0 < scale < np.inf:
+                    raise NetworkError("scale must be finite and > 0, "
+                                       f"got {kv['scale']!r}")
                 shapes[sid] = ShapeNode(
                     id=sid, dataset=kv["dataset"],
                     category=kv.get("category", ""),
                     template=parse_bool(kv.get("template", "false")),
                     mesh_path=base / kv["mesh"] if "mesh" in kv else None,
-                    scale=float(kv.get("scale", 1.0)))
+                    scale=scale)
             elif kind == "edge":
                 a, b = parts[1], parts[2]
                 kv = key_values(parts[3:], ("forward", "backward"))
@@ -271,6 +277,11 @@ def parse_manifest(path):
                 annotations[parts[1]] = base / kv["labels"]
             else:
                 raise NetworkError(f"unknown directive {kind!r}")
+            ids = parts[1:3] if kind == "edge" else parts[1:2]
+            if kind != "dataset" and (kind, frozenset(ids)) in seen:
+                raise NetworkError(f"{kind} {' '.join(ids)} repeats an "
+                                   "earlier line")
+            seen.add((kind, frozenset(ids)))
         except (KeyError, IndexError, ValueError) as exc:
             raise NetworkError(
                 f"{path}:{lineno}: malformed {kind!r} line ({exc})") from None

@@ -63,6 +63,9 @@ def parse_split_manifest(path):
         try:
             if parts[0] == "shape":
                 kv = key_values(parts[2:], ("dataset", "category", "type"))
+                if parts[1] in shapes:
+                    raise ManifestError(f"shape {parts[1]} repeats an "
+                                        "earlier line")
                 shapes[parts[1]] = ShapeRecord(
                     parts[1], kv["dataset"], kv["category"], kv["type"])
             elif parts[0] == "pair":

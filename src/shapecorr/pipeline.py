@@ -188,7 +188,7 @@ def write_instance(instance, directory, store_vis=False):
     try:
         save_mesh(instance.shape_x, tmp / "x.ply")
         save_mesh(instance.shape_y, tmp / "y.ply")
-        save_correspondence(instance.gt, tmp / "gt.corr", binary=True)
+        save_correspondence(instance.gt, tmp / "gt.corr")
         if store_vis:
             write_vis(instance, tmp)
         meta = {"setting": instance.setting}

@@ -19,7 +19,6 @@ from .store import ContentStore
 CAMERA_DISTANCE = 2.0
 _FOV_MARGIN = 1.05
 _POLE_ELEVATION = np.deg2rad(85.0)
-DEFAULT_RESOLUTION = (256, 256)
 SCAN_ATTEMPTS = 5  # cameras generate_partial samples before it gives up
 
 
@@ -139,7 +138,7 @@ def camera_rays(camera, resolution):
     return origins, dirs
 
 
-def cast_scan(mesh, camera, resolution=DEFAULT_RESOLUTION, cache=None):
+def cast_scan(mesh, camera, resolution, cache=None):
     """First-hit faces of a pixel-grid scan; the mesh is expected to be
     unit-box normalized. Returns a sorted int64 array of face indices."""
     if cache is not None:
@@ -170,13 +169,13 @@ def extract_partial(mesh, hit_faces, camera, parent=None):
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[vids] = np.arange(len(vids))
     sub = Mesh(parent.vertices[vids], remap[mesh.faces[keep_faces]],
-               id=f"{parent.id}#partial", metadata=parent.metadata)
+               id=f"{parent.id}#partial")
     return PartialMesh(mesh=sub, parent_id=parent.id,
                        parent_vertex=vids, parent_face=keep_faces,
                        camera=camera)
 
 
-def generate_partial(mesh, rng, resolution=DEFAULT_RESOLUTION, cache=None):
+def generate_partial(mesh, rng, resolution, cache=None):
     """Partial shape from a random camera; resamples the camera after an
     empty scan, up to SCAN_ATTEMPTS cameras."""
     # normalized once: the normalized mesh builds its BVH on first use
@@ -227,8 +226,8 @@ def restrict(corr, px, py):
         corr.weights[px.parent_vertex])
 
 
-def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng,
-                          resolution=DEFAULT_RESOLUTION, cache=None):
+def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng, resolution,
+                          cache=None):
     """Overlap-constrained partial pair.
 
     my is rigidly pre-aligned to mx (Procrustes over the matched vertex

@@ -16,8 +16,7 @@ from shapecorr.corrio import load_correspondence
 from shapecorr.decimate import remesh_with_correspondence
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
-from shapecorr.metrics import (evaluate_instance, geodesic_error,
-                               gt_as_prediction)
+from shapecorr.metrics import evaluate_instance, geodesic_error
 from shapecorr.network import ShapeNetwork, ShapeNode, compose
 from shapecorr.pairs import (PairSpec, ShapeRecord, SplitManifest,
                              default_split_manifest, enumerate_pairs)
@@ -69,8 +68,9 @@ def test_criterion_2_metric_ceilings():
     for setting, frac in (("full_full", 0.0), ("partial_full", 0.3),
                           ("partial_partial", 0.3)):
         gt = random_corr(mesh, rng, unmatched_frac=frac)
-        rep = evaluate_instance(mesh, gt, gt_as_prediction(gt, mesh),
-                                setting, geo.surface_area(mesh))
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
+        rep = evaluate_instance(mesh, gt, pred, setting,
+                                geo.surface_area(mesh))
         assert rep.auc == pytest.approx(100.0, abs=1e-6)
         if setting == "partial_partial":
             assert rep.iou == 100.0

@@ -11,7 +11,7 @@ from shapecorr.cli import main
 from shapecorr.corrio import load_correspondence, save_correspondence
 from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
 from shapecorr.meshio import load_mesh, save_mesh
-from shapecorr.metrics import gt_as_prediction
+from shapecorr.geometry import snap_correspondence_to_vertices
 from shapecorr.pipeline import load_instance
 
 from conftest import digest_tree, icosphere, random_rigid
@@ -190,7 +190,7 @@ def write_gt_predictions(ws, names):
     pred_dir.mkdir()
     for n in names:
         _, shape_y, gt, _ = load_instance(ws / "out" / n)
-        pred = gt_as_prediction(gt, shape_y)
+        pred = snap_correspondence_to_vertices(gt, shape_y)
         (pred_dir / f"{n}.txt").write_text(
             "\n".join(str(int(v)) for v in pred) + "\n")
     return pred_dir
@@ -356,7 +356,7 @@ import numpy as np
 
 import shapecorr
 from shapecorr.cli import main
-from shapecorr.metrics import gt_as_prediction
+from shapecorr.geometry import snap_correspondence_to_vertices
 from shapecorr.pipeline import load_instance
 
 ws = Path(sys.argv[1])
@@ -374,7 +374,7 @@ for out in runs:
     preds.mkdir()
     for n in names:
         _, shape_y, gt, _ = load_instance(ws / out / n)
-        pred = np.roll(gt_as_prediction(gt, shape_y), 1)
+        pred = np.roll(snap_correspondence_to_vertices(gt, shape_y), 1)
         (preds / (n + ".txt")).write_text(
             "\\n".join(str(int(v)) for v in pred) + "\\n")
     assert main(["evaluate", "--instances", str(ws / out), "--predictions",

@@ -21,6 +21,22 @@ def test_binary_corr_cut_anywhere_raises_value_error(tmp_path):
             load_correspondence(p)
 
 
+def write_text_corr(corr, path):
+    """The text variant, one ``repr`` row per record; the package writes
+    only the binary variant."""
+    rows = [f"{f} {w[0]!r} {w[1]!r} {w[2]!r}\n" if f != -1 else "-1 0 0 0\n"
+            for f, w in zip(corr.faces.tolist(), corr.weights.tolist())]
+    path.write_text(f"corr {corr.source_id} {corr.target_id} {len(corr)}\n"
+                    + "".join(rows))
+
+
+def save(corr, path, binary):
+    if binary:
+        save_correspondence(corr, path)
+    else:
+        write_text_corr(corr, path)
+
+
 def text_corr(tmp_path):
     """A text .corr with unmatched rows and weights that need all 17
     digits."""
@@ -30,7 +46,7 @@ def text_corr(tmp_path):
     corr = DenseCorrespondence("src:1", "tgt:2", faces,
                                rng.dirichlet(np.ones(3), size=42))
     path = tmp_path / "text.corr"
-    save_correspondence(corr, path, binary=False)
+    write_text_corr(corr, path)
     return corr, path
 
 
@@ -97,7 +113,7 @@ def test_load_keeps_saved_weights_bit_for_bit(tmp_path, binary):
     original = bumpy_sphere(4)
     corr = back_correspondence(decimate(original, 800)[0], original)
     path = tmp_path / "c.corr"
-    save_correspondence(corr, path, binary=binary)
+    save(corr, path, binary)
     back = load_correspondence(path)
     assert back.faces.tobytes() == corr.faces.tobytes()
     assert back.weights.tobytes() == corr.weights.tobytes()
@@ -109,8 +125,7 @@ def test_load_clips_tiny_negative_weights(tmp_path, binary):
     bits."""
     weights = np.array([[0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
     path = tmp_path / "c.corr"
-    save_correspondence(DenseCorrespondence("a", "b", [0, -1], weights),
-                        path, binary=binary)
+    save(DenseCorrespondence("a", "b", [0, -1], weights), path, binary)
     data = path.read_bytes()
     if binary:
         w0 = len(data) - 2 * 28 + 4  # the first weight of row 0

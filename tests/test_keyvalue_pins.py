@@ -15,7 +15,7 @@ from shapecorr.corrio import save_correspondence
 from shapecorr.decimate import RemeshCache, remesh_with_correspondence
 from shapecorr.meshes import DenseCorrespondence, UNMATCHED
 from shapecorr.meshio import save_mesh
-from shapecorr.metrics import evaluate_instance, gt_as_prediction, write_report
+from shapecorr.metrics import evaluate_instance, write_report
 
 from conftest import bumpy_sphere, icosphere, require_golden_build
 
@@ -57,7 +57,8 @@ def _cases():
     out = []
     for setting, frac in (("full_full", 0.0), ("partial_partial", 0.2)):
         gt = _ground_truth(mesh, rng, frac)
-        out.append((setting, mesh, gt, np.roll(gt_as_prediction(gt, mesh), 1)))
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
+        out.append((setting, mesh, gt, np.roll(pred, 1)))
     return out
 
 
@@ -90,7 +91,7 @@ def test_summary_bytes_pinned(tmp_path):
         d = inst / name
         d.mkdir(parents=True)
         save_mesh(mesh, d / "y.ply")
-        save_correspondence(gt, d / "gt.corr", binary=True)
+        save_correspondence(gt, d / "gt.corr")
         (d / "meta.txt").write_text(
             f"setting={setting}\narea_full_y={geo.surface_area(mesh)!r}\n")
         (preds / f"{name}.txt").write_text(

@@ -13,6 +13,19 @@ def write(path, text):
     return path
 
 
+def write_text_mesh(mesh, path):
+    """``mesh`` as OFF or OBJ (by the extension of ``path``), one ``repr``
+    row per vertex; the package writes only PLY."""
+    rows = [f"{x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()]
+    if path.suffix == ".off":
+        faces = [f"3 {a} {b} {c}\n" for a, b, c in mesh.faces.tolist()]
+        rows = [f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"] + rows
+    else:
+        faces = [f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist()]
+        rows = ["v " + row for row in rows]
+    return write(path, "".join(rows + faces))
+
+
 def test_single_triangle_off(tmp_path):
     p = write(tmp_path / "tri.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
     m = load_mesh(p)
@@ -46,8 +59,7 @@ def test_unit_cube_off_roundtrip(tmp_path):
         [0, 2, 6], [0, 6, 4], [1, 5, 7], [1, 7, 3],
     ])
     cube = Mesh(v, f, id="cube")
-    save_mesh(cube, tmp_path / "cube.off")
-    again = load_mesh(tmp_path / "cube.off")
+    again = load_mesh(write_text_mesh(cube, tmp_path / "cube.off"))
     assert again == cube
 
 
@@ -197,11 +209,21 @@ def test_colored_ply_bytes(tmp_path):
     face = b"\x03" + np.array([0, 1, 2], "<i4").tobytes()
     assert (tmp_path / "c.ply").read_bytes() == header + vertices + face
 
+
+def repr_rows_mesh():
+    """Rows that need plain and exponent notation to hold every bit."""
+    m = bumpy_sphere(2)
+    return Mesh(m.vertices * [1.0, 1e-7, 1e17], m.faces)
+
+
 def test_obj_roundtrip(tmp_path):
-    m = icosphere(1)
-    save_mesh(m, tmp_path / "s.obj")
-    again = load_mesh(tmp_path / "s.obj")
-    assert again == m
+    """OBJ rows written with ``repr`` load bit for bit and in order."""
+    m = repr_rows_mesh()
+    p = write_text_mesh(m, tmp_path / "s.obj")
+    assert "e-" in p.read_text() and "e+" in p.read_text()
+    again = load_mesh(p)
+    assert again.vertices.tobytes() == m.vertices.tobytes()
+    assert np.array_equal(again.faces, m.faces)
 
 
 def test_obj_ignores_normals_and_uvs(tmp_path):
@@ -211,29 +233,21 @@ def test_obj_ignores_normals_and_uvs(tmp_path):
 
 
 def test_off_roundtrip_preserves_order(tmp_path):
-    m = icosphere(2)
-    save_mesh(m, tmp_path / "s.off")
-    again = load_mesh(tmp_path / "s.off")
-    assert np.array_equal(again.vertices, m.vertices)
+    """OFF rows written with ``repr`` load bit for bit and in order."""
+    m = repr_rows_mesh()
+    p = write_text_mesh(m, tmp_path / "s.off")
+    assert "e-" in p.read_text() and "e+" in p.read_text()
+    again = load_mesh(p)
+    assert again.vertices.tobytes() == m.vertices.tobytes()
     assert np.array_equal(again.faces, m.faces)
 
 
-@pytest.mark.parametrize("ext", ["off", "obj"])
-def test_text_writers_match_per_row_reference(tmp_path, ext):
-    """The OFF and OBJ writers emit the bytes of one ``repr`` row per vertex
-    and one index row per face, in plain and exponent float notation."""
-    m = bumpy_sphere(2)
-    m = Mesh(m.vertices * [1.0, 1e-7, 1e17], m.faces)
-    rows = [f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n"
-            for v in m.vertices]
-    if ext == "off":
-        rows = ["OFF\n", f"{m.n_vertices} {m.n_faces} 0\n"] + rows
-        rows += [f"3 {f[0]} {f[1]} {f[2]}\n" for f in m.faces]
-    else:
-        rows = ["v " + row for row in rows]
-        rows += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n" for f in m.faces]
-    save_mesh(m, tmp_path / f"m.{ext}")
-    assert (tmp_path / f"m.{ext}").read_bytes() == "".join(rows).encode()
+@pytest.mark.parametrize("name", ["m.off", "m.obj"])
+def test_save_mesh_writes_ply_only(tmp_path, name):
+    """PLY bytes are never written under another extension."""
+    with pytest.raises(MeshFormatError, match="ply"):
+        save_mesh(icosphere(0), tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 def test_degenerate_face_rejected():

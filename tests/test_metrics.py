@@ -12,7 +12,7 @@ from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
 from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
                                error_curve, evaluate_instance, f1,
-                               geodesic_error, gt_as_prediction, iou,
+                               geodesic_error, iou,
                                load_prediction, lr_accuracy, write_report)
 from shapecorr.textio import write_key_values
 
@@ -128,7 +128,7 @@ class TestGeodesicError:
     def test_exact_prediction_zero(self):
         mesh = icosphere(1)
         gt = random_correspondence(mesh, np.random.default_rng(0))
-        pred = gt_as_prediction(gt, mesh)
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
         errors = geodesic_error(pred, gt, mesh, geo.surface_area(mesh),
                                 "full_full")
         np.testing.assert_array_equal(errors, 0.0)
@@ -138,7 +138,7 @@ class TestGeodesicError:
         n = mesh.n_vertices
         gt = random_correspondence(mesh, np.random.default_rng(1),
                                    unmatched_frac=0.3)
-        pred = gt_as_prediction(gt, mesh)
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
         gm = gt.matched
         # flip one matched to unmatched and one unmatched to matched
         i_pred_missing = int(np.flatnonzero(gm)[0])
@@ -186,7 +186,7 @@ class TestGeodesicError:
         n - 2."""
         mesh = icosphere(1)
         gt = random_correspondence(mesh, np.random.default_rng(3))
-        pred = gt_as_prediction(gt, mesh)
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
         pred[4] = -2
         with pytest.raises(ValueError, match="below -1"):
             geodesic_error(pred, gt, mesh, 1.0, setting)
@@ -199,7 +199,7 @@ class TestGeodesicError:
         """Every setting but partial_partial would be scored as F2F."""
         mesh = icosphere(1)
         gt = random_correspondence(mesh, np.random.default_rng(3))
-        pred = gt_as_prediction(gt, mesh)
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
         with pytest.raises(ValueError, match=repr(setting)):
             geodesic_error(pred, gt, mesh, 1.0, setting)
         with pytest.raises(ValueError, match=repr(setting)):
@@ -239,7 +239,7 @@ class TestPairPath:
         n = sphere.n_vertices
         rng = np.random.default_rng(14)
         gt = random_correspondence(sphere, rng)
-        gtv = gt_as_prediction(gt, sphere)
+        gtv = geo.snap_correspondence_to_vertices(gt, sphere)
         pred = {"random": rng.integers(0, n, size=n),
                 "near_miss": near_miss(sphere, gtv, rng),
                 "self": gtv}[kind]
@@ -251,8 +251,8 @@ class TestPairPath:
     def test_one_chunk_plus_one_source(self, sphere):
         n = sphere.n_vertices
         gt = identity_correspondence(sphere)
-        np.testing.assert_array_equal(gt_as_prediction(gt, sphere),
-                                      np.arange(n))
+        np.testing.assert_array_equal(
+            geo.snap_correspondence_to_vertices(gt, sphere), np.arange(n))
         rng = np.random.default_rng(15)
         k = SOURCE_CHUNK + 1
         pred = np.arange(n)
@@ -268,7 +268,7 @@ class TestPairPath:
         rng = np.random.default_rng(16)
         pred = rng.integers(0, mesh.n_vertices, size=mesh.n_vertices)
         errors = self.check(pred, gt, mesh)
-        gtv = gt_as_prediction(gt, mesh)
+        gtv = geo.snap_correspondence_to_vertices(gt, mesh)
         cross = (gtv < a.n_vertices) != (pred < a.n_vertices)
         assert cross.any() and np.isinf(errors[cross]).all()
         assert np.isfinite(errors[~cross]).all()
@@ -310,7 +310,8 @@ class TestPairPath:
         gt = random_correspondence(sphere, rng, unmatched_frac=0.3)
         gm = gt.matched
         pred = rng.integers(0, n, size=n)
-        pred[gm] = near_miss(sphere, gt_as_prediction(gt, sphere)[gm], rng)
+        gtv = geo.snap_correspondence_to_vertices(gt, sphere)
+        pred[gm] = near_miss(sphere, gtv[gm], rng)
         pred[rng.random(n) < 0.3] = UNMATCHED
         errors = self.check(pred, gt, sphere, "partial_partial")
         pm = pred != UNMATCHED
@@ -455,7 +456,7 @@ class TestEvaluateInstance:
         mesh = icosphere(1)
         gt = random_correspondence(mesh, np.random.default_rng(7),
                                    unmatched_frac=0.2)
-        pred = gt_as_prediction(gt, mesh)
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
         rep = evaluate_instance(mesh, gt, pred, "partial_partial",
                                 geo.surface_area(mesh))
         assert rep.auc == pytest.approx(100.0, abs=1e-6)
@@ -497,7 +498,7 @@ class TestEvaluateInstance:
         base = evaluate_instance(mesh, gt, pred, "full_full",
                                  geo.surface_area(mesh))
         better = pred.copy()
-        better[0] = gt_as_prediction(gt, mesh)[0]
+        better[0] = geo.snap_correspondence_to_vertices(gt, mesh)[0]
         rep = evaluate_instance(mesh, gt, better, "full_full",
                                 geo.surface_area(mesh))
         assert rep.auc >= base.auc - 1e-12
@@ -508,8 +509,9 @@ class TestReports:
         mesh = icosphere(1)
         gt = random_correspondence(mesh, np.random.default_rng(11),
                                    unmatched_frac=0.2)
-        rep = evaluate_instance(mesh, gt, gt_as_prediction(gt, mesh),
-                                "partial_partial", geo.surface_area(mesh))
+        pred = geo.snap_correspondence_to_vertices(gt, mesh)
+        rep = evaluate_instance(mesh, gt, pred, "partial_partial",
+                                geo.surface_area(mesh))
         write_report(rep, tmp_path / "inst0")
         text = (tmp_path / "inst0" / "report.txt").read_text()
         assert "auc=" in text and "iou=" in text

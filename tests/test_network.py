@@ -385,6 +385,34 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match=want):
             build_network(p)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "-0.0"])
+    def test_scale_must_be_finite_and_positive(self, tmp_path, scale):
+        """A NaN or inf scale loaded non-finite positions, 0 collapsed the
+        shape to a point, and -1 mirrored it, so left/right labels landed
+        on the wrong side."""
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text().replace("mesh=c.ply",
+                                           f"mesh=c.ply scale={scale}"))
+        want = (re.escape(f"{p}:5: ") + ".*" + re.escape(
+            f"scale must be finite and > 0, got {scale!r}"))
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
+    @pytest.mark.parametrize("line,lineno,what", [
+        ("shape A dataset=other mesh=c.ply", 9, "shape A"),
+        ("edge B A forward=ba.corr backward=ab.corr", 9, "edge B A"),
+        ("edge A B forward=ab.corr backward=ba.corr", 9, "edge A B"),
+        ("annotation A labels=a.labels", 9, "annotation A")])
+    def test_repeated_line_names_line(self, tmp_path, line, lineno, what):
+        """A repeated shape, edge (in either order) or annotation line used
+        to replace the earlier one without a word."""
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text() + line + "\n")
+        want = (re.escape(f"{p}:{lineno}: ") + ".*"
+                + re.escape(f"{what} repeats an earlier line"))
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
 
 class TestNetworkChecks:
     """ShapeNetwork checks a network however it was built."""

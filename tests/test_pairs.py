@@ -131,6 +131,20 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=want):
             parse_split_manifest(p)
 
+    def test_repeated_shape_names_line(self, tmp_path):
+        """A second ``shape a`` line used to replace the first one's dataset
+        and category; repeated pair lines are kept."""
+        p = tmp_path / "split.manifest"
+        p.write_text("shape a dataset=faust category=c type=human\n"
+                     "shape b dataset=faust category=c type=human\n"
+                     "pair val a b\npair val a b\n"
+                     "shape a dataset=scape category=d type=human\n")
+        want = re.escape(f"{p}:5: shape a repeats an earlier line")
+        with pytest.raises(ManifestError, match=want):
+            parse_split_manifest(p)
+        p.write_text("".join(p.read_text().splitlines(True)[:4]))
+        assert parse_split_manifest(p).pairs == {"val": [("a", "b")] * 2}
+
     @pytest.mark.parametrize("line,message", [
         ("pair trian a b", "unknown split 'trian'; valid: train, val, test"),
         ("pair val a b extra tokens",

@@ -186,7 +186,7 @@ class TestExtractPartial:
         kept = []
         for _ in range(8):
             cam = sample_camera(rng)
-            hit = cast_scan(m, cam)
+            hit = cast_scan(m, cam, (256, 256))
             kept.append(len(extract_partial(m, hit, cam).parent_face)
                         / len(hit))
         assert min(kept) >= 0.70
@@ -369,7 +369,7 @@ class TestGeneratePartialPair:
                                   np.zeros((len(cxy), 3)))
         with pytest.raises(ValueError):
             generate_partial_pair(mx, my, bad, cyx, self.PARAMS,
-                                  np.random.default_rng(0))
+                                  np.random.default_rng(0), (64, 64))
 
     def test_bad_params_rejected(self):
         mx, my, cxy, cyx = sphere_pair()
@@ -377,12 +377,12 @@ class TestGeneratePartialPair:
             generate_partial_pair(mx, my, cxy, cyx,
                                   {"alpha": 1.0, "min_overlap": 0.9,
                                    "max_overlap": 0.1, "m": 10},
-                                  np.random.default_rng(0))
+                                  np.random.default_rng(0), (64, 64))
         with pytest.raises(ValueError):
             generate_partial_pair(mx, my, cxy, cyx,
                                   {"alpha": 1.0, "min_overlap": 0.1,
                                    "max_overlap": 0.9, "m": 0},
-                                  np.random.default_rng(0))
+                                  np.random.default_rng(0), (64, 64))
 
 
 class TestRaycastCache:
