@@ -2,7 +2,7 @@
 matching instances."""
 
 from .meshes import (DenseCorrespondence, Mesh, MeshValidationError,
-                     RigidTransform, UNKNOWN_LABEL, UNMATCHED, VertexLabels,
+                     RigidTransform, UNKNOWN_LABEL, UNMATCHED,
                      identity_correspondence)
 from .meshio import MeshFormatError, load_mesh, save_mesh, validation_report
 from .geometry import (closest_points_on_triangles, connected_components,
@@ -28,7 +28,7 @@ __all__ = [
     "default_split_manifest", "MatchingInstance", "generate_instance",
     "run_generation", "evaluate_matching",
     "DenseCorrespondence", "Mesh", "MeshValidationError", "MeshFormatError",
-    "RigidTransform", "VertexLabels", "UNKNOWN_LABEL", "UNMATCHED",
+    "RigidTransform", "UNKNOWN_LABEL", "UNMATCHED",
     "identity_correspondence", "load_mesh", "save_mesh", "validation_report",
     "closest_points_on_triangles", "connected_components",
     "evaluate_correspondence", "geodesic_distance_fields", "normalize_area",

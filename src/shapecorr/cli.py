@@ -18,12 +18,13 @@ from .corrio import load_correspondence, save_correspondence
 from .meshio import load_mesh
 from .metrics import (aggregate_reports, check_setting, check_target,
                       evaluate_instance, load_prediction, write_report)
-from .network import NetworkError, build_network, correspondence_between, \
-    propagate_annotation
+from .network import (NetworkError, build_network, correspondence_between,
+                      nearest_annotated, propagate_annotation)
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
                     parse_split_manifest)
 from .pipeline import run_generation
-from .textio import key_values, read_key_values, write_key_values
+from .textio import (key_values, read_key_values, write_atomic,
+                     write_key_values)
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
 
@@ -123,20 +124,27 @@ def _load_scored(directory):
 
 
 def cmd_propagate(args):
+    # '/' and ':' become '_' in file names: refuse two ids that then meet
+    stems = {}
+    for sid in args.shapes:
+        stem = sid.replace("/", "_").replace(":", "_")
+        if stems.setdefault(stem, sid) != sid:
+            _log(f"usage error: shapes {stems[stem]!r} and {sid!r} would "
+                 f"both write {stem}.labels")
+            return EXIT_USAGE
     net = build_network(args.network)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for sid in args.shapes:
+    for stem, sid in stems.items():
         labels = propagate_annotation(net, sid)
-        safe = sid.replace("/", "_").replace(":", "_")
-        path = out_dir / f"{safe}.labels"
-        path.write_text("\n".join(str(int(v)) for v in labels.labels) + "\n")
+        path = out_dir / f"{stem}.labels"
+        write_atomic(path, "\n".join(map(str, labels.tolist())) + "\n")
         _log(f"propagated {sid} -> {path}")
         if args.store_correspondence:
-            from .network import nearest_annotated
-            src = nearest_annotated(net, sid)
-            corr = correspondence_between(net, sid, src)
-            save_correspondence(corr, out_dir / f"{safe}.corr")
+            corr = correspondence_between(net, sid, nearest_annotated(net, sid))
+            tmp = out_dir / f"{stem}.corr.tmp"
+            save_correspondence(corr, tmp)
+            os.replace(tmp, out_dir / f"{stem}.corr")
     return EXIT_OK
 
 

@@ -92,6 +92,10 @@ class GenerationConfig:
             raise ConfigError("datasets must enable at least one dataset")
         if not 0 <= self.min_overlap < self.max_overlap <= 1:
             raise ConfigError("need 0 <= min_overlap < max_overlap <= 1")
+        if not -2**63 <= self.global_seed < 2**63:
+            # instance seeds derive from it as a signed 64-bit integer
+            raise ConfigError(f"global_seed={self.global_seed} outside the "
+                              "signed 64-bit range [-2**63, 2**63)")
         if self.n_cam_pos < 1:
             raise ConfigError("n_cam_pos must be >= 1")
         w, h = self.resolution

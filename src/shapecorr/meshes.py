@@ -1,9 +1,10 @@
-"""Core data types: triangle meshes, dense correspondences, rigid
-transforms and per-vertex labels."""
+"""Core data types: triangle meshes, dense correspondences and rigid
+transforms. Per-vertex labels are plain (n,) int64 arrays, UNKNOWN_LABEL
+where a vertex has none."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -167,9 +168,14 @@ class DenseCorrespondence:
         matched = self.faces != UNMATCHED
         if matched.any():
             w = self.weights[matched]
+            # NaN passes both checks below; NaN or inf leaves dev non-finite
+            dev = np.abs(w.sum(axis=1) - 1.0).max()
+            if not np.isfinite(dev):
+                raise ValueError(
+                    "non-finite barycentric weight in correspondence")
             if w.min() < -_WEIGHT_TOL:
                 raise ValueError("negative barycentric weight in correspondence")
-            if np.abs(w.sum(axis=1) - 1.0).max() > 1e-6:
+            if dev > 1e-6:
                 raise ValueError("barycentric weights must sum to 1")
             np.clip(self.weights, 0.0, None, out=self.weights)
         self.weights[~matched] = 0.0
@@ -219,19 +225,6 @@ class RigidTransform:
 
     def apply(self, points):
         return np.asarray(points) @ self.rotation.T + self.translation
-
-
-@dataclass
-class VertexLabels:
-    """Per-vertex categorical labels (e.g. left/right), UNKNOWN_LABEL = -1."""
-
-    shape_id: str
-    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def __post_init__(self):
-        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1:
-            raise ValueError("labels must be one-dimensional")
 
 
 def identity_correspondence(mesh):

@@ -16,10 +16,11 @@ import numpy as np
 from . import geometry as geo
 from .corrio import load_correspondence
 from .meshes import (DenseCorrespondence, Mesh, UNMATCHED, UNKNOWN_LABEL,
-                     VertexLabels, identity_correspondence)
+                     identity_correspondence)
 from .meshio import load_mesh
-from .textio import (data_lines, key_values, load_int_column,
-                     parse_bool)
+from .textio import data_lines, key_values, parse_bool
+# per-vertex integer labels, one per line; '#' comments allowed
+from .textio import load_int_column as load_annotation
 
 
 class NetworkError(ValueError):
@@ -70,14 +71,18 @@ class ShapeNetwork:
             self.edges[(a, b)] = corr
             self.adjacency[a].add(b)
             self.adjacency[b].add(a)
-        self.annotations = dict(annotations or {})
-        for sid, lab in self.annotations.items():
+        # id -> (n,) int64 labels, one per vertex
+        self.annotations = {}
+        for sid, lab in (annotations or {}).items():
             if sid not in self.nodes:
                 raise NetworkError(f"annotation for unknown node {sid!r}")
+            lab = np.asarray(lab, dtype=np.int64)
             n = self.mesh(sid).n_vertices
-            if len(lab.labels) != n:
+            if lab.shape != (n,):  # one label per vertex, one-dimensional
+                shape = "x".join(map(str, lab.shape))
                 raise NetworkError(f"annotation for {sid}: "
-                                   f"{len(lab.labels)} labels for {n} vertices")
+                                   f"{shape} labels for {n} vertices")
+            self.annotations[sid] = lab
         self._pair_cache = {}
 
     def mesh(self, nid):
@@ -152,15 +157,13 @@ def compose(c_ab, c_bc, mesh_b, mesh_c):
     n = len(c_ab)
     faces = np.full(n, UNMATCHED, dtype=np.int64)
     weights = np.zeros((n, 3))
-    m = c_ab.matched.copy()
+    # (n, 3) B-vertex ids; unmatched rows read face 0 and are masked out
+    corners = mesh_b.faces[np.where(c_ab.matched, c_ab.faces, 0)]
+    m = c_ab.matched & (c_bc.faces[corners] != UNMATCHED).all(axis=1)
     if m.any():
-        b_corners = mesh_b.faces[c_ab.faces[m]]  # (k, 3) B-vertex ids
-        corner_ok = (c_bc.faces[b_corners] != UNMATCHED).all(axis=1)
-        m[np.flatnonzero(m)[~corner_ok]] = False
-    if m.any():
-        b_corners = mesh_b.faces[c_ab.faces[m]]
         pos_b = geo.evaluate_correspondence(c_bc, mesh_c)  # (n_b, 3)
-        blended = np.einsum("ij,ijk->ik", c_ab.weights[m], pos_b[b_corners])
+        blended = np.einsum("ij,ijk->ik", c_ab.weights[m],
+                            pos_b[corners[m]])
         f, w = geo.project_points_to_surface(blended, mesh_c)
         faces[m] = f
         weights[m] = w
@@ -197,21 +200,22 @@ def nearest_annotated(net, target):
 
 
 def propagate_annotation(net, target):
-    """Labels for ``target`` pulled from the nearest annotated node.
+    """(n,) int64 labels for ``target`` pulled from the nearest annotated
+    node.
 
     Each target vertex takes the label of the dominant-weight corner of the
     face it maps to; unmatched vertices get UNKNOWN_LABEL.
     """
     source = nearest_annotated(net, target)
-    src_labels = net.annotations[source].labels
+    src_labels = net.annotations[source]
     if source == target:
-        return VertexLabels(target, src_labels.copy())
+        return src_labels.copy()
     corr = correspondence_between(net, target, source)
     snapped = geo.snap_correspondence_to_vertices(corr, net.mesh(source))
     out = np.full(len(corr), UNKNOWN_LABEL, dtype=np.int64)
     ok = snapped != UNMATCHED
     out[ok] = src_labels[snapped[ok]]
-    return VertexLabels(target, out)
+    return out
 
 
 def project_template_pair(morphed_a, mesh_b):
@@ -219,11 +223,6 @@ def project_template_pair(morphed_a, mesh_b):
     A-vertex projects to its nearest surface point on B."""
     faces, bary = geo.project_points_to_surface(morphed_a.vertices, mesh_b)
     return DenseCorrespondence(morphed_a.id, mesh_b.id, faces, bary)
-
-
-def load_annotation(path, shape_id):
-    """Per-vertex integer labels, one per line; '#' comments allowed."""
-    return VertexLabels(shape_id, load_int_column(path))
 
 
 _SHAPE_KEYS = ("dataset", "mesh", "category", "template", "scale")
@@ -309,6 +308,6 @@ def build_network(manifest_path):
         for src, dst, p in ((a, b, fwd), (b, a, bwd)):
             edges[(src, dst)] = _load(f"edge {src} -> {dst}", p,
                                       load_correspondence)
-    annotations = {sid: _load(f"annotation for {sid}", p, load_annotation, sid)
+    annotations = {sid: _load(f"annotation for {sid}", p, load_annotation)
                    for sid, p in spec["annotations"].items()}
     return ShapeNetwork(spec["shapes"], edges, annotations)

@@ -24,8 +24,8 @@ import numpy as np
 from . import geometry as geo
 from .config import CAM_POS_REGIMES, ConfigError
 from .corrio import load_correspondence, save_correspondence
-from .decimate import RemeshCache, remesh_with_correspondence
-from .meshes import DenseCorrespondence, Mesh
+from .decimate import RemeshCache, RemeshResult, remesh_with_correspondence
+from .meshes import DenseCorrespondence, Mesh, identity_correspondence
 from .meshio import load_mesh, save_colored_ply, save_mesh
 from .network import (compose, correspondence_between, project_template_pair,
                       shortest_path)
@@ -72,52 +72,53 @@ class MatchingInstance:
 
 
 def _prepare_shape(net, shape_id, config, rng, remesh_cache):
-    """Load (scale comes from the network node), optionally area-normalize,
-    optionally remesh. Returns (emitted-so-far mesh, corr to network mesh)."""
+    """The network mesh (scale from the node, optionally area-normalized)
+    and its ``RemeshResult``; with ``remesh=false`` that emits the network
+    mesh itself through an identity correspondence, with counts -1."""
     mesh = net.mesh(shape_id)
     if config.normalize_area:
         mesh = geo.normalize_area(mesh)
     if config.remesh:
-        res = remesh_with_correspondence(mesh, config.count_range, rng,
-                                         cache=remesh_cache)
-        return res.mesh, res.to_original, mesh, res
-    from .meshes import identity_correspondence
-    return mesh, identity_correspondence(mesh), mesh, None
+        return mesh, remesh_with_correspondence(mesh, config.count_range, rng,
+                                                cache=remesh_cache)
+    return mesh, RemeshResult(mesh, identity_correspondence(mesh), -1, -1, 0.0)
 
 
-def _emitted_to_emitted(corr_net, back_x, net_mesh_x, net_mesh_y,
-                        emitted_y):
-    """remeshed-X -> remeshed-Y correspondence through the network."""
-    to_net_y = compose(back_x, corr_net, net_mesh_x, net_mesh_y)
-    if emitted_y is net_mesh_y:
-        return to_net_y
-    fwd_y = project_template_pair(net_mesh_y, emitted_y)
-    return compose(to_net_y, fwd_y, net_mesh_y, emitted_y)
+def _emitted_to_emitted(net, id_a, id_b, a, b):
+    """Emitted-A -> emitted-B correspondence through the network; ``a``
+    and ``b`` are the shapes' ``(network mesh, RemeshResult)`` pairs."""
+    (net_a, res_a), (net_b, res_b) = a, b
+    to_net_b = compose(res_a.to_original,
+                       correspondence_between(net, id_a, id_b), net_a, net_b)
+    if res_b.mesh is net_b:
+        return to_net_b
+    fwd_b = project_template_pair(net_b, res_b.mesh)
+    return compose(to_net_b, fwd_b, net_b, res_b.mesh)
 
 
 def generate_instance(spec, net, config, raycast_cache=None,
                       remesh_cache=None):
     """Fully deterministic instance for one pair spec."""
-    seed = config.global_seed
     try:
         return _generate_instance(spec, net, config, raycast_cache,
-                                  remesh_cache, seed)
+                                  remesh_cache)
     except Exception as exc:
         raise RuntimeError(
             f"instance {spec.index} ({spec.id_x} / {spec.id_y}): {exc}"
         ) from exc
 
 
-def _generate_instance(spec, net, config, raycast_cache, remesh_cache, seed):
-    emit_x, back_x, net_x, res_x = _prepare_shape(
+def _generate_instance(spec, net, config, raycast_cache, remesh_cache):
+    seed = config.global_seed
+    x = _prepare_shape(
         net, spec.id_x, config, derived_rng(seed, spec.index, ROLE_REMESH_X),
         remesh_cache)
-    emit_y, back_y, net_y, res_y = _prepare_shape(
+    y = _prepare_shape(
         net, spec.id_y, config, derived_rng(seed, spec.index, ROLE_REMESH_Y),
         remesh_cache)
-
-    corr_net = correspondence_between(net, spec.id_x, spec.id_y)
-    full_corr = _emitted_to_emitted(corr_net, back_x, net_x, net_y, emit_y)
+    res_x, res_y = x[1], y[1]
+    emit_x, emit_y = res_x.mesh, res_y.mesh
+    full_corr = _emitted_to_emitted(net, spec.id_x, spec.id_y, x, y)
 
     px, py = PartialMesh.whole(emit_x), PartialMesh.whole(emit_y)
     overlap = None
@@ -126,9 +127,7 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache, seed):
         px = generate_partial(emit_x, rng, resolution=config.resolution,
                               cache=raycast_cache)
     elif config.setting == "partial_partial":
-        corr_net_back = correspondence_between(net, spec.id_y, spec.id_x)
-        back_full = _emitted_to_emitted(corr_net_back, back_y, net_y, net_x,
-                                        emit_x)
+        back_full = _emitted_to_emitted(net, spec.id_y, spec.id_x, y, x)
         rng = derived_rng(seed, spec.index, ROLE_PARTIALITY)
         params = {"alpha": CAM_POS_REGIMES[config.cam_pos_regime],
                   "min_overlap": config.min_overlap,
@@ -160,10 +159,10 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache, seed):
         # partial-target errors by sqrt(area of the full counterpart)
         "area_full_x": geo.surface_area(emit_x),
         "area_full_y": geo.surface_area(emit_y),
-        "remesh_target_x": res_x.target_count if res_x else -1,
-        "remesh_achieved_x": res_x.achieved_count if res_x else -1,
-        "remesh_target_y": res_y.target_count if res_y else -1,
-        "remesh_achieved_y": res_y.achieved_count if res_y else -1,
+        "remesh_target_x": res_x.target_count,
+        "remesh_achieved_x": res_x.achieved_count,
+        "remesh_target_y": res_y.target_count,
+        "remesh_achieved_y": res_y.achieved_count,
     }
     transforms = {"rotation_z_x": angles["x"], "rotation_z_y": angles["y"],
                   "scale_x": net.nodes[spec.id_x].scale,
@@ -240,8 +239,11 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
     a killed run left behind are removed first. A ``config.echo`` of another
     config raises ``ConfigError``: one tree holds one config's instances.
     Failures are logged and the run continues. Returns the list of written
-    (or already present) instance directory names.
+    (or already present) instance directory names. A ``limit`` below 1
+    raises ``ValueError`` before the tree is touched.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     log = log or (lambda msg: None)
     output_dir = Path(output_dir)
     _check_echo(config, output_dir / "config.echo")

@@ -153,18 +153,17 @@ def cast_scan(mesh, camera, resolution, cache=None):
     return hit
 
 
-def extract_partial(mesh, hit_faces, camera, parent=None):
+def extract_partial(mesh, hit_faces, camera, parent):
     """Largest-area connected component of the hit faces as a PartialMesh.
 
     ``mesh`` is the scanned (normalized) mesh; vertex positions of the
-    output are taken from ``parent`` (default: mesh itself) so the partial
-    sits at the original scale and pose, bit-exactly.
+    output are taken from ``parent``, which shares its connectivity, so the
+    partial sits at the original scale and pose, bit-exactly.
     """
     comps = geo.connected_components(mesh, hit_faces)
     if not comps:
         raise EmptyScanError("scan hit no faces")
     keep_faces = comps[0][0]  # ascending: components keep sorted order
-    parent = parent if parent is not None else mesh
     vids = np.unique(mesh.faces[keep_faces])
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[vids] = np.arange(len(vids))
@@ -175,6 +174,13 @@ def extract_partial(mesh, hit_faces, camera, parent=None):
                        camera=camera)
 
 
+def _scan(normalized, parent, camera, resolution, cache):
+    """The partial of ``parent`` that ``camera`` sees on ``normalized``."""
+    return extract_partial(normalized,
+                           cast_scan(normalized, camera, resolution, cache),
+                           camera, parent)
+
+
 def generate_partial(mesh, rng, resolution, cache=None):
     """Partial shape from a random camera; resamples the camera after an
     empty scan, up to SCAN_ATTEMPTS cameras."""
@@ -183,34 +189,28 @@ def generate_partial(mesh, rng, resolution, cache=None):
     for _ in range(SCAN_ATTEMPTS):
         camera = sample_camera(rng)
         try:
-            return extract_partial(
-                normalized, cast_scan(normalized, camera, resolution, cache),
-                camera, parent=mesh)
+            return _scan(normalized, mesh, camera, resolution, cache)
         except EmptyScanError:
             continue
     raise EmptyScanError(f"no visible faces after {SCAN_ATTEMPTS} camera "
                          "samples")
 
 
-def compute_overlap(px, py, corr_xy, corr_yx, iterations_used=1,
-                    overlap_range=None):
-    """Mutual overlap fractions between two partial shapes.
+def compute_overlap(px, py, corr_xy, corr_yx):
+    """Mutual overlap fractions ``(frac_x_to_y, frac_y_to_x)`` between two
+    partial shapes.
 
     A vertex of px counts as overlapping when its parent vertex is matched
     by corr_xy onto a face py keeps (``py.face_index``, as in ``restrict``).
-    Unmatched parents stay in the denominator.
+    Unmatched parents stay in the denominator. Both correspondences must
+    connect the partials' parents.
     """
     if corr_xy.source_id != px.parent_id or corr_xy.target_id != py.parent_id:
         raise ValueError("corr_xy does not connect the parents of px and py")
     if corr_yx.source_id != py.parent_id or corr_yx.target_id != px.parent_id:
         raise ValueError("corr_yx does not connect the parents of py and px")
-    fx = _directed_overlap(px, py, corr_xy)
-    fy = _directed_overlap(py, px, corr_yx)
-    within = False
-    if overlap_range is not None:
-        lo, hi = overlap_range
-        within = (lo <= fx <= hi) or (lo <= fy <= hi)
-    return OverlapStats(fx, fy, iterations_used, within)
+    return (_directed_overlap(px, py, corr_xy),
+            _directed_overlap(py, px, corr_yx))
 
 
 def _directed_overlap(pa, pb, corr):
@@ -249,35 +249,27 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng, resolution,
     nx = geo.normalize_to_unit_box(mx)
     ny = geo.normalize_to_unit_box(_align_to(my, mx, corr_xy))
 
-    def dist_to_range(f):
-        return max(0.0, lo - f, f - hi)
-
     best = None
     best_score = np.inf
     for it in range(1, m + 1):
         cam_x, cam_y = sample_constrained_pair(rng, alpha)
         try:
-            px = extract_partial(nx, cast_scan(nx, cam_x, resolution, cache),
-                                 cam_x, parent=mx)
+            px = _scan(nx, mx, cam_x, resolution, cache)
             # scan the aligned mesh, keep the original (unaligned) pose
-            py = extract_partial(ny, cast_scan(ny, cam_y, resolution, cache),
-                                 cam_y, parent=my)
+            py = _scan(ny, my, cam_y, resolution, cache)
         except EmptyScanError:
             continue
-        stats = compute_overlap(px, py, corr_xy, corr_yx,
-                                iterations_used=it, overlap_range=(lo, hi))
-        if stats.within_range:
-            return px, py, stats
-        score = max(dist_to_range(stats.frac_x_to_y),
-                    dist_to_range(stats.frac_y_to_x))
+        fx, fy = compute_overlap(px, py, corr_xy, corr_yx)
+        if (lo <= fx <= hi) or (lo <= fy <= hi):
+            return px, py, OverlapStats(fx, fy, it, True)
+        # distance of the worse fraction to [lo, hi]
+        score = max(0.0, lo - fx, fx - hi, lo - fy, fy - hi)
         if score < best_score:
             best_score = score
-            best = (px, py, stats)
+            best = (px, py, OverlapStats(fx, fy, m, False))
     if best is None:
         raise EmptyScanError("all camera pairs produced empty scans")
-    px, py, stats = best
-    stats.iterations_used = m
-    return px, py, stats
+    return best
 
 
 def _align_to(my, mx, corr_xy):

@@ -137,6 +137,17 @@ class TestGenerate:
         assert "global_seed=3, not 4; choose another --output" in out
         assert digest_tree(ws / "out") == before
 
+    @pytest.mark.parametrize("seed", [2**63, -2**63 - 1])
+    def test_seed_outside_int64_exit_2(self, workspace, capsys, seed):
+        """Such a seed used to be echoed, then fail every instance, and
+        the echo refused the resume with a valid seed."""
+        ws, _ = workspace
+        assert main(gen_args(ws, ws / "out", extra=["--seed", str(seed)])) \
+            == 2
+        assert "outside the signed 64-bit range" in capsys.readouterr().out
+        assert not (ws / "out").exists()
+        assert main(gen_args(ws, ws / "out", extra=["--limit", "1"])) == 0
+
     def test_rerun_from_echoed_config(self, workspace):
         ws, _ = workspace
         assert main(gen_args(ws, ws / "a")) == 0
@@ -435,6 +446,21 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "network invalid: " in out and name in out
 
+    def test_validate_network_non_finite_weight(self, workspace, capsys):
+        """A NaN weight on a matched row of an edge file used to load, and
+        compose read that vertex as unmatched."""
+        ws, _ = workspace
+        path = ws / "e0b.corr"
+        raw = bytearray(path.read_bytes())
+        n = icosphere(2).n_vertices
+        w0 = len(raw) - 28 * n + 4  # weight 0 of record 0
+        raw[w0:w0 + 8] = np.float64(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        assert main(["validate-network", "--network",
+                     str(ws / "network.manifest")]) == 1
+        out = capsys.readouterr().out
+        assert "non-finite barycentric weight" in out and "e0b.corr" in out
+
     def test_generate_bad_edge_file(self, workspace, capsys):
         ws, _ = workspace
         path = ws / "e1f.corr"
@@ -451,6 +477,41 @@ class TestOtherCommands:
         out = (ws / "ann" / "faust_0002.labels").read_text().split()
         src = (ws / "s0.labels").read_text().split()
         assert out == src  # identity chain copies labels exactly
+
+    def test_propagate_stores_correspondence(self, workspace):
+        ws, ids = workspace
+        assert main(["propagate-annotations", "--network",
+                     str(ws / "network.manifest"), "--output",
+                     str(ws / "ann"), "--store-correspondence", ids[2]]) == 0
+        corr = load_correspondence(ws / "ann" / "faust_0002.corr")
+        assert (corr.source_id, corr.target_id) == (ids[2], ids[0])
+        assert sorted(p.name for p in (ws / "ann").iterdir()) == [
+            "faust_0002.corr", "faust_0002.labels"]
+
+    def test_propagate_colliding_file_names_exit_2(self, workspace, capsys):
+        """``faust:0001`` and ``faust_0001`` both name ``faust_0001.labels``;
+        the second used to overwrite the first."""
+        ws, ids = workspace
+        ic = identity_correspondence(icosphere(2))
+        for a, b, name in ((ids[0], "faust_0001", "xf.corr"),
+                           ("faust_0001", ids[0], "xb.corr")):
+            save_correspondence(
+                DenseCorrespondence(a, b, ic.faces, ic.weights), ws / name)
+        with open(ws / "network.manifest", "a") as fh:
+            fh.write("shape faust_0001 dataset=faust mesh=s1.ply\n"
+                     f"edge {ids[0]} faust_0001 forward=xf.corr "
+                     "backward=xb.corr\n")
+        assert main(["propagate-annotations", "--network",
+                     str(ws / "network.manifest"), "--output",
+                     str(ws / "ann"), ids[2], ids[1], "faust_0001"]) == 2
+        out = capsys.readouterr().out
+        assert "'faust:0001' and 'faust_0001'" in out
+        assert "faust_0001.labels" in out
+        assert not (ws / "ann").exists()
+        # the same id twice names one file, and is no collision
+        assert main(["propagate-annotations", "--network",
+                     str(ws / "network.manifest"), "--output",
+                     str(ws / "ann"), "faust_0001", "faust_0001"]) == 0
 
     def test_inspect(self, workspace, capsys):
         ws, _ = workspace

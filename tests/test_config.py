@@ -87,6 +87,21 @@ def test_invalid_values_rejected(kwargs):
         GenerationConfig(**kwargs)
 
 
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 10**30])
+def test_seed_outside_int64_rejected(seed):
+    """Instance seeds pack the global seed as a signed 64-bit integer; one
+    outside that range failed every instance of a run, after its echo was
+    written."""
+    with pytest.raises(ConfigError, match="global_seed=.* outside the "
+                       r"signed 64-bit range"):
+        GenerationConfig.from_mapping({"global_seed": str(seed)})
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+def test_seed_int64_bounds_accepted(seed):
+    assert GenerationConfig(global_seed=seed).global_seed == seed
+
+
 class TestOriginalSettings:
     def test_accepts_defaults(self):
         cfg = GenerationConfig(original_settings=True)

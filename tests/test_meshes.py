@@ -87,3 +87,16 @@ def test_correspondence_face_below_unmatched_rejected():
     faces[3] = -3
     with pytest.raises(ValueError, match="below -1"):
         DenseCorrespondence("a", "b", faces, corr.weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [DenseCorrespondence,
+                                   DenseCorrespondence._exact])
+def test_correspondence_non_finite_weight_rejected(build, bad):
+    """A NaN weight on a matched row passed both the sign and the sum
+    check; ``compose`` then read that vertex as unmatched."""
+    with pytest.raises(ValueError, match="non-finite barycentric weight"):
+        build("a", "b", [0, -1], [[bad, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    # an unmatched row's weights are zeroed, whatever they held
+    corr = build("a", "b", [-1], [[bad, 0.0, 1.0]])
+    assert (corr.weights == 0).all()

@@ -6,8 +6,7 @@ import pytest
 from shapecorr import geometry as geo
 from shapecorr.corrio import save_correspondence
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNKNOWN_LABEL,
-                              UNMATCHED, VertexLabels,
-                              identity_correspondence)
+                              UNMATCHED, identity_correspondence)
 from shapecorr.meshio import save_mesh
 from shapecorr.network import (NetworkError, ShapeNetwork, ShapeNode,
                                build_network, compose, correspondence_between,
@@ -222,29 +221,27 @@ class TestPropagateAnnotation:
     def test_self_annotated(self):
         net, meshes, _ = chain_network(2)
         lab = np.arange(meshes[0].n_vertices) % 2
-        net.annotations["s0"] = VertexLabels("s0", lab)
+        net.annotations["s0"] = lab
         out = propagate_annotation(net, "s0")
-        np.testing.assert_array_equal(out.labels, lab)
+        np.testing.assert_array_equal(out, lab)
 
     def test_exact_copy_through_bijection(self):
         net, meshes, perms = chain_network(2)
         # left/right split of the base sphere, pushed through each perm
         lab1 = (meshes[1].vertices[:, 0] > 0).astype(np.int64)
-        net.annotations["s1"] = VertexLabels("s1", lab1)
+        net.annotations["s1"] = lab1
         out = propagate_annotation(net, "s0")
         # oracle: the edge is an exact vertex bijection m01, so labels copy
         m01 = perms[1][np.argsort(perms[0])]
-        np.testing.assert_array_equal(out.labels, lab1[m01])
+        np.testing.assert_array_equal(out, lab1[m01])
 
     def test_nearest_annotated_tiebreak_and_errors(self):
         net, meshes, _ = chain_network(3)
         with pytest.raises(NetworkError):
             propagate_annotation(net, "s0")
-        net.annotations["s2"] = VertexLabels(
-            "s2", np.zeros(meshes[2].n_vertices, dtype=np.int64))
+        net.annotations["s2"] = np.zeros(meshes[2].n_vertices, dtype=np.int64)
         assert nearest_annotated(net, "s0") == "s2"
-        net.annotations["s1"] = VertexLabels(
-            "s1", np.ones(meshes[1].n_vertices, dtype=np.int64))
+        net.annotations["s1"] = np.ones(meshes[1].n_vertices, dtype=np.int64)
         assert nearest_annotated(net, "s0") == "s1"
 
     def test_unmatched_gets_unknown(self):
@@ -253,11 +250,10 @@ class TestPropagateAnnotation:
         faces[3] = UNMATCHED
         net.edges[("s0", "s1")] = DenseCorrespondence(
             "s0", "s1", faces, net.edges[("s0", "s1")].weights)
-        net.annotations["s1"] = VertexLabels(
-            "s1", np.zeros(meshes[1].n_vertices, dtype=np.int64))
+        net.annotations["s1"] = np.zeros(meshes[1].n_vertices, dtype=np.int64)
         out = propagate_annotation(net, "s0")
-        assert out.labels[3] == UNKNOWN_LABEL
-        assert (out.labels[np.arange(len(out.labels)) != 3] == 0).all()
+        assert out[3] == UNKNOWN_LABEL
+        assert (out[np.arange(len(out)) != 3] == 0).all()
 
 
 class TestBuildNetwork:
@@ -302,7 +298,7 @@ class TestBuildNetwork:
         assert report["templates_connected"]
         assert report["components"] == [["A", "B", "C"]]
         out = propagate_annotation(net, "C")
-        assert (out.labels == 1).all()
+        assert (out == 1).all()
 
     def test_wrong_vertex_count_names_edge(self, tmp_path):
         manifest = self.write_fixture(tmp_path, corrupt_edge=True)
@@ -438,20 +434,20 @@ class TestNetworkChecks:
 
     @pytest.mark.parametrize("sid,n,message", [
         ("z", 42, "annotation for unknown node 'z'"),
-        ("a", 5, "annotation for a: 5 labels for 42 vertices")])
+        ("a", 5, "annotation for a: 5 labels for 42 vertices"),
+        ("a", (42, 1), "annotation for a: 42x1 labels for 42 vertices")])
     def test_bad_annotation(self, sid, n, message):
         _, nodes = self.nodes()
-        labels = VertexLabels(sid, np.zeros(n, dtype=np.int64))
         with pytest.raises(NetworkError, match=re.escape(message)):
-            ShapeNetwork(nodes, {}, {sid: labels})
+            ShapeNetwork(nodes, {}, {sid: np.zeros(n, dtype=np.int64)})
 
 
 def test_load_annotation_skips_comments_and_blank_lines(tmp_path):
     p = tmp_path / "s.labels"
     p.write_text("# left/right\n0\n\n1  # right\n-1\n")
-    labels = load_annotation(p, "s")
-    assert labels.shape_id == "s"
-    np.testing.assert_array_equal(labels.labels, [0, 1, -1])
+    labels = load_annotation(p)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [0, 1, -1])
 
 
 @pytest.mark.parametrize("text", ["0 1\n", "0\n1 1\n", "0\n0.5\n", "left\n"])
@@ -459,4 +455,4 @@ def test_load_annotation_not_one_integer_per_line(tmp_path, text):
     p = tmp_path / "s.labels"
     p.write_text(text)
     with pytest.raises(ValueError):
-        load_annotation(p, "s")
+        load_annotation(p)

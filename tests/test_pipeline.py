@@ -205,6 +205,16 @@ class TestRunGeneration:
         assert digest_tree(tmp_path / "resumed") == \
             digest_tree(tmp_path / "full")
 
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        """A negative limit sliced pairs off the end, and 0 wrote an empty
+        manifest; both now fail before the tree is made."""
+        net, manifest, _ = toy_network()
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            run_generation(toy_config(), net, manifest, tmp_path / "out",
+                           limit=limit)
+        assert not (tmp_path / "out").exists()
+
     def test_resume_refuses_another_config(self, tmp_path):
         """A tree made by one config is not topped up by another: the
         refusal names the first differing key and leaves the tree as it

@@ -187,7 +187,7 @@ class TestExtractPartial:
         for _ in range(8):
             cam = sample_camera(rng)
             hit = cast_scan(m, cam, (256, 256))
-            kept.append(len(extract_partial(m, hit, cam).parent_face)
+            kept.append(len(extract_partial(m, hit, cam, m).parent_face)
                         / len(hit))
         assert min(kept) >= 0.70
 
@@ -198,7 +198,7 @@ class TestWholePartial:
         every face, and no camera."""
         m = icosphere(1)
         w = PartialMesh.whole(m)
-        p = extract_partial(m, np.arange(m.n_faces), CameraPose(0.0, 0.0))
+        p = extract_partial(m, np.arange(m.n_faces), CameraPose(0.0, 0.0), m)
         np.testing.assert_array_equal(w.parent_face, p.parent_face)
         np.testing.assert_array_equal(w.parent_vertex, p.parent_vertex)
         assert w.mesh is m and w.camera is None
@@ -230,21 +230,19 @@ class TestComputeOverlap:
                              parent=mx)
         py = extract_partial(norm_y, np.arange(my.n_faces), CameraPose(0, 0),
                              parent=my)
-        st = compute_overlap(px, py, cxy, cyx)
-        assert st.frac_x_to_y == 1.0
-        assert st.frac_y_to_x == 1.0
+        assert compute_overlap(px, py, cxy, cyx) == (1.0, 1.0)
 
     def test_matches_brute_force_membership(self):
         mx, my, cxy, cyx = sphere_pair()
         rng = np.random.default_rng(3)
         px = generate_partial(mx, rng, resolution=(64, 64))
         py = generate_partial(my, rng, resolution=(64, 64))
-        st = compute_overlap(px, py, cxy, cyx)
+        fx, fy = compute_overlap(px, py, cxy, cyx)
         pf = set(int(f) for f in py.parent_face)
         hits = sum(1 for v in px.parent_vertex
                    if int(cxy.faces[v]) >= 0 and int(cxy.faces[v]) in pf)
-        assert st.frac_x_to_y == pytest.approx(hits / px.mesh.n_vertices)
-        assert 0.0 <= st.frac_y_to_x <= 1.0
+        assert fx == pytest.approx(hits / px.mesh.n_vertices)
+        assert 0.0 <= fy <= 1.0
 
     def test_mismatched_parent_ids_rejected(self):
         mx, my, cxy, cyx = sphere_pair()

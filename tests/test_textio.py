@@ -34,7 +34,7 @@ def _readers(tmp_path):
     off.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1.5 2\n")
     corr = tmp_path / "c.corr"
     corr.write_text("corr a b 2\n-1 0 0 0\n1.5 0.25 0.25 0.5\n")
-    return [lambda: load_prediction(pred), lambda: load_annotation(labels, "s"),
+    return [lambda: load_prediction(pred), lambda: load_annotation(labels),
             lambda: load_mesh(off), lambda: load_correspondence(corr)]
 
 
