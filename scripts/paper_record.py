@@ -78,7 +78,7 @@ def bvh(query, camera=None):
     mesh = geo.normalize_to_unit_box(bumpy_sphere(5, seed=7))
     if query == "build":
         return (lambda: spatial.TriangleBVH(mesh), lambda t: sha(
-            t.node_min, t.node_max, t.node_left, t.leaf_row, t.leaf_faces))
+            t.node_min, t.node_max, t.node_child, t.node_faces))
     tree = mesh.bvh  # built here, in the set-up
     if query == "scan":
         rays = camera_rays(camera, (256, 256))
@@ -161,7 +161,7 @@ PINNED = {
     "decimate 40962 -> 10000":
         "9e66220b908b3573a96041289c11924146af583265954311860757a74fdc493b",
     "TriangleBVH build":
-        "c84b1ae7b2577eef9e7a3da53dc50e127a76964bcf5fdfead971c10fe0e50fca",
+        "e9c8aa24f7b07a2ba6f60e4f7f478831905771db6299cda095e81f92bf3980fa",
     "scan 0":
         "c5b4271e816028b54113d861828a0b61c0920fe1c35cb64d4a1c39cf03f6bbd7",
     "scan 1":

@@ -23,8 +23,8 @@ from .network import (NetworkError, build_network, correspondence_between,
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
                     parse_split_manifest)
 from .pipeline import run_generation
-from .textio import (key_values, read_key_values, write_atomic,
-                     write_key_values)
+from .textio import (key_values, read_key_values, replace_atomic,
+                     write_atomic, write_key_values)
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
 
@@ -142,9 +142,8 @@ def cmd_propagate(args):
         _log(f"propagated {sid} -> {path}")
         if args.store_correspondence:
             corr = correspondence_between(net, sid, nearest_annotated(net, sid))
-            tmp = out_dir / f"{stem}.corr.tmp"
-            save_correspondence(corr, tmp)
-            os.replace(tmp, out_dir / f"{stem}.corr")
+            replace_atomic(out_dir / f"{stem}.corr",
+                           lambda tmp: save_correspondence(corr, tmp))
     return EXIT_OK
 
 

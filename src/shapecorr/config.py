@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .textio import (FormatError, parse_bool, read_key_values,
@@ -69,6 +70,16 @@ class GenerationConfig:
                 "resolution", "count_range", "normalize_area")
 
     def __post_init__(self):
+        # tuple keys are stored as tuples, so a config made with lists
+        # equals the one its echo reads back
+        for key, (_, form) in _TUPLES.items():
+            value = tuple(getattr(self, key))
+            if form is not None and (len(value) != 2 or not all(
+                    isinstance(v, numbers.Integral)
+                    and not isinstance(v, bool) for v in value)):
+                raise ConfigError(f"{key}: expected {form} (two integers), "
+                                  f"got {getattr(self, key)!r}")
+            setattr(self, key, value)
         self.validate()
 
     def validate(self):

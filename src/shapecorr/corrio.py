@@ -14,6 +14,8 @@ Binary variant: magic ``DCOR``, format version byte, the two ids as
 length-prefixed UTF-8, vertex count as little-endian uint64, then n records
 of (int32 face, 3x float64 weights).
 
+Either variant holds exactly n records: a load refuses fewer or more.
+
 A load keeps the weights bit for bit: it checks them but does not
 renormalize them.
 """
@@ -66,8 +68,8 @@ def _load_text(path):
             or not header[3].isdecimal()):
         raise ValueError(f"{path}: bad correspondence header")
     n = int(header[3])
-    rows = data_lines(path)[1:n + 1]  # the first data line is the header
-    if len(rows) < n:
+    rows = data_lines(path)[1:]  # the first data line is the header
+    if len(rows) != n:
         raise ValueError(f"{path}: expected {n} records, got {len(rows)}")
     rec = read_table(path, rows, "record", [("face", "i8"), ("w", "f8", 3)])
     return DenseCorrespondence._exact(header[1], header[2], rec["face"],
@@ -94,4 +96,6 @@ def _load_binary(path):
         (n,) = struct.unpack("<Q", read(8))
         rec = np.frombuffer(read(n * 28),
                             dtype=[("face", "<i4"), ("w", "<f8", 3)])
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes past the {n} records")
     return DenseCorrespondence._exact(sid, tid, rec["face"], rec["w"])

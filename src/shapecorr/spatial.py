@@ -6,6 +6,9 @@ exhaustive per-face minimum), ties broken by lowest face index. Both walk
 the tree breadth-first over (query, node) pairs, a chunk of queries at a
 time, and reduce each leaf they reach to the lowest (key, face) per query:
 the key is the hit parameter t of a ray, the squared distance of a point.
+The tree is built level by level too, and numbers its nodes in that level
+order: a node's two children sit side by side, at ``node_child``, and each
+node has its own row of ``node_faces``.
 """
 
 from __future__ import annotations
@@ -59,11 +62,12 @@ def exhaustive_first_hits(mesh, origins, directions):
 class TriangleBVH:
     """Median-split BVH stored in flat arrays.
 
-    Nodes are numbered in pre-order: inner node i has its left child at
-    i + 1 and its right child at ``node_left[i]``, and ``node_min`` /
-    ``node_max`` hold each node's box. ``leaf_row[i]`` is node i's row of
-    ``leaf_faces``, -1 for an inner node. A row lists the leaf's faces in
-    ascending index, padded at the end with -1 to the largest leaf size.
+    Nodes are numbered in level order, as ``_median_split_tree`` makes
+    them: the children of inner node i are ``node_child[i]`` and
+    ``node_child[i] + 1``, and ``node_child`` is -1 at a leaf.
+    ``node_min`` / ``node_max`` hold each node's box, and ``node_faces[i]``
+    lists leaf i's faces in ascending index, padded at the end with -1 to
+    the largest leaf size; an inner node's row is all -1.
 
     Both queries run ``_walk``, which prunes (query, node) pairs with a
     per-query test and scans the leaves it reaches with ``_scan_leaves``.
@@ -76,18 +80,18 @@ class TriangleBVH:
         hi = np.maximum(np.maximum(a, b), c)
         centroids = (a + b + c) / 3.0
 
-        (order, self.node_min, self.node_max, self.node_left, self.leaf_row,
-         counts) = _median_split_tree(lo, hi, centroids)
+        (order, self.node_min, self.node_max, self.node_child, start,
+         size) = _median_split_tree(lo, hi, centroids)
 
-        # pre-order meets the leaves left to right, so they tile order; each
-        # row is sorted with its pads as n_faces, which puts them last
-        cols = np.arange(counts.max())
-        slot = np.minimum((np.cumsum(counts) - counts)[:, None] + cols,
-                          len(order) - 1)
-        self.leaf_faces = np.where(cols < counts[:, None], order[slot],
+        # a leaf's row is its run of order, sorted with its pads as n_faces,
+        # which puts them last; an inner node's row is all pads
+        size = np.where(self.node_child < 0, size, 0)
+        cols = np.arange(size.max())
+        slot = np.minimum(start[:, None] + cols, len(order) - 1)
+        self.node_faces = np.where(cols < size[:, None], order[slot],
                                    mesh.n_faces)
-        self.leaf_faces.sort(axis=1)
-        self.leaf_faces[self.leaf_faces == mesh.n_faces] = -1
+        self.node_faces.sort(axis=1)
+        self.node_faces[self.node_faces == mesh.n_faces] = -1
 
     # --- ray queries ---
 
@@ -167,13 +171,13 @@ class TriangleBVH:
 
         # descend greedily to one leaf per point; its faces bound d2 above
         leaf = np.zeros(m, dtype=np.int64)
-        inner = np.flatnonzero(self.leaf_row[leaf] < 0)
+        inner = np.flatnonzero(self.node_child[leaf] >= 0)
         while len(inner):
-            left, right = leaf[inner] + 1, self.node_left[leaf[inner]]
+            left = self.node_child[leaf[inner]]
             nearer_left = (self._box_d2(p[inner], left)
-                           < self._box_d2(p[inner], right))
-            leaf[inner] = np.where(nearer_left, left, right)
-            inner = inner[self.leaf_row[leaf[inner]] < 0]
+                           < self._box_d2(p[inner], left + 1))
+            leaf[inner] = np.where(nearer_left, left, left + 1)
+            inner = inner[self.node_child[leaf[inner]] >= 0]
         best_d2 = np.full(m, np.inf)
         best_face = np.full(m, -1, dtype=np.int64)
         q = np.arange(m)
@@ -205,11 +209,11 @@ class TriangleBVH:
         while len(q):
             live = keep(q, node)
             q, node = q[live], node[live]
-            leaf = self.leaf_row[node] >= 0
+            child = self.node_child[node]
+            leaf = child < 0
             self._scan_leaves(q[leaf], node[leaf], keys, best, best_face)
-            q, node = q[~leaf], node[~leaf]
-            q, node = np.tile(q, 2), np.concatenate([node + 1,
-                                                     self.node_left[node]])
+            q, child = q[~leaf], child[~leaf]
+            q, node = np.tile(q, 2), np.concatenate([child, child + 1])
 
     def _scan_leaves(self, q, node, keys, best, best_face):
         """Lower best/best_face[q[i]] to the faces of leaf node[i] whose
@@ -217,9 +221,9 @@ class TriangleBVH:
 
         Works in chunks of at most _QUERY_PAIRS (query, face) pairs.
         """
-        step = max(1, _QUERY_PAIRS // self.leaf_faces.shape[1])
+        step = max(1, _QUERY_PAIRS // self.node_faces.shape[1])
         for s in range(0, len(q), step):
-            table = self.leaf_faces[self.leaf_row[node[s:s + step]]]
+            table = self.node_faces[node[s:s + step]]
             valid = table >= 0
             row = np.broadcast_to(q[s:s + step, None], table.shape)[valid]
             face = table[valid]
@@ -248,10 +252,14 @@ def _median_split_tree(lo, hi, centroids):
     boxes by ``reduceat`` over the level's runs, and one ``lexsort`` of
     every run to split.
 
-    Returns ``(order, node_min, node_max, node_left, leaf_row,
-    leaf_count)``: ``order`` lists the faces so that every node holds a
-    contiguous run of it, the node arrays are as ``TriangleBVH`` keeps
-    them, and ``leaf_count[r]`` is the size of leaf row r.
+    Nodes are numbered in the order the levels make them. Every inner node
+    has two children, and a level lists them in its parents' order, so the
+    k-th inner node's children are nodes 2k + 1 and 2k + 2.
+
+    Returns ``(order, node_min, node_max, node_child, start, size)``:
+    ``order`` lists the faces so that node i holds the run
+    ``order[start[i]:start[i] + size[i]]``, and the other node arrays are
+    as ``TriangleBVH`` keeps them.
     """
     lo_t, hi_t, cen_t = (np.ascontiguousarray(x.T)
                          for x in (lo, hi, centroids))
@@ -280,34 +288,10 @@ def _median_split_tree(lo, hi, centroids):
         start = np.column_stack([start, start + half]).ravel()
         size = np.column_stack([half, size - half]).ravel()
 
-    # the children of a level's j-th inner node are the next level's nodes
-    # 2j and 2j + 1; subtree node counts go bottom-up, pre-order ids
-    # top-down: a left child follows its parent, a right child follows the
-    # left child's subtree
-    count = [np.ones(len(level[0]), dtype=np.int64) for level in levels]
-    for d in range(len(levels) - 2, -1, -1):
-        count[d][levels[d][4]] += count[d + 1][0::2] + count[d + 1][1::2]
-    n_nodes = int(count[0][0])
-    node_min, node_max = np.empty((n_nodes, 3)), np.empty((n_nodes, 3))
-    node_left = np.full(n_nodes, -1, dtype=np.int64)
-    ids = np.zeros(1, dtype=np.int64)
-    leaf_start, leaf_size, leaf_id = [], [], []
-    for d, (start, size, box_min, box_max, inner) in enumerate(levels):
-        node_min[ids], node_max[ids] = box_min, box_max
-        leaf_start.append(start[~inner])
-        leaf_size.append(size[~inner])
-        leaf_id.append(ids[~inner])
-        if d + 1 < len(levels):
-            parent = ids[inner]
-            right = parent + 1 + count[d + 1][0::2]
-            node_left[parent] = right
-            ids = np.column_stack([parent + 1, right]).ravel()
-    # pre-order meets the leaves in position order
-    by_start = np.argsort(np.concatenate(leaf_start))
-    leaf_row = np.full(n_nodes, -1, dtype=np.int64)
-    leaf_row[np.concatenate(leaf_id)[by_start]] = np.arange(len(by_start))
-    return (order, node_min, node_max, node_left, leaf_row,
-            np.concatenate(leaf_size)[by_start])
+    start, size, node_min, node_max, inner = map(np.concatenate, zip(*levels))
+    node_child = np.full(len(start), -1, dtype=np.int64)
+    node_child[inner] = 1 + 2 * np.arange(inner.sum())
+    return order, node_min, node_max, node_child, start, size
 
 
 def brute_force_nearest(mesh, p):

@@ -4,7 +4,8 @@
 the ``key=value`` codec: the token parser of the network and split
 manifests, and the reader and writer of the flat files (the config and its
 echo, ``meta.txt``, ``report.txt``, ``summary.txt``, remesh-cache ``.meta``
-entries)."""
+entries). ``replace_atomic`` writes a file under a temp name and renames
+it into place."""
 
 from __future__ import annotations
 
@@ -102,15 +103,25 @@ def format_value(v):
     return str(v)
 
 
-def write_atomic(path, text):
-    """Write ``text`` to ``path``, making the parent directory. The file is
-    written under a temp name and renamed into place, so a write that is
-    killed or fails leaves the previous file whole."""
+def replace_atomic(path, write):
+    """Call ``write(tmp)`` on a temp name beside ``path``, making the
+    parent directory, then rename the temp onto ``path``. On any exception
+    the temp is removed, so a write that fails leaves the previous file
+    whole and no temp behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through ``replace_atomic``."""
+    replace_atomic(path, lambda tmp: tmp.write_text(text))
 
 
 def write_key_values(path, mapping):

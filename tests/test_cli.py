@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shapecorr import cli
 from shapecorr.cli import main
 from shapecorr.corrio import load_correspondence, save_correspondence
 from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
@@ -366,6 +367,7 @@ from pathlib import Path
 import numpy as np
 
 import shapecorr
+from shapecorr import cli
 from shapecorr.cli import main
 from shapecorr.geometry import snap_correspondence_to_vertices
 from shapecorr.pipeline import load_instance
@@ -461,6 +463,31 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "non-finite barycentric weight" in out and "e0b.corr" in out
 
+    def test_validate_network_bytes_past_the_records(self, workspace,
+                                                     capsys):
+        ws, _ = workspace
+        path = ws / "e0b.corr"
+        path.write_bytes(path.read_bytes() + bytes(28))
+        assert main(["validate-network", "--network",
+                     str(ws / "network.manifest")]) == 1
+        assert "e0b.corr: bytes past the" in capsys.readouterr().out
+
+    def test_generate_text_edge_file_with_a_duplicated_record(self, workspace,
+                                                              capsys):
+        """A text edge file whose header count is one short of its records
+        used to load its first rows and drop the last."""
+        ws, _ = workspace
+        corr = load_correspondence(ws / "e1f.corr")
+        rows = [f"{f} {w[0]!r} {w[1]!r} {w[2]!r}\n" for f, w in
+                zip(corr.faces.tolist(), corr.weights.tolist())]
+        (ws / "e1f.corr").write_text(
+            f"corr {corr.source_id} {corr.target_id} {len(rows)}\n"
+            + rows[0] + "".join(rows))
+        assert main(gen_args(ws, ws / "out")) == 1
+        n = len(rows)
+        assert f"e1f.corr: expected {n} records, got {n + 1}" in \
+            capsys.readouterr().out
+
     def test_generate_bad_edge_file(self, workspace, capsys):
         ws, _ = workspace
         path = ws / "e1f.corr"
@@ -487,6 +514,27 @@ class TestOtherCommands:
         assert (corr.source_id, corr.target_id) == (ids[2], ids[0])
         assert sorted(p.name for p in (ws / "ann").iterdir()) == [
             "faust_0002.corr", "faust_0002.labels"]
+
+    def test_propagate_failed_correspondence_write_leaves_no_temp(
+            self, workspace, monkeypatch):
+        """A ``.corr`` write that raised used to leave ``<stem>.corr.tmp``
+        behind; the previous file stays whole."""
+        ws, ids = workspace
+        argv = ["propagate-annotations", "--network",
+                str(ws / "network.manifest"), "--output", str(ws / "ann"),
+                "--store-correspondence", ids[2]]
+        assert main(argv) == 0
+        before = (ws / "ann" / "faust_0002.corr").read_bytes()
+
+        def torn(corr, path):
+            path.write_bytes(b"DCOR")
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, "save_correspondence", torn)
+        with pytest.raises(OSError, match="disk full"):
+            main(argv)
+        assert sorted(p.name for p in (ws / "ann").iterdir()) == [
+            "faust_0002.corr", "faust_0002.labels"]
+        assert (ws / "ann" / "faust_0002.corr").read_bytes() == before
 
     def test_propagate_colliding_file_names_exit_2(self, workspace, capsys):
         """``faust:0001`` and ``faust_0001`` both name ``faust_0001.labels``;

@@ -81,10 +81,30 @@ def test_unknown_key_lists_valid_keys():
     {"min_overlap": 0.9, "max_overlap": 0.1},
     {"n_cam_pos": 0},
     {"count_range": (2, 1)},
+    # a non-integer item used to be echoed as 32.0x32, which the echo's
+    # re-read then refused
+    {"resolution": (32.0, 32)},
+    {"resolution": (32, "32")},
+    {"resolution": (32, True)},
+    {"count_range": (500.5, 800)},
+    {"count_range": (500, 800, 900)},
 ])
 def test_invalid_values_rejected(kwargs):
     with pytest.raises(ConfigError):
         GenerationConfig(**kwargs)
+
+
+def test_echo_reads_back_a_config_made_with_lists(tmp_path):
+    """A library config made with lists used to differ from the tuples its
+    own echo reads back, so a run could not resume its own tree."""
+    cfg = GenerationConfig(datasets=["faust"], resolution=[32, 32],
+                           count_range=[500, 800])
+    assert (cfg.datasets, cfg.resolution, cfg.count_range) == (
+        ("faust",), (32, 32), (500, 800))
+    p = tmp_path / "config.echo"
+    cfg.to_file(p)
+    assert p.read_text().splitlines()[1:2] == ["datasets=faust"]
+    assert GenerationConfig.from_file(p) == cfg
 
 
 @pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 10**30])

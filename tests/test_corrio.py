@@ -66,12 +66,16 @@ def test_text_corr_roundtrip_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "short_record", "garbled",
-                                    "bad_header", "empty"])
+                                    "bad_header", "empty", "extra_record"])
 def test_text_corr_damaged_raises_value_error(tmp_path, damage):
+    """A record past the header's count (here: the first one, duplicated)
+    used to load as the first n rows, shifted, dropping the last."""
     _, path = text_corr(tmp_path)
     lines = path.read_text().splitlines()
     if damage == "truncated":
         lines = lines[:20]
+    elif damage == "extra_record":
+        lines.insert(1, lines[1])
     elif damage == "short_record":
         lines[7] = lines[7].rsplit(" ", 1)[0]
     elif damage == "garbled":
@@ -83,6 +87,17 @@ def test_text_corr_damaged_raises_value_error(tmp_path, damage):
     path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ValueError):
         load_correspondence(path)
+
+
+def test_binary_corr_bytes_past_the_records_raise_value_error(tmp_path):
+    corr, _ = text_corr(tmp_path)
+    path = tmp_path / "binary.corr"
+    save_correspondence(corr, path)
+    for extra in (b"\0", bytes(28)):
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match=f"{path}: bytes past the 42 "
+                           "records"):
+            load_correspondence(path)
 
 
 def test_text_corr_face_below_unmatched_raises_value_error(tmp_path):

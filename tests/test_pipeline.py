@@ -232,6 +232,15 @@ class TestRunGeneration:
         assert digest_tree(out) == before
         assert len(run_generation(cfg, net, manifest, out, limit=2)) == 2
 
+    def test_config_made_with_lists_resumes_its_tree(self, tmp_path):
+        """``datasets=["faust"]`` used to be refused by its own echo, which
+        reads back ``('faust',)``."""
+        net, manifest, _ = toy_network()
+        out = tmp_path / "out"
+        cfg = toy_config(datasets=["faust"], resolution=[48, 48])
+        run_generation(cfg, net, manifest, out, limit=1)
+        assert len(run_generation(cfg, net, manifest, out, limit=2)) == 2
+
     def test_run_killed_writing_its_echo_resumes(self, tmp_path,
                                                  monkeypatch):
         """The echo is renamed into place: a run killed while writing it

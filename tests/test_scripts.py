@@ -1,7 +1,8 @@
 """Every script under ``scripts/`` imports against today's ``src/`` and
 perfbench names, and runs nothing until it is called; the overlap
-histogram also runs end to end, and the manifest generator rebuilds the
-shipped split manifest byte for byte."""
+histogram also runs end to end, the manifest generator rebuilds the
+shipped split manifest byte for byte, and the paper record's four BVH
+cases give their pinned digests."""
 
 import importlib.util
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from shapecorr.pairs import write_split_manifest
+
+from conftest import require_golden_build
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -58,3 +61,15 @@ def test_default_manifest_rebuilds_shipped_file(load, tmp_path):
     write_split_manifest(load("make_default_manifest.py").build(), out)
     shipped = ROOT / "src" / "shapecorr" / "data" / "default_split.manifest"
     assert out.read_bytes() == shipped.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["TriangleBVH build", "scan 0", "scan 1",
+                                  "nearest_points"])
+def test_record_bvh_case_matches_pin(name, load):
+    """The record's four BVH cases, run in this process: a renamed tree
+    array or a moved hit shows here, not only in a full record run."""
+    require_golden_build()
+    record = load("paper_record.py")
+    make, *args = record.CASES[name]
+    run, digest = make(*args)
+    assert digest(run()) == record.PINNED[name]

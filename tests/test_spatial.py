@@ -1,3 +1,4 @@
+import collections
 import gc
 import weakref
 
@@ -112,7 +113,7 @@ def test_shared_edge_hit_across_tree_levels():
     down = [[k + 1, 11 + k, 10 + k] for k in range(8)]
     m = Mesh(bottom + top, up + down)
     bvh = TriangleBVH(m)
-    assert bvh.leaf_row[1] >= 0 and bvh.leaf_row[bvh.node_left[0]] < 0
+    assert bvh.node_child[1] < 0 and bvh.node_child[2] >= 0
     origin = [[4.25, 0.5, 1.0]]  # above the edge shared by up[4], down[3]
     f, t = bvh.first_hits(origin, [[0.0, 0.0, -1.0]])
     fo, to = exhaustive_first_hits(m, origin, [[0.0, 0.0, -1.0]])
@@ -194,7 +195,8 @@ def test_query_across_chunk_boundary(query, rng):
 def test_deterministic_build():
     m = bumpy_sphere(2)
     b1, b2 = TriangleBVH(m), TriangleBVH(m)
-    np.testing.assert_array_equal(b1.leaf_faces, b2.leaf_faces)
+    np.testing.assert_array_equal(b1.node_faces, b2.node_faces)
+    np.testing.assert_array_equal(b1.node_child, b2.node_child)
     np.testing.assert_array_equal(b1.node_min, b2.node_min)
 
 
@@ -202,73 +204,76 @@ def test_deterministic_build():
                                           lambda: grid_plane(5)],
                          ids=["bumpy_sphere", "grid_plane"])
 def test_tree_structure(mesh_builder):
-    """Each inner node's box is the union of its children's boxes (left
-    child node + 1, right child node_left[node]); each leaf's box bounds
-    its faces; leaf rows are index-sorted with -1 pads last and together
-    hold every face once."""
+    """Each inner node's box is the union of its children's boxes
+    (node_child[node] and the node after it); every node but the root is
+    the child of exactly one inner node; each leaf's box bounds its faces;
+    leaf rows are index-sorted with -1 pads last and together hold every
+    face once, and inner rows are all -1."""
     m = mesh_builder()
     bvh = TriangleBVH(m)
     a, b, c = m.face_corners()
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
-    inner = np.flatnonzero(bvh.leaf_row < 0)
-    left, right = inner + 1, bvh.node_left[inner]
-    assert (right > left).all()
+    inner = np.flatnonzero(bvh.node_child >= 0)
+    left = bvh.node_child[inner]
+    assert (left > inner).all()
     np.testing.assert_array_equal(
-        bvh.node_min[inner], np.minimum(bvh.node_min[left], bvh.node_min[right]))
+        np.sort(np.concatenate([left, left + 1])),
+        np.arange(1, len(bvh.node_child)))
     np.testing.assert_array_equal(
-        bvh.node_max[inner], np.maximum(bvh.node_max[left], bvh.node_max[right]))
-    leaves = np.flatnonzero(bvh.leaf_row >= 0)
-    np.testing.assert_array_equal(bvh.leaf_row[leaves], np.arange(len(leaves)))
-    assert len(bvh.leaf_faces) == len(leaves)
-    for node in leaves:
-        row = bvh.leaf_faces[bvh.leaf_row[node]]
+        bvh.node_min[inner],
+        np.minimum(bvh.node_min[left], bvh.node_min[left + 1]))
+    np.testing.assert_array_equal(
+        bvh.node_max[inner],
+        np.maximum(bvh.node_max[left], bvh.node_max[left + 1]))
+    assert (bvh.node_faces[inner] == -1).all()
+    assert len(bvh.node_faces) == len(bvh.node_child)
+    for node in np.flatnonzero(bvh.node_child < 0):
+        row = bvh.node_faces[node]
         faces = row[row >= 0]
         assert (row[len(faces):] == -1).all()
         assert (np.diff(faces) > 0).all()
         np.testing.assert_array_equal(bvh.node_min[node], lo[faces].min(axis=0))
         np.testing.assert_array_equal(bvh.node_max[node], hi[faces].max(axis=0))
-    table = bvh.leaf_faces[bvh.leaf_faces >= 0]
+    table = bvh.node_faces[bvh.node_faces >= 0]
     np.testing.assert_array_equal(np.sort(table), np.arange(m.n_faces))
 
 
 def stack_build(mesh):
     """The one-node-per-iteration median-split build: the reference the
     level-at-a-time build must equal array for array. Returns (node_min,
-    node_max, node_left, leaf_row, leaf_faces)."""
+    node_max, node_child, node_faces)."""
     a, b, c = mesh.face_corners()
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
     centroids = (a + b + c) / 3.0
     order = np.arange(mesh.n_faces)
-    node_min, node_max, node_left, leaf_row, leaves = [], [], [], [], []
-    # (start, end, parent): a right child fills its parent's node_left;
-    # popping left children first numbers the nodes in pre-order
-    stack = [(0, mesh.n_faces, -1)]
-    while stack:
-        start, end, parent = stack.pop()
-        idx = len(node_min)
-        if parent >= 0:
-            node_left[parent] = idx
+    node_min, node_max, node_child, rows = [], [], [], []
+    # (start, end) runs of order, first in first out: a splitting node's
+    # children take the next two ids after the nodes already queued, which
+    # numbers the nodes in level order
+    queue = collections.deque([(0, mesh.n_faces)])
+    while queue:
+        start, end = queue.popleft()
         sel = order[start:end]
         node_min.append(lo[sel].min(axis=0))
         node_max.append(hi[sel].max(axis=0))
-        node_left.append(-1)
         if end - start > spatial._LEAF_SIZE:
             axis = int(np.argmax(node_max[-1] - node_min[-1]))
             order[start:end] = sel[np.argsort(centroids[sel, axis],
                                               kind="stable")]
             mid = start + (end - start) // 2
-            stack += [(mid, end, idx), (start, mid, -1)]
-            leaf_row.append(-1)
+            node_child.append(len(node_min) + len(queue))
+            queue += [(start, mid), (mid, end)]
+            rows.append(sel[:0])
         else:
-            leaf_row.append(len(leaves))
-            leaves.append(np.sort(sel))
-    width = max(len(f) for f in leaves)
-    leaf_faces = np.array([np.pad(f, (0, width - len(f)), constant_values=-1)
-                           for f in leaves])
+            node_child.append(-1)
+            rows.append(np.sort(sel))
+    width = max(len(f) for f in rows)
+    node_faces = np.array([np.pad(f, (0, width - len(f)), constant_values=-1)
+                           for f in rows])
     return (np.asarray(node_min), np.asarray(node_max),
-            np.asarray(node_left), np.asarray(leaf_row), leaf_faces)
+            np.asarray(node_child), node_faces)
 
 
 def random_soup(rng, n_faces):
@@ -288,10 +293,9 @@ def random_soup(rng, n_faces):
 def test_level_build_matches_stack_build(mesh_builder, rng):
     m = mesh_builder(rng)
     bvh = TriangleBVH(m)
-    got = (bvh.node_min, bvh.node_max, bvh.node_left, bvh.leaf_row,
-           bvh.leaf_faces)
-    for name, a, b in zip(("node_min", "node_max", "node_left", "leaf_row",
-                           "leaf_faces"), got, stack_build(m)):
+    got = (bvh.node_min, bvh.node_max, bvh.node_child, bvh.node_faces)
+    for name, a, b in zip(("node_min", "node_max", "node_child",
+                           "node_faces"), got, stack_build(m)):
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
 

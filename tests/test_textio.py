@@ -12,7 +12,7 @@ from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
 from shapecorr.textio import (FormatError, format_value, key_values,
-                              read_key_values, write_atomic,
+                              read_key_values, replace_atomic, write_atomic,
                               write_key_values)
 
 
@@ -113,9 +113,18 @@ def test_key_values_strips_key_and_value():
 
 def test_failed_write_leaves_previous_file_whole(tmp_path):
     """A write that fails halfway (here: a character the encoder cannot
-    write, after the first line) leaves the old file as it was."""
+    write, after the first line; then a writer interrupted after a partial
+    line) leaves the old file as it was, and no temp file: the temp used
+    to stay behind."""
     path = tmp_path / "instances.manifest"
     write_atomic(path, "val_0000\nval_0001\n")
     with pytest.raises(UnicodeEncodeError):
         write_atomic(path, "val_0000\n\udcff\n")
+
+    def torn(tmp):
+        tmp.write_text("val_0")
+        raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        replace_atomic(path, torn)
     assert path.read_text() == "val_0000\nval_0001\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
