@@ -44,7 +44,7 @@ def _load_config(args):
         raise ConfigError(f"--set: {exc}",
                           known_keys=GenerationConfig.known_keys()) from None
     if getattr(args, "seed", None) is not None:
-        overrides["global_seed"] = str(args.seed)
+        overrides["global_seed"] = args.seed
     if args.config:
         return GenerationConfig.from_file(args.config, overrides)
     return GenerationConfig.from_mapping(overrides)

@@ -4,6 +4,11 @@ per line.
 Key names follow the pipeline's main configuration file one-to-one.
 ``original_settings=true`` activates hard assertions pinning every
 science-affecting option to its published default.
+
+Every value, from a file, ``--set`` or Python, takes one path: a string is
+parsed as a file's text is (``remesh="no"`` is ``False``); any other value
+must already have its key's type (a bool is no int) and is stored as
+given, a tuple key's as a tuple. Anything else is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -70,31 +75,15 @@ class GenerationConfig:
                 "resolution", "count_range", "normalize_area")
 
     def __post_init__(self):
-        # tuple keys are stored as tuples, so a config made with lists
-        # equals the one its echo reads back
-        for key, (_, form) in _TUPLES.items():
-            value = tuple(getattr(self, key))
-            if form is not None and (len(value) != 2 or not all(
-                    isinstance(v, numbers.Integral)
-                    and not isinstance(v, bool) for v in value)):
-                raise ConfigError(f"{key}: expected {form} (two integers), "
-                                  f"got {getattr(self, key)!r}")
-            setattr(self, key, value)
+        for key in _DEFAULTS:
+            setattr(self, key, _coerce(key, getattr(self, key)))
         self.validate()
 
     def validate(self):
-        if self.combinations not in COMBINATIONS:
-            raise ConfigError(
-                f"combinations={self.combinations!r} not in "
-                f"{tuple(COMBINATIONS)}")
-        if self.setting not in SETTINGS:
-            raise ConfigError(f"setting={self.setting!r} not in {SETTINGS}")
-        if self.cam_pos_regime not in CAM_POS_REGIMES:
-            raise ConfigError(
-                f"cam_pos_regime={self.cam_pos_regime!r} not in "
-                f"{tuple(CAM_POS_REGIMES)}")
-        if self.split not in SPLITS:
-            raise ConfigError(f"split={self.split!r} not in {SPLITS}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(
+                    f"{key}={getattr(self, key)!r} not in {choices}")
         unknown = [d for d in self.datasets if d not in ALL_DATASETS]
         if unknown:
             raise ConfigError(f"unknown datasets {unknown}; valid: "
@@ -116,10 +105,8 @@ class GenerationConfig:
         if not 4 <= lo <= hi:
             raise ConfigError(f"invalid count_range [{lo}, {hi}]")
         if self.original_settings:
-            defaults = {f.name: f.default
-                        for f in dataclasses.fields(GenerationConfig)}
             bad = [k for k in self.ASSERTED
-                   if getattr(self, k) != defaults[k]]
+                   if getattr(self, k) != _DEFAULTS[k]]
             if bad:
                 raise ConfigError(
                     "original_settings=true but non-default values for: "
@@ -139,12 +126,7 @@ class GenerationConfig:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}",
                 known_keys=known)
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in mapping:
-                continue
-            kwargs[f.name] = _parse_value(f, mapping[f.name])
-        return cls(**kwargs)
+        return cls(**mapping)
 
     @classmethod
     def from_file(cls, path, overrides=None):
@@ -163,36 +145,53 @@ class GenerationConfig:
             for f in dataclasses.fields(self)})
 
 
-# tuple-valued keys: item separator, and the form a parse error names
-# (None: a list of names rather than two integers)
-_TUPLES = {"datasets": (",", None), "resolution": ("x", "WIDTHxHEIGHT"),
-           "count_range": ("-", "LOW-HIGH")}
+# a key's type is the type of its default
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(GenerationConfig)}
+# the keys whose value is one name of a table, and the names
+_CHOICES = {"combinations": tuple(COMBINATIONS), "setting": SETTINGS,
+            "cam_pos_regime": tuple(CAM_POS_REGIMES), "split": SPLITS}
+# tuple-valued keys: item separator, item type, and what a value must be
+_TUPLES = {"datasets": (",", str, "dataset names"),
+           "resolution": ("x", int, "WIDTHxHEIGHT (two integers)"),
+           "count_range": ("-", int, "LOW-HIGH (two integers)")}
+# what a value of an int, float or str type may be besides that type; a
+# bool is an int to Python, but not to a config
+_WIDER = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-# a field's value type is the type of its default
-def _parse_value(field, value):
-    if not isinstance(value, str):
+def _has_type(kind, value):
+    return type(value) is kind or (
+        kind in _WIDER and isinstance(value, _WIDER[kind])
+        and not isinstance(value, bool))
+
+
+def _coerce(key, value):
+    """``value`` as ``key``'s, by the module docstring's rule; a str key's
+    value is kept as given, and ``validate`` checks it."""
+    kind = type(_DEFAULTS[key])
+    if kind is str or (kind is not tuple and _has_type(kind, value)):
         return value
-    key, kind = field.name, type(field.default)
-    if kind is tuple:
-        sep, form = _TUPLES[key]
-        if form is None:
-            if value.lower() == "all":
-                return ALL_DATASETS
-            return tuple(d.strip() for d in value.split(sep) if d.strip())
-        try:
-            a, b = value.lower().split(sep)
-            return (int(a), int(b))
-        except ValueError:
-            raise ConfigError(f"{key}: expected {form} (two integers), got "
-                              f"{value!r}") from None
-    if kind in (bool, int, float):
-        try:
-            return parse_bool(value) if kind is bool else kind(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {kind.__name__}, got "
-                              f"{value!r}") from None
-    return value
+    try:
+        if kind is not tuple:
+            if isinstance(value, str):
+                return parse_bool(value) if kind is bool else kind(value)
+        else:
+            sep, item, _ = _TUPLES[key]
+            if not isinstance(value, str):
+                items = tuple(value)
+            elif item is int:
+                items = tuple(int(v) for v in value.lower().split(sep))
+            elif value.lower() == "all":
+                items = ALL_DATASETS
+            else:
+                items = tuple(d.strip() for d in value.split(sep) if d.strip())
+            if (all(_has_type(item, v) for v in items)
+                    and (item is str or len(items) == 2)):
+                return items
+    except (TypeError, ValueError):
+        pass
+    expected = _TUPLES[key][2] if kind is tuple else kind.__name__
+    raise ConfigError(f"{key}: expected {expected}, got {value!r}")
 
 
 def _format_value(key, value):

@@ -8,7 +8,8 @@ Text variant::
     ...
 
 Face index -1 marks an unmatched vertex; its weights load as zeros.
-The records are read by ``textio``'s table reader.
+``#`` comments and blank lines are skipped, so the header is the first
+line that holds data. The records are read by ``textio``'s table reader.
 
 Binary variant: magic ``DCOR``, format version byte, the two ids as
 length-prefixed UTF-8, vertex count as little-endian uint64, then n records
@@ -62,13 +63,13 @@ def load_correspondence(path):
 
 
 def _load_text(path):
-    with open(path, "r") as fh:
-        header = fh.readline().split()
+    lines = data_lines(path)
+    header = lines[0][1].split() if lines else []
     if (len(header) != 4 or header[0] != "corr"
             or not header[3].isdecimal()):
         raise ValueError(f"{path}: bad correspondence header")
     n = int(header[3])
-    rows = data_lines(path)[1:]  # the first data line is the header
+    rows = lines[1:]
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} records, got {len(rows)}")
     rec = read_table(path, rows, "record", [("face", "i8"), ("w", "f8", 3)])

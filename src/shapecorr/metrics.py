@@ -186,6 +186,8 @@ def auc(thresholds, fractions):
     if len(thresholds) < 2:
         raise ValueError("need at least two curve samples")
     tau_max = thresholds[-1] - thresholds[0]
+    if not tau_max > 0:
+        raise ValueError("thresholds must span a positive range")
     return float(np.trapezoid(fractions, thresholds) / tau_max * 100.0)
 
 

@@ -41,7 +41,8 @@ class ShapeNode:
         if self._mesh is None:
             if self.mesh_path is None:
                 raise NetworkError(f"node {self.id} has no mesh")
-            m = load_mesh(self.mesh_path, id=self.id)
+            m = _load(f"shape {self.id}", self.mesh_path, load_mesh,
+                      self.id)
             if self.scale != 1.0:
                 m = m.with_vertices(m.vertices * self.scale)
             self._mesh = m

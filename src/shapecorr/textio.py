@@ -10,7 +10,6 @@ it into place."""
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,20 +41,17 @@ def read_table(path, rows, what, dtype, usecols=None):
     one at a time, to name the first bad line."""
     if not rows:
         return np.empty(0, dtype)  # np.loadtxt warns on empty input
-    with warnings.catch_warnings():
-        # numpy 1.x only warns, and truncates, on "1.5" in an integer column
-        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        try:
-            return np.loadtxt([text for _, text in rows], dtype,
-                              usecols=usecols, ndmin=1)
-        except ValueError:
-            for lineno, text in rows:
-                try:
-                    np.loadtxt([text], dtype, usecols=usecols)
-                except ValueError:
-                    raise FormatError(path, f"bad {what} line {text!r}",
-                                      lineno) from None
-            raise
+    try:
+        return np.loadtxt([text for _, text in rows], dtype, usecols=usecols,
+                          ndmin=1)
+    except ValueError:
+        for lineno, text in rows:
+            try:
+                np.loadtxt([text], dtype, usecols=usecols)
+            except ValueError:
+                raise FormatError(path, f"bad {what} line {text!r}",
+                                  lineno) from None
+        raise
 
 
 def load_int_column(path):

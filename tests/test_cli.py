@@ -448,6 +448,26 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "network invalid: " in out and name in out
 
+    @pytest.mark.parametrize("command", ["validate-network", "generate"])
+    def test_unreadable_node_mesh(self, workspace, capsys, command):
+        """A node mesh that cannot be read, on an annotated node without
+        edges, used to end both commands in a traceback."""
+        ws, ids = workspace
+        path = ws / "s0.ply"
+        path.write_bytes(path.read_bytes()[:-7])
+        (ws / "network.manifest").write_text(
+            "dataset faust type=synthetic\n"
+            f"shape {ids[0]} dataset=faust mesh=s0.ply\n"
+            f"annotation {ids[0]} labels=s0.labels\n")
+        if command == "generate":
+            args, said = gen_args(ws, ws / "out"), "validation error: "
+        else:
+            args = [command, "--network", str(ws / "network.manifest")]
+            said = "network invalid: "
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert f"{said}shape {ids[0]}: {path}: " in out
+
     def test_validate_network_non_finite_weight(self, workspace, capsys):
         """A NaN weight on a matched row of an edge file used to load, and
         compose read that vertex as unmatched."""

@@ -107,6 +107,54 @@ def test_echo_reads_back_a_config_made_with_lists(tmp_path):
     assert GenerationConfig.from_file(p) == cfg
 
 
+@pytest.mark.parametrize("key,value,want", [
+    ("resolution", 32, ConfigError),
+    ("count_range", 500, ConfigError),
+    ("resolution", "32x32", (32, 32)),
+    ("datasets", "faust", ("faust",)),
+    ("remesh", "no", False),
+    ("remesh", 1, ConfigError),
+    ("global_seed", 1.5, ConfigError),
+    ("n_cam_pos", 2.5, ConfigError),
+    ("n_cam_pos", "3", 3),
+    ("min_overlap", "0.2", 0.2),
+])
+def test_python_values_take_the_file_rule(key, value, want):
+    """A string made in Python is parsed as a file's text is; any other
+    value must already have the key's type. These used to raise a bare
+    TypeError, be split into letters, be stored as a truthy string, or
+    truncate (a fractional seed wrote an echo its resume refused)."""
+    if want is ConfigError:
+        with pytest.raises(ConfigError, match=f"^{key}: expected "):
+            GenerationConfig(**{key: value})
+    else:
+        got = getattr(GenerationConfig(**{key: value}), key)
+        assert (type(got), got) == (type(want), want)
+
+
+def test_text_and_typed_values_make_equal_configs():
+    """``from_mapping`` of a file's text equals the constructor of the
+    typed values, value types included."""
+    text = {"remesh": "false", "store_vis": "yes", "n_cam_pos": "7",
+            "min_overlap": "0.25", "max_overlap": "1", "resolution": "128x96",
+            "count_range": "500-800", "datasets": "faust,tosca",
+            "global_seed": str(-2**63), "setting": "full_full",
+            "split": "test", "data_dir": "elsewhere"}
+    typed = {"remesh": False, "store_vis": True, "n_cam_pos": 7,
+             "min_overlap": 0.25, "max_overlap": 1.0, "resolution": (128, 96),
+             "count_range": (500, 800), "datasets": ("faust", "tosca"),
+             "global_seed": -2**63, "setting": "full_full", "split": "test",
+             "data_dir": "elsewhere"}
+
+    def typed_values(cfg):
+        return [(type(v), v) for v in vars(cfg).values()]
+
+    assert typed_values(GenerationConfig.from_mapping(text)) == \
+        typed_values(GenerationConfig(**typed))
+    assert typed_values(GenerationConfig.from_mapping({"datasets": "all"})) \
+        == typed_values(GenerationConfig())
+
+
 @pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 10**30])
 def test_seed_outside_int64_rejected(seed):
     """Instance seeds pack the global seed as a signed 64-bit integer; one

@@ -30,11 +30,18 @@ def write_text_corr(corr, path):
                     + "".join(rows))
 
 
-def save(corr, path, binary):
-    if binary:
+def save(corr, path, form):
+    """True: the binary variant; False: the text variant; a string: the
+    text variant with that comment around its header, which stays the first
+    line that holds data."""
+    if form is True:
         save_correspondence(corr, path)
-    else:
-        write_text_corr(corr, path)
+        return
+    write_text_corr(corr, path)
+    if form:
+        header, records = path.read_text().split("\n", 1)
+        before, after = form.split("HEADER")
+        path.write_text(before + header + after + "\n" + records)
 
 
 def text_corr(tmp_path):
@@ -121,14 +128,17 @@ def test_binary_corr_face_below_unmatched_raises_value_error(tmp_path):
         load_correspondence(path)
 
 
-@pytest.mark.parametrize("binary", [True, False])
-def test_load_keeps_saved_weights_bit_for_bit(tmp_path, binary):
+@pytest.mark.parametrize("form", [
+    True, False, pytest.param("# made by hand\nHEADER", id="comment_line"),
+    pytest.param("\nHEADER  # two rows", id="trailing_comment")])
+def test_load_keeps_saved_weights_bit_for_bit(tmp_path, form):
     """Renormalizing a back-projection's weights moves the last bits of
-    some rows; a load must return the saved weights unchanged."""
+    some rows; a load must return the saved weights unchanged. A comment
+    before or after a text header used to make it a bad header."""
     original = bumpy_sphere(4)
     corr = back_correspondence(decimate(original, 800)[0], original)
     path = tmp_path / "c.corr"
-    save(corr, path, binary)
+    save(corr, path, form)
     back = load_correspondence(path)
     assert back.faces.tobytes() == corr.faces.tobytes()
     assert back.weights.tobytes() == corr.weights.tobytes()

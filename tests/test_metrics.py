@@ -375,6 +375,13 @@ class TestCurveAndAuc:
         for t, f in list(zip(th, fr))[::97]:
             assert f == pytest.approx((errors <= t).mean())
 
+    def test_zero_width_thresholds_raise(self):
+        """error_curve takes non-decreasing thresholds; on a zero-width
+        range auc used to divide 0 by 0 into NaN."""
+        th, fr = error_curve(np.zeros(3), [0.5, 0.5])
+        with pytest.raises(ValueError, match="span a positive range"):
+            auc(th, fr)
+
     def test_piecewise_linear_closed_form(self):
         # fractions rise linearly 0 -> 1 over [0, 1]: integral = 1/2
         th = np.linspace(0.0, 1.0, 101)

@@ -2,6 +2,7 @@
 so that a deleted or renamed function they use fails here."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,11 @@ def test_overlap_histogram_script_runs():
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("regime=") == len(CAM_POS_REGIMES)
+
+
+def test_declared_numpy_floor_has_the_calls_the_code_makes():
+    """Decimation calls ``np.vecdot`` and the AUC ``np.trapezoid``, both
+    new in numpy 2.0; a lower floor installs a numpy they fail on."""
+    text = (ROOT / "pyproject.toml").read_text()
+    (major,) = re.findall(r'"numpy>=(\d+)[."]', text)
+    assert int(major) >= 2

