@@ -134,7 +134,6 @@ def cmd_propagate(args):
             return EXIT_USAGE
     net = build_network(args.network)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for stem, sid in stems.items():
         labels = propagate_annotation(net, sid)
         path = out_dir / f"{stem}.labels"
@@ -142,7 +141,7 @@ def cmd_propagate(args):
         _log(f"propagated {sid} -> {path}")
         if args.store_correspondence:
             corr = correspondence_between(net, sid, nearest_annotated(net, sid))
-            replace_atomic(out_dir / f"{stem}.corr",
+            replace_atomic([out_dir / f"{stem}.corr"],
                            lambda tmp: save_correspondence(corr, tmp))
     return EXIT_OK
 

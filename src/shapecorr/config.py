@@ -8,7 +8,9 @@ science-affecting option to its published default.
 Every value, from a file, ``--set`` or Python, takes one path: a string is
 parsed as a file's text is (``remesh="no"`` is ``False``); any other value
 must already have its key's type (a bool is no int) and is stored as
-given, a tuple key's as a tuple. Anything else is a ``ConfigError``.
+given, a tuple key's as a tuple, and a number of another class (numpy's)
+as the plain ``int`` or ``float`` it equals. Anything else is a
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -169,8 +171,12 @@ def _coerce(key, value):
     """``value`` as ``key``'s, by the module docstring's rule; a str key's
     value is kept as given, and ``validate`` checks it."""
     kind = type(_DEFAULTS[key])
-    if kind is str or (kind is not tuple and _has_type(kind, value)):
+    if kind is str:
         return value
+    if kind is not tuple and _has_type(kind, value):
+        # a plain int stays one, in a float key too; another number
+        # (numpy's) becomes the builtin it equals, whose echo reads back
+        return value if type(value) is int else kind(value)
     try:
         if kind is not tuple:
             if isinstance(value, str):
@@ -187,7 +193,7 @@ def _coerce(key, value):
                 items = tuple(d.strip() for d in value.split(sep) if d.strip())
             if (all(_has_type(item, v) for v in items)
                     and (item is str or len(items) == 2)):
-                return items
+                return tuple(map(item, items))
     except (TypeError, ValueError):
         pass
     expected = _TUPLES[key][2] if kind is tuple else kind.__name__

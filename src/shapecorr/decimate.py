@@ -66,10 +66,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrio import load_correspondence, save_correspondence
-from .geometry import evaluate_correspondence, project_points_to_surface
+from .geometry import evaluate_correspondence
 from .meshes import (DenseCorrespondence, Mesh, edge_incidence,
                      identity_correspondence)
 from .meshio import load_mesh, save_mesh
+from .network import project_template_pair
 from .store import ContentStore
 from .textio import FormatError, read_key_values, write_key_values
 
@@ -429,8 +430,9 @@ def decimate(mesh, target_vertices):
 def back_correspondence(decimated, original):
     """Map every decimated vertex to its nearest surface point on the
     original mesh (dense, no unmatched entries)."""
-    faces, bary = project_points_to_surface(decimated.vertices, original)
-    return DenseCorrespondence(decimated.id, original.id, faces, bary)
+    # a span of its own in perfbench, apart from the pipeline's forward
+    # projections, which call project_template_pair directly
+    return project_template_pair(decimated, original)
 
 
 def remesh_with_correspondence(mesh, count_range, rng, cache=None):

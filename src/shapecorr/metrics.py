@@ -168,6 +168,8 @@ def error_curve(errors, thresholds=None):
     """
     thresholds = np.asarray(DEFAULT_THRESHOLDS if thresholds is None
                             else thresholds, dtype=np.float64)
+    if not np.isfinite(thresholds).all():
+        raise ValueError("thresholds must be finite")
     if len(thresholds) == 0 or (np.diff(thresholds) < 0).any():
         raise ValueError("thresholds must be non-empty and ascending")
     errors = np.asarray(errors, dtype=np.float64)
@@ -183,6 +185,8 @@ def auc(thresholds, fractions):
     """Normalized area under the cumulative curve, x100."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
     fractions = np.asarray(fractions, dtype=np.float64)
+    if not np.isfinite(thresholds).all():
+        raise ValueError("thresholds must be finite")
     if len(thresholds) < 2:
         raise ValueError("need at least two curve samples")
     tau_max = thresholds[-1] - thresholds[0]

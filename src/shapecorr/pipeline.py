@@ -11,10 +11,7 @@ between the emitted discretisations. Everything is a pure function of
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
 import struct
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +29,8 @@ from .network import (compose, correspondence_between, project_template_pair,
 from .pairs import enumerate_pairs
 from .scanning import (OverlapStats, PartialMesh, RaycastCache,
                        generate_partial, generate_partial_pair, restrict)
-from .textio import read_key_values, write_atomic, write_key_values
+from .textio import (TEMP_NAME, read_key_values, remove_path, replace_atomic,
+                     write_atomic, write_key_values)
 
 # role bytes for per-instance seed streams
 ROLE_REMESH_X = 0
@@ -178,13 +176,10 @@ def instance_dirname(spec):
 
 
 def write_instance(instance, directory, store_vis=False):
-    """Atomic write: everything lands in a temp dir that is renamed into
-    place only when complete."""
-    directory = Path(directory)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=directory.name + ".tmp.",
-                                dir=directory.parent))
-    try:
+    """Atomic write: ``replace_atomic`` has the directory made and filled
+    under its temp name, and renames it into place only when complete."""
+    def fill(tmp):
+        tmp.mkdir()
         save_mesh(instance.shape_x, tmp / "x.ply")
         save_mesh(instance.shape_y, tmp / "y.ply")
         save_correspondence(instance.gt, tmp / "gt.corr")
@@ -199,10 +194,7 @@ def write_instance(instance, directory, store_vis=False):
             meta["overlap_iterations"] = instance.overlap.iterations_used
             meta["overlap_within_range"] = instance.overlap.within_range
         write_key_values(tmp / "meta.txt", meta)
-        os.replace(tmp, directory)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    replace_atomic([directory], fill)
 
 
 def write_vis(instance, directory):
@@ -301,10 +293,9 @@ def _check_echo(config, echo):
 
 
 def _remove_temporaries(output_dir):
-    """Delete the temp directories of write_instance and the temp files of
-    the caches that a killed run left under output_dir."""
-    for p in sorted(output_dir.rglob("*.tmp*")):
-        if p.is_dir():
-            shutil.rmtree(p, ignore_errors=True)
-        else:
-            p.unlink(missing_ok=True)
+    """Delete the temps of ``replace_atomic`` (names matching
+    ``TEMP_NAME``) that a killed run left under output_dir; no other
+    file is touched."""
+    for p in sorted(output_dir.rglob("*.tmp.*")):
+        if TEMP_NAME.fullmatch(p.name):
+            remove_path(p)

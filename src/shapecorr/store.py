@@ -1,19 +1,21 @@
 """Content-addressed on-disk store behind the remesh and raycast caches.
 
-An entry is one file ``<key><suffix>`` per suffix in the store's directory.
-Every file is written under a temp name that keeps the suffix and is then
-renamed into place; the last suffix is renamed last and marks the entry
-complete. An entry that cannot be read is a miss, so it is recomputed and
-written again. One directory takes one writer at a time.
+An entry is one file ``<key><suffix>`` per suffix in the store's directory,
+written by one ``textio.replace_atomic`` call: each file goes to
+``<key>.tmp.<pid><suffix>`` and is renamed into place, the last suffix
+last, so that file marks the entry complete. An entry that cannot be read
+is a miss, so it is recomputed and written again. One directory takes one
+writer at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 
 import numpy as np
+
+from .textio import replace_atomic
 
 # np.load raises EOFError on an empty file and ValueError on a truncated one;
 # the mesh and correspondence readers raise ValueError on torn files
@@ -56,14 +58,6 @@ class ContentStore:
         if not self.update:
             return
         *key_args, value = args
-        self.dir.mkdir(parents=True, exist_ok=True)
         key = self.key(*key_args)
-        tmps = [self.dir / f"{key}.tmp.{os.getpid()}{s}"
-                for s in self.suffixes]
-        try:
-            self.write(tmps, value)
-            for s, tmp in zip(self.suffixes, tmps):
-                os.replace(tmp, self.dir / (key + s))
-        finally:
-            for tmp in tmps:
-                tmp.unlink(missing_ok=True)
+        replace_atomic([self.dir / (key + s) for s in self.suffixes],
+                       lambda *tmps: self.write(tmps, value))

@@ -4,12 +4,16 @@
 the ``key=value`` codec: the token parser of the network and split
 manifests, and the reader and writer of the flat files (the config and its
 echo, ``meta.txt``, ``report.txt``, ``summary.txt``, remesh-cache ``.meta``
-entries). ``replace_atomic`` writes a file under a temp name and renames
-it into place."""
+entries). ``replace_atomic`` is the one temp-then-rename of the package:
+every file and directory a run writes goes to ``<stem>.tmp.<pid><suffix>``
+beside its final name and is renamed into place; ``TEMP_NAME`` matches
+those names and no others, so a resume sweeps only its own leftovers."""
 
 from __future__ import annotations
 
 import os
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -99,25 +103,42 @@ def format_value(v):
     return str(v)
 
 
-def replace_atomic(path, write):
-    """Call ``write(tmp)`` on a temp name beside ``path``, making the
-    parent directory, then rename the temp onto ``path``. On any exception
-    the temp is removed, so a write that fails leaves the previous file
-    whole and no temp behind."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+# the names ``replace_atomic`` writes to: stem, ``.tmp.``, pid, suffix
+TEMP_NAME = re.compile(r".+\.tmp\.\d+(\.[^.]+)?")
+
+
+def remove_path(path):
+    """Delete ``path``, a file or a directory tree, if it exists."""
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
+
+
+def replace_atomic(paths, write):
+    """Call ``write(*tmps)`` with the temp name ``<stem>.tmp.<pid><suffix>``
+    beside each of ``paths`` (all in one directory, which is made), then
+    rename each temp onto its path in order, so the last path appears
+    last. The writer makes each temp, a file or a directory. On any
+    exception every temp is removed, so a write that fails leaves the
+    previous files whole and no temp behind."""
+    paths = [Path(p) for p in paths]
+    tmps = [p.with_name(f"{p.stem}.tmp.{os.getpid()}{p.suffix}")
+            for p in paths]
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
     try:
-        write(tmp)
-        os.replace(tmp, path)
+        write(*tmps)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            remove_path(tmp)
         raise
 
 
 def write_atomic(path, text):
     """Write ``text`` to ``path`` through ``replace_atomic``."""
-    replace_atomic(path, lambda tmp: tmp.write_text(text))
+    replace_atomic([path], lambda tmp: tmp.write_text(text))
 
 
 def write_key_values(path, mapping):

@@ -13,7 +13,8 @@ from shapecorr.corrio import load_correspondence, save_correspondence
 from shapecorr.meshes import DenseCorrespondence, Mesh, identity_correspondence
 from shapecorr.meshio import load_mesh, save_mesh
 from shapecorr.geometry import snap_correspondence_to_vertices
-from shapecorr.pipeline import load_instance
+from shapecorr.pipeline import _remove_temporaries, load_instance
+from shapecorr.textio import TEMP_NAME
 
 from conftest import digest_tree, icosphere, random_rigid
 
@@ -241,6 +242,41 @@ class TestEvaluate:
         assert not (ws / "eval" / names[0]).exists()
         for n in names[1:]:
             assert (ws / "eval" / n / "curve.txt").exists()
+
+    def test_every_temp_is_one_the_sweep_removes(self, workspace,
+                                                 monkeypatch):
+        """Every temp that a P2P run with both caches and an ``evaluate``
+        run rename into place has a name the resume sweep matches, and
+        the sweep removes a leftover of each, file or directory."""
+        ws, _ = workspace
+        temps = {}
+        real = os.replace
+
+        def replace(src, dst):
+            temps[Path(src)] = Path(src).is_dir()
+            real(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(gen_args(ws, ws / "out", [
+            "--set", "setting=partial_partial", "--set", "remesh=true",
+            "--set", "count_range=80-120", "--set", "resolution=48x48"])) == 0
+        names = (ws / "out" / "instances.manifest").read_text().split()
+        assert main(["evaluate", "--instances", str(ws / "out"),
+                     "--predictions", str(write_gt_predictions(ws, names)),
+                     "--output", str(ws / "eval")]) == 0
+        finals = {p.name.replace(f".tmp.{os.getpid()}", "") for p in temps}
+        assert {"config.echo", "instances.manifest", names[0], "meta.txt",
+                "report.txt", "curve.txt", "summary.txt"} <= finals
+        assert {".ply", ".corr", ".meta", ".npy"} <= {
+            Path(n).suffix for n in finals}
+        assert [p for p in temps if not TEMP_NAME.fullmatch(p.name)] == []
+        for path, is_dir in sorted(temps.items()):
+            if is_dir:
+                path.mkdir(parents=True)
+            else:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(b"torn")
+        _remove_temporaries(ws)
+        assert [p for p in temps if p.exists()] == []
 
     @pytest.mark.parametrize("bad", ["garbled", "short", "below_unmatched",
                                      "out_of_range"])

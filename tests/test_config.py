@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from shapecorr.config import ALL_DATASETS, ConfigError, GenerationConfig
@@ -104,6 +105,21 @@ def test_echo_reads_back_a_config_made_with_lists(tmp_path):
     p = tmp_path / "config.echo"
     cfg.to_file(p)
     assert p.read_text().splitlines()[1:2] == ["datasets=faust"]
+    assert GenerationConfig.from_file(p) == cfg
+
+
+def test_numpy_numbers_echo_as_plain_numbers(tmp_path):
+    """A numpy float used to be stored as given and echoed by its numpy
+    ``repr``, ``min_overlap=np.float64(0.25)``, which the run's own
+    resume refused."""
+    cfg = GenerationConfig(min_overlap=np.float64(0.25),
+                           n_cam_pos=np.int64(4),
+                           resolution=(np.int64(64), 48))
+    assert [type(v) for v in (cfg.min_overlap, cfg.n_cam_pos,
+                              *cfg.resolution)] == [float, int, int, int]
+    p = tmp_path / "config.echo"
+    cfg.to_file(p)
+    assert "min_overlap=0.25\n" in p.read_text()
     assert GenerationConfig.from_file(p) == cfg
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import importlib
 
 import numpy as np
 import pytest
@@ -510,6 +511,17 @@ class TestBackCorrespondence:
         assert corr.matched.all()
         pos = geo.evaluate_correspondence(corr, m)
         np.testing.assert_allclose(pos, m.vertices, atol=1e-9)
+
+    def test_one_body_with_the_template_projection(self, monkeypatch):
+        """back_correspondence is the network's template projection under
+        the name perfbench times as remesh back-projection; it used to be
+        a second copy of that body."""
+        a, b, corr = icosphere(1), icosphere(2), object()
+        monkeypatch.setattr(
+            importlib.import_module("shapecorr.decimate"),
+            "project_template_pair",
+            lambda x, y: corr if (x, y) == (a, b) else None)
+        assert back_correspondence(a, b) is corr
 
     def test_within_brute_force_distance(self):
         m = icosphere(2)

@@ -375,12 +375,19 @@ class TestCurveAndAuc:
         for t, f in list(zip(th, fr))[::97]:
             assert f == pytest.approx((errors <= t).mean())
 
-    def test_zero_width_thresholds_raise(self):
+    @pytest.mark.parametrize("thresholds,match", [
+        ([0.5, 0.5], "span a positive range"),
+        ([0.0, np.nan, 1.0], "must be finite"),
+        ([0.0, np.inf], "must be finite"),
+    ], ids=["zero_width", "nan", "inf"])
+    def test_bad_thresholds_raise(self, thresholds, match):
         """error_curve takes non-decreasing thresholds; on a zero-width
-        range auc used to divide 0 by 0 into NaN."""
-        th, fr = error_curve(np.zeros(3), [0.5, 0.5])
-        with pytest.raises(ValueError, match="span a positive range"):
-            auc(th, fr)
+        range auc used to divide 0 by 0 into NaN, a NaN threshold passed
+        the ascending check, and auc over [0, inf] was NaN."""
+        with pytest.raises(ValueError, match=match):
+            auc(*error_curve(np.zeros(3), thresholds))
+        with pytest.raises(ValueError, match=match):
+            auc(thresholds, np.ones(len(thresholds)))
 
     def test_piecewise_linear_closed_form(self):
         # fractions rise linearly 0 -> 1 over [0, 1]: integral = 1/2

@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shapecorr.pipeline import (MatchingInstance, derive_seed,
                                 generate_instance, load_instance,
                                 run_generation, write_instance)
 from shapecorr.scanning import generate_partial, restrict
+from shapecorr.textio import TEMP_NAME
 
 from conftest import digest_tree, icosphere, random_rigid
 
@@ -275,12 +277,60 @@ class TestRunGeneration:
             data = (out / rel).read_bytes()
             (out / rel).write_bytes(data[:len(data) // 2])
         shutil.rmtree(out / "train_000000")
-        (out / "train_000000.tmp.x").mkdir()
-        (out / "train_000000.tmp.x" / "x.ply").write_bytes(b"ply\n")
+        (out / "train_000000.tmp.4242").mkdir()
+        (out / "train_000000.tmp.4242" / "x.ply").write_bytes(b"ply\n")
         logs = []
         run_generation(cfg, net, manifest, out, log=logs.append)
         assert not [line for line in logs if line.startswith("FAIL")]
         assert digest_tree(out) == expected
+
+    # the first rename of each kind of write a P2P run with both caches
+    # makes, told by its destination
+    KILL_AT = {
+        "echo": lambda dst: dst.name == "config.echo",
+        "remesh_entry": lambda dst: dst.parent.name == "remesh"
+        and not TEMP_NAME.fullmatch(dst.name),
+        "raycast_entry": lambda dst: dst.parent.name == "raycast",
+        "instance": lambda dst: dst.name.startswith("train_"),
+        "manifest": lambda dst: dst.name == "instances.manifest",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KILL_AT))
+    def test_kill_at_each_kind_of_write_resumes_to_clean_tree(
+            self, tmp_path, monkeypatch, kind):
+        """A run killed at the first rename of one kind of write resumes
+        to the tree of a run never killed, and no temp name remains."""
+        net, manifest, _ = toy_network()
+        cfg = toy_config(setting="partial_partial")
+        run_generation(cfg, net, manifest, tmp_path / "clean")
+        out = tmp_path / "out"
+        real = os.replace
+
+        def replace(src, dst):
+            if self.KILL_AT[kind](Path(dst)):
+                raise KeyboardInterrupt
+            real(src, dst)
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", replace)
+            with pytest.raises(KeyboardInterrupt):
+                run_generation(cfg, net, manifest, out)
+        run_generation(cfg, net, manifest, out)
+        assert digest_tree(out) == digest_tree(tmp_path / "clean")
+        assert not [p for p in out.rglob("*") if TEMP_NAME.fullmatch(p.name)]
+
+    def test_resume_keeps_files_that_are_not_its_temps(self, tmp_path):
+        """The resume's sweep used to delete every name holding ``.tmp``,
+        a user's ``results.tmp.csv`` and ``notes/plan.tmpl`` among them."""
+        net, manifest, _ = toy_network()
+        out = tmp_path / "out"
+        run_generation(toy_config(), net, manifest, out, limit=1)
+        (out / "notes").mkdir()
+        kept = {out / "results.tmp.csv": "a,b\n",
+                out / "notes" / "plan.tmpl": "plan\n"}
+        for path, text in kept.items():
+            path.write_text(text)
+        run_generation(toy_config(), net, manifest, out)
+        assert {p: p.read_text() for p in kept} == kept
 
     def test_store_vis_emits_colored_plys(self, tmp_path):
         net, manifest, _ = toy_network()

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -10,9 +11,9 @@ from shapecorr.corrio import load_correspondence
 from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
-from shapecorr.textio import (FormatError, format_value, key_values,
-                              read_key_values, replace_atomic, write_atomic,
-                              write_key_values)
+from shapecorr.textio import (TEMP_NAME, FormatError, format_value,
+                              key_values, read_key_values, replace_atomic,
+                              write_atomic, write_key_values)
 
 
 def test_bad_row_raises_format_error_naming_its_line(tmp_path):
@@ -101,6 +102,45 @@ def test_failed_write_leaves_previous_file_whole(tmp_path):
         tmp.write_text("val_0")
         raise KeyboardInterrupt
     with pytest.raises(KeyboardInterrupt):
-        replace_atomic(path, torn)
+        replace_atomic([path], torn)
     assert path.read_text() == "val_0000\nval_0001\n"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_temps_keep_pid_and_suffix_and_rename_in_order(tmp_path,
+                                                       monkeypatch):
+    """Each path goes to ``<stem>.tmp.<pid><suffix>`` and is renamed in
+    the order given; ``TEMP_NAME`` matches those names and not a user's
+    ``results.tmp.csv`` or ``plan.tmpl``, nor the older temp forms."""
+    seen, renamed = [], []
+    real = os.replace
+
+    def replace(src, dst):
+        renamed.append(dst.name)
+        real(src, dst)
+    monkeypatch.setattr(os, "replace", replace)
+
+    def write(*tmps):
+        for tmp in tmps:
+            seen.append(tmp.name)
+            tmp.write_text("x")
+    replace_atomic([tmp_path / "d" / name
+                    for name in ("k.ply", "k.meta", "train_000001")], write)
+    pid = os.getpid()
+    assert seen == [f"k.tmp.{pid}.ply", f"k.tmp.{pid}.meta",
+                    f"train_000001.tmp.{pid}"]
+    assert renamed == ["k.ply", "k.meta", "train_000001"]
+    assert all(TEMP_NAME.fullmatch(name) for name in seen)
+    assert not [name for name in ("results.tmp.csv", "plan.tmpl", "k.ply",
+                                  "config.echo.tmp", "train_0.tmp.k3j2h1ab")
+                if TEMP_NAME.fullmatch(name)]
+
+
+def test_failed_write_removes_its_temp_directory(tmp_path):
+    def torn(tmp):
+        tmp.mkdir()
+        (tmp / "x.ply").write_bytes(b"ply\n")
+        raise KeyboardInterrupt
+    with pytest.raises(KeyboardInterrupt):
+        replace_atomic([tmp_path / "train_000000"], torn)
+    assert list(tmp_path.iterdir()) == []
