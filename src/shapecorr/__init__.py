@@ -4,7 +4,7 @@ matching instances."""
 from .meshes import (DenseCorrespondence, Mesh, MeshValidationError,
                      RigidTransform, UNKNOWN_LABEL, UNMATCHED,
                      identity_correspondence)
-from .meshio import MeshFormatError, load_mesh, save_mesh, validation_report
+from .meshio import MeshFormatError, load_mesh, save_mesh
 from .geometry import (closest_points_on_triangles, connected_components,
                        evaluate_correspondence, geodesic_distance_fields,
                        normalize_area, normalize_to_unit_box, procrustes_align,
@@ -29,7 +29,7 @@ __all__ = [
     "run_generation", "evaluate_matching",
     "DenseCorrespondence", "Mesh", "MeshValidationError", "MeshFormatError",
     "RigidTransform", "UNKNOWN_LABEL", "UNMATCHED",
-    "identity_correspondence", "load_mesh", "save_mesh", "validation_report",
+    "identity_correspondence", "load_mesh", "save_mesh",
     "closest_points_on_triangles", "connected_components",
     "evaluate_correspondence", "geodesic_distance_fields", "normalize_area",
     "normalize_to_unit_box", "procrustes_align", "project_points_to_surface",

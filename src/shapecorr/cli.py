@@ -23,8 +23,8 @@ from .network import (NetworkError, build_network, correspondence_between,
 from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
                     parse_split_manifest)
 from .pipeline import run_generation
-from .textio import (key_values, read_key_values, replace_atomic,
-                     write_atomic, write_key_values)
+from .textio import (key_value_text, key_values, read_key_values,
+                     replace_atomic, write_atomic)
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
 
@@ -102,7 +102,7 @@ def cmd_evaluate(args):
         _log(f"no instances evaluated n_skipped={n_skipped}")
         return EXIT_VALIDATION
     summary = aggregate_reports(reports)
-    write_key_values(out_dir / "summary.txt", summary)
+    write_atomic(out_dir / "summary.txt", key_value_text(summary))
     _log(" ".join(f"{k}={v}" for k, v in summary.items())
          + f" n_skipped={n_skipped}")
     return EXIT_VALIDATION if n_skipped else EXIT_OK

@@ -20,8 +20,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .textio import (FormatError, parse_bool, read_key_values,
-                     write_key_values)
+from .textio import (FormatError, key_value_text, parse_bool,
+                     read_key_values, write_atomic)
 
 ALL_DATASETS = ("faust", "scape", "tosca", "kids", "dt4d", "smal", "shrec20")
 # the shape types a pair may hold under each combinations value; None: any
@@ -142,9 +142,9 @@ class GenerationConfig:
 
     def to_file(self, path):
         """Echo the fully-resolved config; re-loading reproduces it."""
-        write_key_values(path, {
+        write_atomic(path, key_value_text({
             f.name: _format_value(f.name, getattr(self, f.name))
-            for f in dataclasses.fields(self)})
+            for f in dataclasses.fields(self)}))
 
 
 # a key's type is the type of its default

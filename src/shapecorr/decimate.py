@@ -72,7 +72,7 @@ from .meshes import (DenseCorrespondence, Mesh, edge_incidence,
 from .meshio import load_mesh, save_mesh
 from .network import project_template_pair
 from .store import ContentStore
-from .textio import FormatError, read_key_values, write_key_values
+from .textio import FormatError, key_value_text, read_key_values
 
 _SINGULAR_COND = 1e12
 # condition bound that the determinant test proves without an SVD; the
@@ -502,5 +502,5 @@ class RemeshCache(ContentStore):
         mesh_path, corr_path, meta_path = paths
         save_mesh(result.mesh, mesh_path)
         save_correspondence(result.to_original, corr_path)
-        write_key_values(meta_path, {
-            "max_projection_error": result.max_projection_error})
+        meta_path.write_text(key_value_text({
+            "max_projection_error": result.max_projection_error}))

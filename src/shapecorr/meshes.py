@@ -101,10 +101,9 @@ class Mesh:
         """Unique undirected edges as a sorted (e, 2) int array."""
         return edge_incidence(self.faces, self.n_vertices)[2]
 
-    def with_vertices(self, vertices, id=None):
-        """Same connectivity, new vertex positions."""
-        return Mesh(vertices, self.faces, id=id if id is not None else self.id,
-                    validate=False)
+    def with_vertices(self, vertices):
+        """Same connectivity and id, new vertex positions."""
+        return Mesh(vertices, self.faces, id=self.id, validate=False)
 
     @cached_property
     def bvh(self):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .meshes import Mesh, edge_incidence
+from .meshes import Mesh
 from .textio import FormatError as MeshFormatError, data_lines, read_table
 
 _FORMATS = ("off", "ply", "obj")
@@ -253,38 +253,3 @@ def _read_obj(path):
     faces = np.where(faces > 0, faces - 1, faces + above[:, None])
     return vertices["xyz"], faces
 
-
-# --- validation report ---
-
-def validation_report(mesh):
-    """Line-oriented structural report: non-manifold edges, boundary size,
-    winding consistency per connected component.
-
-    Non-manifold input is accepted; this report is how violations surface.
-    """
-    from .geometry import connected_components
-
-    lines = [f"mesh {mesh.id}: {mesh.n_vertices} vertices, {mesh.n_faces} faces"]
-    directed, inverse, edges, counts = edge_incidence(mesh.faces,
-                                                      mesh.n_vertices)
-    n_boundary = int((counts == 1).sum())
-    nonmanifold = np.where(counts > 2)[0]
-    lines.append(f"edges: {len(edges)} total, {n_boundary} boundary, "
-                 f"{len(nonmanifold)} non-manifold")
-    for e in nonmanifold[:20]:
-        lines.append(f"non-manifold edge ({edges[e][0]}, {edges[e][1]}) "
-                     f"shared by {counts[e]} faces")
-
-    comps = connected_components(mesh)
-    lines.append(f"components: {len(comps)}")
-    # winding: an interior edge of a consistently wound surface appears once
-    # in each direction
-    sorted_dirs = directed[np.argsort(inverse, kind="stable")]
-    first = (np.cumsum(counts) - counts)[counts == 2]
-    flipped = int((sorted_dirs[first, 0] == sorted_dirs[first + 1, 0]).sum())
-    if flipped:
-        lines.append(f"winding: {flipped} interior edges with inconsistent "
-                     f"face orientation")
-    else:
-        lines.append("winding: consistent")
-    return "\n".join(lines)

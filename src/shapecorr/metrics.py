@@ -19,7 +19,7 @@ from .config import SETTINGS
 from .meshes import UNMATCHED
 # a vertex map file: one target vertex index per line, -1 = unmatched
 from .textio import load_int_column as load_prediction
-from .textio import write_atomic, write_key_values
+from .textio import key_value_text, write_atomic
 
 DEFAULT_THRESHOLDS = np.round(np.arange(0, 1001) * 0.001, 3)
 
@@ -283,8 +283,8 @@ def write_report(report, directory):
             "n_inf_pred_unmatched", "n_inf_gt_unmatched", "iou", "f1",
             "lr_accuracy")
     record = {k: getattr(report, k) for k in keys}
-    write_key_values(directory / "report.txt",
-                     {k: v for k, v in record.items() if v is not None})
+    write_atomic(directory / "report.txt", key_value_text(
+        {k: v for k, v in record.items() if v is not None}))
     curve = "\n".join(f"{t:.6f} {f:.9f}"
                       for t, f in zip(report.thresholds, report.fractions))
     write_atomic(directory / "curve.txt", curve + "\n")

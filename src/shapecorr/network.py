@@ -243,11 +243,15 @@ def parse_manifest(path):
     Relative paths resolve against the manifest's directory. An unknown
     key on a shape, edge or annotation line is an error, as are a scale
     that is not a finite number > 0 (it would mirror or collapse the
-    shape) and a repeated shape id, edge (in either order) or annotation.
+    shape), an edge from a shape to itself, a repeated shape id, edge (in
+    either order) or annotation, and an edge or annotation id that no
+    shape line declares; each error names ``path:line``. Shape lines may
+    follow the lines that use them: ids are checked once the whole file is
+    read, before any edge file is loaded.
     """
     path = Path(path)
     base = path.parent
-    shapes, edges, annotations, seen = {}, [], {}, set()
+    shapes, edges, annotations, seen, uses = {}, [], {}, set(), []
     for lineno, line in data_lines(path):
         parts = line.split()
         kind = parts[0]
@@ -269,6 +273,8 @@ def parse_manifest(path):
                     scale=scale)
             elif kind == "edge":
                 a, b = parts[1], parts[2]
+                if a == b:
+                    raise NetworkError(f"edge joins {a} to itself")
                 kv = key_values(parts[3:], ("forward", "backward"))
                 edges.append((a, b, base / kv["forward"],
                               base / kv["backward"]))
@@ -277,14 +283,21 @@ def parse_manifest(path):
                 annotations[parts[1]] = base / kv["labels"]
             else:
                 raise NetworkError(f"unknown directive {kind!r}")
-            ids = parts[1:3] if kind == "edge" else parts[1:2]
-            if kind != "dataset" and (kind, frozenset(ids)) in seen:
-                raise NetworkError(f"{kind} {' '.join(ids)} repeats an "
-                                   "earlier line")
-            seen.add((kind, frozenset(ids)))
+            if kind != "dataset":
+                ids = parts[1:3] if kind == "edge" else parts[1:2]
+                if (kind, frozenset(ids)) in seen:
+                    raise NetworkError(f"{kind} {' '.join(ids)} repeats an "
+                                       "earlier line")
+                seen.add((kind, frozenset(ids)))
+                uses.append((lineno, kind, ids))
         except (KeyError, IndexError, ValueError) as exc:
             raise NetworkError(
                 f"{path}:{lineno}: malformed {kind!r} line ({exc})") from None
+    for lineno, kind, ids in uses:
+        for sid in ids:
+            if sid not in shapes:
+                raise NetworkError(f"{path}:{lineno}: {kind} references "
+                                   f"unknown shape {sid!r}")
     return {"shapes": shapes, "edges": edges, "annotations": annotations}
 
 

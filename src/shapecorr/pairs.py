@@ -57,7 +57,10 @@ class SplitManifest:
 
 
 def parse_split_manifest(path):
-    shapes, pairs = {}, {}
+    """Shape and pair lines as a ``SplitManifest``; a malformed line, and
+    a pair id that no shape line declares, raise ``ManifestError`` naming
+    ``path:line``. Shape lines may follow the pairs that use them."""
+    shapes, pairs, uses = {}, {}, []
     for lineno, line in data_lines(path):
         parts = line.split()
         try:
@@ -76,10 +79,16 @@ def parse_split_manifest(path):
                     raise ManifestError(f"unknown split {parts[1]!r}; "
                                         f"valid: {', '.join(SPLITS)}")
                 pairs.setdefault(parts[1], []).append((parts[2], parts[3]))
+                uses.append((lineno, parts[1], parts[2:]))
             else:
                 raise ManifestError(f"unknown directive {parts[0]!r}")
         except (KeyError, IndexError, ValueError) as exc:
             raise ManifestError(f"{path}:{lineno}: {exc}") from None
+    for lineno, split, ids in uses:
+        for sid in ids:
+            if sid not in shapes:
+                raise ManifestError(f"{path}:{lineno}: {split} pair "
+                                    f"references unknown shape {sid!r}")
     return SplitManifest(shapes, pairs)
 
 

@@ -29,8 +29,8 @@ from .network import (compose, correspondence_between, project_template_pair,
 from .pairs import enumerate_pairs
 from .scanning import (OverlapStats, PartialMesh, RaycastCache,
                        generate_partial, generate_partial_pair, restrict)
-from .textio import (TEMP_NAME, read_key_values, remove_path, replace_atomic,
-                     write_atomic, write_key_values)
+from .textio import (TEMP_NAME, key_value_text, read_key_values, remove_path,
+                     replace_atomic, write_atomic)
 
 # role bytes for per-instance seed streams
 ROLE_REMESH_X = 0
@@ -177,7 +177,8 @@ def instance_dirname(spec):
 
 def write_instance(instance, directory, store_vis=False):
     """Atomic write: ``replace_atomic`` has the directory made and filled
-    under its temp name, and renames it into place only when complete."""
+    under its temp name, and renames it into place only when complete;
+    the files inside it are plain writes, renamed with it."""
     def fill(tmp):
         tmp.mkdir()
         save_mesh(instance.shape_x, tmp / "x.ply")
@@ -193,7 +194,7 @@ def write_instance(instance, directory, store_vis=False):
             meta["overlap_y_to_x"] = instance.overlap.frac_y_to_x
             meta["overlap_iterations"] = instance.overlap.iterations_used
             meta["overlap_within_range"] = instance.overlap.within_range
-        write_key_values(tmp / "meta.txt", meta)
+        (tmp / "meta.txt").write_text(key_value_text(meta))
     replace_atomic([directory], fill)
 
 

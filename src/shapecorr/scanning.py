@@ -102,13 +102,6 @@ def sample_constrained_pair(rng, alpha):
     return first, CameraPose(az, el)
 
 
-def angular_disparity(a, b):
-    """(azimuth, elevation) disparity with azimuth wrap-around."""
-    da = abs(a.azimuth - b.azimuth)
-    da = min(da, 2 * np.pi - da)
-    return da, abs(a.elevation - b.elevation)
-
-
 def camera_rays(camera, resolution):
     """Pinhole ray grid: origins (r, 3) and unit directions (r, 3).
 

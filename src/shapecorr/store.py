@@ -1,9 +1,9 @@
 """Content-addressed on-disk store behind the remesh and raycast caches.
 
 An entry is one file ``<key><suffix>`` per suffix in the store's directory,
-written by one ``textio.replace_atomic`` call: each file goes to
-``<key>.tmp.<pid><suffix>`` and is renamed into place, the last suffix
-last, so that file marks the entry complete. An entry that cannot be read
+written by one ``textio.replace_atomic`` call: ``write`` writes each file
+in place at its temp name ``<key>.tmp.<pid><suffix>``, and each is renamed
+once, the last suffix last, so that file marks the entry complete. An entry that cannot be read
 is a miss, so it is recomputed and written again. One directory takes one
 writer at a time.
 """

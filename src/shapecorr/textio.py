@@ -2,12 +2,15 @@
 ``.labels`` files: ``#`` comments and blank lines skipped, one
 ``np.loadtxt`` call per table, a bad row named by its line number. Also
 the ``key=value`` codec: the token parser of the network and split
-manifests, and the reader and writer of the flat files (the config and its
-echo, ``meta.txt``, ``report.txt``, ``summary.txt``, remesh-cache ``.meta``
-entries). ``replace_atomic`` is the one temp-then-rename of the package:
-every file and directory a run writes goes to ``<stem>.tmp.<pid><suffix>``
-beside its final name and is renamed into place; ``TEMP_NAME`` matches
-those names and no others, so a resume sweeps only its own leftovers."""
+manifests, and the reader and the text of the flat files (the config and
+its echo, ``meta.txt``, ``report.txt``, ``summary.txt``, remesh-cache
+``.meta`` entries). ``replace_atomic`` is the one temp-then-rename of the
+package, called once per final path: every file and directory a run
+writes goes to ``<stem>.tmp.<pid><suffix>`` beside its final name and is
+renamed into place, and a file written inside a temp directory (an
+instance's ``meta.txt``) is a plain write renamed with it. ``TEMP_NAME``
+matches those names and no others, so a resume sweeps only its own
+leftovers."""
 
 from __future__ import annotations
 
@@ -141,11 +144,10 @@ def write_atomic(path, text):
     replace_atomic([path], lambda tmp: tmp.write_text(text))
 
 
-def write_key_values(path, mapping):
-    """``mapping`` as one ``key=value`` line per entry, in order, written
-    by ``write_atomic``."""
-    write_atomic(path, "".join(f"{k}={format_value(v)}\n"
-                               for k, v in mapping.items()))
+def key_value_text(mapping):
+    """``mapping`` as one ``key=value`` line per entry, in order: the text
+    of a flat file that ``read_key_values`` reads back."""
+    return "".join(f"{k}={format_value(v)}\n" for k, v in mapping.items())
 
 
 def parse_bool(text):

@@ -246,8 +246,9 @@ class TestEvaluate:
     def test_every_temp_is_one_the_sweep_removes(self, workspace,
                                                  monkeypatch):
         """Every temp that a P2P run with both caches and an ``evaluate``
-        run rename into place has a name the resume sweep matches, and
-        the sweep removes a leftover of each, file or directory."""
+        run rename into place has a name the resume sweep matches, each
+        is renamed once (no temp inside a temp), and the sweep removes a
+        leftover of each, file or directory."""
         ws, _ = workspace
         temps = {}
         real = os.replace
@@ -263,9 +264,14 @@ class TestEvaluate:
         assert main(["evaluate", "--instances", str(ws / "out"),
                      "--predictions", str(write_gt_predictions(ws, names)),
                      "--output", str(ws / "eval")]) == 0
-        finals = {p.name.replace(f".tmp.{os.getpid()}", "") for p in temps}
-        assert {"config.echo", "instances.manifest", names[0], "meta.txt",
+        tag = f".tmp.{os.getpid()}"
+        finals = {p.name.replace(tag, "") for p in temps}
+        assert {"config.echo", "instances.manifest", names[0],
                 "report.txt", "curve.txt", "summary.txt"} <= finals
+        # meta.txt and .meta are written inside their temps, renamed with them
+        assert [p for p in temps
+                if any(temps.get(d) for d in p.parents)] == []
+        assert [p for p in temps if p.name.count(tag) > 1] == []
         assert {".ply", ".corr", ".meta", ".npy"} <= {
             Path(n).suffix for n in finals}
         assert [p for p in temps if not TEMP_NAME.fullmatch(p.name)] == []
@@ -503,6 +509,27 @@ class TestOtherCommands:
         assert main(args) == 1
         out = capsys.readouterr().out
         assert f"{said}shape {ids[0]}: {path}: " in out
+
+    @pytest.mark.parametrize("command", ["validate-network", "generate"])
+    def test_self_edge_exit_1(self, workspace, capsys, command):
+        """A self-edge of valid identity files used to load its backward
+        file as the edge and make the shape its own neighbour."""
+        ws, ids = workspace
+        ic = identity_correspondence(icosphere(2))
+        save_correspondence(DenseCorrespondence(ids[2], ids[2], ic.faces,
+                                                ic.weights), ws / "self.corr")
+        manifest = ws / "network.manifest"
+        lineno = len(manifest.read_text().splitlines()) + 1
+        with manifest.open("a") as fh:
+            fh.write(f"edge {ids[2]} {ids[2]} forward=self.corr "
+                     "backward=self.corr\n")
+        if command == "generate":
+            args = gen_args(ws, ws / "out")
+        else:
+            args = [command, "--network", str(manifest)]
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert f"{manifest}:{lineno}: " in out and "to itself" in out
 
     def test_validate_network_non_finite_weight(self, workspace, capsys):
         """A NaN weight on a matched row of an edge file used to load, and

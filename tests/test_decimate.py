@@ -1,6 +1,8 @@
 import hashlib
 import heapq
 import importlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ from shapecorr.decimate import (_SINGULAR_COND, RemeshCache,
                                 _face_quadrics, _well_conditioned,
                                 back_correspondence, decimate,
                                 remesh_with_correspondence)
-from shapecorr.meshes import Mesh
-from shapecorr.meshio import validation_report
+from shapecorr.meshes import Mesh, edge_incidence
 from shapecorr.spatial import brute_force_nearest
 
 from conftest import bumpy_sphere, grid_plane, icosphere, require_golden_build
@@ -116,10 +117,12 @@ def test_stops_early_when_no_valid_collapse_remains():
     assert r.target_count == 4
     assert r.achieved_count > r.target_count
     assert r.achieved_count == r.mesh.n_vertices
-    report = validation_report(r.mesh)
-    assert "0 boundary, 0 non-manifold" in report
-    assert "components: 1" in report
-    assert "winding: consistent" in report
+    # closed, one piece, consistently wound: every edge borders two
+    # faces, which traverse it in opposite directions
+    directed, _, _, counts = edge_incidence(r.mesh.faces, r.mesh.n_vertices)
+    assert (counts == 2).all()
+    assert len(geo.connected_components(r.mesh)) == 1
+    assert len(np.unique(directed, axis=0)) == len(directed)
     # the collapses kept the genus: V - E + F == 0
     n_edges = len(r.mesh.edges())
     assert r.mesh.n_vertices - n_edges + r.mesh.n_faces == 0
@@ -619,6 +622,24 @@ class TestRemeshWithCorrespondence:
         assert meta.read_text() == written
         assert r2.mesh == r1.mesh
         assert r2.max_projection_error == r1.max_projection_error
+
+    def test_store_renames_each_file_once(self, tmp_path, monkeypatch):
+        """The ``.meta`` is written at its temp name and renamed once,
+        last; it used to take a temp and a rename of its own."""
+        renames = []
+        real = os.replace
+
+        def replace(src, dst):
+            renames.append((Path(src).name, Path(dst).name))
+            real(src, dst)
+        monkeypatch.setattr(os, "replace", replace)
+        m = bumpy_sphere(2)
+        remesh_with_correspondence(m, (30, 30), np.random.default_rng(0),
+                                   cache=RemeshCache(tmp_path / "cache"))
+        (meta,) = (tmp_path / "cache").glob("*.meta")
+        key, pid = meta.stem, os.getpid()
+        assert renames == [(f"{key}.tmp.{pid}{s}", key + s)
+                           for s in (".ply", ".corr", ".meta")]
 
     def test_cache_disabled_use(self, tmp_path):
         m = bumpy_sphere(2)

@@ -3,7 +3,7 @@ import pytest
 
 from shapecorr.meshes import Mesh, MeshValidationError
 from shapecorr.meshio import (MeshFormatError, load_mesh, save_colored_ply,
-                              save_mesh, validation_report)
+                              save_mesh)
 
 from conftest import bumpy_sphere, icosphere
 
@@ -255,29 +255,6 @@ def test_degenerate_face_rejected():
         Mesh(np.eye(3), [[0, 1, 1]])
 
 
-def test_validation_report_flags_nonmanifold():
-    # three triangles fanning around one shared edge
-    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]], float)
-    f = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
-    report = validation_report(Mesh(v, f))
-    assert "non-manifold" in report
-
-
-def test_validation_report_clean_sphere():
-    report = validation_report(icosphere(1))
-    assert "0 non-manifold" in report
-    assert "winding: consistent" in report
-
-
-def test_validation_report_flags_flipped_winding():
-    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
-    f = [[0, 1, 2], [1, 3, 2]]
-    ok = validation_report(Mesh(v, f))
-    assert "winding: consistent" in ok
-    bad = validation_report(Mesh(v, [[0, 1, 2], [1, 2, 3]]))
-    assert "inconsistent" in bad
-
-
 def test_binary_ply_cut_anywhere_rejected(tmp_path):
     m = Mesh(TRI_V, TRI_F)
     save_mesh(m, tmp_path / "full.ply")
@@ -302,24 +279,6 @@ def test_malformed_ply_header_line(tmp_path, line):
             "end_header\n0 0 0\n1 0 0\n0 1 0\n")
     with pytest.raises(MeshFormatError, match="t.ply:7"):
         load_mesh(write(tmp_path / "t.ply", text))
-
-
-def test_validation_report_counts_each_flipped_edge():
-    m = icosphere(2)
-    rng = np.random.default_rng(5)
-    f = m.faces.copy()
-    flip = rng.random(len(f)) < 0.3
-    f[flip] = f[flip][:, ::-1]
-    # reference: per interior edge, both faces traverse it the same way
-    seen = {}
-    for tri in f.tolist():
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            seen.setdefault((min(a, b), max(a, b)), []).append(a)
-    want = sum(1 for firsts in seen.values()
-               if len(firsts) == 2 and firsts[0] == firsts[1])
-    assert want > 0
-    report = validation_report(Mesh(m.vertices, f))
-    assert f"winding: {want} interior edges" in report
 
 
 TRI_OFF_BODY = "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"

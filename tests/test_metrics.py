@@ -14,7 +14,7 @@ from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
                                error_curve, evaluate_instance, f1,
                                geodesic_error, iou,
                                load_prediction, lr_accuracy, write_report)
-from shapecorr.textio import write_key_values
+from shapecorr.textio import key_value_text, write_atomic
 
 from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
                       icosphere)
@@ -534,7 +534,7 @@ class TestReports:
         summary = aggregate_reports([rep, rep])
         assert summary["mean_auc"] == pytest.approx(rep.auc)
         assert summary["mean_iou"] == pytest.approx(100.0)
-        write_key_values(tmp_path / "summary.txt", summary)
+        write_atomic(tmp_path / "summary.txt", key_value_text(summary))
         assert "mean_auc" in (tmp_path / "summary.txt").read_text()
 
     def test_prediction_file_roundtrip(self, tmp_path):

@@ -409,6 +409,38 @@ class TestBuildNetwork:
         with pytest.raises(NetworkError, match=want):
             build_network(p)
 
+    def test_self_edge_names_line(self, tmp_path):
+        """An edge from a shape to itself used to load its backward file
+        as the edge, drop the forward file, and make the shape its own
+        neighbour."""
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text()
+                     + "edge C C forward=bc.corr backward=cb.corr\n")
+        want = (re.escape(f"{p}:9: ") + ".*"
+                + re.escape("edge joins C to itself"))
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
+    @pytest.mark.parametrize("line,kind", [
+        ("edge A Z forward=az.corr backward=za.corr", "edge"),
+        ("annotation Z labels=z.labels", "annotation")])
+    def test_unknown_id_names_line_before_files_load(self, tmp_path, line,
+                                                     kind):
+        """An unknown id used to be reported without its line, and only
+        after the line's files were read: here they do not exist."""
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text() + line + "\n")
+        want = re.escape(f"{p}:9: {kind} references unknown shape 'Z'")
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
+    def test_shape_line_may_follow_its_edges(self, tmp_path):
+        p = self.write_fixture(tmp_path)
+        lines = p.read_text().splitlines()
+        lines.append(lines.pop(4))  # shape C after the edge B C
+        p.write_text("\n".join(lines) + "\n")
+        assert shortest_path(build_network(p), "A", "C") == ["A", "B", "C"]
+
 
 class TestNetworkChecks:
     """ShapeNetwork checks a network however it was built."""

@@ -1,6 +1,7 @@
 """Smoke tests of the package's public names and the checked-in scripts,
 so that a deleted or renamed function they use fails here."""
 
+import ast
 import os
 import re
 import subprocess
@@ -11,6 +12,9 @@ import shapecorr
 from shapecorr.config import CAM_POS_REGIMES
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "shapecorr"
+# brute-force references that tests check the fast paths against
+ORACLES = {"exhaustive_first_hits", "brute_force_nearest"}
 
 
 def test_every_public_name_resolves():
@@ -34,3 +38,29 @@ def test_declared_numpy_floor_has_the_calls_the_code_makes():
     text = (ROOT / "pyproject.toml").read_text()
     (major,) = re.findall(r'"numpy>=(\d+)[."]', text)
     assert int(major) >= 2
+
+
+def test_every_public_definition_has_a_caller():
+    """Every public module-level function and class of the package is
+    named somewhere in the package (``__init__`` aside), the scripts or
+    perfbench. The sources are parsed, not imported, so no bytecode is
+    written beside them."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "scripts").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py")]
+    defined, named = set(), set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent == PACKAGE:
+            defined.update(
+                node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+    assert sorted(defined - named - ORACLES) == []

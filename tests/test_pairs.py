@@ -113,6 +113,12 @@ class TestManifestIO:
         with pytest.raises(ManifestError):
             SplitManifest({}, {"train": [("a", "b")]})
 
+    def test_pair_may_precede_its_shapes(self, tmp_path):
+        p = tmp_path / "split.manifest"
+        p.write_text("pair train a b\n" + "".join(
+            f"shape {s} dataset=faust category=c type=human\n" for s in "ab"))
+        assert parse_split_manifest(p).pairs == {"train": [("a", "b")]}
+
     def test_bare_token_names_line_and_token(self, tmp_path):
         p = tmp_path / "split.manifest"
         p.write_text("# shapes\nshape a dataset=faust category=c type=human\n"
@@ -150,10 +156,12 @@ class TestManifestIO:
         ("pair val a b extra tokens",
          "expected 'pair SPLIT A B', got 'pair val a b extra tokens'"),
         ("pair val a", "expected 'pair SPLIT A B', got 'pair val a'"),
+        ("pair val a z", "val pair references unknown shape 'z'"),
     ])
     def test_bad_pair_line_names_line(self, tmp_path, line, message):
         """A misspelled split or a pair line of other than four tokens was
-        stored or loaded silently; its pairs were never enumerated."""
+        stored or loaded silently; its pairs were never enumerated. An
+        unknown id was reported without its line."""
         p = tmp_path / "split.manifest"
         p.write_text("shape a dataset=faust category=c type=human\n"
                      f"shape b dataset=faust category=c type=human\n{line}\n")

@@ -6,8 +6,8 @@ from shapecorr import scanning, spatial
 from shapecorr.meshes import (UNMATCHED, DenseCorrespondence, Mesh,
                               identity_correspondence)
 from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
-                                RaycastCache, angular_disparity, camera_rays,
-                                cast_scan, compute_overlap, extract_partial,
+                                RaycastCache, camera_rays, cast_scan,
+                                compute_overlap, extract_partial,
                                 generate_partial, generate_partial_pair,
                                 restrict, sample_camera,
                                 sample_constrained_pair)
@@ -71,9 +71,9 @@ class TestConstrainedPair:
         alpha = np.pi / 4
         for _ in range(300):
             a, b = sample_constrained_pair(rng, alpha)
-            daz, del_ = angular_disparity(a, b)
-            assert daz <= alpha + 1e-12
-            assert del_ <= alpha + 1e-12
+            daz = abs(a.azimuth - b.azimuth)  # the short way round
+            assert min(daz, 2 * np.pi - daz) <= alpha + 1e-12
+            assert abs(a.elevation - b.elevation) <= alpha + 1e-12
 
     def test_tiny_alpha_poses_coincide(self):
         a, b = sample_constrained_pair(np.random.default_rng(2), 1e-12)
@@ -81,10 +81,13 @@ class TestConstrainedPair:
         assert abs(a.elevation - b.elevation) < 1e-11
 
     def test_wraparound_disparity(self):
-        a = CameraPose(0.1, 0.0)
-        b = CameraPose(2 * np.pi - 0.1, 0.0)
-        daz, _ = angular_disparity(a, b)
-        assert daz == pytest.approx(0.2)
+        """The second azimuth wraps into [0, 2pi): some pairs lie within
+        alpha only the short way round."""
+        rng = np.random.default_rng(1)
+        az = np.array([[p.azimuth for p in sample_constrained_pair(
+            rng, np.pi / 4)] for _ in range(300)])
+        assert ((az >= 0) & (az < 2 * np.pi)).all()
+        assert (np.abs(az[:, 0] - az[:, 1]) > np.pi).any()
 
     def test_alpha_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -164,8 +167,7 @@ class TestExtractPartial:
 
     def test_scan_moved_copy_at_parent_pose(self, rng):
         m = icosphere(2)
-        moved = m.with_vertices(random_rigid(rng).apply(m.vertices),
-                                id="moved")
+        moved = m.with_vertices(random_rigid(rng).apply(m.vertices))
         norm = geo.normalize_to_unit_box(moved)
         cam = CameraPose(1.0, 0.4)
         hit = cast_scan(norm, cam, (64, 64))

@@ -12,8 +12,8 @@ from shapecorr.meshio import MeshFormatError, load_mesh
 from shapecorr.metrics import load_prediction
 from shapecorr.network import load_annotation
 from shapecorr.textio import (TEMP_NAME, FormatError, format_value,
-                              key_values, read_key_values, replace_atomic,
-                              write_atomic, write_key_values)
+                              key_value_text, key_values, read_key_values,
+                              replace_atomic, write_atomic)
 
 
 def test_bad_row_raises_format_error_naming_its_line(tmp_path):
@@ -58,7 +58,7 @@ values = st.one_of(st.booleans(), st.integers(),
 @settings(max_examples=200, deadline=None)
 def test_key_values_round_trip(tmp_path_factory, mapping):
     path = tmp_path_factory.mktemp("kv") / "sub" / "meta.txt"
-    write_key_values(path, mapping)
+    write_atomic(path, key_value_text(mapping))
     back = read_key_values(path)
     assert back == {k: format_value(v) for k, v in mapping.items()}
     for k, v in mapping.items():
