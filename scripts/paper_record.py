@@ -130,7 +130,8 @@ def generation(chain, setting, split):
         "count_range": "9000-10000", "resolution": "256x256",
         "use_precompute_remeshing": "false"})
     return (lambda: sc.run_generation(cfg, net, manifest, out, limit=1),
-            lambda done: gate.tree_digest(out) if done else "none written")
+            lambda outcome: gate.tree_digest(out) if outcome[0]
+            else "none written")
 
 
 def evaluation():

@@ -3,6 +3,10 @@
 Subcommands: generate, evaluate, propagate-annotations, inspect,
 validate-network. Exit codes: 0 success, 1 validation failure, 2 usage
 error (including unknown config keys).
+
+The instance tree is ``pipeline``'s: ``evaluate`` reads each instance
+through ``pipeline.load_instance``, and ``generate`` exits 1 when
+``run_generation`` reports a failed instance.
 """
 
 from __future__ import annotations
@@ -14,17 +18,15 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, GenerationConfig
-from .corrio import load_correspondence, save_correspondence
-from .meshio import load_mesh
-from .metrics import (aggregate_reports, check_setting, check_target,
-                      evaluate_instance, load_prediction, write_report)
+from .corrio import save_correspondence
+from .metrics import (aggregate_reports, evaluate_instance, load_prediction,
+                      write_report)
 from .network import (NetworkError, build_network, correspondence_between,
                       nearest_annotated, propagate_annotation)
-from .pairs import (ManifestError, default_split_manifest, enumerate_pairs,
-                    parse_split_manifest)
-from .pipeline import run_generation
-from .textio import (key_value_text, key_values, read_key_values,
-                     replace_atomic, write_atomic)
+from .pairs import ManifestError, default_split_manifest, parse_split_manifest
+from .pipeline import (MANIFEST_FILE, META_FILE, load_instance,
+                       run_generation)
+from .textio import key_value_text, key_values, replace_atomic, write_atomic
 
 DATA_DIR_ENV = "SHAPECORR_DATA"
 
@@ -63,19 +65,14 @@ def cmd_generate(args):
         split = parse_split_manifest(args.split_manifest)
     else:
         split = default_split_manifest()
-    done = run_generation(config, net, split, args.output, limit=args.limit,
-                          log=_log)
-    expected = len(enumerate_pairs(split, config)[:args.limit])
-    return EXIT_OK if len(done) == expected else EXIT_VALIDATION
+    _, failed = run_generation(config, net, split, args.output,
+                               limit=args.limit, log=_log)
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 def cmd_evaluate(args):
     instances_dir = Path(args.instances)
-    names = [line for line in
-             (instances_dir / "instances.manifest").read_text().split()
-             if line]
-    if args.limit is not None:
-        names = names[:args.limit]
+    names = (instances_dir / MANIFEST_FILE).read_text().split()[:args.limit]
     reports = []
     n_skipped = 0
     out_dir = Path(args.output)
@@ -87,7 +84,7 @@ def cmd_evaluate(args):
             continue
         what = "unreadable instance"
         try:
-            shape_y, gt, setting, area = _load_scored(instances_dir / name)
+            shape_y, gt, setting, area = load_instance(instances_dir / name)
             what = f"bad prediction file {pred_path}"
             pred = load_prediction(pred_path)
             rep = evaluate_instance(shape_y, gt, pred, setting, area)
@@ -106,21 +103,6 @@ def cmd_evaluate(args):
     _log(" ".join(f"{k}={v}" for k, v in summary.items())
          + f" n_skipped={n_skipped}")
     return EXIT_VALIDATION if n_skipped else EXIT_OK
-
-
-def _load_scored(directory):
-    """What ``evaluate`` scores against: ``y.ply``, ``gt.corr`` and the
-    setting and full target area from ``meta.txt``; ``x.ply`` is not read."""
-    meta = read_key_values(directory / "meta.txt")
-    try:
-        setting, area = meta["setting"], float(meta["area_full_y"])
-    except KeyError as exc:
-        raise ValueError(f"meta.txt has no {exc} entry") from None
-    check_setting(setting)
-    shape_y = load_mesh(directory / "y.ply")
-    gt = load_correspondence(directory / "gt.corr")
-    check_target(gt, shape_y, area)
-    return shape_y, gt, setting, area
 
 
 def cmd_propagate(args):
@@ -147,7 +129,7 @@ def cmd_propagate(args):
 
 
 def cmd_inspect(args):
-    meta_path = Path(args.instance) / "meta.txt"
+    meta_path = Path(args.instance) / META_FILE
     if not meta_path.exists():
         _log(f"not an instance directory: {args.instance}")
         return EXIT_VALIDATION

@@ -95,8 +95,12 @@ def _load_binary(path):
         (lt,) = struct.unpack("<H", read(2))
         tid = read(lt).decode("utf-8")
         (n,) = struct.unpack("<Q", read(8))
-        rec = np.frombuffer(read(n * 28),
-                            dtype=[("face", "<i4"), ("w", "<f8", 3)])
-        if fh.read(1):
-            raise ValueError(f"{path}: bytes past the {n} records")
+        # the records are the rest of the file, read as it is: a count
+        # larger than the file is compared, never allocated
+        body = fh.read()
+    if len(body) < n * 28:
+        raise ValueError(f"{path}: truncated correspondence file")
+    if len(body) > n * 28:
+        raise ValueError(f"{path}: bytes past the {n} records")
+    rec = np.frombuffer(body, dtype=[("face", "<i4"), ("w", "<f8", 3)])
     return DenseCorrespondence._exact(sid, tid, rec["face"], rec["w"])

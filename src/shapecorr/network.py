@@ -52,7 +52,8 @@ class ShapeNode:
 class ShapeNetwork:
     """Immutable after build; composition results are memoized per pair.
     The one checker of a network: edges against their nodes' ids and
-    meshes, annotations against their node's vertex count."""
+    meshes, every edge against its reverse, annotations against their
+    node's vertex count."""
 
     def __init__(self, nodes, edges, annotations=None):
         self.nodes = dict(nodes)  # id -> ShapeNode
@@ -72,6 +73,10 @@ class ShapeNetwork:
             self.edges[(a, b)] = corr
             self.adjacency[a].add(b)
             self.adjacency[b].add(a)
+        # a path may walk any edge backwards
+        for a, b in self.edges:
+            if (b, a) not in self.edges:
+                raise NetworkError(f"edge {a} -> {b} has no reverse {b} -> {a}")
         # id -> (n,) int64 labels, one per vertex
         self.annotations = {}
         for sid, lab in (annotations or {}).items():

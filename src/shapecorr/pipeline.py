@@ -6,6 +6,10 @@ apply the partiality setting (none / source-only / overlap-constrained
 pair), rotate around z, and assemble the ground-truth correspondence
 between the emitted discretisations. Everything is a pure function of
 (manifest, config, global_seed).
+
+This module owns the instance directory: ``write_instance`` writes it and
+``load_instance`` reads what ``evaluate`` scores. ``run_generation``
+reports the run's outcome, which ``generate``'s exit code follows.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .corrio import load_correspondence, save_correspondence
 from .decimate import RemeshCache, RemeshResult, remesh_with_correspondence
 from .meshes import DenseCorrespondence, Mesh, identity_correspondence
 from .meshio import load_mesh, save_colored_ply, save_mesh
+from .metrics import check_setting, check_target
 from .network import (compose, correspondence_between, project_template_pair,
                       shortest_path)
 from .pairs import enumerate_pairs
@@ -31,6 +36,11 @@ from .scanning import (OverlapStats, PartialMesh, RaycastCache,
                        generate_partial, generate_partial_pair, restrict)
 from .textio import (TEMP_NAME, key_value_text, read_key_values, remove_path,
                      replace_atomic, write_atomic)
+
+# the run's list of instance directories, which ``evaluate`` scores
+MANIFEST_FILE = "instances.manifest"
+# an instance's key=value record, the file ``inspect`` prints
+META_FILE = "meta.txt"
 
 # role bytes for per-instance seed streams
 ROLE_REMESH_X = 0
@@ -194,7 +204,7 @@ def write_instance(instance, directory, store_vis=False):
             meta["overlap_y_to_x"] = instance.overlap.frac_y_to_x
             meta["overlap_iterations"] = instance.overlap.iterations_used
             meta["overlap_within_range"] = instance.overlap.within_range
-        (tmp / "meta.txt").write_text(key_value_text(meta))
+        (tmp / META_FILE).write_text(key_value_text(meta))
     replace_atomic([directory], fill)
 
 
@@ -216,12 +226,20 @@ def write_vis(instance, directory):
 
 
 def load_instance(directory):
+    """What ``evaluate`` scores against, checked: ``(shape_y, gt, setting,
+    area)`` from ``y.ply``, ``gt.corr`` and the setting and full target
+    area of ``meta.txt``; ``x.ply`` is not read."""
     directory = Path(directory)
-    meta = read_key_values(directory / "meta.txt")
-    shape_x = load_mesh(directory / "x.ply")
+    meta = read_key_values(directory / META_FILE)
+    try:
+        setting, area = meta["setting"], float(meta["area_full_y"])
+    except KeyError as exc:
+        raise ValueError(f"{META_FILE} has no {exc} entry") from None
+    check_setting(setting)
     shape_y = load_mesh(directory / "y.ply")
     gt = load_correspondence(directory / "gt.corr")
-    return shape_x, shape_y, gt, meta
+    check_target(gt, shape_y, area)
+    return shape_y, gt, setting, area
 
 
 def run_generation(config, net, split_manifest, output_dir, limit=None,
@@ -231,9 +249,10 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
     Resumable: completed instance directories are skipped, and temporaries
     a killed run left behind are removed first. A ``config.echo`` of another
     config raises ``ConfigError``: one tree holds one config's instances.
-    Failures are logged and the run continues. Returns the list of written
-    (or already present) instance directory names. A ``limit`` below 1
-    raises ``ValueError`` before the tree is touched.
+    Failures are logged and the run continues. Returns ``(done, failed)``:
+    the list of written (or already present) instance directory names, and
+    the number of instances that failed. A ``limit`` below 1 raises
+    ``ValueError`` before the tree is touched.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -251,9 +270,7 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
         output_dir / "cache" / "remesh",
         use=config.use_precompute_remeshing,
         update=config.update_precomputed_remeshed)
-    specs = enumerate_pairs(split_manifest, config)
-    if limit is not None:
-        specs = specs[:limit]
+    specs = enumerate_pairs(split_manifest, config)[:limit]
     done = []
     failed = 0
     for spec in specs:
@@ -275,10 +292,10 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
             continue
         done.append(name)
         log(f"done {name} in {time.monotonic() - t0:.2f}s")
-    write_atomic(output_dir / "instances.manifest",
+    write_atomic(output_dir / MANIFEST_FILE,
                  "\n".join(done) + ("\n" if done else ""))
     log(f"wrote {len(done)} instances ({failed} failed) to {output_dir}")
-    return done
+    return done, failed
 
 
 def _check_echo(config, echo):

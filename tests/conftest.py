@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,21 @@ def digest_tree(root):
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+# record counts past any test file's bytes: one a full read could not
+# allocate and two whose byte counts overflow a read
+COUNTS_PAST_THE_FILE = [2 ** 40, 2 ** 62, 2 ** 64 - 1]
+
+
+def set_corr_count(path, count):
+    """Overwrite the record count in the header of the binary ``.corr``
+    at ``path``, as a corrupt file may hold it."""
+    data = bytearray(Path(path).read_bytes())
+    at = 7 + struct.unpack_from("<H", data, 5)[0]  # past magic, version, id
+    at += 2 + struct.unpack_from("<H", data, at)[0]  # past the target id
+    struct.pack_into("<Q", data, at, count)
+    Path(path).write_bytes(bytes(data))
 
 
 @pytest.fixture

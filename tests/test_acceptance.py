@@ -22,7 +22,7 @@ from shapecorr.pairs import (PairSpec, ShapeRecord, SplitManifest,
                              default_split_manifest, enumerate_pairs)
 from shapecorr.pipeline import run_generation
 from shapecorr.scanning import generate_partial, generate_partial_pair
-from shapecorr.spatial import exhaustive_first_hits
+from shapecorr.spatial import TriangleBVH, exhaustive_first_hits
 from shapecorr.textio import read_key_values
 
 from conftest import (bumpy_sphere, digest_tree, floyd_warshall_distances,
@@ -278,8 +278,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     interrupted-and-resumed equals uninterrupted."""
     net, manifest = _toy_world()
     cfg = _criterion_9_config()
-    done = run_generation(cfg, net, manifest, tmp_path / "a")
-    assert len(done) == 10
+    done, failed = run_generation(cfg, net, manifest, tmp_path / "a")
+    assert len(done) == 10 and failed == 0
     run_generation(cfg, net, manifest, tmp_path / "b")
     assert digest_tree(tmp_path / "a") == digest_tree(tmp_path / "b")
     run_generation(cfg, net, manifest, tmp_path / "c", limit=4)  # "interrupt"
@@ -298,11 +298,81 @@ def test_criterion_9_pinned_digest(tmp_path, setting):
     assert digest_tree(tmp_path) == GOLDEN_DIGESTS[setting]
 
 
+# a step of the exhaustive references below scores about this many
+# (query, face) pairs
+_PAIRS_PER_STEP = 1 << 16
+
+
+def _steps(n, n_faces):
+    """Slices of n queries, one per step of the exhaustive references."""
+    step = max(1, _PAIRS_PER_STEP // n_faces)
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _exhaustive_first_hits(bvh, origins, directions):
+    """``TriangleBVH.first_hits`` as ``exhaustive_first_hits`` over the
+    BVH's mesh, a step of rays at a time."""
+    faces = np.empty(len(origins), dtype=np.int64)
+    best_t = np.empty(len(origins))
+    for s in _steps(len(origins), bvh.mesh.n_faces):
+        faces[s], best_t[s] = exhaustive_first_hits(bvh.mesh, origins[s],
+                                                    directions[s])
+    return faces, best_t
+
+
+def _exhaustive_nearest_points(bvh, points):
+    """``TriangleBVH.nearest_points`` as exhaustive per-point minima of
+    the squared distance over every face, each (point, face) pair keyed as
+    the walk keys it and ties going to the lowest face; the weights are
+    those of ``closest_points_on_triangles`` on the winning face."""
+    a, b, c = bvh.mesh.face_corners()
+    n_faces = len(a)
+    faces = np.empty(len(points), dtype=np.int64)
+    for s in _steps(len(points), n_faces):
+        p = np.repeat(points[s], n_faces, axis=0)  # query-major pairs
+        face = np.tile(np.arange(n_faces), len(points[s]))
+        near, _ = geo.closest_points_on_triangles(p, a[face], b[face],
+                                                  c[face])
+        d2 = ((near - p) ** 2).sum(axis=1)
+        faces[s] = np.argmin(d2.reshape(-1, n_faces), axis=1)
+    _, bary = geo.closest_points_on_triangles(points, a[faces], b[faces],
+                                              c[faces])
+    return faces, bary
+
+
+def test_criterion_9_oracle_run(tmp_path, monkeypatch):
+    """The P2P criterion-9 tree, made with both BVH queries swapped for
+    their exhaustive references, equals the pinned digest: the fast paths
+    give the reference semantics over a whole tree, and a digest that
+    moves in ``test_criterion_9_pinned_digest`` but not here moved in the
+    BVH."""
+    require_golden_build()
+    build = TriangleBVH.__init__
+
+    def keep_mesh(bvh, mesh):
+        build(bvh, mesh)
+        bvh.mesh = mesh
+    monkeypatch.setattr(TriangleBVH, "__init__", keep_mesh)
+    calls = {"first_hits": 0, "nearest_points": 0}
+
+    def counted(name, reference):
+        def query(*args):
+            calls[name] += 1
+            return reference(*args)
+        monkeypatch.setattr(TriangleBVH, name, query)
+    counted("first_hits", _exhaustive_first_hits)
+    counted("nearest_points", _exhaustive_nearest_points)
+    net, manifest = _toy_world()
+    run_generation(_criterion_9_config(), net, manifest, tmp_path)
+    assert calls["first_hits"] and calls["nearest_points"]
+    assert digest_tree(tmp_path) == GOLDEN_DIGESTS["partial_partial"]
+
+
 def test_criterion_9_overlap_is_matched_share(tmp_path):
     """Each P2P instance's meta.txt overlap_x_to_y is exactly the matched
     share of its gt.corr: one face rule measures both."""
     net, manifest = _toy_world()
-    names = run_generation(_criterion_9_config(), net, manifest, tmp_path)
+    names, _ = run_generation(_criterion_9_config(), net, manifest, tmp_path)
     assert len(names) == 10
     for name in names:
         meta = read_key_values(tmp_path / name / "meta.txt")

@@ -202,7 +202,7 @@ def write_gt_predictions(ws, names):
     pred_dir = ws / "preds"
     pred_dir.mkdir()
     for n in names:
-        _, shape_y, gt, _ = load_instance(ws / "out" / n)
+        shape_y, gt, _, _ = load_instance(ws / "out" / n)
         pred = snap_correspondence_to_vertices(gt, shape_y)
         (pred_dir / f"{n}.txt").write_text(
             "\n".join(str(int(v)) for v in pred) + "\n")
@@ -428,7 +428,7 @@ for out in runs:
     preds = ws / (out + "_preds")
     preds.mkdir()
     for n in names:
-        _, shape_y, gt, _ = load_instance(ws / out / n)
+        shape_y, gt, _, _ = load_instance(ws / out / n)
         pred = np.roll(snap_correspondence_to_vertices(gt, shape_y), 1)
         (preds / (n + ".txt")).write_text(
             "\\n".join(str(int(v)) for v in pred) + "\\n")

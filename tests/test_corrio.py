@@ -7,7 +7,8 @@ from shapecorr.corrio import load_correspondence, save_correspondence
 from shapecorr.decimate import back_correspondence, decimate
 from shapecorr.meshes import DenseCorrespondence, identity_correspondence
 
-from conftest import bumpy_sphere, icosphere
+from conftest import (COUNTS_PAST_THE_FILE, bumpy_sphere, icosphere,
+                      set_corr_count)
 
 
 def test_binary_corr_cut_anywhere_raises_value_error(tmp_path):
@@ -19,6 +20,17 @@ def test_binary_corr_cut_anywhere_raises_value_error(tmp_path):
         p.write_bytes(data[:n])
         with pytest.raises(ValueError):
             load_correspondence(p)
+
+
+@pytest.mark.parametrize("count", COUNTS_PAST_THE_FILE)
+def test_binary_corr_count_past_the_file_raises_value_error(tmp_path, count):
+    """The count used to be read as it stood: ``read(n * 28)`` raised
+    ``MemoryError`` or ``OverflowError``, which no caller catches."""
+    p = tmp_path / "big.corr"
+    save_correspondence(identity_correspondence(icosphere(0)), p)
+    set_corr_count(p, count)
+    with pytest.raises(ValueError, match="truncated correspondence file"):
+        load_correspondence(p)
 
 
 def write_text_corr(corr, path):

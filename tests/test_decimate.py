@@ -16,7 +16,8 @@ from shapecorr.decimate import (_SINGULAR_COND, RemeshCache,
 from shapecorr.meshes import Mesh, edge_incidence
 from shapecorr.spatial import brute_force_nearest
 
-from conftest import bumpy_sphere, grid_plane, icosphere, require_golden_build
+from conftest import (COUNTS_PAST_THE_FILE, bumpy_sphere, grid_plane,
+                      icosphere, require_golden_build, set_corr_count)
 
 
 def torus(n=12, m=8, big_r=1.0, small_r=0.4):
@@ -622,6 +623,24 @@ class TestRemeshWithCorrespondence:
         assert meta.read_text() == written
         assert r2.mesh == r1.mesh
         assert r2.max_projection_error == r1.max_projection_error
+
+    @pytest.mark.parametrize("count", COUNTS_PAST_THE_FILE)
+    def test_corr_count_past_the_file_is_a_miss_and_rewritten(self, tmp_path,
+                                                              count):
+        """A torn count used to escape the cache's miss rule as a
+        ``MemoryError`` or ``OverflowError``, and fail every resume."""
+        m = bumpy_sphere(2)
+        cache = RemeshCache(tmp_path / "cache")
+        r1 = remesh_with_correspondence(m, (30, 30), np.random.default_rng(0),
+                                        cache=cache)
+        (corr,) = (tmp_path / "cache").glob("*.corr")
+        written = corr.read_bytes()
+        set_corr_count(corr, count)
+        assert cache.load(m, 30) is None
+        r2 = remesh_with_correspondence(m, (30, 30), np.random.default_rng(0),
+                                        cache=cache)
+        assert corr.read_bytes() == written
+        assert r2.to_original == r1.to_original
 
     def test_store_renames_each_file_once(self, tmp_path, monkeypatch):
         """The ``.meta`` is written at its temp name and renamed once,

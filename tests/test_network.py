@@ -457,6 +457,16 @@ class TestNetworkChecks:
                                                "length 5"):
             ShapeNetwork(nodes, {("a", "b"): short})
 
+    def test_edge_without_reverse(self):
+        """An edge whose reverse is missing used to build, link both nodes
+        and fail later, walked backwards, with a bare ``KeyError``."""
+        m, nodes = self.nodes()
+        ic = identity_correspondence(m)
+        corr = DenseCorrespondence("a", "b", ic.faces, ic.weights)
+        with pytest.raises(NetworkError,
+                           match="edge a -> b has no reverse b -> a"):
+            ShapeNetwork(nodes, {("a", "b"): corr})
+
     def test_edge_to_unknown_node(self):
         m, nodes = self.nodes()
         ic = identity_correspondence(m)

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
+from shapecorr import pipeline
 from shapecorr.config import ConfigError, GenerationConfig
+from shapecorr.corrio import load_correspondence
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
+from shapecorr.meshio import load_mesh
 from shapecorr.network import ShapeNetwork, ShapeNode
 from shapecorr.pairs import PairSpec, ShapeRecord, SplitManifest
 from shapecorr.pipeline import (MatchingInstance, derive_seed,
                                 generate_instance, load_instance,
                                 run_generation, write_instance)
 from shapecorr.scanning import generate_partial, restrict
-from shapecorr.textio import TEMP_NAME
+from shapecorr.textio import TEMP_NAME, read_key_values
 
 from conftest import digest_tree, icosphere, random_rigid
 
@@ -175,16 +178,52 @@ class TestRunGeneration:
     def test_writes_all_and_manifest(self, tmp_path):
         net, manifest, _ = toy_network()
         cfg = toy_config(setting="partial_partial")
-        done = run_generation(cfg, net, manifest, tmp_path / "out")
-        assert len(done) == 3
+        done, failed = run_generation(cfg, net, manifest, tmp_path / "out")
+        assert len(done) == 3 and failed == 0
         listed = (tmp_path / "out" / "instances.manifest").read_text().split()
         assert listed == done
         for name in done:
-            sx, sy, gt, meta = load_instance(tmp_path / "out" / name)
-            assert meta["setting"] == "partial_partial"
-            gt.validate_against(sx, sy)
-            assert "overlap_x_to_y" in meta
+            d = tmp_path / "out" / name
+            sy, gt, setting, _ = load_instance(d)
+            assert setting == "partial_partial"
+            gt.validate_against(load_mesh(d / "x.ply"), sy)
+            assert "overlap_x_to_y" in read_key_values(d / "meta.txt")
         assert (tmp_path / "out" / "config.echo").exists()
+
+    def test_failed_instances_are_counted(self, tmp_path, monkeypatch):
+        """A failing instance is logged and counted; the others are still
+        written and listed."""
+        net, manifest, _ = toy_network()
+        real = pipeline.generate_instance
+
+        def second_fails(spec, *args, **kwargs):
+            if spec.index == 1:
+                raise RuntimeError("boom")
+            return real(spec, *args, **kwargs)
+        monkeypatch.setattr(pipeline, "generate_instance", second_fails)
+        logs = []
+        out = tmp_path / "out"
+        assert run_generation(toy_config(), net, manifest, out,
+                              log=logs.append) == (
+            ["train_000000", "train_000002"], 1)
+        assert "FAIL train_000001: boom" in logs
+        assert (out / "instances.manifest").read_text().split() == [
+            "train_000000", "train_000002"]
+
+    def test_load_instance_reads_no_x_ply(self, tmp_path):
+        """``load_instance`` reads what ``evaluate`` scores: an instance
+        whose ``x.ply`` is gone still loads, and the setting and area come
+        from its ``meta.txt``."""
+        net, manifest, _ = toy_network()
+        (name,), _ = run_generation(toy_config(), net, manifest, tmp_path,
+                                    limit=1)
+        d = tmp_path / name
+        (d / "x.ply").unlink()
+        shape_y, gt, setting, area = load_instance(d)
+        meta = read_key_values(d / "meta.txt")
+        assert (setting, area) == ("full_full", float(meta["area_full_y"]))
+        assert shape_y == load_mesh(d / "y.ply")
+        assert gt == load_correspondence(d / "gt.corr")
 
     def test_idempotent_and_deterministic(self, tmp_path):
         net, manifest, _ = toy_network()
@@ -232,7 +271,8 @@ class TestRunGeneration:
                 "choose another --output")):
             run_generation(other, net, manifest, out)
         assert digest_tree(out) == before
-        assert len(run_generation(cfg, net, manifest, out, limit=2)) == 2
+        assert run_generation(cfg, net, manifest, out, limit=2) == (
+            ["train_000000", "train_000001"], 0)
 
     def test_config_made_with_lists_resumes_its_tree(self, tmp_path):
         """``datasets=["faust"]`` used to be refused by its own echo, which
@@ -241,7 +281,8 @@ class TestRunGeneration:
         out = tmp_path / "out"
         cfg = toy_config(datasets=["faust"], resolution=[48, 48])
         run_generation(cfg, net, manifest, out, limit=1)
-        assert len(run_generation(cfg, net, manifest, out, limit=2)) == 2
+        assert run_generation(cfg, net, manifest, out, limit=2) == (
+            ["train_000000", "train_000001"], 0)
 
     def test_run_killed_writing_its_echo_resumes(self, tmp_path,
                                                  monkeypatch):
@@ -257,7 +298,8 @@ class TestRunGeneration:
             with pytest.raises(KeyboardInterrupt):
                 run_generation(toy_config(), net, manifest, out)
         assert not (out / "config.echo").exists()
-        assert len(run_generation(toy_config(), net, manifest, out)) == 3
+        done, failed = run_generation(toy_config(), net, manifest, out)
+        assert len(done) == 3 and failed == 0
         assert not list(out.rglob("*.tmp*"))
 
     def test_killed_run_resumes_to_same_tree(self, tmp_path):
@@ -335,7 +377,8 @@ class TestRunGeneration:
     def test_store_vis_emits_colored_plys(self, tmp_path):
         net, manifest, _ = toy_network()
         cfg = toy_config(store_vis=True)
-        done = run_generation(cfg, net, manifest, tmp_path / "out", limit=1)
+        done, _ = run_generation(cfg, net, manifest, tmp_path / "out",
+                                 limit=1)
         inst_dir = tmp_path / "out" / done[0]
         assert (inst_dir / "vis_x.ply").exists()
         assert (inst_dir / "vis_y.ply").exists()
