@@ -1,11 +1,12 @@
-"""Paper-resolution record: twelve cases, each run once in its own process.
+"""Paper-resolution record: fourteen cases, each run once in its own process.
 
 Per case it prints the wall seconds of the case's call, the process's peak
 RSS, the largest self times and the counters (Dijkstra sources, scan hit
 and kept faces, projected points) of perfbench's tracer, and the sha256 of
 the output. On a bumpy icosphere (seed 7): ``decimate`` 10242 -> 2500 and
 40962 -> 10000; at 10242 vertices, normalized, the ``TriangleBVH`` build,
-two 256x256 scans and ``nearest_points`` of a seed-8 sphere's vertices;
+two 256x256 ``first_hits`` scans, ``cast_scan`` with the same two cameras
+and ``nearest_points`` of a seed-8 sphere's vertices;
 ``geodesic_error`` of a mixed prediction (20% random, 5% -1, as in
 evaluate_mixed) and a near-miss one (80% of the matched mixed entries
 walked three random edges). On perfbench's fixtures at seed 3, written to
@@ -50,7 +51,8 @@ import shapecorr as sc  # noqa: E402
 from conftest import GOLDEN_BUILD, bumpy_sphere  # noqa: E402
 from shapecorr import cli, metrics, pairs, spatial  # noqa: E402
 from shapecorr import geometry as geo  # noqa: E402
-from shapecorr.scanning import CameraPose, camera_rays  # noqa: E402
+from shapecorr.scanning import (  # noqa: E402
+    CameraPose, camera_rays, cast_scan)
 from run import THREAD_VARS  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
@@ -76,6 +78,8 @@ def sha(*arrays):
 
 def bvh(query, camera=None):
     mesh = geo.normalize_to_unit_box(bumpy_sphere(5, seed=7))
+    if query == "cast_scan":  # builds no tree
+        return lambda: cast_scan(mesh, camera, (256, 256)), sha
     if query == "build":
         return (lambda: spatial.TriangleBVH(mesh), lambda t: sha(
             t.node_min, t.node_max, t.node_child, t.node_faces))
@@ -148,6 +152,8 @@ CASES = {
     "TriangleBVH build": (bvh, "build"),
     "scan 0": (bvh, "scan", CameraPose(0.3, 0.2)),
     "scan 1": (bvh, "scan", CameraPose(2.0, -0.4)),
+    "cast_scan 0": (bvh, "cast_scan", CameraPose(0.3, 0.2)),
+    "cast_scan 1": (bvh, "cast_scan", CameraPose(2.0, -0.4)),
     "nearest_points": (bvh, "nearest"),
     "geodesic_error mixed": (geodesic, False),
     "geodesic_error near-miss": (geodesic, True),
@@ -167,6 +173,10 @@ PINNED = {
         "c5b4271e816028b54113d861828a0b61c0920fe1c35cb64d4a1c39cf03f6bbd7",
     "scan 1":
         "2cc8643209159c4977ef6e73ce16d3e351f97e6a078c8efc88052a03bf48c760",
+    "cast_scan 0":
+        "8f5f3e959c274298340a1a04594bf5becf920e06be967cfb31c9e319dea073c0",
+    "cast_scan 1":
+        "7a541c6c5eabc5829baceb5f53a857ddd80a704fcd92505a09ec234b1cfd1e8e",
     "nearest_points":
         "f5b709fb60a4d53aecdb90a41436a227a12c5417217ba41034ff6a1403f4743f",
     "geodesic_error mixed":

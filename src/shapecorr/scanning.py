@@ -4,6 +4,11 @@ A pinhole camera on a sphere around the unit-box-normalized shape casts a
 pixel grid of rays; first-hit faces forming the largest connected component
 (by area) become the partial shape. Partial pairs are regenerated until the
 mutual overlap fraction lands in a configured range.
+
+A scan finds its first hits by binning each face into the pixels its
+projected box covers and intersecting only those (ray, face) pairs, so it
+builds no BVH. Its hit faces equal those of ``TriangleBVH.first_hits``,
+which still answers for a mesh that reaches the eye's plane.
 """
 
 from __future__ import annotations
@@ -14,12 +19,15 @@ import numpy as np
 
 from . import geometry as geo
 from .meshes import DenseCorrespondence, Mesh, UNMATCHED
+from .spatial import RAY_EPS, _keep_lowest, ray_triangle_intersections
 from .store import ContentStore
 
 CAMERA_DISTANCE = 2.0
 _FOV_MARGIN = 1.05
 _POLE_ELEVATION = np.deg2rad(85.0)
 SCAN_ATTEMPTS = 5  # cameras generate_partial samples before it gives up
+_SCAN_PAIRS = 1 << 12  # (ray, face) pairs per binned intersection step
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,14 @@ def sample_constrained_pair(rng, alpha):
     return first, CameraPose(az, el)
 
 
-def camera_rays(camera, resolution):
-    """Pinhole ray grid: origins (r, 3) and unit directions (r, 3).
+def _camera_frame(camera):
+    """The pinhole of ``camera``: ``(eye, forward, right, true_up,
+    half_extent)``. ``camera_rays`` casts its rays in this frame and
+    ``_hit_faces`` projects into it, so the two share one pixel grid.
 
     The vertical FOV fits the unit bounding sphere of a unit-box shape with
-    a small margin; pixels are square.
+    a small margin; ``half_extent`` is the tangent of its half angle.
     """
-    w, h = resolution
     eye = camera.position
     forward = -eye / np.linalg.norm(eye)
     up = np.array([0.0, 0.0, 1.0])
@@ -120,7 +129,17 @@ def camera_rays(camera, resolution):
 
     bounding_radius = np.sqrt(3.0) / 2.0
     half_fov = np.arcsin(min(1.0, bounding_radius / camera.distance)) * _FOV_MARGIN
-    half_extent = np.tan(half_fov)
+    return eye, forward, right, true_up, np.tan(half_fov)
+
+
+def camera_rays(camera, resolution):
+    """Pinhole ray grid: origins (r, 3) and unit directions (r, 3).
+
+    Ray j * w + i passes through the centre of pixel column i, row j of the
+    w x h grid; pixels are square.
+    """
+    w, h = resolution
+    eye, forward, right, true_up, half_extent = _camera_frame(camera)
     ys = (np.arange(h) + 0.5) / h * 2.0 - 1.0
     xs = (np.arange(w) + 0.5) / w * 2.0 - 1.0
     gx, gy = np.meshgrid(xs * half_extent * (w / h), ys * half_extent)
@@ -138,12 +157,89 @@ def cast_scan(mesh, camera, resolution, cache=None):
         cached = cache.load(mesh, camera, resolution)
         if cached is not None:
             return cached
-    origins, dirs = camera_rays(camera, resolution)
-    faces, _ = mesh.bvh.first_hits(origins, dirs)
-    hit = np.unique(faces[faces >= 0])
+    hit = _hit_faces(mesh, camera, resolution)
     if cache is not None:
         cache.store(mesh, camera, resolution, hit)
     return hit
+
+
+def _hit_faces(mesh, camera, resolution):
+    """The distinct faces that ``mesh.bvh.first_hits`` gives for the rays
+    of ``camera_rays``, sorted, as int64.
+
+    Each face is binned into the pixels whose centres lie in its projected
+    box, widened by the margin below, and only those (ray, face) pairs are
+    intersected, ``_SCAN_PAIRS`` at a time; each ray keeps its lowest
+    (t, face) by ``_keep_lowest``, as the BVH's leaf scan does. Binning
+    needs every vertex in front of the eye, at a depth z_min > 2 beta z_max
+    (beta below). A unit-box mesh at CAMERA_DISTANCE has depths of at least
+    2 - sqrt(3)/2 ~ 1.13; a mesh that fails the bound is left to the BVH.
+
+    Margin. ``ray_triangle_intersections`` counts a hit where the
+    barycentric weights (1 - u - v, u, v) it computes are all >= -RAY_EPS.
+    With D = |eye| + R, R the farthest vertex's distance to the eye, u and
+    v are dot products of vectors no longer than 2D divided by det, and
+    |det| > RAY_EPS on a hit; so rounding moves each by at most
+    40 eps D^2 / RAY_EPS (eps the float64 epsilon), and the exact weights
+    of the ray's crossing with the face's plane are all >= -beta, where
+    beta = RAY_EPS + 80 eps D^2 / RAY_EPS. The crossing lies on the ray,
+    which projects onto its pixel centre. A point with weights w_k on
+    corners at depths z_k projects to the combination of the corners'
+    projections with weights w_k z_k / sum_j w_j z_j; at most two w_k are
+    negative and sum_j w_j z_j >= z_min - 2 beta z_max, so the point lies
+    at most 2 beta z_max / (z_min - 2 beta z_max) box widths outside the
+    corners' box on each axis. The projection rounds each pixel coordinate,
+    and the ray's direction its pixel centre, by less than
+    64 eps (1 + D / z_min)^2 (s + w + h) pixels, s the pixels per unit of
+    x / z; both terms widen every box.
+    """
+    w, h = resolution
+    origins, dirs = camera_rays(camera, resolution)
+    eye, forward, right, true_up, half_extent = _camera_frame(camera)
+    rel = mesh.vertices - eye
+    depth = (rel * forward).sum(axis=1)
+    scale = h / (2.0 * half_extent)  # pixels per unit of x / z
+    col = (rel * right).sum(axis=1) / depth * scale + (w / 2.0 - 0.5)
+    row = (rel * true_up).sum(axis=1) / depth * scale + (h / 2.0 - 0.5)
+
+    reach = np.linalg.norm(eye) + np.sqrt((rel * rel).sum(axis=1).max())
+    beta = RAY_EPS + 80 * _EPS * reach ** 2 / RAY_EPS
+    z_min, z_max = depth.min(), depth.max()
+    if not z_min > 2 * beta * z_max:
+        faces, _ = mesh.bvh.first_hits(origins, dirs)
+        return np.unique(faces[faces >= 0])
+    grow = 2 * beta * z_max / (z_min - 2 * beta * z_max)
+    pad = 64 * _EPS * (1 + reach / z_min) ** 2 * (scale + w + h)
+
+    def pixels(coord, n):
+        """First pixel and pixel count of each face's widened box."""
+        c = coord[mesh.faces]
+        lo, hi = c.min(axis=1), c.max(axis=1)
+        margin = grow * (hi - lo) + pad
+        first = np.clip(np.ceil(lo - margin), 0, n)
+        last = np.clip(np.floor(hi + margin), -1, n - 1)
+        return first.astype(np.int64), np.maximum(last - first + 1,
+                                                  0).astype(np.int64)
+
+    col0, n_col = pixels(col, w)
+    row0, n_row = pixels(row, h)
+    n_pairs = n_col * n_row
+    end = np.cumsum(n_pairs)
+    total = int(end[-1])
+    a, b, c = mesh.face_corners()
+    best_t = np.full(w * h, np.inf)
+    best_face = np.full(w * h, -1, dtype=np.int64)
+    for s in range(0, total, _SCAN_PAIRS):
+        pair = np.arange(s, min(s + _SCAN_PAIRS, total))
+        face = np.searchsorted(end, pair, side="right")
+        k = pair - (end[face] - n_pairs[face])
+        ray = ((row0[face] + k // n_col[face]) * w + col0[face]
+               + k % n_col[face])
+        t = ray_triangle_intersections(origins[ray], dirs[ray], a[face],
+                                       b[face], c[face])
+        hit = np.isfinite(t)
+        _keep_lowest(ray[hit], face[hit], t[hit], best_t, best_face)
+    return np.unique(best_face[best_face >= 0])
 
 
 def extract_partial(mesh, hit_faces, camera, parent):
@@ -177,8 +273,7 @@ def _scan(normalized, parent, camera, resolution, cache):
 def generate_partial(mesh, rng, resolution, cache=None):
     """Partial shape from a random camera; resamples the camera after an
     empty scan, up to SCAN_ATTEMPTS cameras."""
-    # normalized once: the normalized mesh builds its BVH on first use
-    normalized = geo.normalize_to_unit_box(mesh)
+    normalized = geo.normalize_to_unit_box(mesh)  # once, for every camera
     for _ in range(SCAN_ATTEMPTS):
         camera = sample_camera(rng)
         try:
@@ -238,7 +333,7 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng, resolution,
         raise ValueError("need 0 <= min_overlap < max_overlap <= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
-    # normalized once: each normalized mesh builds its BVH on first use
+    # normalized once, for every attempt
     nx = geo.normalize_to_unit_box(mx)
     ny = geo.normalize_to_unit_box(_align_to(my, mx, corr_xy))
 
@@ -295,7 +390,9 @@ class RaycastCache(ContentStore):
         return super().load(mesh, camera, resolution)
 
     def read(self, paths, mesh, camera, resolution):
-        return np.load(paths[0])
+        # mapped, not read: a header that claims more data than the file
+        # holds raises ValueError instead of allocating what it claims
+        return np.array(np.load(paths[0], mmap_mode="r"))
 
     def write(self, paths, hit_faces):
         np.save(paths[0], np.asarray(hit_faces, dtype=np.int64))

@@ -48,6 +48,22 @@ def ray_triangle_intersections(origins, directions, a, b, c):
     return np.where(ok, t, np.inf)
 
 
+def _keep_lowest(row, face, key, best, best_face):
+    """Lower best/best_face[row[i]] to (key[i], face[i]) where key[i] is
+    lower, or equal with a lower face index: over any split of the pairs
+    into calls, each row keeps its lowest (key, face)."""
+    order = np.lexsort((face, key, row))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = row[order[1:]] != row[order[:-1]]
+    win = order[first]
+    row, face, key = row[win], face[win], key[win]
+    # a miss (key inf) never replaces: its face is above best's -1
+    better = (key < best[row]) | (
+        (key == best[row]) & (face < best_face[row]))
+    best[row[better]] = key[better]
+    best_face[row[better]] = face[better]
+
+
 def exhaustive_first_hits(mesh, origins, directions):
     """Brute-force first hits over all faces; the BVH oracle."""
     a, b, c = mesh.face_corners()
@@ -216,8 +232,8 @@ class TriangleBVH:
             q, node = np.tile(q, 2), np.concatenate([child, child + 1])
 
     def _scan_leaves(self, q, node, keys, best, best_face):
-        """Lower best/best_face[q[i]] to the faces of leaf node[i] whose
-        ``keys(query, face)`` is lower, or equal with a lower face index.
+        """Lower best/best_face[q[i]] to the faces of leaf node[i] by
+        ``_keep_lowest``, each keyed by ``keys(query, face)``.
 
         Works in chunks of at most _QUERY_PAIRS (query, face) pairs.
         """
@@ -227,17 +243,7 @@ class TriangleBVH:
             valid = table >= 0
             row = np.broadcast_to(q[s:s + step, None], table.shape)[valid]
             face = table[valid]
-            key = keys(row, face)
-            order = np.lexsort((face, key, row))
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = row[order[1:]] != row[order[:-1]]
-            win = order[first]
-            row, face, key = row[win], face[win], key[win]
-            # a miss (key inf) never replaces: its face is above best's -1
-            better = (key < best[row]) | (
-                (key == best[row]) & (face < best_face[row]))
-            best[row[better]] = key[better]
-            best_face[row[better]] = face[better]
+            _keep_lowest(row, face, keys(row, face), best, best_face)
 
 
 def _median_split_tree(lo, hi, centroids):

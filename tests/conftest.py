@@ -7,6 +7,8 @@ import pytest
 import scipy
 
 from shapecorr.meshes import Mesh
+from shapecorr.scanning import camera_rays
+from shapecorr.spatial import exhaustive_first_hits
 
 
 def icosahedron():
@@ -76,6 +78,18 @@ def grid_plane(n=10, size=1.0):
             faces.append([k, k + 1, k + n + 2])
             faces.append([k, k + n + 2, k + n + 1])
     return Mesh(vv, np.array(faces, dtype=np.int64), id=f"grid{n}")
+
+
+def exhaustive_scan(mesh, camera, resolution):
+    """The distinct faces ``exhaustive_first_hits`` gives for the rays of
+    ``camera_rays``, sorted, about 2**16 (ray, face) pairs at a time: the
+    oracle of ``scanning.cast_scan``."""
+    origins, dirs = camera_rays(camera, resolution)
+    step = max(1, (1 << 16) // mesh.n_faces)
+    faces = np.concatenate([
+        exhaustive_first_hits(mesh, origins[s:s + step], dirs[s:s + step])[0]
+        for s in range(0, len(origins), step)])
+    return np.unique(faces[faces >= 0])
 
 
 def floyd_warshall_distances(mesh):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
+from shapecorr import scanning
 from shapecorr.config import GenerationConfig
 from shapecorr.corrio import load_correspondence
 from shapecorr.decimate import remesh_with_correspondence
@@ -25,8 +26,9 @@ from shapecorr.scanning import generate_partial, generate_partial_pair
 from shapecorr.spatial import TriangleBVH, exhaustive_first_hits
 from shapecorr.textio import read_key_values
 
-from conftest import (bumpy_sphere, digest_tree, floyd_warshall_distances,
-                      grid_plane, icosphere, random_rigid, require_golden_build)
+from conftest import (bumpy_sphere, digest_tree, exhaustive_scan,
+                      floyd_warshall_distances, grid_plane, icosphere,
+                      random_rigid, require_golden_build)
 
 
 def random_corr(mesh, rng, unmatched_frac=0.0):
@@ -298,26 +300,15 @@ def test_criterion_9_pinned_digest(tmp_path, setting):
     assert digest_tree(tmp_path) == GOLDEN_DIGESTS[setting]
 
 
-# a step of the exhaustive references below scores about this many
-# (query, face) pairs
+# a step of the exhaustive nearest-point reference below scores about
+# this many (point, face) pairs, as a step of ``exhaustive_scan`` does
 _PAIRS_PER_STEP = 1 << 16
 
 
 def _steps(n, n_faces):
-    """Slices of n queries, one per step of the exhaustive references."""
+    """Slices of n queries, one per step of the exhaustive reference."""
     step = max(1, _PAIRS_PER_STEP // n_faces)
     return [slice(s, s + step) for s in range(0, n, step)]
-
-
-def _exhaustive_first_hits(bvh, origins, directions):
-    """``TriangleBVH.first_hits`` as ``exhaustive_first_hits`` over the
-    BVH's mesh, a step of rays at a time."""
-    faces = np.empty(len(origins), dtype=np.int64)
-    best_t = np.empty(len(origins))
-    for s in _steps(len(origins), bvh.mesh.n_faces):
-        faces[s], best_t[s] = exhaustive_first_hits(bvh.mesh, origins[s],
-                                                    directions[s])
-    return faces, best_t
 
 
 def _exhaustive_nearest_points(bvh, points):
@@ -341,11 +332,12 @@ def _exhaustive_nearest_points(bvh, points):
 
 
 def test_criterion_9_oracle_run(tmp_path, monkeypatch):
-    """The P2P criterion-9 tree, made with both BVH queries swapped for
-    their exhaustive references, equals the pinned digest: the fast paths
-    give the reference semantics over a whole tree, and a digest that
-    moves in ``test_criterion_9_pinned_digest`` but not here moved in the
-    BVH."""
+    """The P2P criterion-9 tree, made with the binned scan and the BVH's
+    nearest-point query swapped for their exhaustive references, equals
+    the pinned digest: the fast paths give the reference semantics over a
+    whole tree, and a digest that moves in
+    ``test_criterion_9_pinned_digest`` but not here moved in one of
+    them."""
     require_golden_build()
     build = TriangleBVH.__init__
 
@@ -353,18 +345,18 @@ def test_criterion_9_oracle_run(tmp_path, monkeypatch):
         build(bvh, mesh)
         bvh.mesh = mesh
     monkeypatch.setattr(TriangleBVH, "__init__", keep_mesh)
-    calls = {"first_hits": 0, "nearest_points": 0}
+    calls = {"_hit_faces": 0, "nearest_points": 0}
 
-    def counted(name, reference):
+    def counted(owner, name, reference):
         def query(*args):
             calls[name] += 1
             return reference(*args)
-        monkeypatch.setattr(TriangleBVH, name, query)
-    counted("first_hits", _exhaustive_first_hits)
-    counted("nearest_points", _exhaustive_nearest_points)
+        monkeypatch.setattr(owner, name, query)
+    counted(scanning, "_hit_faces", exhaustive_scan)
+    counted(TriangleBVH, "nearest_points", _exhaustive_nearest_points)
     net, manifest = _toy_world()
     run_generation(_criterion_9_config(), net, manifest, tmp_path)
-    assert calls["first_hits"] and calls["nearest_points"]
+    assert calls["_hit_faces"] and calls["nearest_points"]
     assert digest_tree(tmp_path) == GOLDEN_DIGESTS["partial_partial"]
 
 

@@ -13,7 +13,7 @@ from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
                                 sample_constrained_pair)
 from shapecorr.spatial import exhaustive_first_hits
 
-from conftest import bumpy_sphere, icosphere, random_rigid
+from conftest import bumpy_sphere, exhaustive_scan, icosphere, random_rigid
 
 
 def sphere_pair(subdiv=2, seed=99):
@@ -125,6 +125,87 @@ class TestCastScan:
         cam = CameraPose(azimuth=0.3, elevation=0.2)
         hit = cast_scan(m, cam, resolution=(128, 128))
         assert 0 < len(hit) < m.n_faces
+
+
+class TestBinnedHits:
+    """``cast_scan`` bins each face into the pixels its projected box
+    covers; its hit faces equal the distinct faces of
+    ``exhaustive_first_hits`` on the same rays."""
+
+    @staticmethod
+    def assert_exact(mesh, camera, resolution):
+        hit = cast_scan(mesh, camera, resolution)
+        np.testing.assert_array_equal(
+            hit, exhaustive_scan(mesh, camera, resolution))
+        assert "bvh" not in mesh.__dict__  # binned: no BVH was built
+        return hit
+
+    @staticmethod
+    def on_rays(camera, resolution, ray, scale):
+        """Points on the rays ``ray`` of ``camera_rays``, each ``scale``
+        times the eye's distance from the eye."""
+        origins, dirs = camera_rays(camera, resolution)
+        return origins[ray] + dirs[ray] * (np.asarray(scale) * camera.distance)
+
+    def test_vertices_and_edges_on_pixel_centres(self):
+        # a grid on the rays of every second pixel: every other ray passes
+        # exactly through one of its vertices or along one of its edges,
+        # where faces tie
+        cam, n = CameraPose(0.4, 0.3), 16
+        idx = np.arange(1, 32, 2)
+        ray = (idx[:, None] * 32 + idx[None, :]).ravel()
+        v = self.on_rays(cam, (32, 32), ray, 1.0)
+        k = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+        faces = np.concatenate([np.stack([k, k + 1, k + n + 1], axis=1),
+                                np.stack([k, k + n + 1, k + n], axis=1)])
+        assert len(self.assert_exact(Mesh(v, faces), cam, (32, 32))) > 0
+
+    def test_slivers_and_edge_on_faces(self, rng):
+        # each face has a corner on a pixel-centre ray; a sliver's third
+        # corner lies within 1e-7 of its opposite edge, and an edge-on
+        # face's plane holds the eye to within 1e-12..1e-7, so |det| lands
+        # on both sides of RAY_EPS
+        cam, n = CameraPose(1.1, -0.2), 80
+        a = self.on_rays(cam, (32, 32), rng.choice(1024, n, replace=False),
+                         rng.uniform(0.8, 1.2, (n, 1)))
+        b = a + rng.normal(size=(n, 3)) * 0.15
+        sliver = (a + rng.uniform(0, 1, (n, 1)) * (b - a)
+                  + rng.normal(size=(n, 3)) * 1e-7)
+        edge_on = (a + (a - cam.position) * rng.uniform(-0.3, 0.3, (n, 1))
+                   + rng.normal(size=(n, 3))
+                   * 10.0 ** rng.uniform(-12, -7, (n, 1)))
+        i = np.arange(n)
+        faces = np.concatenate([np.stack([i, i + n, i + 2 * n], axis=1),
+                                np.stack([i, i + n, i + 3 * n], axis=1)])
+        m = Mesh(np.concatenate([a, b, sliver, edge_on]), faces)
+        assert len(self.assert_exact(m, cam, (32, 32))) > 0
+
+    @pytest.mark.parametrize("camera,resolution", [
+        (CameraPose(0.7, np.pi / 2), (32, 32)),
+        (CameraPose(5.0, -np.pi / 2), (32, 32)),
+        (CameraPose(0.7, np.deg2rad(86.0)), (32, 32)),  # past the pole
+        (CameraPose(2.0, 0.4), (40, 24)),
+        (CameraPose(4.0, -0.9), (24, 40)),
+        (CameraPose(0.3, 0.2), (256, 256)),
+    ])
+    def test_matches_exhaustive(self, camera, resolution):
+        m = geo.normalize_to_unit_box(bumpy_sphere(2))
+        assert len(self.assert_exact(m, camera, resolution)) > 0
+
+    def test_random_cameras(self):
+        m = geo.normalize_to_unit_box(bumpy_sphere(2))
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            self.assert_exact(m, sample_camera(rng), (32, 32))
+
+    def test_mesh_across_the_eye_plane_uses_the_bvh(self):
+        # scaled past the camera: some vertices lie behind the eye
+        m = geo.normalize_to_unit_box(bumpy_sphere(2))
+        big = m.with_vertices(m.vertices * 5.0)
+        cam = CameraPose(0.3, 0.2)
+        np.testing.assert_array_equal(cast_scan(big, cam, (32, 32)),
+                                      exhaustive_scan(big, cam, (32, 32)))
+        assert "bvh" in big.__dict__
 
 
 class TestExtractPartial:
@@ -282,9 +363,9 @@ class TestGeneratePartial:
         np.testing.assert_array_equal(p.mesh.vertices,
                                       m.vertices[p.parent_vertex])
 
-    def test_one_bvh_build_across_empty_scans(self, monkeypatch):
-        # the first two cameras see nothing; all three scan one normalized
-        # mesh, so one BVH serves them
+    def test_no_bvh_build_across_empty_scans(self, monkeypatch):
+        # the first two cameras see nothing; all three scans bin their
+        # faces, so none builds a BVH
         builds, attempts = [], []
         extract = scanning.extract_partial
 
@@ -304,7 +385,7 @@ class TestGeneratePartial:
         p = generate_partial(icosphere(2), np.random.default_rng(12),
                              resolution=(32, 32))
         assert p.camera == attempts[2]
-        assert len(builds) == 1
+        assert builds == []
 
 
 class TestGeneratePartialPair:
@@ -344,7 +425,7 @@ class TestGeneratePartialPair:
         assert r1[1].mesh == r2[1].mesh
         assert r1[2].frac_x_to_y == r2[2].frac_x_to_y
 
-    def test_one_bvh_build_per_shape(self, monkeypatch):
+    def test_no_bvh_build(self, monkeypatch):
         # an overlap window no attempt reaches makes all m attempts run
         builds = []
 
@@ -360,7 +441,7 @@ class TestGeneratePartialPair:
                                          np.random.default_rng(24),
                                          resolution=(32, 32))
         assert not st.within_range
-        assert sorted(builds) == ["pairx", "pairy"]
+        assert builds == []
 
     def test_degenerate_correspondence_rejected(self):
         mx, my, cxy, cyx = sphere_pair()
@@ -402,3 +483,18 @@ class TestRaycastCache:
         cache = RaycastCache(tmp_path / "rays", use=True, update=False)
         cast_scan(m, cam, (16, 16), cache=cache)
         assert not (tmp_path / "rays").exists()
+
+    def test_oversized_header_is_a_miss(self, tmp_path):
+        # a header that claims more data than the file holds reads as a
+        # miss, so the scan is cast again
+        m = geo.normalize_to_unit_box(icosphere(2))
+        cam = CameraPose(0.5, 0.1)
+        cache = RaycastCache(tmp_path / "rays")
+        fresh = cast_scan(m, cam, (48, 48), cache=cache)
+        path, = (tmp_path / "rays").glob("*.npy")
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(f, {
+                "descr": "<i8", "fortran_order": False, "shape": (2 ** 40,)})
+            f.write(fresh.tobytes())
+        np.testing.assert_array_equal(cast_scan(m, cam, (48, 48), cache=cache),
+                                      fresh)

@@ -42,7 +42,7 @@ def test_imports_without_running(name, load, capsys):
 
 def test_record_pins_every_case(load):
     record = load("paper_record.py")
-    assert len(record.CASES) == 12
+    assert len(record.CASES) == 14
     assert list(record.PINNED) == list(record.CASES)
 
 
@@ -64,10 +64,11 @@ def test_default_manifest_rebuilds_shipped_file(load, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["TriangleBVH build", "scan 0", "scan 1",
+                                  "cast_scan 0", "cast_scan 1",
                                   "nearest_points"])
 def test_record_bvh_case_matches_pin(name, load):
-    """The record's four BVH cases, run in this process: a renamed tree
-    array or a moved hit shows here, not only in a full record run."""
+    """The record's BVH and scan cases, run in this process: a renamed
+    tree array or a moved hit shows here, not only in a full record run."""
     require_golden_build()
     record = load("paper_record.py")
     make, *args = record.CASES[name]
