@@ -6,9 +6,10 @@ pixel grid of rays; first-hit faces forming the largest connected component
 mutual overlap fraction lands in a configured range.
 
 A scan finds its first hits by binning each face into the pixels its
-projected box covers and intersecting only those (ray, face) pairs, so it
-builds no BVH. Its hit faces equal those of ``TriangleBVH.first_hits``,
-which still answers for a mesh that reaches the eye's plane.
+projected box covers and intersecting only those (ray, face) pairs; its
+hit faces are those of exhaustive first-hit search over every face. Binning
+needs every vertex in front of the eye, which a unit-box mesh is: a mesh
+that reaches the eye's plane raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def sample_constrained_pair(rng, alpha):
         raise ValueError("alpha must be positive")
     first = sample_camera(rng)
     az = (first.azimuth + rng.uniform(-alpha, alpha)) % (2 * np.pi)
+    # a sum a hair below 0 wraps to 2pi exactly, outside [0, 2pi)
+    az = 0.0 if az == 2 * np.pi else az
     el = np.clip(first.elevation + rng.uniform(-alpha, alpha),
                  -np.pi / 2, np.pi / 2)
     return first, CameraPose(az, el)
@@ -152,7 +155,10 @@ def camera_rays(camera, resolution):
 
 def cast_scan(mesh, camera, resolution, cache=None):
     """First-hit faces of a pixel-grid scan; the mesh is expected to be
-    unit-box normalized. Returns a sorted int64 array of face indices."""
+    unit-box normalized. Returns a sorted int64 array of face indices.
+
+    Raises ValueError for a mesh with a vertex at or behind the eye's plane
+    (``_hit_faces`` states the bound), which no unit-box mesh has."""
     if cache is not None:
         cached = cache.load(mesh, camera, resolution)
         if cached is not None:
@@ -164,16 +170,17 @@ def cast_scan(mesh, camera, resolution, cache=None):
 
 
 def _hit_faces(mesh, camera, resolution):
-    """The distinct faces that ``mesh.bvh.first_hits`` gives for the rays
-    of ``camera_rays``, sorted, as int64.
+    """The distinct faces hit first by the rays of ``camera_rays``, sorted,
+    as int64: over every face, each ray's lowest (t, face) by
+    ``ray_triangle_intersections``.
 
     Each face is binned into the pixels whose centres lie in its projected
     box, widened by the margin below, and only those (ray, face) pairs are
     intersected, ``_SCAN_PAIRS`` at a time; each ray keeps its lowest
-    (t, face) by ``_keep_lowest``, as the BVH's leaf scan does. Binning
-    needs every vertex in front of the eye, at a depth z_min > 2 beta z_max
-    (beta below). A unit-box mesh at CAMERA_DISTANCE has depths of at least
-    2 - sqrt(3)/2 ~ 1.13; a mesh that fails the bound is left to the BVH.
+    (t, face) by ``_keep_lowest``. Binning needs every vertex in front of
+    the eye, at a depth z_min > 2 beta z_max (beta below), and raises
+    ValueError otherwise. A unit-box mesh at CAMERA_DISTANCE has depths of
+    at least 2 - sqrt(3)/2 ~ 1.13, against a bound of about 2.4e-3.
 
     Margin. ``ray_triangle_intersections`` counts a hit where the
     barycentric weights (1 - u - v, u, v) it computes are all >= -RAY_EPS.
@@ -206,8 +213,9 @@ def _hit_faces(mesh, camera, resolution):
     beta = RAY_EPS + 80 * _EPS * reach ** 2 / RAY_EPS
     z_min, z_max = depth.min(), depth.max()
     if not z_min > 2 * beta * z_max:
-        faces, _ = mesh.bvh.first_hits(origins, dirs)
-        return np.unique(faces[faces >= 0])
+        raise ValueError(
+            f"a vertex lies at depth {z_min!r}, within {2 * beta * z_max!r} "
+            "of the eye's plane; a scan needs every vertex in front of it")
     grow = 2 * beta * z_max / (z_min - 2 * beta * z_max)
     pad = 64 * _EPS * (1 + reach / z_min) ** 2 * (scale + w + h)
 

@@ -2,10 +2,12 @@
 
 Answers first-hit ray queries (identical to exhaustive Moller-Trumbore
 intersection) and nearest surface point queries (identical to the
-exhaustive per-face minimum), ties broken by lowest face index. Both walk
-the tree breadth-first over (query, node) pairs, a chunk of queries at a
-time, and reduce each leaf they reach to the lowest (key, face) per query:
-the key is the hit parameter t of a ray, the squared distance of a point.
+exhaustive per-face minimum), ties broken by lowest face index. Those
+exhaustive references live in ``tests/conftest.py``, beside the tests that
+compare the tree against them. Both queries walk the tree breadth-first
+over (query, node) pairs, a chunk of queries at a time, and reduce each
+leaf they reach to the lowest (key, face) per query: the key is the hit
+parameter t of a ray, the squared distance of a point.
 The tree is built level by level too, and numbers its nodes in that level
 order: a node's two children sit side by side, at ``node_child``, and each
 node has its own row of ``node_faces``.
@@ -64,17 +66,6 @@ def _keep_lowest(row, face, key, best, best_face):
     best_face[row[better]] = face[better]
 
 
-def exhaustive_first_hits(mesh, origins, directions):
-    """Brute-force first hits over all faces; the BVH oracle."""
-    a, b, c = mesh.face_corners()
-    t = ray_triangle_intersections(
-        np.asarray(origins, dtype=np.float64)[:, None],
-        np.asarray(directions, dtype=np.float64)[:, None], a, b, c)
-    k = np.argmin(t, axis=1)  # argmin keeps the lowest face index on ties
-    best_t = t[np.arange(len(t)), k]
-    return np.where(np.isfinite(best_t), k, -1), best_t
-
-
 class TriangleBVH:
     """Median-split BVH stored in flat arrays.
 
@@ -112,7 +103,9 @@ class TriangleBVH:
     # --- ray queries ---
 
     def first_hits(self, origins, directions):
-        """First-hit (face, t) for each ray; face -1 and t +inf on miss."""
+        """First-hit (face, t) for each ray; face -1 and t +inf on miss.
+        Equal to the exhaustive reference ``exhaustive_first_hits`` of
+        ``tests/conftest.py``."""
         origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
         n = len(origins)
@@ -158,10 +151,11 @@ class TriangleBVH:
     def nearest_points(self, points):
         """Globally nearest surface point to each of ``points`` (n, 3).
 
-        Returns (faces (n,), barycentric (n, 3)), equal to
-        ``brute_force_nearest`` row by row: ties on exact squared distance
-        go to the lowest face index. Points are taken in fixed-size chunks,
-        so extra memory does not grow with n.
+        Returns (faces (n,), barycentric (n, 3)), equal to the exhaustive
+        reference ``exhaustive_nearest_points`` of ``tests/conftest.py``:
+        ties on exact squared distance go to the lowest face index. Points
+        are taken in fixed-size chunks, so extra memory does not grow with
+        n.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
@@ -298,12 +292,3 @@ def _median_split_tree(lo, hi, centroids):
     node_child = np.full(len(start), -1, dtype=np.int64)
     node_child[inner] = 1 + 2 * np.arange(inner.sum())
     return order, node_min, node_max, node_child, start, size
-
-
-def brute_force_nearest(mesh, p):
-    """Exhaustive all-faces nearest point; oracle for BVH nearest queries."""
-    a, b, c = mesh.face_corners()
-    pts, bary = closest_points_on_triangles(np.asarray(p, dtype=np.float64), a, b, c)
-    d2 = ((pts - p) ** 2).sum(axis=1)
-    f = int(np.argmin(d2))  # argmin returns the first (lowest) index on ties
-    return f, pts[f], bary[f]

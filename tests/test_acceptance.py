@@ -4,6 +4,7 @@ Each test is one criterion; together they gate the whole package.
 """
 
 import dataclasses
+import importlib
 import shutil
 import time
 
@@ -15,7 +16,7 @@ from shapecorr import scanning
 from shapecorr.config import GenerationConfig
 from shapecorr.corrio import load_correspondence
 from shapecorr.decimate import remesh_with_correspondence
-from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
+from shapecorr.meshes import (DenseCorrespondence, Mesh,
                               identity_correspondence)
 from shapecorr.metrics import evaluate_instance, geodesic_error
 from shapecorr.network import ShapeNetwork, ShapeNode, compose
@@ -23,23 +24,13 @@ from shapecorr.pairs import (PairSpec, ShapeRecord, SplitManifest,
                              default_split_manifest, enumerate_pairs)
 from shapecorr.pipeline import run_generation
 from shapecorr.scanning import generate_partial, generate_partial_pair
-from shapecorr.spatial import TriangleBVH, exhaustive_first_hits
 from shapecorr.textio import read_key_values
 
-from conftest import (bumpy_sphere, digest_tree, exhaustive_scan,
+from conftest import (bumpy_sphere, digest_tree, exhaustive_first_hits,
+                      exhaustive_nearest_points, exhaustive_scan,
                       floyd_warshall_distances, grid_plane, icosphere,
-                      random_rigid, require_golden_build)
-
-
-def random_corr(mesh, rng, unmatched_frac=0.0):
-    n = mesh.n_vertices
-    faces = rng.integers(0, mesh.n_faces, size=n).astype(np.int64)
-    w = rng.dirichlet(np.ones(3), size=n)
-    if unmatched_frac:
-        drop = rng.random(n) < unmatched_frac
-        faces[drop] = UNMATCHED
-        w[drop] = 0.0
-    return DenseCorrespondence("src", mesh.id, faces, w)
+                      random_correspondence, random_rigid,
+                      require_golden_build, sequential_decimate)
 
 
 def test_criterion_1_metric_oracle_equivalence():
@@ -52,7 +43,7 @@ def test_criterion_1_metric_oracle_equivalence():
         assert mesh.n_vertices <= 60
         fw = floyd_warshall_distances(mesh)
         area = geo.surface_area(mesh)
-        gt = random_corr(mesh, rng)
+        gt = random_correspondence(mesh, rng)
         pred = rng.integers(0, mesh.n_vertices,
                             size=mesh.n_vertices).astype(np.int64)
         errors = geodesic_error(pred, gt, mesh, area, "full_full")
@@ -69,7 +60,7 @@ def test_criterion_2_metric_ceilings():
     rng = np.random.default_rng(1002)
     for setting, frac in (("full_full", 0.0), ("partial_full", 0.3),
                           ("partial_partial", 0.3)):
-        gt = random_corr(mesh, rng, unmatched_frac=frac)
+        gt = random_correspondence(mesh, rng, unmatched_frac=frac)
         pred = geo.snap_correspondence_to_vertices(gt, mesh)
         rep = evaluate_instance(mesh, gt, pred, setting,
                                 geo.surface_area(mesh))
@@ -186,9 +177,9 @@ def test_criterion_6_correspondence_algebra():
     # absorption on random chains
     for trial in range(5):
         length = int(rng.integers(2, 6))
-        acc = random_corr(base, rng, unmatched_frac=0.3)
+        acc = random_correspondence(base, rng, unmatched_frac=0.3)
         for _ in range(length - 1):
-            step = random_corr(base, rng, unmatched_frac=0.3)
+            step = random_correspondence(base, rng, unmatched_frac=0.3)
             step = DenseCorrespondence(acc.target_id, "src", step.faces,
                                        step.weights)
             nxt = compose(acc, step, base, base)
@@ -201,7 +192,7 @@ def test_criterion_7_invariance_suite():
     (1e-9 relative); normalize_area idempotent."""
     mesh = icosphere(1)
     rng = np.random.default_rng(1007)
-    gt = random_corr(mesh, rng, unmatched_frac=0.2)
+    gt = random_correspondence(mesh, rng, unmatched_frac=0.2)
     pred = rng.integers(0, mesh.n_vertices,
                         size=mesh.n_vertices).astype(np.int64)
     base = evaluate_instance(mesh, gt, pred, "partial_partial",
@@ -300,64 +291,41 @@ def test_criterion_9_pinned_digest(tmp_path, setting):
     assert digest_tree(tmp_path) == GOLDEN_DIGESTS[setting]
 
 
-# a step of the exhaustive nearest-point reference below scores about
-# this many (point, face) pairs, as a step of ``exhaustive_scan`` does
-_PAIRS_PER_STEP = 1 << 16
+# each fast path of generation, as (owner, name, its reference): the
+# package attribute ``shapecorr.decimate`` is the function, so the module
+# comes from importlib
+ORACLE_SWAPS = {
+    "scan": (scanning, "_hit_faces", exhaustive_scan),
+    "nearest": (geo, "project_points_to_surface",
+                lambda points, mesh: exhaustive_nearest_points(mesh, points)),
+    "decimate": (importlib.import_module("shapecorr.decimate"), "decimate",
+                 sequential_decimate),
+}
 
 
-def _steps(n, n_faces):
-    """Slices of n queries, one per step of the exhaustive reference."""
-    step = max(1, _PAIRS_PER_STEP // n_faces)
-    return [slice(s, s + step) for s in range(0, n, step)]
-
-
-def _exhaustive_nearest_points(bvh, points):
-    """``TriangleBVH.nearest_points`` as exhaustive per-point minima of
-    the squared distance over every face, each (point, face) pair keyed as
-    the walk keys it and ties going to the lowest face; the weights are
-    those of ``closest_points_on_triangles`` on the winning face."""
-    a, b, c = bvh.mesh.face_corners()
-    n_faces = len(a)
-    faces = np.empty(len(points), dtype=np.int64)
-    for s in _steps(len(points), n_faces):
-        p = np.repeat(points[s], n_faces, axis=0)  # query-major pairs
-        face = np.tile(np.arange(n_faces), len(points[s]))
-        near, _ = geo.closest_points_on_triangles(p, a[face], b[face],
-                                                  c[face])
-        d2 = ((near - p) ** 2).sum(axis=1)
-        faces[s] = np.argmin(d2.reshape(-1, n_faces), axis=1)
-    _, bary = geo.closest_points_on_triangles(points, a[faces], b[faces],
-                                              c[faces])
-    return faces, bary
-
-
-def test_criterion_9_oracle_run(tmp_path, monkeypatch):
-    """The P2P criterion-9 tree, made with the binned scan and the BVH's
-    nearest-point query swapped for their exhaustive references, equals
-    the pinned digest: the fast paths give the reference semantics over a
-    whole tree, and a digest that moves in
-    ``test_criterion_9_pinned_digest`` but not here moved in one of
-    them."""
+@pytest.mark.parametrize("swapped", [*ORACLE_SWAPS, "all"])
+def test_criterion_9_oracle_run(tmp_path, monkeypatch, bvh_builds, swapped):
+    """The P2P criterion-9 tree, made with one fast path (or all of them)
+    swapped at its seam for its reference, equals the pinned digest: the
+    fast paths give the reference semantics over a whole tree, and a
+    digest that moves in ``test_criterion_9_pinned_digest`` but not here
+    moved in a swapped path. With every path swapped, no BVH is built."""
     require_golden_build()
-    build = TriangleBVH.__init__
+    names = list(ORACLE_SWAPS) if swapped == "all" else [swapped]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner, attr, reference = ORACLE_SWAPS[name]
 
-    def keep_mesh(bvh, mesh):
-        build(bvh, mesh)
-        bvh.mesh = mesh
-    monkeypatch.setattr(TriangleBVH, "__init__", keep_mesh)
-    calls = {"_hit_faces": 0, "nearest_points": 0}
-
-    def counted(owner, name, reference):
-        def query(*args):
+        def counted(*args, name=name, reference=reference):
             calls[name] += 1
             return reference(*args)
-        monkeypatch.setattr(owner, name, query)
-    counted(scanning, "_hit_faces", exhaustive_scan)
-    counted(TriangleBVH, "nearest_points", _exhaustive_nearest_points)
+        monkeypatch.setattr(owner, attr, counted)
     net, manifest = _toy_world()
     run_generation(_criterion_9_config(), net, manifest, tmp_path)
-    assert calls["_hit_faces"] and calls["nearest_points"]
+    assert all(calls.values()), calls
     assert digest_tree(tmp_path) == GOLDEN_DIGESTS["partial_partial"]
+    if swapped == "all":
+        assert bvh_builds == []
 
 
 def test_criterion_9_overlap_is_matched_share(tmp_path):

@@ -1,5 +1,4 @@
 import hashlib
-import heapq
 import importlib
 import os
 from pathlib import Path
@@ -13,11 +12,13 @@ from shapecorr.decimate import (_SINGULAR_COND, RemeshCache,
                                 _face_quadrics, _well_conditioned,
                                 back_correspondence, decimate,
                                 remesh_with_correspondence)
-from shapecorr.meshes import Mesh, edge_incidence
-from shapecorr.spatial import brute_force_nearest
+from shapecorr.meshes import DenseCorrespondence, Mesh, edge_incidence
 
-from conftest import (COUNTS_PAST_THE_FILE, bumpy_sphere, grid_plane,
-                      icosphere, require_golden_build, set_corr_count)
+from conftest import (COUNTS_PAST_THE_FILE, bumpy_sphere,
+                      edges_in_face_order, exhaustive_nearest_points,
+                      grid_plane, icosphere, reference_flips_normal,
+                      reference_link_condition, require_golden_build,
+                      sequential_decimate, set_corr_count)
 
 
 def torus(n=12, m=8, big_r=1.0, small_r=0.4):
@@ -48,9 +49,9 @@ def test_grid_plane_distance_bound():
     out, _ = decimate(m, 50)
     assert out.n_vertices == 50
     diag = np.linalg.norm(m.vertices.max(axis=0) - m.vertices.min(axis=0))
-    for v in out.vertices:
-        _, pt, _ = brute_force_nearest(m, v)
-        assert np.linalg.norm(pt - v) < 0.02 * diag
+    faces, bary = exhaustive_nearest_points(m, out.vertices)
+    near = np.einsum("ij,ijk->ik", bary, m.vertices[m.faces[faces]])
+    assert (np.linalg.norm(near - out.vertices, axis=1) < 0.02 * diag).all()
 
 
 def test_icosphere_area_preserved():
@@ -188,21 +189,6 @@ def test_well_conditioned_matches_svd_rule(rng, monkeypatch):
     assert 0 < sum(want) < len(rows)
 
 
-def reference_flips_normal(st, i, j, pos):
-    for vid in (i, j):
-        for fi in st.vertex_faces[vid]:
-            f = st.faces[fi]
-            if i in f and j in f:
-                continue
-            pts = [pos if vv == vid else st.v[vv] for vv in f]
-            n_new = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-            old = [st.v[vv] for vv in f]
-            n_old = np.cross(old[1] - old[0], old[2] - old[0])
-            if n_new @ n_old <= 0:
-                return True
-    return False
-
-
 def reference_boundary_quadrics(vertices, faces):
     """{vertex: quadric sum}, one boundary edge at a time, i before j."""
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
@@ -281,17 +267,6 @@ def test_vertex_quadrics_match_per_face_sum(mesh):
                                              mesh.faces).items():
         Q[vv] += q
     assert Q.tobytes() == st.Q.tobytes()
-
-
-def edges_in_face_order(mesh):
-    """Every edge once as (lo, hi), in order of first appearance in the
-    face list."""
-    out = []
-    for f in mesh.faces.tolist():
-        for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
-            if (min(a, b), max(a, b)) not in out:
-                out.append((min(a, b), max(a, b)))
-    return out
 
 
 @pytest.mark.parametrize("mesh", [bumpy_sphere(2), grid_plane(6), bowtie()],
@@ -377,47 +352,6 @@ def test_flips_normal_matches_per_face_loop(mesh, rng):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-# the plain sequential collapse loop that decimate's windows reproduce
-
-
-def reference_link_condition(st, i, j):
-    shared_faces = st.vertex_faces[i] & st.vertex_faces[j]
-    shared_verts = st.neighbors(i) & st.neighbors(j)
-    third = set()
-    for fi in shared_faces:
-        third.update(v for v in st.faces[fi] if v not in (i, j))
-    return shared_verts == third and len(shared_faces) in (1, 2)
-
-
-def sequential_decimate(mesh, target):
-    """One collapse per pop: pop in (cost, seq) order, skip a stale or
-    invalid entry, else collapse and price the edges around the kept
-    vertex with consecutive seq."""
-    st = _DecimationState(mesh)
-    heap = st.edge_entries(np.array(edges_in_face_order(mesh)), 0)
-    heapq.heapify(heap)
-    seq = len(heap)
-    while st.n_alive > target and heap:
-        _, _, i, j, vi, vj, *pos = heapq.heappop(heap)
-        if vi != st.version[i] or vj != st.version[j]:
-            continue
-        if j not in st.neighbors(i) or not reference_link_condition(st, i, j):
-            continue
-        if reference_flips_normal(st, i, j, np.array(pos)):
-            continue
-        st.collapse(i, j, pos)
-        ks = sorted(st.neighbors(i))
-        pairs = np.array([(min(i, k), max(i, k)) for k in ks], dtype=np.int64)
-        for entry in st.edge_entries(pairs.reshape(-1, 2), seq):
-            heapq.heappush(heap, entry)
-        seq += len(pairs)
-    keep = np.flatnonzero(st.alive_v)
-    remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    faces = [[remap[v] for v in f] for _, f in sorted(st.faces.items())]
-    return st.v[keep], np.array(faces, dtype=np.int64), keep
-
-
 def flat_and_curved(n=6, bend=0.5):
     """A grid plane whose x > 0.5 half bends up into a parabola. Costs in
     the flat half are rounding-level (about -1e-17): a collapse there can
@@ -448,9 +382,9 @@ WINDOW_CASES += [(flat_and_curved(), t) for t in (46, 41, 30)]
     ids=[f"{m.id}-{m.n_vertices}-{t}" for m, t in WINDOW_CASES])
 def test_windows_match_sequential_loop(mesh, target):
     out, keep = decimate(mesh, target)
-    vertices, faces, want_keep = sequential_decimate(mesh, target)
-    assert out.vertices.tobytes() == vertices.tobytes()
-    assert out.faces.tobytes() == faces.tobytes()
+    want, want_keep = sequential_decimate(mesh, target)
+    assert out.vertices.tobytes() == want.vertices.tobytes()
+    assert out.faces.tobytes() == want.faces.tobytes()
     assert keep.tobytes() == want_keep.tobytes()
 
 
@@ -530,12 +464,8 @@ class TestBackCorrespondence:
     def test_within_brute_force_distance(self):
         m = icosphere(2)
         dec, _ = decimate(m, 60)
-        corr = back_correspondence(dec, m)
-        pos = geo.evaluate_correspondence(corr, m)
-        for i, v in enumerate(dec.vertices):
-            _, pt, _ = brute_force_nearest(m, v)
-            assert np.linalg.norm(pos[i] - v) == pytest.approx(
-                np.linalg.norm(pt - v), abs=1e-9)
+        assert back_correspondence(dec, m) == DenseCorrespondence(
+            dec.id, m.id, *exhaustive_nearest_points(m, dec.vertices))
 
 
 class TestRemeshWithCorrespondence:

@@ -7,10 +7,9 @@ from scipy.sparse import csgraph
 from shapecorr import geometry as geo
 from shapecorr.meshes import DenseCorrespondence, Mesh
 from shapecorr.scanning import CameraPose, cast_scan
-from shapecorr.spatial import brute_force_nearest
 
-from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
-                      icosphere, random_rigid)
+from conftest import (bumpy_sphere, exhaustive_nearest_points,
+                      floyd_warshall_distances, icosphere, random_rigid)
 
 
 class TestSurfaceArea:
@@ -274,12 +273,9 @@ class TestProjection:
         m = bumpy_sphere(2)
         pts = rng.normal(size=(1000, 3))
         faces, bary = geo.project_points_to_surface(pts, m)
-        got = surface_positions(m, faces, bary)
-        for p, f, g in zip(pts, faces, got):
-            f_o, pt_o, _ = brute_force_nearest(m, p)
-            assert np.linalg.norm(g - p) == pytest.approx(
-                np.linalg.norm(pt_o - p), abs=1e-12)
-            assert f == f_o
+        want_faces, want_bary = exhaustive_nearest_points(m, pts)
+        np.testing.assert_array_equal(faces, want_faces)
+        assert bary.tobytes() == want_bary.tobytes()
 
 
 class TestEvaluateSurfacePoint:

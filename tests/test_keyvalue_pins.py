@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 
 from shapecorr import geometry as geo
+from shapecorr import metrics
 from shapecorr.cli import main
 from shapecorr.config import GenerationConfig
 from shapecorr.corrio import save_correspondence
@@ -17,7 +18,8 @@ from shapecorr.meshes import DenseCorrespondence, UNMATCHED
 from shapecorr.meshio import save_mesh
 from shapecorr.metrics import evaluate_instance, write_report
 
-from conftest import bumpy_sphere, icosphere, require_golden_build
+from conftest import (bumpy_sphere, full_matrix_geodesic_error, icosphere,
+                      require_golden_build)
 
 # sha256 of each file's bytes, measured on conftest.GOLDEN_BUILD
 PINS = {
@@ -102,6 +104,25 @@ def test_summary_bytes_pinned(tmp_path):
     assert main(["evaluate", "--instances", str(inst), "--predictions",
                  str(preds), "--output", str(out)]) == 0
     assert sha256(out / "summary.txt") == PINS["summary"]
+
+
+def test_evaluation_pins_hold_with_reference_geodesics(tmp_path,
+                                                      monkeypatch):
+    """The report and summary pins hold with ``metrics.geodesic_error``
+    swapped for the full-matrix Dijkstra reference: the chunked,
+    chord-bounded searches give its errors over whole files."""
+    calls = []
+
+    def reference(*args):
+        calls.append(args[-1])
+        return full_matrix_geodesic_error(*args)
+
+    monkeypatch.setattr(metrics, "geodesic_error", reference)
+    for name in ("report", "summary"):
+        (tmp_path / name).mkdir()
+    test_report_bytes_pinned(tmp_path / "report")
+    test_summary_bytes_pinned(tmp_path / "summary")
+    assert calls == ["full_full", "partial_partial"] * 2
 
 
 def test_remesh_cache_meta_bytes_pinned(tmp_path):

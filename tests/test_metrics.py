@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csgraph
 
 from shapecorr import geometry as geo
 from shapecorr import metrics
@@ -16,19 +15,9 @@ from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
                                load_prediction, lr_accuracy, write_report)
 from shapecorr.textio import key_value_text, write_atomic
 
-from conftest import (bumpy_sphere, floyd_warshall_distances, grid_plane,
-                      icosphere)
-
-
-def random_correspondence(mesh, rng, unmatched_frac=0.0):
-    n = mesh.n_vertices
-    faces = rng.integers(0, mesh.n_faces, size=n).astype(np.int64)
-    w = rng.dirichlet(np.ones(3), size=n)
-    if unmatched_frac:
-        drop = rng.random(n) < unmatched_frac
-        faces[drop] = UNMATCHED
-        w[drop] = 0.0
-    return DenseCorrespondence("src", mesh.id, faces, w)
+from conftest import (bumpy_sphere, floyd_warshall_distances,
+                      full_matrix_geodesic_error, grid_plane, icosphere,
+                      random_correspondence)
 
 
 def oracle_snap(corr, mesh):
@@ -88,26 +77,6 @@ def folded_strip(arm=24, radius=0.05):
     f = np.concatenate([np.column_stack([i, i + 2, i + 1]),
                         np.column_stack([i + 1, i + 2, i + 3])])
     return Mesh(v, f, id="u_strip")
-
-
-def full_matrix_geodesic_error(pred, gt, mesh, area, setting):
-    """One unlimited undirected Dijkstra over every matched gt vertex,
-    reading one entry per row: the reference the pair path must equal bit
-    for bit. It calls scipy itself, so it shares no search code with
-    ``geodesic_error``."""
-    pred = np.asarray(pred, dtype=np.int64)
-    gtv = geo.snap_correspondence_to_vertices(gt, mesh)
-    gm, pm = gtv != UNMATCHED, pred != UNMATCHED
-    errors = np.full(len(gt), np.nan)
-    errors[(gm != pm) if setting == "partial_partial" else gm & ~pm] = np.inf
-    both = gm & pm
-    if both.any():
-        sources = np.unique(gtv[both])
-        dist = csgraph.dijkstra(geo.edge_graph(mesh), directed=False,
-                                indices=sources)
-        row = np.searchsorted(sources, gtv[both])
-        errors[both] = dist[row, pred[both]] / np.sqrt(area)
-    return errors
 
 
 class TestGeodesicError:

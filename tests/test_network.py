@@ -12,9 +12,8 @@ from shapecorr.network import (NetworkError, ShapeNetwork, ShapeNode,
                                build_network, compose, correspondence_between,
                                load_annotation, nearest_annotated, project_template_pair,
                                propagate_annotation, shortest_path)
-from shapecorr.spatial import brute_force_nearest
 
-from conftest import icosphere, random_rigid
+from conftest import exhaustive_nearest_points, icosphere, random_rigid
 
 
 def make_node(nid, mesh):
@@ -209,12 +208,8 @@ class TestProjectTemplatePair:
         jig = Mesh(a.vertices + rng.normal(scale=0.01, size=a.vertices.shape),
                    a.faces, id="jig")
         b = icosphere(3)
-        out = project_template_pair(jig, b)
-        pos = geo.evaluate_correspondence(out, b)
-        for i in range(0, jig.n_vertices, 7):
-            _, pt, _ = brute_force_nearest(b, jig.vertices[i])
-            assert np.linalg.norm(pos[i] - jig.vertices[i]) == pytest.approx(
-                np.linalg.norm(pt - jig.vertices[i]), abs=1e-12)
+        assert project_template_pair(jig, b) == DenseCorrespondence(
+            "jig", b.id, *exhaustive_nearest_points(b, jig.vertices))
 
 
 class TestPropagateAnnotation:

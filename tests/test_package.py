@@ -13,8 +13,6 @@ from shapecorr.config import CAM_POS_REGIMES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "shapecorr"
-# brute-force references that tests check the fast paths against
-ORACLES = {"exhaustive_first_hits", "brute_force_nearest"}
 
 
 def test_every_public_name_resolves():
@@ -63,4 +61,4 @@ def test_every_public_definition_has_a_caller():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name.rpartition(".")[2])
-    assert sorted(defined - named - ORACLES) == []
+    assert sorted(defined - named) == []

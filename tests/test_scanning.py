@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shapecorr import geometry as geo
-from shapecorr import scanning, spatial
+from shapecorr import scanning
 from shapecorr.meshes import (UNMATCHED, DenseCorrespondence, Mesh,
                               identity_correspondence)
 from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
@@ -11,7 +11,6 @@ from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
                                 generate_partial, generate_partial_pair,
                                 restrict, sample_camera,
                                 sample_constrained_pair)
-from shapecorr.spatial import exhaustive_first_hits
 
 from conftest import bumpy_sphere, exhaustive_scan, icosphere, random_rigid
 
@@ -89,6 +88,20 @@ class TestConstrainedPair:
         assert ((az >= 0) & (az < 2 * np.pi)).all()
         assert (np.abs(az[:, 0] - az[:, 1]) > np.pi).any()
 
+    def test_azimuth_a_hair_below_zero_wraps_to_zero(self):
+        """A first azimuth of 2pi 2^-53 and a disparity of -9.99e-16, both
+        values the rng's draws can take, sum to a hair below 0, which
+        ``% 2pi`` rounds up to 2pi exactly; the pose takes 0.0 instead."""
+        class Scripted:
+            draws = [2 * np.pi * 2.0 ** -53, 0.0, -9.99e-16, 0.0]
+
+            def uniform(self, low, high):
+                return self.draws.pop(0)
+
+        first, second = sample_constrained_pair(Scripted(), np.pi / 4)
+        assert first.azimuth == 2 * np.pi * 2.0 ** -53
+        assert second.azimuth == 0.0
+
     def test_alpha_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             sample_constrained_pair(np.random.default_rng(0), 0.0)
@@ -115,10 +128,8 @@ class TestCastScan:
     def test_matches_exhaustive_oracle(self):
         m = geo.normalize_to_unit_box(icosphere(2))
         cam = sample_camera(np.random.default_rng(7))
-        origins, dirs = camera_rays(cam, (48, 48))
-        faces, _ = exhaustive_first_hits(m, origins, dirs)
-        oracle = set(int(f) for f in faces if f >= 0)
-        assert set(int(f) for f in cast_scan(m, cam, (48, 48))) == oracle
+        np.testing.assert_array_equal(cast_scan(m, cam, (48, 48)),
+                                      exhaustive_scan(m, cam, (48, 48)))
 
     def test_closed_sphere_back_faces_occluded(self):
         m = geo.normalize_to_unit_box(icosphere(2))
@@ -198,14 +209,13 @@ class TestBinnedHits:
         for _ in range(20):
             self.assert_exact(m, sample_camera(rng), (32, 32))
 
-    def test_mesh_across_the_eye_plane_uses_the_bvh(self):
+    def test_mesh_across_the_eye_plane_raises(self):
         # scaled past the camera: some vertices lie behind the eye
         m = geo.normalize_to_unit_box(bumpy_sphere(2))
         big = m.with_vertices(m.vertices * 5.0)
-        cam = CameraPose(0.3, 0.2)
-        np.testing.assert_array_equal(cast_scan(big, cam, (32, 32)),
-                                      exhaustive_scan(big, cam, (32, 32)))
-        assert "bvh" in big.__dict__
+        with pytest.raises(ValueError, match="eye's plane"):
+            cast_scan(big, CameraPose(0.3, 0.2), (32, 32))
+        assert "bvh" not in big.__dict__
 
 
 class TestExtractPartial:
@@ -363,16 +373,11 @@ class TestGeneratePartial:
         np.testing.assert_array_equal(p.mesh.vertices,
                                       m.vertices[p.parent_vertex])
 
-    def test_no_bvh_build_across_empty_scans(self, monkeypatch):
+    def test_no_bvh_build_across_empty_scans(self, monkeypatch, bvh_builds):
         # the first two cameras see nothing; all three scans bin their
         # faces, so none builds a BVH
-        builds, attempts = [], []
+        attempts = []
         extract = scanning.extract_partial
-
-        class CountingBVH(spatial.TriangleBVH):
-            def __init__(self, mesh):
-                builds.append(mesh.id)
-                super().__init__(mesh)
 
         def empty_twice(*args, **kwargs):
             attempts.append(args[2])
@@ -380,12 +385,11 @@ class TestGeneratePartial:
                 raise EmptyScanError("scan hit no faces")
             return extract(*args, **kwargs)
 
-        monkeypatch.setattr(spatial, "TriangleBVH", CountingBVH)
         monkeypatch.setattr(scanning, "extract_partial", empty_twice)
         p = generate_partial(icosphere(2), np.random.default_rng(12),
                              resolution=(32, 32))
         assert p.camera == attempts[2]
-        assert builds == []
+        assert bvh_builds == []
 
 
 class TestGeneratePartialPair:
@@ -425,23 +429,15 @@ class TestGeneratePartialPair:
         assert r1[1].mesh == r2[1].mesh
         assert r1[2].frac_x_to_y == r2[2].frac_x_to_y
 
-    def test_no_bvh_build(self, monkeypatch):
+    def test_no_bvh_build(self, bvh_builds):
         # an overlap window no attempt reaches makes all m attempts run
-        builds = []
-
-        class CountingBVH(spatial.TriangleBVH):
-            def __init__(self, mesh):
-                builds.append(mesh.id)
-                super().__init__(mesh)
-
-        monkeypatch.setattr(spatial, "TriangleBVH", CountingBVH)
         mx, my, cxy, cyx = sphere_pair()
         params = dict(self.PARAMS, min_overlap=0.0, max_overlap=1e-9, m=5)
         _, _, st = generate_partial_pair(mx, my, cxy, cyx, params,
                                          np.random.default_rng(24),
                                          resolution=(32, 32))
         assert not st.within_range
-        assert builds == []
+        assert bvh_builds == []
 
     def test_degenerate_correspondence_rejected(self):
         mx, my, cxy, cyx = sphere_pair()

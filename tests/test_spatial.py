@@ -7,10 +7,10 @@ import pytest
 
 from shapecorr import spatial
 from shapecorr.meshes import Mesh
-from shapecorr.spatial import (TriangleBVH, brute_force_nearest,
-                               exhaustive_first_hits)
+from shapecorr.spatial import TriangleBVH
 
-from conftest import bumpy_sphere, grid_plane, icosphere
+from conftest import (bumpy_sphere, exhaustive_first_hits,
+                      exhaustive_nearest_points, grid_plane, icosphere)
 
 
 def random_rays_at(mesh, rng, n):
@@ -26,20 +26,28 @@ def _unit(v):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def assert_first_hits_match_oracle(mesh, origins, dirs):
+    """BVH first hits equal exhaustive_first_hits; returns them."""
+    f_bvh, t_bvh = mesh.bvh.first_hits(origins, dirs)
+    f_ex, t_ex = exhaustive_first_hits(mesh, origins, dirs)
+    np.testing.assert_array_equal(f_bvh, f_ex)
+    np.testing.assert_array_equal(t_bvh, t_ex)
+    return f_bvh, t_bvh
+
+
 def test_single_triangle_interior_hit():
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    f, t = m.bvh.first_hits([[0.2, 0.2, 1.0]], [[0.0, 0.0, -1.0]])
+    f, t = assert_first_hits_match_oracle(m, [[0.2, 0.2, 1.0]],
+                                          [[0.0, 0.0, -1.0]])
     assert f[0] == 0
     assert t[0] == pytest.approx(1.0)
-    fo, to = exhaustive_first_hits(m, [[0.2, 0.2, 1.0]], [[0.0, 0.0, -1.0]])
-    assert fo[0] == 0 and to[0] == t[0]
 
 
 def test_miss():
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    f, t = m.bvh.first_hits([[5.0, 5.0, 1.0]], [[0.0, 0.0, -1.0]])
-    fo, _ = exhaustive_first_hits(m, [[5.0, 5.0, 1.0]], [[0.0, 0.0, -1.0]])
-    assert f[0] == -1 == fo[0]
+    f, t = assert_first_hits_match_oracle(m, [[5.0, 5.0, 1.0]],
+                                          [[0.0, 0.0, -1.0]])
+    assert f[0] == -1
     assert t[0] == np.inf
 
 
@@ -56,20 +64,7 @@ def test_occlusion_nearer_triangle_wins():
                                           lambda: bumpy_sphere(3)])
 def test_bvh_matches_exhaustive_10k_rays(mesh_builder, rng):
     m = mesh_builder()
-    origins, dirs = random_rays_at(m, rng, 10 ** 4)
-    f_bvh, t_bvh = m.bvh.first_hits(origins, dirs)
-    f_ex, t_ex = exhaustive_first_hits(m, origins, dirs)
-    np.testing.assert_array_equal(f_bvh, f_ex)
-    np.testing.assert_array_equal(t_bvh, t_ex)
-
-
-def assert_first_hits_match_oracle(mesh, origins, dirs):
-    """BVH first hits equal exhaustive_first_hits; returns the faces."""
-    f_bvh, t_bvh = mesh.bvh.first_hits(origins, dirs)
-    f_ex, t_ex = exhaustive_first_hits(mesh, origins, dirs)
-    np.testing.assert_array_equal(f_bvh, f_ex)
-    np.testing.assert_array_equal(t_bvh, t_ex)
-    return f_bvh
+    assert_first_hits_match_oracle(m, *random_rays_at(m, rng, 10 ** 4))
 
 
 def test_axis_parallel_rays_in_box_face_planes():
@@ -81,7 +76,7 @@ def test_axis_parallel_rays_in_box_face_planes():
                            for i in range(3)])
     origins = np.concatenate([v, mids]) + [0, 0, 1.0]
     dirs = np.broadcast_to([0.0, 0.0, -1.0], origins.shape)
-    assert (assert_first_hits_match_oracle(g, origins, dirs) >= 0).all()
+    assert (assert_first_hits_match_oracle(g, origins, dirs)[0] >= 0).all()
 
 
 def test_first_hits_empty():
@@ -96,9 +91,9 @@ def test_shared_edge_hit_lowest_face(rng):
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
              [[0, 1, 2], [1, 3, 2]])
     mid = (m.vertices[1] + m.vertices[2]) / 2.0
-    f, _ = m.bvh.first_hits([mid + [0, 0, 2.0]], [[0.0, 0.0, -1.0]])
-    fo, _ = exhaustive_first_hits(m, [mid + [0, 0, 2.0]], [[0.0, 0.0, -1.0]])
-    assert f[0] == fo[0] == 0
+    f, _ = assert_first_hits_match_oracle(m, [mid + [0, 0, 2.0]],
+                                          [[0.0, 0.0, -1.0]])
+    assert f[0] == 0
 
 
 def test_shared_edge_hit_across_tree_levels():
@@ -112,32 +107,27 @@ def test_shared_edge_hit_across_tree_levels():
     up = [[k, k + 1, 10 + k] for k in range(9)]
     down = [[k + 1, 11 + k, 10 + k] for k in range(8)]
     m = Mesh(bottom + top, up + down)
-    bvh = TriangleBVH(m)
-    assert bvh.node_child[1] < 0 and bvh.node_child[2] >= 0
-    origin = [[4.25, 0.5, 1.0]]  # above the edge shared by up[4], down[3]
-    f, t = bvh.first_hits(origin, [[0.0, 0.0, -1.0]])
-    fo, to = exhaustive_first_hits(m, origin, [[0.0, 0.0, -1.0]])
-    assert f[0] == fo[0] == 4
-    assert t[0] == to[0] == 1.0
+    assert m.bvh.node_child[1] < 0 and m.bvh.node_child[2] >= 0
+    # above the edge shared by up[4], down[3]
+    f, t = assert_first_hits_match_oracle(m, [[4.25, 0.5, 1.0]],
+                                          [[0.0, 0.0, -1.0]])
+    assert f[0] == 4
+    assert t[0] == 1.0
 
 
 def assert_nearest_matches_oracle(mesh, points):
-    """Batched nearest query equals brute_force_nearest row by row:
-    same face, bit-identical barycentrics. Returns the batched points."""
+    """Batched nearest query equals exhaustive_nearest_points: same faces,
+    bit-identical barycentrics. Returns the batched points."""
     faces, bary = mesh.bvh.nearest_points(points)
-    for p, f, w in zip(points, faces, bary):
-        fo, _, wo = brute_force_nearest(mesh, p)
-        assert f == fo
-        assert np.array_equal(w, wo)
+    want_faces, want_bary = exhaustive_nearest_points(mesh, points)
+    np.testing.assert_array_equal(faces, want_faces)
+    assert bary.tobytes() == want_bary.tobytes()
     return np.einsum("ij,ijk->ik", bary, mesh.vertices[mesh.faces[faces]])
 
 
 def test_nearest_point_matches_brute_force(rng):
-    m = bumpy_sphere(2)
-    pts = rng.normal(size=(300, 3)) * 1.5
-    near = assert_nearest_matches_oracle(m, pts)
-    for p, pt in zip(pts, near):
-        np.testing.assert_allclose(pt, brute_force_nearest(m, p)[1], atol=1e-12)
+    assert_nearest_matches_oracle(bumpy_sphere(2),
+                                  rng.normal(size=(300, 3)) * 1.5)
 
 
 def test_nearest_point_on_vertex():
