@@ -1,17 +1,16 @@
-"""Paper-resolution record: fourteen cases, each run once in its own process.
+"""Paper-resolution record: twelve cases, each run once in its own process.
 
 Per case it prints the wall seconds of the case's call, the process's peak
 RSS, the largest self times and the counters (Dijkstra sources, scan hit
 and kept faces, projected points) of perfbench's tracer, and the sha256 of
 the output. On a bumpy icosphere (seed 7): ``decimate`` 10242 -> 2500 and
 40962 -> 10000; at 10242 vertices, normalized, the ``TriangleBVH`` build,
-two 256x256 ``first_hits`` scans, ``cast_scan`` with the same two cameras
-and ``nearest_points`` of a seed-8 sphere's vertices;
-``geodesic_error`` of a mixed prediction (20% random, 5% -1, as in
-evaluate_mixed) and a near-miss one (80% of the matched mixed entries
-walked three random edges). On perfbench's fixtures at seed 3, written to
-a temporary directory: P2P and P2F on the p2p_train chain at 10242
-vertices, F2F on the f2f_heavy chain at 40962 (one instance each,
+two 256x256 ``cast_scan`` scans and ``nearest_points`` of a seed-8
+sphere's vertices; ``geodesic_error`` of a mixed prediction (20% random,
+5% -1, as in evaluate_mixed) and a near-miss one (80% of the matched mixed
+entries walked three random edges). On perfbench's fixtures at seed 3,
+written to a temporary directory: P2P and P2F on the p2p_train chain at
+10242 vertices, F2F on the f2f_heavy chain at 40962 (one instance each,
 9000-10000 vertices, 256x256 scans, no remesh-cache reads), and
 ``shapecorr evaluate`` of the level-5 evaluation set, one instance per
 setting.
@@ -51,8 +50,7 @@ import shapecorr as sc  # noqa: E402
 from conftest import GOLDEN_BUILD, bumpy_sphere  # noqa: E402
 from shapecorr import cli, metrics, pairs, spatial  # noqa: E402
 from shapecorr import geometry as geo  # noqa: E402
-from shapecorr.scanning import (  # noqa: E402
-    CameraPose, camera_rays, cast_scan)
+from shapecorr.scanning import CameraPose, cast_scan  # noqa: E402
 from run import THREAD_VARS  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
@@ -84,9 +82,6 @@ def bvh(query, camera=None):
         return (lambda: spatial.TriangleBVH(mesh), lambda t: sha(
             t.node_min, t.node_max, t.node_child, t.node_faces))
     tree = mesh.bvh  # built here, in the set-up
-    if query == "scan":
-        rays = camera_rays(camera, (256, 256))
-        return lambda: tree.first_hits(*rays), lambda out: sha(*out)
     points = geo.normalize_to_unit_box(bumpy_sphere(5, seed=8)).vertices
     return lambda: tree.nearest_points(points), lambda out: sha(*out)
 
@@ -150,8 +145,6 @@ CASES = {
     "decimate 10242 -> 2500": (decimation, 5, 2500),
     "decimate 40962 -> 10000": (decimation, 6, 10000),
     "TriangleBVH build": (bvh, "build"),
-    "scan 0": (bvh, "scan", CameraPose(0.3, 0.2)),
-    "scan 1": (bvh, "scan", CameraPose(2.0, -0.4)),
     "cast_scan 0": (bvh, "cast_scan", CameraPose(0.3, 0.2)),
     "cast_scan 1": (bvh, "cast_scan", CameraPose(2.0, -0.4)),
     "nearest_points": (bvh, "nearest"),
@@ -169,10 +162,6 @@ PINNED = {
         "9e66220b908b3573a96041289c11924146af583265954311860757a74fdc493b",
     "TriangleBVH build":
         "e9c8aa24f7b07a2ba6f60e4f7f478831905771db6299cda095e81f92bf3980fa",
-    "scan 0":
-        "c5b4271e816028b54113d861828a0b61c0920fe1c35cb64d4a1c39cf03f6bbd7",
-    "scan 1":
-        "2cc8643209159c4977ef6e73ce16d3e351f97e6a078c8efc88052a03bf48c760",
     "cast_scan 0":
         "8f5f3e959c274298340a1a04594bf5becf920e06be967cfb31c9e319dea073c0",
     "cast_scan 1":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .textio import (FormatError, key_value_text, parse_bool,
                      read_key_values, write_atomic)

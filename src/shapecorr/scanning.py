@@ -6,10 +6,11 @@ pixel grid of rays; first-hit faces forming the largest connected component
 mutual overlap fraction lands in a configured range.
 
 A scan finds its first hits by binning each face into the pixels its
-projected box covers and intersecting only those (ray, face) pairs; its
-hit faces are those of exhaustive first-hit search over every face. Binning
-needs every vertex in front of the eye, which a unit-box mesh is: a mesh
-that reaches the eye's plane raises ``ValueError``.
+projected box covers and intersecting only those (ray, face) pairs; each
+ray's (face, t) is that of exhaustive first-hit search over every face,
+and this is the package's only ray caster. Binning needs every vertex in
+front of the eye, which a unit-box mesh is: a mesh that reaches the eye's
+plane raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -163,16 +164,18 @@ def cast_scan(mesh, camera, resolution, cache=None):
         cached = cache.load(mesh, camera, resolution)
         if cached is not None:
             return cached
-    hit = _hit_faces(mesh, camera, resolution)
+    face, _ = _hit_faces(mesh, camera, resolution)
+    hit = np.unique(face[face >= 0])
     if cache is not None:
         cache.store(mesh, camera, resolution, hit)
     return hit
 
 
 def _hit_faces(mesh, camera, resolution):
-    """The distinct faces hit first by the rays of ``camera_rays``, sorted,
-    as int64: over every face, each ray's lowest (t, face) by
-    ``ray_triangle_intersections``.
+    """First-hit ``(face, t)`` of each ray of ``camera_rays``, face -1 and
+    t +inf on a miss: over every face, each ray's lowest (t, face) by
+    ``ray_triangle_intersections``, as ``exhaustive_first_hits`` of
+    ``tests/conftest.py`` finds it.
 
     Each face is binned into the pixels whose centres lie in its projected
     box, widened by the margin below, and only those (ray, face) pairs are
@@ -247,7 +250,7 @@ def _hit_faces(mesh, camera, resolution):
                                        b[face], c[face])
         hit = np.isfinite(t)
         _keep_lowest(ray[hit], face[hit], t[hit], best_t, best_face)
-    return np.unique(best_face[best_face >= 0])
+    return best_face, best_t
 
 
 def extract_partial(mesh, hit_faces, camera, parent):

@@ -1,16 +1,16 @@
 """Bounding-volume hierarchy over mesh triangles.
 
-Answers first-hit ray queries (identical to exhaustive Moller-Trumbore
-intersection) and nearest surface point queries (identical to the
-exhaustive per-face minimum), ties broken by lowest face index. Those
-exhaustive references live in ``tests/conftest.py``, beside the tests that
-compare the tree against them. Both queries walk the tree breadth-first
-over (query, node) pairs, a chunk of queries at a time, and reduce each
-leaf they reach to the lowest (key, face) per query: the key is the hit
-parameter t of a ray, the squared distance of a point.
+Answers nearest surface point queries, identical to the exhaustive
+per-face minimum ``exhaustive_nearest_points`` of ``tests/conftest.py``,
+ties broken by lowest face index. A query walks the tree breadth-first
+over (point, node) pairs, a chunk of points at a time, and reduces each
+leaf it reaches to the lowest (squared distance, face) per point.
 The tree is built level by level too, and numbers its nodes in that level
 order: a node's two children sit side by side, at ``node_child``, and each
 node has its own row of ``node_faces``.
+
+The ray-triangle test and the lowest-(key, face) reduction live here too;
+the scanner (``scanning._hit_faces``) casts its rays with them.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .geometry import closest_points_on_triangles
 
 RAY_EPS = 1e-9
 _LEAF_SIZE = 8
-_QUERY_CHUNK = 256  # rays or points per walk
-_QUERY_PAIRS = 1024  # (query, face) pairs per leaf-scan step
+_QUERY_CHUNK = 256  # points per walk
+_QUERY_PAIRS = 1024  # (point, face) pairs per leaf-scan step
 
 
 def ray_triangle_intersections(origins, directions, a, b, c):
@@ -75,9 +75,6 @@ class TriangleBVH:
     ``node_min`` / ``node_max`` hold each node's box, and ``node_faces[i]``
     lists leaf i's faces in ascending index, padded at the end with -1 to
     the largest leaf size; an inner node's row is all -1.
-
-    Both queries run ``_walk``, which prunes (query, node) pairs with a
-    per-query test and scans the leaves it reaches with ``_scan_leaves``.
     """
 
     def __init__(self, mesh):
@@ -100,54 +97,6 @@ class TriangleBVH:
         self.node_faces.sort(axis=1)
         self.node_faces[self.node_faces == mesh.n_faces] = -1
 
-    # --- ray queries ---
-
-    def first_hits(self, origins, directions):
-        """First-hit (face, t) for each ray; face -1 and t +inf on miss.
-        Equal to the exhaustive reference ``exhaustive_first_hits`` of
-        ``tests/conftest.py``."""
-        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        n = len(origins)
-        best_t = np.full(n, np.inf)
-        best_face = np.full(n, -1, dtype=np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_d = 1.0 / directions
-        a, b, c = self._tri
-
-        def keep(q, node):
-            # a missed box has entry inf; <= keeps boxes that may hold an
-            # equal-t face of lower index
-            entry = self._slab_entry(origins[q], inv_d[q], node)
-            return np.isfinite(entry) & (entry <= best_t[q])
-
-        def keys(q, face):
-            return ray_triangle_intersections(origins[q], directions[q],
-                                              a[face], b[face], c[face])
-
-        for s in range(0, n, _QUERY_CHUNK):
-            q = np.arange(s, min(s + _QUERY_CHUNK, n))
-            self._walk(q, np.zeros(len(q), dtype=np.int64), keep, keys,
-                       best_t, best_face)
-        return best_face, best_t
-
-    def _slab_entry(self, origins, inv_d, node):
-        """Ray parameter where each origins[i] + t d[i] (t >= 0) enters the
-        box of node[i], +inf where it misses."""
-        with np.errstate(invalid="ignore"):
-            t0 = (self.node_min[node] - origins) * inv_d
-            t1 = (self.node_max[node] - origins) * inv_d
-        # 0 * inf: a ray parallel to an axis, starting in the plane of a box
-        # face, stays inside that axis' slab for every t
-        flat = np.isnan(t0) | np.isnan(t1)
-        tmin = np.where(flat, -np.inf, np.minimum(t0, t1)).max(axis=1)
-        tmax = np.where(flat, np.inf, np.maximum(t0, t1)).min(axis=1)
-        entry = np.maximum(tmin, 0.0)
-        entry[tmax < entry] = np.inf
-        return entry
-
-    # --- nearest point queries ---
-
     def nearest_points(self, points):
         """Globally nearest surface point to each of ``points`` (n, 3).
 
@@ -155,11 +104,13 @@ class TriangleBVH:
         reference ``exhaustive_nearest_points`` of ``tests/conftest.py``:
         ties on exact squared distance go to the lowest face index. Points
         are taken in fixed-size chunks, so extra memory does not grow with
-        n.
+        n. A NaN or infinite point raises ValueError.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
         faces = np.empty(len(points), dtype=np.int64)
         bary = np.empty((len(points), 3))
         a, b, c = self._tri
@@ -173,12 +124,6 @@ class TriangleBVH:
     def _nearest_faces(self, p):
         """Nearest face for each point of one chunk p (m, 3)."""
         m = len(p)
-        a, b, c = self._tri
-
-        def keys(q, face):
-            near, _ = closest_points_on_triangles(p[q], a[face], b[face], c[face])
-            return ((near - p[q]) ** 2).sum(axis=1)
-
         # descend greedily to one leaf per point; its faces bound d2 above
         leaf = np.zeros(m, dtype=np.int64)
         inner = np.flatnonzero(self.node_child[leaf] >= 0)
@@ -191,16 +136,25 @@ class TriangleBVH:
         best_d2 = np.full(m, np.inf)
         best_face = np.full(m, -1, dtype=np.int64)
         q = np.arange(m)
-        self._scan_leaves(q, leaf, keys, best_d2, best_face)
+        self._scan_leaves(p, q, leaf, best_d2, best_face)
 
-        # then every other box within the bound (<= keeps exact ties); the
-        # greedy leaf is already scanned, so rounding that puts its box
-        # distance above the bound its own faces set cannot drop it
-        def keep(q, node):
-            return (self._box_d2(p[q], node) <= best_d2[q]) & (node != leaf[q])
-
-        self._walk(q, np.zeros(m, dtype=np.int64), keep, keys, best_d2,
-                   best_face)
+        # then walk down from the root over (point q[i], node node[i])
+        # pairs, one level per step, keeping every other box within the
+        # bound (<= keeps exact ties); the greedy leaf is already scanned,
+        # so rounding that puts its box distance above the bound its own
+        # faces set cannot drop it. The leaves a level reaches are scanned
+        # at once, so deeper levels prune against the lowered bounds.
+        node = np.zeros(m, dtype=np.int64)
+        while len(q):
+            live = ((self._box_d2(p[q], node) <= best_d2[q])
+                    & (node != leaf[q]))
+            q, node = q[live], node[live]
+            child = self.node_child[node]
+            at_leaf = child < 0
+            self._scan_leaves(p, q[at_leaf], node[at_leaf], best_d2,
+                              best_face)
+            q, child = q[~at_leaf], child[~at_leaf]
+            q, node = np.tile(q, 2), np.concatenate([child, child + 1])
         return best_face
 
     def _box_d2(self, p, node):
@@ -209,35 +163,23 @@ class TriangleBVH:
         d = np.maximum(d, p - self.node_max[node])
         return (d * d).sum(axis=1)
 
-    # --- the shared walk ---
-
-    def _walk(self, q, node, keep, keys, best, best_face):
-        """Walk down from the pairs (query q[i], node node[i]), one tree
-        level per step, keeping a pair while ``keep(q, node)`` holds. The
-        leaves reached are scanned at once, so deeper levels prune against
-        the lowered bests."""
-        while len(q):
-            live = keep(q, node)
-            q, node = q[live], node[live]
-            child = self.node_child[node]
-            leaf = child < 0
-            self._scan_leaves(q[leaf], node[leaf], keys, best, best_face)
-            q, child = q[~leaf], child[~leaf]
-            q, node = np.tile(q, 2), np.concatenate([child, child + 1])
-
-    def _scan_leaves(self, q, node, keys, best, best_face):
+    def _scan_leaves(self, p, q, node, best, best_face):
         """Lower best/best_face[q[i]] to the faces of leaf node[i] by
-        ``_keep_lowest``, each keyed by ``keys(query, face)``.
+        ``_keep_lowest``, each keyed by its squared distance to p[q[i]].
 
-        Works in chunks of at most _QUERY_PAIRS (query, face) pairs.
+        Works in chunks of at most _QUERY_PAIRS (point, face) pairs.
         """
+        a, b, c = self._tri
         step = max(1, _QUERY_PAIRS // self.node_faces.shape[1])
         for s in range(0, len(q), step):
             table = self.node_faces[node[s:s + step]]
             valid = table >= 0
             row = np.broadcast_to(q[s:s + step, None], table.shape)[valid]
             face = table[valid]
-            _keep_lowest(row, face, keys(row, face), best, best_face)
+            near, _ = closest_points_on_triangles(p[row], a[face], b[face],
+                                                  c[face])
+            _keep_lowest(row, face, ((near - p[row]) ** 2).sum(axis=1),
+                         best, best_face)
 
 
 def _median_split_tree(lo, hi, centroids):

@@ -11,7 +11,6 @@ from shapecorr import geometry as geo
 from shapecorr import spatial
 from shapecorr.decimate import _DecimationState
 from shapecorr.meshes import UNMATCHED, DenseCorrespondence, Mesh
-from shapecorr.scanning import camera_rays
 
 
 def icosahedron():
@@ -97,8 +96,9 @@ def _steps(n, n_faces):
 
 def exhaustive_first_hits(mesh, origins, directions):
     """First-hit (face, t) of each ray over every face: the reference of
-    ``TriangleBVH.first_hits``. Face -1 and t +inf on a miss; ties go to
-    the lowest face index."""
+    the binned scanner ``scanning._hit_faces`` on the rays of
+    ``scanning.camera_rays``. Face -1 and t +inf on a miss; ties go to the
+    lowest face index."""
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     a, b, c = mesh.face_corners()
@@ -111,13 +111,6 @@ def exhaustive_first_hits(mesh, origins, directions):
         t[s] = ts.min(axis=1)
     faces[np.isinf(t)] = -1
     return faces, t
-
-
-def exhaustive_scan(mesh, camera, resolution):
-    """The distinct faces ``exhaustive_first_hits`` gives for the rays of
-    ``camera_rays``, sorted: the reference of ``scanning._hit_faces``."""
-    faces, _ = exhaustive_first_hits(mesh, *camera_rays(camera, resolution))
-    return np.unique(faces[faces >= 0])
 
 
 def exhaustive_nearest_points(mesh, points):

@@ -20,17 +20,16 @@ from shapecorr.meshes import (DenseCorrespondence, Mesh,
                               identity_correspondence)
 from shapecorr.metrics import evaluate_instance, geodesic_error
 from shapecorr.network import ShapeNetwork, ShapeNode, compose
-from shapecorr.pairs import (PairSpec, ShapeRecord, SplitManifest,
+from shapecorr.pairs import (ShapeRecord, SplitManifest,
                              default_split_manifest, enumerate_pairs)
 from shapecorr.pipeline import run_generation
 from shapecorr.scanning import generate_partial, generate_partial_pair
 from shapecorr.textio import read_key_values
 
 from conftest import (bumpy_sphere, digest_tree, exhaustive_first_hits,
-                      exhaustive_nearest_points, exhaustive_scan,
-                      floyd_warshall_distances, grid_plane, icosphere,
-                      random_correspondence, random_rigid,
-                      require_golden_build, sequential_decimate)
+                      exhaustive_nearest_points, floyd_warshall_distances,
+                      grid_plane, icosphere, random_correspondence,
+                      random_rigid, require_golden_build, sequential_decimate)
 
 
 def test_criterion_1_metric_oracle_equivalence():
@@ -71,18 +70,25 @@ def test_criterion_2_metric_ceilings():
 
 
 def test_criterion_3_raycast_correctness():
-    """10^4 random rays per mesh: BVH == exhaustive; partials are single
-    components and vertex-exact parent subsets; < 60 s per mesh at
-    256x256."""
+    """>= 10^4 camera rays per mesh, >= 2000 of them hits: the scanner's
+    per-ray first-hit face and t equal exhaustive search bit for bit;
+    partials are single components and vertex-exact parent subsets; < 60 s
+    per mesh at 256x256."""
     rng = np.random.default_rng(1003)
+    resolution = (64, 64)
     for mesh in (icosphere(3), bumpy_sphere(3)):
-        origins = rng.normal(size=(10_000, 3)) * 2.0
-        dirs = rng.normal(size=(10_000, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        bf, bt = mesh.bvh.first_hits(origins, dirs)
-        ef, et = exhaustive_first_hits(mesh, origins, dirs)
-        np.testing.assert_array_equal(bf, ef)
-        np.testing.assert_array_equal(bt, et)
+        unit = geo.normalize_to_unit_box(mesh)
+        rays = hits = 0
+        for _ in range(3):
+            camera = scanning.sample_camera(rng)
+            face, t = scanning._hit_faces(unit, camera, resolution)
+            want_face, want_t = exhaustive_first_hits(
+                unit, *scanning.camera_rays(camera, resolution))
+            np.testing.assert_array_equal(face, want_face)
+            assert t.tobytes() == want_t.tobytes()
+            rays += len(face)
+            hits += int((face >= 0).sum())
+        assert rays >= 10_000 and hits >= 2000, (rays, hits)
 
         t0 = time.monotonic()
         p = generate_partial(mesh, rng, resolution=(256, 256))
@@ -295,7 +301,9 @@ def test_criterion_9_pinned_digest(tmp_path, setting):
 # package attribute ``shapecorr.decimate`` is the function, so the module
 # comes from importlib
 ORACLE_SWAPS = {
-    "scan": (scanning, "_hit_faces", exhaustive_scan),
+    "scan": (scanning, "_hit_faces",
+             lambda mesh, camera, resolution: exhaustive_first_hits(
+                 mesh, *scanning.camera_rays(camera, resolution))),
     "nearest": (geo, "project_points_to_surface",
                 lambda points, mesh: exhaustive_nearest_points(mesh, points)),
     "decimate": (importlib.import_module("shapecorr.decimate"), "decimate",

@@ -62,3 +62,40 @@ def test_every_public_definition_has_a_caller():
             elif isinstance(node, ast.alias):
                 named.add(node.name.rpartition(".")[2])
     assert sorted(defined - named) == []
+
+
+def imported_names(tree):
+    """(bound name, origin) for each name ``tree`` imports; origin is
+    (module, name) for a name taken from a sibling module by a relative
+    import, else None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], None
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name,
+                       (node.module, alias.name) if node.level else None)
+
+
+def test_every_import_is_used():
+    """Every name a module of the package (``__init__`` aside), the
+    scripts or the tests imports is used in that module. A name that
+    another package module imports from it counts as used there."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(ROOT / "scripts").glob("*.py"),
+                *(ROOT / "tests").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sources}
+    reexported = {origin for path, tree in trees.items()
+                  if path.parent == PACKAGE
+                  for _, origin in imported_names(tree) if origin}
+    unused = []
+    for path, tree in trees.items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}: {bound}"
+                   for bound, _ in imported_names(tree)
+                   if bound not in used
+                   and (path.stem, bound) not in reexported]
+    assert unused == []

@@ -17,7 +17,7 @@ from shapecorr.network import ShapeNetwork, ShapeNode
 from shapecorr.pairs import PairSpec, ShapeRecord, SplitManifest
 from shapecorr.pipeline import (MatchingInstance, derive_seed,
                                 generate_instance, load_instance,
-                                run_generation, write_instance)
+                                run_generation)
 from shapecorr.scanning import generate_partial, restrict
 from shapecorr.textio import TEMP_NAME, read_key_values
 

@@ -12,7 +12,8 @@ from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
                                 restrict, sample_camera,
                                 sample_constrained_pair)
 
-from conftest import bumpy_sphere, exhaustive_scan, icosphere, random_rigid
+from conftest import (bumpy_sphere, exhaustive_first_hits, icosphere,
+                      random_rigid)
 
 
 def sphere_pair(subdiv=2, seed=99):
@@ -128,8 +129,9 @@ class TestCastScan:
     def test_matches_exhaustive_oracle(self):
         m = geo.normalize_to_unit_box(icosphere(2))
         cam = sample_camera(np.random.default_rng(7))
+        face, _ = exhaustive_first_hits(m, *camera_rays(cam, (48, 48)))
         np.testing.assert_array_equal(cast_scan(m, cam, (48, 48)),
-                                      exhaustive_scan(m, cam, (48, 48)))
+                                      np.unique(face[face >= 0]))
 
     def test_closed_sphere_back_faces_occluded(self):
         m = geo.normalize_to_unit_box(icosphere(2))
@@ -140,14 +142,19 @@ class TestCastScan:
 
 class TestBinnedHits:
     """``cast_scan`` bins each face into the pixels its projected box
-    covers; its hit faces equal the distinct faces of
-    ``exhaustive_first_hits`` on the same rays."""
+    covers; each ray's first-hit face and t equal those of
+    ``exhaustive_first_hits`` on the same rays, and its hit faces are
+    their distinct faces."""
 
     @staticmethod
     def assert_exact(mesh, camera, resolution):
+        face, t = scanning._hit_faces(mesh, camera, resolution)
+        want_face, want_t = exhaustive_first_hits(
+            mesh, *camera_rays(camera, resolution))
+        np.testing.assert_array_equal(face, want_face)
+        assert t.tobytes() == want_t.tobytes()
         hit = cast_scan(mesh, camera, resolution)
-        np.testing.assert_array_equal(
-            hit, exhaustive_scan(mesh, camera, resolution))
+        np.testing.assert_array_equal(hit, np.unique(face[face >= 0]))
         assert "bvh" not in mesh.__dict__  # binned: no BVH was built
         return hit
 

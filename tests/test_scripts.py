@@ -5,6 +5,7 @@ shipped split manifest byte for byte, and the paper record's four BVH
 cases give their pinned digests."""
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,7 +43,7 @@ def test_imports_without_running(name, load, capsys):
 
 def test_record_pins_every_case(load):
     record = load("paper_record.py")
-    assert len(record.CASES) == 14
+    assert len(record.CASES) == 12
     assert list(record.PINNED) == list(record.CASES)
 
 
@@ -63,9 +64,8 @@ def test_default_manifest_rebuilds_shipped_file(load, tmp_path):
     assert out.read_bytes() == shipped.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["TriangleBVH build", "scan 0", "scan 1",
-                                  "cast_scan 0", "cast_scan 1",
-                                  "nearest_points"])
+@pytest.mark.parametrize("name", ["TriangleBVH build", "cast_scan 0",
+                                  "cast_scan 1", "nearest_points"])
 def test_record_bvh_case_matches_pin(name, load):
     """The record's BVH and scan cases, run in this process: a renamed
     tree array or a moved hit shows here, not only in a full record run."""
@@ -74,3 +74,16 @@ def test_record_bvh_case_matches_pin(name, load):
     make, *args = record.CASES[name]
     run, digest = make(*args)
     assert digest(run()) == record.PINNED[name]
+
+
+def test_conftest_import_leaves_scipy_sparse_unloaded():
+    """The record imports ``conftest`` into every case's process, so a
+    ``scipy.sparse`` import at its top would raise every case's peak RSS
+    (by about 23 MB when ``csgraph`` was imported there)."""
+    code = ("import sys; sys.dont_write_bytecode = True; "
+            f"sys.path[:0] = {[str(ROOT / d) for d in ('src', 'tests')]!r}; "
+            "import conftest; print('scipy.sparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

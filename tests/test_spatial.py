@@ -5,114 +5,65 @@ import weakref
 import numpy as np
 import pytest
 
+from shapecorr import geometry as geo
 from shapecorr import spatial
 from shapecorr.meshes import Mesh
 from shapecorr.spatial import TriangleBVH
 
-from conftest import (bumpy_sphere, exhaustive_first_hits,
-                      exhaustive_nearest_points, grid_plane, icosphere)
+from conftest import (bumpy_sphere, exhaustive_nearest_points, grid_plane,
+                      icosphere)
 
 
-def random_rays_at(mesh, rng, n):
-    """Rays from random outside positions aimed near the surface."""
-    center = mesh.vertices.mean(axis=0)
-    radius = np.linalg.norm(mesh.vertices - center, axis=1).max()
-    origins = center + 3 * radius * _unit(rng.normal(size=(n, 3)))
-    targets = center + radius * rng.uniform(-1, 1, size=(n, 3))
-    return origins, _unit(targets - origins)
+def face_hits(mesh, origin, direction):
+    """Hit parameter t of one ray against each face of ``mesh``."""
+    return spatial.ray_triangle_intersections(
+        np.asarray(origin, dtype=np.float64),
+        np.asarray(direction, dtype=np.float64), *mesh.face_corners())
 
 
-def _unit(v):
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def assert_first_hits_match_oracle(mesh, origins, dirs):
-    """BVH first hits equal exhaustive_first_hits; returns them."""
-    f_bvh, t_bvh = mesh.bvh.first_hits(origins, dirs)
-    f_ex, t_ex = exhaustive_first_hits(mesh, origins, dirs)
-    np.testing.assert_array_equal(f_bvh, f_ex)
-    np.testing.assert_array_equal(t_bvh, t_ex)
-    return f_bvh, t_bvh
+def keep_lowest_one_by_one(t, faces):
+    """The (face, t) ``_keep_lowest`` keeps for one ray whose hits on
+    ``faces`` arrive one call each, in that order."""
+    best, best_face = np.full(1, np.inf), np.full(1, -1, dtype=np.int64)
+    for f in faces:
+        spatial._keep_lowest(np.zeros(1, dtype=np.int64), np.array([f]),
+                             t[[f]], best, best_face)
+    return best_face[0], best[0]
 
 
 def test_single_triangle_interior_hit():
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    f, t = assert_first_hits_match_oracle(m, [[0.2, 0.2, 1.0]],
-                                          [[0.0, 0.0, -1.0]])
-    assert f[0] == 0
+    t = face_hits(m, [0.2, 0.2, 1.0], [0.0, 0.0, -1.0])
     assert t[0] == pytest.approx(1.0)
 
 
 def test_miss():
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    f, t = assert_first_hits_match_oracle(m, [[5.0, 5.0, 1.0]],
-                                          [[0.0, 0.0, -1.0]])
-    assert f[0] == -1
+    t = face_hits(m, [5.0, 5.0, 1.0], [0.0, 0.0, -1.0])
     assert t[0] == np.inf
+    assert keep_lowest_one_by_one(t, [0]) == (-1, np.inf)
 
 
 def test_occlusion_nearer_triangle_wins():
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0],
               [0, 0, 1], [1, 0, 1], [0, 1, 1]],
              [[0, 1, 2], [3, 4, 5]])
-    f, t = m.bvh.first_hits([[0.2, 0.2, 5.0]], [[0.0, 0.0, -1.0]])
-    assert f[0] == 1  # z=1 plane is nearer from above
-    assert t[0] == pytest.approx(4.0)
+    t = face_hits(m, [0.2, 0.2, 5.0], [0.0, 0.0, -1.0])
+    np.testing.assert_allclose(t, [5.0, 4.0])
+    for order in ([0, 1], [1, 0]):  # z=1 plane is nearer from above
+        assert keep_lowest_one_by_one(t, order) == (1, t[1])
 
 
-@pytest.mark.parametrize("mesh_builder", [lambda: icosphere(3),
-                                          lambda: bumpy_sphere(3)])
-def test_bvh_matches_exhaustive_10k_rays(mesh_builder, rng):
-    m = mesh_builder()
-    assert_first_hits_match_oracle(m, *random_rays_at(m, rng, 10 ** 4))
-
-
-def test_axis_parallel_rays_in_box_face_planes():
-    # straight down onto grid vertices and edge midpoints: each ray's x and
-    # y lie in the planes of box faces, where the slab test meets 0 * inf
-    g = grid_plane(8)
-    v, f = g.vertices, g.faces
-    mids = np.concatenate([(v[f[:, i]] + v[f[:, (i + 1) % 3]]) / 2.0
-                           for i in range(3)])
-    origins = np.concatenate([v, mids]) + [0, 0, 1.0]
-    dirs = np.broadcast_to([0.0, 0.0, -1.0], origins.shape)
-    assert (assert_first_hits_match_oracle(g, origins, dirs)[0] >= 0).all()
-
-
-def test_first_hits_empty():
-    faces, t = bumpy_sphere(2).bvh.first_hits(np.empty((0, 3)),
-                                              np.empty((0, 3)))
-    assert faces.shape == (0,)
-    assert t.shape == (0,)
-
-
-def test_shared_edge_hit_lowest_face(rng):
-    # ray aimed exactly at the shared edge of two triangles
+def test_shared_edge_hit_lowest_face():
+    # ray aimed exactly at the shared edge of two triangles: both count
+    # as hit at one t, and the lower face index wins in either order
     m = Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
              [[0, 1, 2], [1, 3, 2]])
     mid = (m.vertices[1] + m.vertices[2]) / 2.0
-    f, _ = assert_first_hits_match_oracle(m, [mid + [0, 0, 2.0]],
-                                          [[0.0, 0.0, -1.0]])
-    assert f[0] == 0
-
-
-def test_shared_edge_hit_across_tree_levels():
-    # a strip of 17 triangles along x: the root splits it into a leaf of
-    # the first 8 by centroid and an inner node over the other 9, so the
-    # shared edge of the 8th and 9th lies across two tree levels, and the
-    # deeper face has the lower index; its box is entered at the same t
-    # as the best hit found so far, which must not prune it
-    bottom = [[k, 0.0, 0.0] for k in range(10)]
-    top = [[k + 0.5, 1.0, 0.0] for k in range(9)]
-    up = [[k, k + 1, 10 + k] for k in range(9)]
-    down = [[k + 1, 11 + k, 10 + k] for k in range(8)]
-    m = Mesh(bottom + top, up + down)
-    assert m.bvh.node_child[1] < 0 and m.bvh.node_child[2] >= 0
-    # above the edge shared by up[4], down[3]
-    f, t = assert_first_hits_match_oracle(m, [[4.25, 0.5, 1.0]],
-                                          [[0.0, 0.0, -1.0]])
-    assert f[0] == 4
-    assert t[0] == 1.0
+    t = face_hits(m, mid + [0, 0, 2.0], [0.0, 0.0, -1.0])
+    assert np.isfinite(t[0]) and t[0] == t[1]
+    for order in ([0, 1], [1, 0]):
+        assert keep_lowest_one_by_one(t, order) == (0, t[0])
 
 
 def assert_nearest_matches_oracle(mesh, points):
@@ -172,14 +123,21 @@ def test_nearest_points_empty():
     assert bary.shape == (0, 3)
 
 
-@pytest.mark.parametrize("query", ["first_hits", "nearest_points"])
-def test_query_across_chunk_boundary(query, rng):
-    m = bumpy_sphere(2)
+def test_nearest_points_across_chunk_boundary(rng):
     n = spatial._QUERY_CHUNK + 1
-    if query == "first_hits":
-        assert_first_hits_match_oracle(m, *random_rays_at(m, rng, n))
-    else:
-        assert_nearest_matches_oracle(m, rng.normal(size=(n, 3)) * 1.5)
+    assert_nearest_matches_oracle(bumpy_sphere(2),
+                                  rng.normal(size=(n, 3)) * 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_points_non_finite_raises(bad):
+    m = bumpy_sphere(2)
+    points = np.zeros((3, 3))
+    points[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        m.bvh.nearest_points(points)
+    with pytest.raises(ValueError, match="finite"):
+        geo.project_points_to_surface(points, m)
 
 
 def test_deterministic_build():

@@ -2,7 +2,6 @@ import os
 import re
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
