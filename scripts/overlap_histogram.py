@@ -21,7 +21,7 @@ from pathlib import Path
 import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import bumpy_sphere  # noqa: E402
+from shapes import bumpy_sphere  # noqa: E402
 
 
 def main(argv=None):
@@ -40,12 +40,10 @@ def main(argv=None):
 
     for regime, alpha in CAM_POS_REGIMES.items():
         rng = np.random.default_rng(args.seed)
-        params = {"alpha": alpha, "min_overlap": 0.1, "max_overlap": 0.9,
-                  "m": 10}
         fracs, iters, ok = [], [], 0
         for _ in range(args.pairs):
-            _, _, st = generate_partial_pair(mx, my, cxy, cyx, params, rng,
-                                             resolution=res)
+            _, _, st = generate_partial_pair(mx, my, cxy, cyx, rng, res,
+                                             alpha, (0.1, 0.9), 10)
             fracs.extend([st.frac_x_to_y, st.frac_y_to_x])
             iters.append(st.iterations_used)
             ok += st.within_range

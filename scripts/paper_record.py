@@ -15,7 +15,7 @@ written to a temporary directory: P2P and P2F on the p2p_train chain at
 ``shapecorr evaluate`` of the level-5 evaluation set, one instance per
 setting.
 
-On the numpy/scipy build of ``conftest.GOLDEN_BUILD`` each digest must
+On the numpy/scipy build of ``shapes.GOLDEN_BUILD`` each digest must
 equal PINNED; a mismatch or a failed case makes the script exit 1 and name
 the case. The last line of stdout is the record as one JSON object.
 
@@ -47,7 +47,7 @@ sys.dont_write_bytecode = True  # leave perfbench/ as checked in
 import fixtures  # noqa: E402
 import gate  # noqa: E402
 import shapecorr as sc  # noqa: E402
-from conftest import GOLDEN_BUILD, bumpy_sphere  # noqa: E402
+from shapes import GOLDEN_BUILD, bumpy_sphere  # noqa: E402
 from shapecorr import cli, metrics, pairs, spatial  # noqa: E402
 from shapecorr import geometry as geo  # noqa: E402
 from shapecorr.scanning import CameraPose, cast_scan  # noqa: E402

@@ -87,7 +87,12 @@ _ENTRY_CHUNK = 256
 
 @dataclass
 class RemeshResult:
+    """A shape as it is emitted: ``mesh`` and the dense correspondence
+    ``to_original`` from it onto ``original``, the mesh it was made from.
+    Without decimation ``mesh`` is ``original`` itself."""
+
     mesh: Mesh
+    original: Mesh
     to_original: DenseCorrespondence
     target_count: int
     achieved_count: int
@@ -447,7 +452,7 @@ def remesh_with_correspondence(mesh, count_range, rng, cache=None):
         raise ValueError(f"invalid count range [{lo}, {hi}]")
     target = int(rng.integers(lo, hi + 1))
     if mesh.n_vertices <= lo:
-        return RemeshResult(mesh, identity_correspondence(mesh),
+        return RemeshResult(mesh, mesh, identity_correspondence(mesh),
                             target_count=target,
                             achieved_count=mesh.n_vertices,
                             max_projection_error=0.0)
@@ -460,7 +465,7 @@ def remesh_with_correspondence(mesh, count_range, rng, cache=None):
     corr = back_correspondence(dec, mesh)
     mapped = evaluate_correspondence(corr, mesh)
     err = float(np.linalg.norm(mapped - dec.vertices, axis=1).max())
-    result = RemeshResult(dec, corr, target_count=target,
+    result = RemeshResult(dec, mesh, corr, target_count=target,
                           achieved_count=dec.n_vertices,
                           max_projection_error=err)
     if cache is not None:
@@ -494,7 +499,7 @@ class RemeshCache(ContentStore):
         # the entry may come from another shape of the same geometry: take
         # this mesh's ids, as a miss would
         corr.source_id = corr.target_id = mesh.id
-        return RemeshResult(dec, corr, target_count=target,
+        return RemeshResult(dec, mesh, corr, target_count=target,
                             achieved_count=dec.n_vertices,
                             max_projection_error=float(meta["max_projection_error"]))
 

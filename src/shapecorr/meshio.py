@@ -248,6 +248,9 @@ def _read_obj(path):
     corners = _CORNER_TAIL.sub("", "\n".join(line for _, line in rows["f"]))
     faces = read_table(path, list(zip(linenos, corners.split("\n"))), "face",
                        [("f", "U1"), ("idx", "i8", 3)])["idx"]
+    for k in np.flatnonzero((faces == 0).any(axis=1))[:1]:
+        raise MeshFormatError(path, "face index 0 (OBJ indices start at 1)",
+                              linenos[k])
     # a negative index counts back from the last vertex above its face
     above = np.searchsorted([lineno for lineno, _ in rows["v"]], linenos)
     faces = np.where(faces > 0, faces - 1, faces + above[:, None])

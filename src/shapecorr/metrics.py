@@ -245,15 +245,14 @@ def lr_accuracy(pred_labels, gt_labels, gt_matched, pred_matched, setting,
 
 
 def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
-                      thresholds=None, pred_labels=None, gt_labels=None,
-                      sign_invariant=False):
-    """Full report for one instance.
+                      pred_labels=None, gt_labels=None):
+    """Full report for one instance, its curve at ``DEFAULT_THRESHOLDS``.
 
     shape_y/gt are the emitted target mesh and ground truth; pred is a
     per-source-vertex target vertex map. Labels are optional.
     """
     errors = geodesic_error(pred, gt, shape_y, target_full_area, setting)
-    th, fr = error_curve(errors, thresholds)
+    th, fr = error_curve(errors)
     gm = gt.matched
     pm = np.asarray(pred) != UNMATCHED
     iou_val = f1_val = None
@@ -262,8 +261,7 @@ def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
         f1_val = f1(pm, gm) * 100.0
     lr = None
     if pred_labels is not None and gt_labels is not None:
-        lr = lr_accuracy(pred_labels, gt_labels, gm, pm, setting,
-                         sign_invariant) * 100.0
+        lr = lr_accuracy(pred_labels, gt_labels, gm, pm, setting) * 100.0
     return EvalReport(
         setting=setting, errors=errors, thresholds=th, fractions=fr,
         auc=auc(th, fr), iou=iou_val, f1=f1_val, lr_accuracy=lr,

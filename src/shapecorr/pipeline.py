@@ -7,6 +7,11 @@ pair), rotate around z, and assemble the ground-truth correspondence
 between the emitted discretisations. Everything is a pure function of
 (manifest, config, global_seed).
 
+``generate_instance`` builds each value once, where it is known: a
+shape's ``RemeshResult`` carries its emitted mesh, the network mesh it
+maps back to and the counts, and the instance's ``meta`` is the
+``meta.txt`` record in its key order.
+
 This module owns the instance directory: ``write_instance`` writes it and
 ``load_instance`` reads what ``evaluate`` scores. ``run_generation``
 reports the run's outcome, which ``generate``'s exit code follows.
@@ -32,8 +37,8 @@ from .metrics import check_setting, check_target
 from .network import (compose, correspondence_between, project_template_pair,
                       shortest_path)
 from .pairs import enumerate_pairs
-from .scanning import (OverlapStats, PartialMesh, RaycastCache,
-                       generate_partial, generate_partial_pair, restrict)
+from .scanning import (PartialMesh, RaycastCache, generate_partial,
+                       generate_partial_pair, restrict)
 from .textio import (TEMP_NAME, key_value_text, read_key_values, remove_path,
                      replace_atomic, write_atomic)
 
@@ -63,70 +68,60 @@ def derived_rng(global_seed, index, role):
 
 @dataclass
 class MatchingInstance:
-    setting: str
+    """One generated instance: the emitted shapes, the dense ground truth
+    from shape_x onto shape_y, and ``meta``, the ``meta.txt`` record that
+    ``write_instance`` writes as it is."""
+
     shape_x: Mesh
     shape_y: Mesh
     gt: DenseCorrespondence
-    transforms: dict  # per-shape: rotation_z angle, scale note
-    overlap: OverlapStats | None
-    provenance: dict
+    meta: dict
 
     def __post_init__(self):
-        if self.setting == "partial_partial" and self.overlap is None:
-            raise ValueError("P2P instance requires overlap stats")
-        if self.setting != "partial_partial" and self.overlap is not None:
-            raise ValueError("overlap stats only valid for P2P")
         self.gt.validate_against(self.shape_x, self.shape_y)
 
 
 def _prepare_shape(net, shape_id, config, rng, remesh_cache):
-    """The network mesh (scale from the node, optionally area-normalized)
-    and its ``RemeshResult``; with ``remesh=false`` that emits the network
-    mesh itself through an identity correspondence, with counts -1."""
+    """The ``RemeshResult`` of a shape, whose ``original`` is the network
+    mesh (scale from the node, optionally area-normalized); with
+    ``remesh=false`` it emits that mesh itself through an identity
+    correspondence, with counts -1."""
     mesh = net.mesh(shape_id)
     if config.normalize_area:
         mesh = geo.normalize_area(mesh)
     if config.remesh:
-        return mesh, remesh_with_correspondence(mesh, config.count_range, rng,
-                                                cache=remesh_cache)
-    return mesh, RemeshResult(mesh, identity_correspondence(mesh), -1, -1, 0.0)
+        return remesh_with_correspondence(mesh, config.count_range, rng,
+                                          cache=remesh_cache)
+    return RemeshResult(mesh, mesh, identity_correspondence(mesh), -1, -1,
+                        0.0)
 
 
-def _emitted_to_emitted(net, id_a, id_b, a, b):
-    """Emitted-A -> emitted-B correspondence through the network; ``a``
-    and ``b`` are the shapes' ``(network mesh, RemeshResult)`` pairs."""
-    (net_a, res_a), (net_b, res_b) = a, b
-    to_net_b = compose(res_a.to_original,
-                       correspondence_between(net, id_a, id_b), net_a, net_b)
-    if res_b.mesh is net_b:
+def _emitted_to_emitted(net, a, b):
+    """Emitted-A -> emitted-B correspondence through the network, for the
+    shapes' ``RemeshResult``s ``a`` and ``b``."""
+    net_a, net_b = a.original, b.original
+    to_net_b = compose(a.to_original,
+                       correspondence_between(net, net_a.id, net_b.id),
+                       net_a, net_b)
+    if b.mesh is net_b:
         return to_net_b
-    fwd_b = project_template_pair(net_b, res_b.mesh)
-    return compose(to_net_b, fwd_b, net_b, res_b.mesh)
+    fwd_b = project_template_pair(net_b, b.mesh)
+    return compose(to_net_b, fwd_b, net_b, b.mesh)
 
 
 def generate_instance(spec, net, config, raycast_cache=None,
                       remesh_cache=None):
-    """Fully deterministic instance for one pair spec."""
-    try:
-        return _generate_instance(spec, net, config, raycast_cache,
-                                  remesh_cache)
-    except Exception as exc:
-        raise RuntimeError(
-            f"instance {spec.index} ({spec.id_x} / {spec.id_y}): {exc}"
-        ) from exc
-
-
-def _generate_instance(spec, net, config, raycast_cache, remesh_cache):
+    """Fully deterministic instance for one pair spec. An error is raised
+    as it is; ``run_generation`` logs it with the pair's ids."""
     seed = config.global_seed
-    x = _prepare_shape(
+    res_x = _prepare_shape(
         net, spec.id_x, config, derived_rng(seed, spec.index, ROLE_REMESH_X),
         remesh_cache)
-    y = _prepare_shape(
+    res_y = _prepare_shape(
         net, spec.id_y, config, derived_rng(seed, spec.index, ROLE_REMESH_Y),
         remesh_cache)
-    res_x, res_y = x[1], y[1]
     emit_x, emit_y = res_x.mesh, res_y.mesh
-    full_corr = _emitted_to_emitted(net, spec.id_x, spec.id_y, x, y)
+    full_corr = _emitted_to_emitted(net, res_x, res_y)
 
     px, py = PartialMesh.whole(emit_x), PartialMesh.whole(emit_y)
     overlap = None
@@ -135,34 +130,35 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache):
         px = generate_partial(emit_x, rng, resolution=config.resolution,
                               cache=raycast_cache)
     elif config.setting == "partial_partial":
-        back_full = _emitted_to_emitted(net, spec.id_y, spec.id_x, y, x)
+        back_full = _emitted_to_emitted(net, res_y, res_x)
         rng = derived_rng(seed, spec.index, ROLE_PARTIALITY)
-        params = {"alpha": CAM_POS_REGIMES[config.cam_pos_regime],
-                  "min_overlap": config.min_overlap,
-                  "max_overlap": config.max_overlap,
-                  "m": config.n_cam_pos}
         px, py, overlap = generate_partial_pair(
-            emit_x, emit_y, full_corr, back_full, params, rng,
-            resolution=config.resolution, cache=raycast_cache)
+            emit_x, emit_y, full_corr, back_full, rng, config.resolution,
+            CAM_POS_REGIMES[config.cam_pos_regime],
+            (config.min_overlap, config.max_overlap), config.n_cam_pos,
+            cache=raycast_cache)
 
     gt = restrict(full_corr, px, py)
     shape_x, shape_y = px.mesh, py.mesh
-
-    angles = {"x": 0.0, "y": 0.0}
+    angle_x = angle_y = 0.0
     if config.one_axis_rotation:
-        angles["x"] = float(derived_rng(seed, spec.index, ROLE_ROTATE_X)
-                            .uniform(0.0, 2 * np.pi))
-        angles["y"] = float(derived_rng(seed, spec.index, ROLE_ROTATE_Y)
-                            .uniform(0.0, 2 * np.pi))
-        shape_x = geo.rotate_z(shape_x, angles["x"])
-        shape_y = geo.rotate_z(shape_y, angles["y"])
+        angle_x = float(derived_rng(seed, spec.index, ROLE_ROTATE_X)
+                        .uniform(0.0, 2 * np.pi))
+        angle_y = float(derived_rng(seed, spec.index, ROLE_ROTATE_Y)
+                        .uniform(0.0, 2 * np.pi))
+        shape_x = geo.rotate_z(shape_x, angle_x)
+        shape_y = geo.rotate_z(shape_y, angle_y)
 
-    path = shortest_path(net, spec.id_x, spec.id_y)
-    provenance = {
+    meta = {
+        "setting": config.setting,
+        "rotation_z_x": angle_x, "rotation_z_y": angle_y,
+        "scale_x": net.nodes[spec.id_x].scale,
+        "scale_y": net.nodes[spec.id_y].scale,
         "index": spec.index, "split": spec.split, "dataset": spec.dataset,
         "id_x": spec.id_x, "id_y": spec.id_y,
         "category_x": "", "category_y": "",
-        "path_length": len(path) - 1, "global_seed": seed,
+        "path_length": len(shortest_path(net, spec.id_x, spec.id_y)) - 1,
+        "global_seed": seed,
         # areas of the emitted-resolution full shapes; evaluation normalizes
         # partial-target errors by sqrt(area of the full counterpart)
         "area_full_x": geo.surface_area(emit_x),
@@ -172,11 +168,12 @@ def _generate_instance(spec, net, config, raycast_cache, remesh_cache):
         "remesh_target_y": res_y.target_count,
         "remesh_achieved_y": res_y.achieved_count,
     }
-    transforms = {"rotation_z_x": angles["x"], "rotation_z_y": angles["y"],
-                  "scale_x": net.nodes[spec.id_x].scale,
-                  "scale_y": net.nodes[spec.id_y].scale}
-    return MatchingInstance(config.setting, shape_x, shape_y, gt,
-                            transforms, overlap, provenance)
+    if overlap is not None:
+        meta.update(overlap_x_to_y=overlap.frac_x_to_y,
+                    overlap_y_to_x=overlap.frac_y_to_x,
+                    overlap_iterations=overlap.iterations_used,
+                    overlap_within_range=overlap.within_range)
+    return MatchingInstance(shape_x, shape_y, gt, meta)
 
 
 # --- serialization ---
@@ -196,15 +193,7 @@ def write_instance(instance, directory, store_vis=False):
         save_correspondence(instance.gt, tmp / "gt.corr")
         if store_vis:
             write_vis(instance, tmp)
-        meta = {"setting": instance.setting}
-        meta.update(instance.transforms)
-        meta.update(instance.provenance)
-        if instance.overlap is not None:
-            meta["overlap_x_to_y"] = instance.overlap.frac_x_to_y
-            meta["overlap_y_to_x"] = instance.overlap.frac_y_to_x
-            meta["overlap_iterations"] = instance.overlap.iterations_used
-            meta["overlap_within_range"] = instance.overlap.within_range
-        (tmp / META_FILE).write_text(key_value_text(meta))
+        (tmp / META_FILE).write_text(key_value_text(instance.meta))
     replace_atomic([directory], fill)
 
 
@@ -288,7 +277,7 @@ def run_generation(config, net, split_manifest, output_dir, limit=None,
             write_instance(inst, dest, store_vis=config.store_vis)
         except Exception as exc:
             failed += 1
-            log(f"FAIL {name}: {exc}")
+            log(f"FAIL {name}: {spec.id_x} / {spec.id_y}: {exc}")
             continue
         done.append(name)
         log(f"done {name} in {time.monotonic() - t0:.2f}s")

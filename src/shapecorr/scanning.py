@@ -34,24 +34,23 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class CameraPose:
-    """Viewpoint on a sphere around the origin, looking at the origin."""
+    """Viewpoint on the sphere of radius ``CAMERA_DISTANCE`` around the
+    origin, looking at the origin. Every camera sits at that distance,
+    which ``_hit_faces``' depth bound assumes."""
 
     azimuth: float
     elevation: float
-    distance: float = CAMERA_DISTANCE
 
     def __post_init__(self):
         if not 0.0 <= self.azimuth < 2 * np.pi:
             raise ValueError(f"azimuth {self.azimuth} outside [0, 2pi)")
         if not -np.pi / 2 <= self.elevation <= np.pi / 2:
             raise ValueError(f"elevation {self.elevation} outside [-pi/2, pi/2]")
-        if self.distance <= 0:
-            raise ValueError("camera distance must be positive")
 
     @property
     def position(self):
         ce = np.cos(self.elevation)
-        return self.distance * np.array([
+        return CAMERA_DISTANCE * np.array([
             ce * np.cos(self.azimuth), ce * np.sin(self.azimuth),
             np.sin(self.elevation)])
 
@@ -132,7 +131,7 @@ def _camera_frame(camera):
     true_up = np.cross(right, forward)
 
     bounding_radius = np.sqrt(3.0) / 2.0
-    half_fov = np.arcsin(min(1.0, bounding_radius / camera.distance)) * _FOV_MARGIN
+    half_fov = np.arcsin(min(1.0, bounding_radius / CAMERA_DISTANCE)) * _FOV_MARGIN
     return eye, forward, right, true_up, np.tan(half_fov)
 
 
@@ -325,32 +324,31 @@ def restrict(corr, px, py):
         corr.weights[px.parent_vertex])
 
 
-def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng, resolution,
-                          cache=None):
-    """Overlap-constrained partial pair.
+def generate_partial_pair(mx, my, corr_xy, corr_yx, rng, resolution, alpha,
+                          overlap_range, attempts, cache=None):
+    """Overlap-constrained partial pair: ``(px, py, OverlapStats)``.
 
     my is rigidly pre-aligned to mx (Procrustes over the matched vertex
     pairs) for camera placement only; the returned partials are at the
-    original dataset poses. Up to ``m`` attempts with camera pairs whose
-    angular disparity stays below ``alpha``; an attempt is accepted when at
-    least one overlap fraction is inside [min_overlap, max_overlap]. After
-    m failures the attempt whose worst fraction is closest to the range is
-    returned with within_range=False.
+    original dataset poses. Up to ``attempts`` camera pairs whose angular
+    disparity stays below ``alpha``; an attempt is accepted when at least
+    one overlap fraction is inside ``overlap_range = (lo, hi)``. After
+    ``attempts`` failures the attempt whose worse fraction is closest to
+    the range is returned with within_range=False. ``ValueError`` unless
+    ``0 <= lo < hi <= 1`` and ``attempts >= 1``.
     """
-    alpha = params["alpha"]
-    lo, hi = params["min_overlap"], params["max_overlap"]
-    m = int(params["m"])
+    lo, hi = overlap_range
     if not (0 <= lo < hi <= 1):
         raise ValueError("need 0 <= min_overlap < max_overlap <= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if attempts < 1:
+        raise ValueError("attempts must be >= 1")
     # normalized once, for every attempt
     nx = geo.normalize_to_unit_box(mx)
     ny = geo.normalize_to_unit_box(_align_to(my, mx, corr_xy))
 
     best = None
     best_score = np.inf
-    for it in range(1, m + 1):
+    for it in range(1, attempts + 1):
         cam_x, cam_y = sample_constrained_pair(rng, alpha)
         try:
             px = _scan(nx, mx, cam_x, resolution, cache)
@@ -365,7 +363,7 @@ def generate_partial_pair(mx, my, corr_xy, corr_yx, params, rng, resolution,
         score = max(0.0, lo - fx, fx - hi, lo - fy, fy - hi)
         if score < best_score:
             best_score = score
-            best = (px, py, OverlapStats(fx, fy, m, False))
+            best = (px, py, OverlapStats(fx, fy, attempts, False))
     if best is None:
         raise EmptyScanError("all camera pairs produced empty scans")
     return best
@@ -391,7 +389,7 @@ class RaycastCache(ContentStore):
     @staticmethod
     def key_parts(mesh, camera, resolution):
         return (mesh.vertices, mesh.faces,
-                np.array([camera.azimuth, camera.elevation, camera.distance],
+                np.array([camera.azimuth, camera.elevation, CAMERA_DISTANCE],
                          dtype=np.float64),
                 np.array(resolution, dtype=np.int64))
 

@@ -6,67 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from scipy.sparse import csgraph
 
 from shapecorr import geometry as geo
 from shapecorr import spatial
 from shapecorr.decimate import _DecimationState
 from shapecorr.meshes import UNMATCHED, DenseCorrespondence, Mesh
 
-
-def icosahedron():
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    v = np.array([
-        [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
-        [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
-        [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
-    ], dtype=np.float64)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    f = np.array([
-        [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
-        [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
-        [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
-        [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
-    ], dtype=np.int64)
-    return v, f
-
-
-def icosphere(subdivisions=2, radius=1.0):
-    """Subdivided icosahedron projected to a sphere. 2 subdivisions -> 320
-    faces, 3 -> 1280 faces, 4 -> 5120 faces."""
-    v, f = icosahedron()
-    for _ in range(subdivisions):
-        cache = {}
-        verts = list(v)
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = (verts[i] + verts[j]) / 2.0
-                m /= np.linalg.norm(m)
-                cache[key] = len(verts)
-                verts.append(m)
-            return cache[key]
-
-        new_f = []
-        for a, b, c in f:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_f += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        v = np.array(verts)
-        f = np.array(new_f, dtype=np.int64)
-    return Mesh(v * radius, f, id=f"icosphere{subdivisions}")
-
-
-def bumpy_sphere(subdivisions=2, bump=0.25, seed=7, id=None):
-    """Icosphere with a smooth deterministic radial perturbation; a generic
-    'organic' closed test surface."""
-    base = icosphere(subdivisions)
-    v = base.vertices
-    rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=(4, 3))
-    r = 1.0
-    for k, row in enumerate(coeffs, start=1):
-        r = r + bump / k * np.sin(k * v @ row)
-    return Mesh(v * r[:, None], base.faces, id=id or f"bumpy{seed}")
+from shapes import GOLDEN_BUILD
 
 
 def grid_plane(n=10, size=1.0):
@@ -139,9 +86,6 @@ def full_matrix_geodesic_error(pred, gt, mesh, area, setting):
     reading one entry per row: the reference ``metrics.geodesic_error``
     must equal bit for bit. It calls scipy itself, so it shares no search
     code with ``geodesic_error``."""
-    # imported here: the scripts import this module, and scipy.sparse would
-    # add about 20 MB to every process they measure
-    from scipy.sparse import csgraph
     pred = np.asarray(pred, dtype=np.int64)
     gtv = geo.snap_correspondence_to_vertices(gt, mesh)
     gm, pm = gtv != UNMATCHED, pred != UNMATCHED
@@ -222,6 +166,20 @@ def sequential_decimate(mesh, target):
     return Mesh(st.v[keep], np.array(faces, dtype=np.int64), id=mesh.id), keep
 
 
+def oracle_snap(corr, mesh):
+    """Each row's dominant-weight corner, ties to the lowest vertex index,
+    UNMATCHED where the row is: the reference of
+    ``geometry.snap_correspondence_to_vertices``, one row at a time."""
+    out = np.full(len(corr), UNMATCHED, dtype=np.int64)
+    for i in range(len(corr)):
+        if corr.faces[i] == UNMATCHED:
+            continue
+        tri = mesh.faces[corr.faces[i]]
+        w = corr.weights[i]
+        out[i] = min(int(tri[k]) for k in range(3) if w[k] == w.max())
+    return out
+
+
 def floyd_warshall_distances(mesh):
     """All-pairs shortest paths on the vertex-edge graph, hand-rolled; the
     independent oracle for Dijkstra-based geodesics."""
@@ -258,11 +216,6 @@ def random_rigid(rng):
         Q[:, 0] = -Q[:, 0]
     from shapecorr.meshes import RigidTransform
     return RigidTransform(Q, rng.normal(size=3))
-
-
-# the numpy/scipy build the pinned digests were measured on; floating-point
-# results may differ on another
-GOLDEN_BUILD = ("2.4.6", "1.17.1")
 
 
 def require_golden_build():

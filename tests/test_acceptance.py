@@ -26,10 +26,11 @@ from shapecorr.pipeline import run_generation
 from shapecorr.scanning import generate_partial, generate_partial_pair
 from shapecorr.textio import read_key_values
 
-from conftest import (bumpy_sphere, digest_tree, exhaustive_first_hits,
+from conftest import (digest_tree, exhaustive_first_hits,
                       exhaustive_nearest_points, floyd_warshall_distances,
-                      grid_plane, icosphere, random_correspondence,
+                      grid_plane, oracle_snap, random_correspondence,
                       random_rigid, require_golden_build, sequential_decimate)
+from shapes import bumpy_sphere, icosphere
 
 
 def test_criterion_1_metric_oracle_equivalence():
@@ -46,7 +47,7 @@ def test_criterion_1_metric_oracle_equivalence():
         pred = rng.integers(0, mesh.n_vertices,
                             size=mesh.n_vertices).astype(np.int64)
         errors = geodesic_error(pred, gt, mesh, area, "full_full")
-        gtv = geo.snap_correspondence_to_vertices(gt, mesh)
+        gtv = oracle_snap(gt, mesh)
         np.testing.assert_allclose(errors, fw[gtv, pred] / np.sqrt(area),
                                    atol=1e-9)
     assert time.monotonic() - t0 < 10.0
@@ -102,8 +103,6 @@ def test_criterion_4_overlap_protocol():
     """200 P2P pairs at alpha=pi/4, range 10-90%, m=10: >= 90% within
     range, the rest flagged at iterations_used=10; deterministic."""
     shapes = [bumpy_sphere(2, seed=s, id=f"s{s}") for s in range(4)]
-    params = {"alpha": np.pi / 4, "min_overlap": 0.1, "max_overlap": 0.9,
-              "m": 10}
 
     def run(seed):
         rng = np.random.default_rng(seed)
@@ -114,8 +113,8 @@ def test_criterion_4_overlap_protocol():
             ic = identity_correspondence(mx)
             cxy = DenseCorrespondence(mx.id, my.id, ic.faces, ic.weights)
             cyx = DenseCorrespondence(my.id, mx.id, ic.faces, ic.weights)
-            _, _, st = generate_partial_pair(mx, my, cxy, cyx, params, rng,
-                                             resolution=(64, 64))
+            _, _, st = generate_partial_pair(mx, my, cxy, cyx, rng, (64, 64),
+                                             np.pi / 4, (0.1, 0.9), 10)
             stats.append((st.frac_x_to_y, st.frac_y_to_x,
                           st.iterations_used, st.within_range))
         return stats
@@ -255,7 +254,7 @@ def _toy_world(n=5, base=None):
 
 
 # digest_tree of the criterion-9 tree per setting, cache/ included,
-# measured on conftest.GOLDEN_BUILD
+# measured on shapes.GOLDEN_BUILD
 GOLDEN_DIGESTS = {
     "partial_partial":
         "16b1718b0ddc87c2e1b06d5f3f211c0661fe1289cb36ddb1fb97cf66a0c5690f",

@@ -16,7 +16,8 @@ from shapecorr.geometry import snap_correspondence_to_vertices
 from shapecorr.pipeline import _remove_temporaries, load_instance
 from shapecorr.textio import TEMP_NAME
 
-from conftest import digest_tree, icosphere, random_rigid
+from conftest import digest_tree, random_rigid
+from shapes import icosphere
 
 
 @pytest.fixture

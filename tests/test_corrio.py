@@ -7,8 +7,8 @@ from shapecorr.corrio import load_correspondence, save_correspondence
 from shapecorr.decimate import back_correspondence, decimate
 from shapecorr.meshes import DenseCorrespondence, identity_correspondence
 
-from conftest import (COUNTS_PAST_THE_FILE, bumpy_sphere, icosphere,
-                      set_corr_count)
+from conftest import COUNTS_PAST_THE_FILE, set_corr_count
+from shapes import bumpy_sphere, icosphere
 
 
 def test_binary_corr_cut_anywhere_raises_value_error(tmp_path):

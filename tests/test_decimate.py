@@ -14,11 +14,12 @@ from shapecorr.decimate import (_SINGULAR_COND, RemeshCache,
                                 remesh_with_correspondence)
 from shapecorr.meshes import DenseCorrespondence, Mesh, edge_incidence
 
-from conftest import (COUNTS_PAST_THE_FILE, bumpy_sphere,
-                      edges_in_face_order, exhaustive_nearest_points,
-                      grid_plane, icosphere, reference_flips_normal,
-                      reference_link_condition, require_golden_build,
-                      sequential_decimate, set_corr_count)
+from conftest import (COUNTS_PAST_THE_FILE, edges_in_face_order,
+                      exhaustive_nearest_points, grid_plane,
+                      reference_flips_normal, reference_link_condition,
+                      require_golden_build, sequential_decimate,
+                      set_corr_count)
+from shapes import bumpy_sphere, icosphere
 
 
 def torus(n=12, m=8, big_r=1.0, small_r=0.4):
@@ -69,7 +70,7 @@ def test_output_valid_and_monotone():
 
 
 # sha256 over (vertices, faces, keep) bytes of decimate's output, measured
-# on conftest.GOLDEN_BUILD; the grid planes reach boundary quadrics and the
+# on shapes.GOLDEN_BUILD; the grid planes reach boundary quadrics and the
 # singular-quadric fallback
 DECIMATE_DIGESTS = [
     ("bumpy_sphere", 3, 0, 150,

@@ -18,10 +18,10 @@ from shapecorr.meshes import DenseCorrespondence, UNMATCHED
 from shapecorr.meshio import save_mesh
 from shapecorr.metrics import evaluate_instance, write_report
 
-from conftest import (bumpy_sphere, full_matrix_geodesic_error, icosphere,
-                      require_golden_build)
+from conftest import full_matrix_geodesic_error, require_golden_build
+from shapes import bumpy_sphere, icosphere
 
-# sha256 of each file's bytes, measured on conftest.GOLDEN_BUILD
+# sha256 of each file's bytes, measured on shapes.GOLDEN_BUILD
 PINS = {
     "report_f2f":
         "e7f1d9991b58c7b2c451eb0e7bf49d3228cebf9d1da1a939ffd13d238c5fcd46",

@@ -4,7 +4,8 @@ import pytest
 from shapecorr.meshes import (DenseCorrespondence, Mesh, edge_incidence,
                               identity_correspondence)
 
-from conftest import bumpy_sphere, grid_plane, icosphere
+from conftest import grid_plane
+from shapes import bumpy_sphere, icosphere
 
 
 def reference_edge_incidence(faces):

@@ -5,7 +5,7 @@ from shapecorr.meshes import Mesh, MeshValidationError
 from shapecorr.meshio import (MeshFormatError, load_mesh, save_colored_ply,
                               save_mesh)
 
-from conftest import bumpy_sphere, icosphere
+from shapes import bumpy_sphere, icosphere
 
 
 def write(path, text):
@@ -344,3 +344,12 @@ def test_obj_inline_comments_dropped(tmp_path):
     m = load_mesh(write(tmp_path / "c.obj", text))
     np.testing.assert_array_equal(m.vertices, TRI_V[:3])
     np.testing.assert_array_equal(m.faces, [[0, 1, 2]])
+
+
+def test_obj_face_index_zero_rejected_with_line(tmp_path):
+    """OBJ indices start at 1; a 0 used to count back from the vertices
+    above its face, so the first face below loaded as ``[0, 1, 2]``,
+    taking a vertex declared after it."""
+    text = "v 0 0 0\nv 1 0 0\nf 1 2 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\n"
+    with pytest.raises(MeshFormatError, match="z.obj:3: face index 0"):
+        load_mesh(write(tmp_path / "z.obj", text))

@@ -15,22 +15,8 @@ from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
                                load_prediction, lr_accuracy, write_report)
 from shapecorr.textio import key_value_text, write_atomic
 
-from conftest import (bumpy_sphere, floyd_warshall_distances,
-                      full_matrix_geodesic_error, grid_plane, icosphere,
-                      random_correspondence)
-
-
-def oracle_snap(corr, mesh):
-    """Independent dominant-weight snap (ties -> lowest vertex index)."""
-    out = np.full(len(corr), UNMATCHED, dtype=np.int64)
-    for i in range(len(corr)):
-        if corr.faces[i] == UNMATCHED:
-            continue
-        tri = mesh.faces[corr.faces[i]]
-        w = corr.weights[i]
-        best = min(int(tri[k]) for k in range(3) if w[k] == w.max())
-        out[i] = best
-    return out
+from conftest import full_matrix_geodesic_error, random_correspondence
+from shapes import bumpy_sphere, icosphere
 
 
 def near_miss(mesh, targets, rng):
@@ -80,20 +66,6 @@ def folded_strip(arm=24, radius=0.05):
 
 
 class TestGeodesicError:
-    def test_matches_floyd_warshall_oracle(self):
-        rng = np.random.default_rng(42)
-        for trial in range(20):
-            mesh = grid_plane(4) if trial % 2 else icosphere(1)  # <= 60 verts
-            fw = floyd_warshall_distances(mesh)
-            area = geo.surface_area(mesh)
-            gt = random_correspondence(mesh, rng)
-            pred = rng.integers(0, mesh.n_vertices,
-                                size=mesh.n_vertices).astype(np.int64)
-            errors = geodesic_error(pred, gt, mesh, area, "full_full")
-            gtv = oracle_snap(gt, mesh)
-            expect = fw[gtv, pred] / np.sqrt(area)
-            np.testing.assert_allclose(errors, expect, atol=1e-9)
-
     def test_exact_prediction_zero(self):
         mesh = icosphere(1)
         gt = random_correspondence(mesh, np.random.default_rng(0))

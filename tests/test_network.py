@@ -13,7 +13,8 @@ from shapecorr.network import (NetworkError, ShapeNetwork, ShapeNode,
                                load_annotation, nearest_annotated, project_template_pair,
                                propagate_annotation, shortest_path)
 
-from conftest import exhaustive_nearest_points, icosphere, random_rigid
+from conftest import exhaustive_nearest_points, random_rigid
+from shapes import icosphere
 
 
 def make_node(nid, mesh):

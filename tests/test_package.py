@@ -99,3 +99,53 @@ def test_every_import_is_used():
                    if bound not in used
                    and (path.stem, bound) not in reexported]
     assert unused == []
+
+
+def optional_parameters(func):
+    """(name, position) of each parameter of ``func`` that has a default;
+    position is None for a keyword-only one."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    yield from ((a.arg, k) for k, a in enumerate(positional) if k >= first)
+    yield from ((a.arg, None) for a, d in zip(args.kwonlyargs,
+                                              args.kw_defaults) if d)
+
+
+def test_every_optional_parameter_is_passed():
+    """Every optional parameter of a public module-level function of the
+    package is passed by some call in the package, the scripts, perfbench
+    or the tests: by position, by keyword, or through ``*``/``**``. One
+    that no call passes is a knob nothing sets. Calls are matched by the
+    callee's name, as ``f(...)`` or ``obj.f(...)``."""
+    optional = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                optional[node.name] = (path.stem,
+                                       dict(optional_parameters(node)))
+    passed = {name: set() for name in optional}
+    for d in ("src/shapecorr", "scripts", "perfbench", "tests"):
+        for path in (ROOT / d).glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name not in optional:
+                    continue
+                params = optional[name][1]
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    passed[name].update(params)
+                    continue
+                keywords = {k.arg for k in node.keywords}
+                passed[name].update(
+                    p for p, k in params.items()
+                    if p in keywords or k is not None and k < len(node.args))
+    unset = sorted(f"{module}.{name}: {p}"
+                   for name, (module, params) in optional.items()
+                   for p in params if p not in passed[name])
+    assert unset == []

@@ -28,7 +28,7 @@ from shapecorr.meshio import save_mesh
 from shapecorr.pairs import parse_split_manifest
 from shapecorr.pipeline import load_instance
 
-from conftest import icosphere
+from shapes import icosphere
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CHILD = PERFBENCH / "child.py"

@@ -15,13 +15,13 @@ from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
 from shapecorr.meshio import load_mesh
 from shapecorr.network import ShapeNetwork, ShapeNode
 from shapecorr.pairs import PairSpec, ShapeRecord, SplitManifest
-from shapecorr.pipeline import (MatchingInstance, derive_seed,
-                                generate_instance, load_instance,
-                                run_generation)
+from shapecorr.pipeline import (derive_seed, generate_instance,
+                                load_instance, run_generation)
 from shapecorr.scanning import generate_partial, restrict
 from shapecorr.textio import TEMP_NAME, read_key_values
 
-from conftest import digest_tree, icosphere, random_rigid
+from conftest import digest_tree, random_rigid
+from shapes import icosphere
 
 
 def toy_network(n=3):
@@ -77,7 +77,7 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(inst.gt.faces, direct.faces)
         np.testing.assert_array_equal(inst.gt.weights, direct.weights)
         assert inst.shape_x == net.mesh(ids[0])
-        assert inst.overlap is None
+        assert "overlap_x_to_y" not in inst.meta
 
     def test_deterministic(self):
         net, _, ids = toy_network()
@@ -87,7 +87,7 @@ class TestGenerateInstance:
         assert a.shape_x == b.shape_x
         assert a.shape_y == b.shape_y
         assert a.gt == b.gt
-        assert a.transforms == b.transforms
+        assert a.meta == b.meta
 
     def test_remesh_counts_in_range(self):
         net, _, ids = toy_network()
@@ -95,7 +95,7 @@ class TestGenerateInstance:
                                  toy_config(one_axis_rotation=False))
         for mesh in (inst.shape_x, inst.shape_y):
             assert 80 <= mesh.n_vertices <= 120
-        assert inst.provenance["remesh_achieved_x"] == inst.shape_x.n_vertices
+        assert inst.meta["remesh_achieved_x"] == inst.shape_x.n_vertices
 
     def test_p2f_partial_source_full_target(self):
         net, _, ids = toy_network()
@@ -103,15 +103,14 @@ class TestGenerateInstance:
                                  toy_config(setting="partial_full"))
         assert inst.shape_x.n_vertices < inst.shape_y.n_vertices * 1.0 + 1
         assert len(inst.gt) == inst.shape_x.n_vertices
-        assert inst.overlap is None
+        assert "overlap_x_to_y" not in inst.meta
         assert 80 <= inst.shape_y.n_vertices <= 120  # target stays full
 
     def test_p2p_has_overlap_and_valid_restriction(self):
         net, _, ids = toy_network()
         inst = generate_instance(spec(ids), net,
                                  toy_config(setting="partial_partial"))
-        assert inst.overlap is not None
-        assert 0 <= inst.overlap.frac_x_to_y <= 1
+        assert 0 <= inst.meta["overlap_x_to_y"] <= 1
         m = inst.gt.matched
         assert m.any()
         assert inst.gt.faces[m].max() < inst.shape_y.n_faces
@@ -120,10 +119,10 @@ class TestGenerateInstance:
         net, _, ids = toy_network()
         inst = generate_instance(spec(ids), net, toy_config())
         for key in ("rotation_z_x", "rotation_z_y"):
-            assert 0.0 <= inst.transforms[key] < 2 * np.pi
+            assert 0.0 <= inst.meta[key] < 2 * np.pi
         plain = generate_instance(spec(ids), net,
                                   toy_config(one_axis_rotation=False))
-        rot = geo.rotate_z(plain.shape_x, inst.transforms["rotation_z_x"])
+        rot = geo.rotate_z(plain.shape_x, inst.meta["rotation_z_x"])
         np.testing.assert_allclose(inst.shape_x.vertices, rot.vertices,
                                    atol=1e-12)
 
@@ -131,15 +130,26 @@ class TestGenerateInstance:
         net, _, ids = toy_network()
         cfg = toy_config(remesh=False, one_axis_rotation=False)
         assert generate_instance(spec(ids), net,
-                                 cfg).provenance["path_length"] == 1
+                                 cfg).meta["path_length"] == 1
         assert generate_instance(spec(ids, a=0, b=2), net,
-                                 cfg).provenance["path_length"] == 2
+                                 cfg).meta["path_length"] == 2
 
-    def test_error_tagged_with_spec(self):
+    def test_error_tagged_with_spec(self, tmp_path):
+        """``generate_instance`` raises the underlying error; the run's
+        ``FAIL`` line names the instance and both shapes."""
         net, _, ids = toy_network()
-        bad = PairSpec(0, "train", ids[0], "nope", "faust")
-        with pytest.raises(RuntimeError, match="instance 0"):
-            generate_instance(bad, net, toy_config())
+        with pytest.raises(KeyError, match="nope"):
+            generate_instance(PairSpec(0, "train", ids[0], "nope", "faust"),
+                              net, toy_config())
+        manifest = SplitManifest(
+            {ids[0]: ShapeRecord(ids[0], "faust", "faust:c", "human"),
+             "nope": ShapeRecord("nope", "faust", "faust:c", "human")},
+            {"train": [(ids[0], "nope")]})
+        logs = []
+        assert run_generation(toy_config(), net, manifest, tmp_path,
+                              log=logs.append) == ([], 1)
+        (fail,) = [line for line in logs if line.startswith("FAIL")]
+        assert fail.startswith(f"FAIL train_000000: {ids[0]} / nope: ")
 
     def test_area_normalization(self):
         net, _, ids = toy_network()
@@ -166,12 +176,6 @@ class TestRestriction:
                 np.testing.assert_array_equal(out.weights[i], full.weights[pv])
             else:
                 assert out.faces[i] == UNMATCHED
-
-    def test_overlap_required_for_p2p_only(self):
-        m = icosphere(1)
-        gt = identity_correspondence(m)
-        with pytest.raises(ValueError):
-            MatchingInstance("partial_partial", m, m, gt, {}, None, {})
 
 
 class TestRunGeneration:
@@ -206,7 +210,7 @@ class TestRunGeneration:
         assert run_generation(toy_config(), net, manifest, out,
                               log=logs.append) == (
             ["train_000000", "train_000002"], 1)
-        assert "FAIL train_000001: boom" in logs
+        assert "FAIL train_000001: faust:0001 / faust:0002: boom" in logs
         assert (out / "instances.manifest").read_text().split() == [
             "train_000000", "train_000002"]
 

@@ -9,7 +9,7 @@ from shapecorr import geometry as geo
 from shapecorr.meshes import DenseCorrespondence, UNMATCHED
 from shapecorr.network import compose
 
-from conftest import icosphere
+from shapes import icosphere
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 

@@ -5,15 +5,15 @@ from shapecorr import geometry as geo
 from shapecorr import scanning
 from shapecorr.meshes import (UNMATCHED, DenseCorrespondence, Mesh,
                               identity_correspondence)
-from shapecorr.scanning import (CameraPose, EmptyScanError, PartialMesh,
-                                RaycastCache, camera_rays, cast_scan,
-                                compute_overlap, extract_partial,
+from shapecorr.scanning import (CAMERA_DISTANCE, CameraPose, EmptyScanError,
+                                PartialMesh, RaycastCache, camera_rays,
+                                cast_scan, compute_overlap, extract_partial,
                                 generate_partial, generate_partial_pair,
                                 restrict, sample_camera,
                                 sample_constrained_pair)
 
-from conftest import (bumpy_sphere, exhaustive_first_hits, icosphere,
-                      random_rigid)
+from conftest import exhaustive_first_hits, random_rigid
+from shapes import bumpy_sphere, icosphere
 
 
 def sphere_pair(subdiv=2, seed=99):
@@ -34,12 +34,10 @@ class TestCameraPose:
             CameraPose(azimuth=-0.1, elevation=0.0)
         with pytest.raises(ValueError):
             CameraPose(azimuth=0.0, elevation=2.0)
-        with pytest.raises(ValueError):
-            CameraPose(azimuth=0.0, elevation=0.0, distance=0.0)
 
     def test_position_on_sphere(self):
-        p = CameraPose(azimuth=1.0, elevation=0.3, distance=2.0)
-        assert np.linalg.norm(p.position) == pytest.approx(2.0)
+        p = CameraPose(azimuth=1.0, elevation=0.3)
+        assert np.linalg.norm(p.position) == pytest.approx(CAMERA_DISTANCE)
 
 
 class TestSampleCamera:
@@ -163,7 +161,7 @@ class TestBinnedHits:
         """Points on the rays ``ray`` of ``camera_rays``, each ``scale``
         times the eye's distance from the eye."""
         origins, dirs = camera_rays(camera, resolution)
-        return origins[ray] + dirs[ray] * (np.asarray(scale) * camera.distance)
+        return origins[ray] + dirs[ray] * (np.asarray(scale) * CAMERA_DISTANCE)
 
     def test_vertices_and_edges_on_pixel_centres(self):
         # a grid on the rays of every second pixel: every other ray passes
@@ -400,14 +398,14 @@ class TestGeneratePartial:
 
 
 class TestGeneratePartialPair:
-    PARAMS = {"alpha": np.pi / 4, "min_overlap": 0.1, "max_overlap": 0.9,
-              "m": 10}
+    # alpha, overlap range, attempts
+    PARAMS = (np.pi / 4, (0.1, 0.9), 10)
 
     def test_accepted_or_max_iterations(self):
         mx, my, cxy, cyx = sphere_pair()
         px, py, st = generate_partial_pair(
-            mx, my, cxy, cyx, self.PARAMS, np.random.default_rng(21),
-            resolution=(64, 64))
+            mx, my, cxy, cyx, np.random.default_rng(21), (64, 64),
+            *self.PARAMS)
         assert 0.0 <= st.frac_x_to_y <= 1.0
         assert 0.0 <= st.frac_y_to_x <= 1.0
         if st.within_range:
@@ -419,8 +417,8 @@ class TestGeneratePartialPair:
     def test_partials_at_original_poses(self):
         mx, my, cxy, cyx = sphere_pair()
         px, py, _ = generate_partial_pair(
-            mx, my, cxy, cyx, self.PARAMS, np.random.default_rng(22),
-            resolution=(64, 64))
+            mx, my, cxy, cyx, np.random.default_rng(22), (64, 64),
+            *self.PARAMS)
         np.testing.assert_array_equal(px.mesh.vertices,
                                       mx.vertices[px.parent_vertex])
         np.testing.assert_array_equal(py.mesh.vertices,
@@ -428,10 +426,10 @@ class TestGeneratePartialPair:
 
     def test_deterministic(self):
         mx, my, cxy, cyx = sphere_pair()
-        r1 = generate_partial_pair(mx, my, cxy, cyx, self.PARAMS,
-                                   np.random.default_rng(23), resolution=(64, 64))
-        r2 = generate_partial_pair(mx, my, cxy, cyx, self.PARAMS,
-                                   np.random.default_rng(23), resolution=(64, 64))
+        r1 = generate_partial_pair(mx, my, cxy, cyx, np.random.default_rng(23),
+                                   (64, 64), *self.PARAMS)
+        r2 = generate_partial_pair(mx, my, cxy, cyx, np.random.default_rng(23),
+                                   (64, 64), *self.PARAMS)
         assert r1[0].mesh == r2[0].mesh
         assert r1[1].mesh == r2[1].mesh
         assert r1[2].frac_x_to_y == r2[2].frac_x_to_y
@@ -439,10 +437,9 @@ class TestGeneratePartialPair:
     def test_no_bvh_build(self, bvh_builds):
         # an overlap window no attempt reaches makes all m attempts run
         mx, my, cxy, cyx = sphere_pair()
-        params = dict(self.PARAMS, min_overlap=0.0, max_overlap=1e-9, m=5)
-        _, _, st = generate_partial_pair(mx, my, cxy, cyx, params,
-                                         np.random.default_rng(24),
-                                         resolution=(32, 32))
+        _, _, st = generate_partial_pair(mx, my, cxy, cyx,
+                                         np.random.default_rng(24), (32, 32),
+                                         np.pi / 4, (0.0, 1e-9), 5)
         assert not st.within_range
         assert bvh_builds == []
 
@@ -452,21 +449,17 @@ class TestGeneratePartialPair:
                                   np.full(len(cxy), -1, dtype=np.int64),
                                   np.zeros((len(cxy), 3)))
         with pytest.raises(ValueError):
-            generate_partial_pair(mx, my, bad, cyx, self.PARAMS,
-                                  np.random.default_rng(0), (64, 64))
+            generate_partial_pair(mx, my, bad, cyx, np.random.default_rng(0),
+                                  (64, 64), *self.PARAMS)
 
     def test_bad_params_rejected(self):
         mx, my, cxy, cyx = sphere_pair()
         with pytest.raises(ValueError):
-            generate_partial_pair(mx, my, cxy, cyx,
-                                  {"alpha": 1.0, "min_overlap": 0.9,
-                                   "max_overlap": 0.1, "m": 10},
-                                  np.random.default_rng(0), (64, 64))
+            generate_partial_pair(mx, my, cxy, cyx, np.random.default_rng(0),
+                                  (64, 64), 1.0, (0.9, 0.1), 10)
         with pytest.raises(ValueError):
-            generate_partial_pair(mx, my, cxy, cyx,
-                                  {"alpha": 1.0, "min_overlap": 0.1,
-                                   "max_overlap": 0.9, "m": 0},
-                                  np.random.default_rng(0), (64, 64))
+            generate_partial_pair(mx, my, cxy, cyx, np.random.default_rng(0),
+                                  (64, 64), 1.0, (0.1, 0.9), 0)
 
 
 class TestRaycastCache:

@@ -76,14 +76,16 @@ def test_record_bvh_case_matches_pin(name, load):
     assert digest(run()) == record.PINNED[name]
 
 
-def test_conftest_import_leaves_scipy_sparse_unloaded():
-    """The record imports ``conftest`` into every case's process, so a
-    ``scipy.sparse`` import at its top would raise every case's peak RSS
-    (by about 23 MB when ``csgraph`` was imported there)."""
+def test_shapes_import_leaves_pytest_and_scipy_sparse_unloaded():
+    """The record imports ``shapes`` into every case's process, so pytest
+    (about 8.6 MB when the scripts imported ``conftest``) or a
+    ``scipy.sparse`` import there (about 23 MB) would raise every case's
+    peak RSS."""
     code = ("import sys; sys.dont_write_bytecode = True; "
             f"sys.path[:0] = {[str(ROOT / d) for d in ('src', 'tests')]!r}; "
-            "import conftest; print('scipy.sparse' in sys.modules)")
+            "import shapes; "
+            "print('pytest' in sys.modules, 'scipy.sparse' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split() == ["False", "False"]

@@ -10,8 +10,8 @@ from shapecorr import spatial
 from shapecorr.meshes import Mesh
 from shapecorr.spatial import TriangleBVH
 
-from conftest import (bumpy_sphere, exhaustive_nearest_points, grid_plane,
-                      icosphere)
+from conftest import exhaustive_nearest_points, grid_plane
+from shapes import bumpy_sphere, icosphere
 
 
 def face_hits(mesh, origin, direction):
