@@ -9,8 +9,10 @@ PLY bodies may be ASCII or binary of either byte order, with any elements
 and properties of the standard types. Positions are the vertex element's
 x/y/z as float64 (ASCII values always parse as float64). Faces are the face
 element's first list, which must have 3 items in every row; any other list
-must have its first row's length in every row. Any other malformed or
-short file raises ``MeshFormatError``.
+must have its first row's length in every row. A face index outside the
+vertex list raises ``MeshFormatError`` naming ``path:line`` (OFF, OBJ) or
+the path and face number (PLY). Any other malformed or short file raises
+``MeshFormatError``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,21 @@ def _read_off(path):
     for k in np.flatnonzero(faces["n"] != 3)[:1]:
         raise MeshFormatError(path, "only triangles supported, got "
                               f"{faces['n'][k]}-gon", rows[nv + k][0])
+    _check_indices(path, faces["idx"], faces["idx"], nv,
+                   [lineno for lineno, _ in rows[nv:nv + nf]])
     return vertices["xyz"], faces["idx"]
+
+
+def _check_indices(path, faces, written, n, linenos=None):
+    """Raise ``MeshFormatError`` at the first face with an index outside
+    ``[0, n)``, naming the index as ``written`` and the face's line, or
+    its face number where ``linenos`` is None."""
+    for k in np.flatnonzero(((faces < 0) | (faces >= n)).any(axis=1))[:1]:
+        bad = written[k][(faces[k] < 0) | (faces[k] >= n)][0]
+        where = f"face {k}: " if linenos is None else ""
+        raise MeshFormatError(
+            path, f"{where}vertex index {bad} out of range for {n} vertices",
+            None if linenos is None else linenos[k])
 
 
 # --- PLY ---
@@ -121,7 +137,9 @@ def _read_ply(path):
     if not lists:
         raise MeshFormatError(path, "face element lacks a vertex index list")
     vertices = np.stack([vertex["x"], vertex["y"], vertex["z"]], axis=1)
-    return vertices.astype(np.float64), face[lists[0]]["items"].astype(np.int64)
+    faces = face[lists[0]]["items"].astype(np.int64)
+    _check_indices(path, faces, faces, len(vertices))
+    return vertices.astype(np.float64), faces
 
 
 def _read_ply_header(path, fh):
@@ -251,8 +269,10 @@ def _read_obj(path):
     for k in np.flatnonzero((faces == 0).any(axis=1))[:1]:
         raise MeshFormatError(path, "face index 0 (OBJ indices start at 1)",
                               linenos[k])
-    # a negative index counts back from the last vertex above its face
+    # a negative index counts back from the last vertex above its face; a
+    # positive one may name a vertex further down the file
     above = np.searchsorted([lineno for lineno, _ in rows["v"]], linenos)
-    faces = np.where(faces > 0, faces - 1, faces + above[:, None])
-    return vertices["xyz"], faces
+    resolved = np.where(faces > 0, faces - 1, faces + above[:, None])
+    _check_indices(path, resolved, faces, len(vertices), linenos)
+    return vertices["xyz"], resolved
 

@@ -4,7 +4,9 @@ Per-vertex geodesic error normalized by the square root of the full target
 shape's area (for partial targets: of their full counterpart), cumulative
 error curves and AUC, overlap IoU / F1 for the partial-partial setting, and
 left/right label accuracy. Predictions are vertex-to-vertex maps with -1
-for "no match".
+for "no match". The protocol has one curve grid, ``DEFAULT_THRESHOLDS``
+(0 to 1 in steps of 0.001): every curve, AUC and ``curve.txt`` is sampled
+on it, so no grid is passed or stored.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ DEFAULT_THRESHOLDS = np.round(np.arange(0, 1001) * 0.001, 3)
 class EvalReport:
     setting: str
     errors: np.ndarray  # per source vertex; NaN = excluded, +inf allowed
-    thresholds: np.ndarray
-    fractions: np.ndarray
+    fractions: np.ndarray  # the error curve at DEFAULT_THRESHOLDS
     auc: float  # x100
     iou: float | None  # x100, P2P only
     f1: float | None  # x100, P2P only
@@ -160,39 +161,27 @@ def _pair_distances(mesh, sources, row, dst, limit):
     return out
 
 
-def error_curve(errors, thresholds=None):
-    """Cumulative fraction of in-denominator vertices with error <= t.
+def error_curve(errors):
+    """Cumulative fraction of in-denominator vertices with error <= t, for
+    each t of ``DEFAULT_THRESHOLDS``.
 
     +inf never counts, so wrong overlap predictions cap the curve below 1.
     An empty denominator yields a constant-1 curve (nothing to get wrong).
     """
-    thresholds = np.asarray(DEFAULT_THRESHOLDS if thresholds is None
-                            else thresholds, dtype=np.float64)
-    if not np.isfinite(thresholds).all():
-        raise ValueError("thresholds must be finite")
-    if len(thresholds) == 0 or (np.diff(thresholds) < 0).any():
-        raise ValueError("thresholds must be non-empty and ascending")
     errors = np.asarray(errors, dtype=np.float64)
     denom = ~np.isnan(errors)
     if not denom.any():
-        return thresholds, np.ones_like(thresholds)
+        return np.ones(len(DEFAULT_THRESHOLDS))
     vals = np.sort(errors[denom])
-    counts = np.searchsorted(vals, thresholds, side="right")
-    return thresholds, counts / denom.sum()
+    return np.searchsorted(vals, DEFAULT_THRESHOLDS,
+                           side="right") / denom.sum()
 
 
-def auc(thresholds, fractions):
-    """Normalized area under the cumulative curve, x100."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    fractions = np.asarray(fractions, dtype=np.float64)
-    if not np.isfinite(thresholds).all():
-        raise ValueError("thresholds must be finite")
-    if len(thresholds) < 2:
-        raise ValueError("need at least two curve samples")
-    tau_max = thresholds[-1] - thresholds[0]
-    if not tau_max > 0:
-        raise ValueError("thresholds must span a positive range")
-    return float(np.trapezoid(fractions, thresholds) / tau_max * 100.0)
+def auc(fractions):
+    """Area under an ``error_curve`` over ``DEFAULT_THRESHOLDS``, divided
+    by the grid's span, x100."""
+    th = DEFAULT_THRESHOLDS
+    return float(np.trapezoid(fractions, th) / (th[-1] - th[0]) * 100.0)
 
 
 def iou(pred_mask, gt_mask):
@@ -221,8 +210,7 @@ def f1(pred_mask, gt_mask):
     return float(2 * precision * recall / (precision + recall))
 
 
-def lr_accuracy(pred_labels, gt_labels, gt_matched, pred_matched, setting,
-                sign_invariant=False):
+def lr_accuracy(pred_labels, gt_labels, gt_matched, pred_matched, setting):
     """Fraction of source vertices whose propagated label matches ground
     truth. In P2P, overlap mismatches count as wrong and the denominator is
     the union of gt- and prediction-matched vertices."""
@@ -240,8 +228,7 @@ def lr_accuracy(pred_labels, gt_labels, gt_matched, pred_matched, setting,
         denom = len(gt_labels)
     if denom == 0:
         return 1.0
-    acc = float(agree.sum() / denom)
-    return max(acc, 1.0 - acc) if sign_invariant else acc
+    return float(agree.sum() / denom)
 
 
 def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
@@ -252,7 +239,7 @@ def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
     per-source-vertex target vertex map. Labels are optional.
     """
     errors = geodesic_error(pred, gt, shape_y, target_full_area, setting)
-    th, fr = error_curve(errors)
+    fr = error_curve(errors)
     gm = gt.matched
     pm = np.asarray(pred) != UNMATCHED
     iou_val = f1_val = None
@@ -263,8 +250,8 @@ def evaluate_instance(shape_y, gt, pred, setting, target_full_area,
     if pred_labels is not None and gt_labels is not None:
         lr = lr_accuracy(pred_labels, gt_labels, gm, pm, setting) * 100.0
     return EvalReport(
-        setting=setting, errors=errors, thresholds=th, fractions=fr,
-        auc=auc(th, fr), iou=iou_val, f1=f1_val, lr_accuracy=lr,
+        setting=setting, errors=errors, fractions=fr,
+        auc=auc(fr), iou=iou_val, f1=f1_val, lr_accuracy=lr,
         n_denominator=int((~np.isnan(errors)).sum()),
         n_excluded=int(np.isnan(errors).sum()),
         n_inf_pred_unmatched=int((gm & ~pm).sum()),
@@ -284,7 +271,7 @@ def write_report(report, directory):
     write_atomic(directory / "report.txt", key_value_text(
         {k: v for k, v in record.items() if v is not None}))
     curve = "\n".join(f"{t:.6f} {f:.9f}"
-                      for t, f in zip(report.thresholds, report.fractions))
+                      for t, f in zip(DEFAULT_THRESHOLDS, report.fractions))
     write_atomic(directory / "curve.txt", curve + "\n")
 
 

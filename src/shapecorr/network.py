@@ -29,9 +29,11 @@ class NetworkError(ValueError):
 
 @dataclass
 class ShapeNode:
+    """A shape of the network. A shape line's ``dataset=`` and
+    ``category=`` are checked but not kept: the split manifest is where
+    generation reads them."""
+
     id: str
-    dataset: str
-    category: str = ""
     template: bool = False
     mesh_path: Path | None = None
     scale: float = 1.0
@@ -241,7 +243,7 @@ def parse_manifest(path):
 
         dataset <name> [key=value ...]   (free keys, not read)
         shape <id> dataset=<name> mesh=<path> [category=..] [template=true]
-              [scale=<float>]
+              [scale=<float>]   (dataset and category are checked, not kept)
         edge <id_a> <id_b> forward=<corr path> backward=<corr path>
         annotation <id> labels=<path>
 
@@ -270,10 +272,10 @@ def parse_manifest(path):
                 if not 0 < scale < np.inf:
                     raise NetworkError("scale must be finite and > 0, "
                                        f"got {kv['scale']!r}")
+                if "dataset" not in kv:
+                    raise KeyError("dataset")
                 shapes[sid] = ShapeNode(
-                    id=sid, dataset=kv["dataset"],
-                    category=kv.get("category", ""),
-                    template=parse_bool(kv.get("template", "false")),
+                    id=sid, template=parse_bool(kv.get("template", "false")),
                     mesh_path=base / kv["mesh"] if "mesh" in kv else None,
                     scale=scale)
             elif kind == "edge":

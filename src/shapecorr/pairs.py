@@ -48,13 +48,6 @@ class SplitManifest:
                         raise ManifestError(
                             f"{split} pair references unknown shape {sid!r}")
 
-    def categories(self, split):
-        out = set()
-        for a, b in self.pairs.get(split, []):
-            out.add(self.shapes[a].category)
-            out.add(self.shapes[b].category)
-        return out
-
 
 def parse_split_manifest(path):
     """Shape and pair lines as a ``SplitManifest``; a malformed line, and

@@ -1,9 +1,10 @@
 """Simulated unidirectional 3D scanner.
 
 A pinhole camera on a sphere around the unit-box-normalized shape casts a
-pixel grid of rays; first-hit faces forming the largest connected component
-(by area) become the partial shape. Partial pairs are regenerated until the
-mutual overlap fraction lands in a configured range.
+pixel grid of rays, every one from the camera's eye; first-hit faces
+forming the largest connected component (by area) become the partial
+shape, which keeps its parent maps and no camera. Partial pairs are
+regenerated until the mutual overlap fraction lands in a configured range.
 
 A scan finds its first hits by binning each face into the pixels its
 projected box covers and intersecting only those (ray, face) pairs; each
@@ -16,6 +17,7 @@ plane raises ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,31 @@ class CameraPose:
             ce * np.cos(self.azimuth), ce * np.sin(self.azimuth),
             np.sin(self.elevation)])
 
+    @cached_property
+    def frame(self):
+        """The pinhole: ``(eye, forward, right, true_up, half_extent)``,
+        built once per pose. ``camera_rays`` casts its rays in this frame
+        and ``_hit_faces`` projects into it, so the two share one pixel
+        grid.
+
+        The vertical FOV fits the unit bounding sphere of a unit-box shape
+        with a small margin; ``half_extent`` is the tangent of its half
+        angle.
+        """
+        eye = self.position
+        forward = -eye / np.linalg.norm(eye)
+        up = np.array([0.0, 0.0, 1.0])
+        if abs(self.elevation) > _POLE_ELEVATION:
+            up = np.array([1.0, 0.0, 0.0])  # avoid gimbal degeneracy at the poles
+        right = np.cross(forward, up)
+        right /= np.linalg.norm(right)
+        true_up = np.cross(right, forward)
+
+        bounding_radius = np.sqrt(3.0) / 2.0
+        half_fov = (np.arcsin(min(1.0, bounding_radius / CAMERA_DISTANCE))
+                    * _FOV_MARGIN)
+        return eye, forward, right, true_up, np.tan(half_fov)
+
 
 @dataclass
 class PartialMesh:
@@ -63,13 +90,12 @@ class PartialMesh:
     parent_id: str
     parent_vertex: np.ndarray  # per-vertex index into the parent, ascending
     parent_face: np.ndarray  # per-face index into the parent, ascending
-    camera: CameraPose | None  # None for a whole partial
 
     @classmethod
     def whole(cls, mesh):
         """A full shape as the partial that keeps all of ``mesh``."""
         return cls(mesh, mesh.id, np.arange(mesh.n_vertices),
-                   np.arange(mesh.n_faces), None)
+                   np.arange(mesh.n_faces))
 
     def face_index(self, parent_faces):
         """Each face's position in the sorted ``parent_face``, or UNMATCHED
@@ -113,44 +139,23 @@ def sample_constrained_pair(rng, alpha):
     return first, CameraPose(az, el)
 
 
-def _camera_frame(camera):
-    """The pinhole of ``camera``: ``(eye, forward, right, true_up,
-    half_extent)``. ``camera_rays`` casts its rays in this frame and
-    ``_hit_faces`` projects into it, so the two share one pixel grid.
-
-    The vertical FOV fits the unit bounding sphere of a unit-box shape with
-    a small margin; ``half_extent`` is the tangent of its half angle.
-    """
-    eye = camera.position
-    forward = -eye / np.linalg.norm(eye)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(camera.elevation) > _POLE_ELEVATION:
-        up = np.array([1.0, 0.0, 0.0])  # avoid gimbal degeneracy at the poles
-    right = np.cross(forward, up)
-    right /= np.linalg.norm(right)
-    true_up = np.cross(right, forward)
-
-    bounding_radius = np.sqrt(3.0) / 2.0
-    half_fov = np.arcsin(min(1.0, bounding_radius / CAMERA_DISTANCE)) * _FOV_MARGIN
-    return eye, forward, right, true_up, np.tan(half_fov)
-
-
 def camera_rays(camera, resolution):
-    """Pinhole ray grid: origins (r, 3) and unit directions (r, 3).
+    """Pinhole ray grid ``(eye, directions)``: every ray starts at the eye,
+    ``camera.position`` (3,), and runs along its unit direction, one row
+    of ``directions`` (w h, 3).
 
     Ray j * w + i passes through the centre of pixel column i, row j of the
     w x h grid; pixels are square.
     """
     w, h = resolution
-    eye, forward, right, true_up, half_extent = _camera_frame(camera)
+    eye, forward, right, true_up, half_extent = camera.frame
     ys = (np.arange(h) + 0.5) / h * 2.0 - 1.0
     xs = (np.arange(w) + 0.5) / w * 2.0 - 1.0
     gx, gy = np.meshgrid(xs * half_extent * (w / h), ys * half_extent)
     dirs = (forward[None, :] + gx.reshape(-1, 1) * right[None, :]
             + gy.reshape(-1, 1) * true_up[None, :])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    origins = np.broadcast_to(eye, dirs.shape).copy()
-    return origins, dirs
+    return eye, dirs
 
 
 def cast_scan(mesh, camera, resolution, cache=None):
@@ -174,7 +179,9 @@ def _hit_faces(mesh, camera, resolution):
     """First-hit ``(face, t)`` of each ray of ``camera_rays``, face -1 and
     t +inf on a miss: over every face, each ray's lowest (t, face) by
     ``ray_triangle_intersections``, as ``exhaustive_first_hits`` of
-    ``tests/conftest.py`` finds it.
+    ``tests/conftest.py`` finds it. Every ray is cast from the eye itself,
+    broadcast against the rays' directions; no per-ray origin is built.
+    The pinhole frame is the pose's one ``CameraPose.frame``.
 
     Each face is binned into the pixels whose centres lie in its projected
     box, widened by the margin below, and only those (ray, face) pairs are
@@ -203,8 +210,8 @@ def _hit_faces(mesh, camera, resolution):
     x / z; both terms widen every box.
     """
     w, h = resolution
-    origins, dirs = camera_rays(camera, resolution)
-    eye, forward, right, true_up, half_extent = _camera_frame(camera)
+    eye, dirs = camera_rays(camera, resolution)
+    _, forward, right, true_up, half_extent = camera.frame
     rel = mesh.vertices - eye
     depth = (rel * forward).sum(axis=1)
     scale = h / (2.0 * half_extent)  # pixels per unit of x / z
@@ -245,19 +252,21 @@ def _hit_faces(mesh, camera, resolution):
         k = pair - (end[face] - n_pairs[face])
         ray = ((row0[face] + k // n_col[face]) * w + col0[face]
                + k % n_col[face])
-        t = ray_triangle_intersections(origins[ray], dirs[ray], a[face],
-                                       b[face], c[face])
+        t = ray_triangle_intersections(eye, dirs[ray], a[face], b[face],
+                                       c[face])
         hit = np.isfinite(t)
         _keep_lowest(ray[hit], face[hit], t[hit], best_t, best_face)
     return best_face, best_t
 
 
-def extract_partial(mesh, hit_faces, camera, parent):
+def extract_partial(mesh, hit_faces, parent):
     """Largest-area connected component of the hit faces as a PartialMesh.
 
-    ``mesh`` is the scanned (normalized) mesh; vertex positions of the
-    output are taken from ``parent``, which shares its connectivity, so the
-    partial sits at the original scale and pose, bit-exactly.
+    ``mesh`` is the scanned (normalized) mesh and ``hit_faces`` its faces
+    that a scan hit; vertex positions of the output are taken from
+    ``parent``, which shares its connectivity, so the partial sits at the
+    original scale and pose, bit-exactly. The partial records no camera:
+    the program reads only its mesh and its two parent maps.
     """
     comps = geo.connected_components(mesh, hit_faces)
     if not comps:
@@ -269,15 +278,13 @@ def extract_partial(mesh, hit_faces, camera, parent):
     sub = Mesh(parent.vertices[vids], remap[mesh.faces[keep_faces]],
                id=f"{parent.id}#partial")
     return PartialMesh(mesh=sub, parent_id=parent.id,
-                       parent_vertex=vids, parent_face=keep_faces,
-                       camera=camera)
+                       parent_vertex=vids, parent_face=keep_faces)
 
 
 def _scan(normalized, parent, camera, resolution, cache):
     """The partial of ``parent`` that ``camera`` sees on ``normalized``."""
-    return extract_partial(normalized,
-                           cast_scan(normalized, camera, resolution, cache),
-                           camera, parent)
+    return extract_partial(
+        normalized, cast_scan(normalized, camera, resolution, cache), parent)
 
 
 def generate_partial(mesh, rng, resolution, cache=None):

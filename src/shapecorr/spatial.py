@@ -25,10 +25,11 @@ _QUERY_CHUNK = 256  # points per walk
 _QUERY_PAIRS = 1024  # (point, face) pairs per leaf-scan step
 
 
-def ray_triangle_intersections(origins, directions, a, b, c):
+def ray_triangle_intersections(origin, directions, a, b, c):
     """Moller-Trumbore hit parameter of each ray against each triangle.
 
-    origins/directions/a/b/c: (..., 3) arrays that broadcast together.
+    origin/directions/a/b/c: (..., 3) arrays that broadcast together; the
+    scanner passes its one eye (3,) as ``origin``.
     Returns t with the broadcast shape less the last axis, +inf where there
     is no hit. Edge hits within RAY_EPS count for both adjacent faces;
     callers tie-break by face index.
@@ -39,7 +40,7 @@ def ray_triangle_intersections(origins, directions, a, b, c):
     det = (e1 * pvec).sum(-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / det
-        tvec = origins - a
+        tvec = origin - a
         u = (tvec * pvec).sum(-1) * inv
         qvec = np.cross(tvec, e1)
         v = (directions * qvec).sum(-1) * inv

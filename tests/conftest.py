@@ -41,19 +41,19 @@ def _steps(n, n_faces):
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
-def exhaustive_first_hits(mesh, origins, directions):
-    """First-hit (face, t) of each ray over every face: the reference of
-    the binned scanner ``scanning._hit_faces`` on the rays of
-    ``scanning.camera_rays``. Face -1 and t +inf on a miss; ties go to the
-    lowest face index."""
-    origins = np.asarray(origins, dtype=np.float64)
+def exhaustive_first_hits(mesh, eye, directions):
+    """First-hit (face, t) of each ray from ``eye`` (3,) along
+    ``directions`` (r, 3) over every face: the reference of the binned
+    scanner ``scanning._hit_faces`` on the rays of ``scanning.camera_rays``.
+    Face -1 and t +inf on a miss; ties go to the lowest face index."""
+    eye = np.asarray(eye, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
     a, b, c = mesh.face_corners()
-    faces = np.empty(len(origins), dtype=np.int64)
-    t = np.empty(len(origins))
-    for s in _steps(len(origins), mesh.n_faces):
+    faces = np.empty(len(directions), dtype=np.int64)
+    t = np.empty(len(directions))
+    for s in _steps(len(directions), mesh.n_faces):
         ts = spatial.ray_triangle_intersections(
-            origins[s, None], directions[s, None], a, b, c)
+            eye, directions[s, None], a, b, c)
         faces[s] = np.argmin(ts, axis=1)  # the lowest face on ties
         t[s] = ts.min(axis=1)
     faces[np.isinf(t)] = -1

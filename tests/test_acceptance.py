@@ -228,7 +228,10 @@ def test_criterion_8_split_hygiene_and_counts():
     sizes = {s: len(enumerate_pairs(manifest, GenerationConfig(split=s)))
              for s in ("train", "val", "test")}
     assert sizes == {"train": 10185, "val": 137, "test": 142}
-    assert not (manifest.categories("train") & manifest.categories("test"))
+    train, test = ({manifest.shapes[sid].category
+                    for pair in manifest.pairs[split] for sid in pair}
+                   for split in ("train", "test"))
+    assert not (train & test)
 
 
 def _toy_world(n=5, base=None):
@@ -239,8 +242,7 @@ def _toy_world(n=5, base=None):
     ic = identity_correspondence(base)
     for i, sid in enumerate(ids):
         T = random_rigid(rng)
-        node = ShapeNode(id=sid, dataset="faust", category="faust:c",
-                         template=(i == 0))
+        node = ShapeNode(id=sid, template=(i == 0))
         node._mesh = Mesh(T.apply(base.vertices), base.faces, id=sid)
         nodes[sid] = node
     for a, b in zip(ids, ids[1:]):

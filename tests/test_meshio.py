@@ -36,8 +36,40 @@ def test_single_triangle_off(tmp_path):
 
 def test_off_out_of_range_index(tmp_path):
     p = write(tmp_path / "bad.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 5\n")
-    with pytest.raises(MeshValidationError):
+    with pytest.raises(MeshFormatError, match="bad.off:6: vertex index 5 "):
         load_mesh(p)
+
+
+PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+            "property float y\nproperty float z\nelement face 2\n"
+            "property list uchar int vertex_indices\nend_header\n"
+            "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+
+
+@pytest.mark.parametrize("name,text,where,index", [
+    ("n.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -5 1 2\n", "n.obj:4", -5),
+    ("p.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 7\n", "p.obj:4", 7),
+    ("far.obj", "v 0 0 0\nf 1 2 4\nv 1 0 0\nv 0 1 0\n", "far.obj:2", 4),
+    ("c.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 -1 2\n", "c.off:6", -1),
+    ("f.ply", PLY_HEAD + "3 0 1 9\n", "f.ply: face 1", 9),
+    ("m.ply", PLY_HEAD + "3 0 -2 1\n", "m.ply: face 1", -2),
+], ids=["obj_back", "obj_past_end", "obj_below_face", "off", "ply",
+        "ply_negative"])
+def test_out_of_range_face_index_names_its_place(tmp_path, name, text,
+                                                 where, index):
+    """An index past the vertex list used to raise MeshValidationError
+    "face indices out of range [0, 3) in faces [0]", naming neither the
+    file nor the line."""
+    with pytest.raises(MeshFormatError, match=f"{where}: vertex index "
+                       f"{index} out of range for 3 vertices"):
+        load_mesh(write(tmp_path / name, text))
+
+
+def test_obj_forward_reference_loads(tmp_path):
+    """A positive OBJ index may name a vertex declared below its face."""
+    text = "v 0 0 0\nf 1 2 3\nv 1 0 0\nv 0 1 0\n"
+    m = load_mesh(write(tmp_path / "fwd.obj", text))
+    np.testing.assert_array_equal(m.faces, [[0, 1, 2]])
 
 
 def test_off_counts_on_header_line(tmp_path):

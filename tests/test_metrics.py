@@ -9,8 +9,9 @@ from shapecorr import geometry as geo
 from shapecorr import metrics
 from shapecorr.meshes import (DenseCorrespondence, Mesh, UNMATCHED,
                               identity_correspondence)
-from shapecorr.metrics import (SOURCE_CHUNK, aggregate_reports, auc,
-                               error_curve, evaluate_instance, f1,
+from shapecorr.metrics import (DEFAULT_THRESHOLDS, SOURCE_CHUNK,
+                               aggregate_reports, auc, error_curve,
+                               evaluate_instance, f1,
                                geodesic_error, iou,
                                load_prediction, lr_accuracy, write_report)
 from shapecorr.textio import key_value_text, write_atomic
@@ -295,52 +296,36 @@ class TestInvariance:
 
 class TestCurveAndAuc:
     def test_all_zero_constant_one(self):
-        th, fr = error_curve(np.zeros(10))
-        assert (fr == 1.0).all()
-        assert auc(th, fr) == pytest.approx(100.0, abs=1e-6)
+        fr = error_curve(np.zeros(10))
+        assert fr.shape == DEFAULT_THRESHOLDS.shape and (fr == 1.0).all()
+        assert auc(fr) == pytest.approx(100.0, abs=1e-6)
 
     def test_half_infinite(self):
-        th, fr = error_curve(np.array([0.0] * 5 + [np.inf] * 5))
+        fr = error_curve(np.array([0.0] * 5 + [np.inf] * 5))
         assert (fr == 0.5).all()
-        assert auc(th, fr) == pytest.approx(50.0, abs=1e-6)
+        assert auc(fr) == pytest.approx(50.0, abs=1e-6)
 
     def test_nan_excluded_from_denominator(self):
-        th, fr = error_curve(np.array([0.0, np.nan, np.inf, np.nan]))
+        fr = error_curve(np.array([0.0, np.nan, np.inf, np.nan]))
         assert (fr == 0.5).all()
 
     def test_matches_sort_and_count_oracle(self):
         rng = np.random.default_rng(6)
         errors = rng.exponential(0.2, size=500)
         errors[rng.random(500) < 0.1] = np.inf
-        th, fr = error_curve(errors)
-        for t, f in list(zip(th, fr))[::97]:
+        fr = error_curve(errors)
+        for t, f in list(zip(DEFAULT_THRESHOLDS, fr))[::97]:
             assert f == pytest.approx((errors <= t).mean())
 
-    @pytest.mark.parametrize("thresholds,match", [
-        ([0.5, 0.5], "span a positive range"),
-        ([0.0, np.nan, 1.0], "must be finite"),
-        ([0.0, np.inf], "must be finite"),
-    ], ids=["zero_width", "nan", "inf"])
-    def test_bad_thresholds_raise(self, thresholds, match):
-        """error_curve takes non-decreasing thresholds; on a zero-width
-        range auc used to divide 0 by 0 into NaN, a NaN threshold passed
-        the ascending check, and auc over [0, inf] was NaN."""
-        with pytest.raises(ValueError, match=match):
-            auc(*error_curve(np.zeros(3), thresholds))
-        with pytest.raises(ValueError, match=match):
-            auc(thresholds, np.ones(len(thresholds)))
-
     def test_piecewise_linear_closed_form(self):
-        # fractions rise linearly 0 -> 1 over [0, 1]: integral = 1/2
-        th = np.linspace(0.0, 1.0, 101)
-        fr = th.copy()
-        assert auc(th, fr) == pytest.approx(50.0)
+        # fractions rise linearly 0 -> 1 over the grid [0, 1]: integral 1/2
+        assert auc(DEFAULT_THRESHOLDS.copy()) == pytest.approx(50.0)
 
     @given(st.lists(st.floats(min_value=0, max_value=10), min_size=1,
                     max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_curve_monotone(self, errs):
-        th, fr = error_curve(np.array(errs))
+        fr = error_curve(np.array(errs))
         assert (np.diff(fr) >= 0).all()
         assert ((0 <= fr) & (fr <= 1)).all()
 
@@ -397,13 +382,13 @@ class TestLrAccuracy:
         lab = np.zeros(10, dtype=int)
         assert lr_accuracy(lab, lab, gm, pm, "partial_partial") == 0.0
 
-    def test_sign_invariant_flag(self):
+    def test_flipped_labels_score_zero(self):
+        """A labelling with left and right swapped is wrong everywhere:
+        the score does not forgive the sign."""
         gt_lab = np.array([0, 0, 0, 0, 1])
         pred_lab = 1 - gt_lab
         m = np.ones(5, dtype=bool)
         assert lr_accuracy(pred_lab, gt_lab, m, m, "full_full") == 0.0
-        assert lr_accuracy(pred_lab, gt_lab, m, m, "full_full",
-                           sign_invariant=True) == 1.0
 
 
 class TestEvaluateInstance:
@@ -439,7 +424,7 @@ class TestEvaluateInstance:
         rep = evaluate_instance(mesh, gt, pred, "partial_partial",
                                 geo.surface_area(mesh))
         finite_le = np.sum(rep.errors[~np.isnan(rep.errors)]
-                           <= rep.thresholds[-1])
+                           <= DEFAULT_THRESHOLDS[-1])
         assert rep.fractions[-1] * rep.n_denominator == pytest.approx(
             finite_le)
         assert rep.n_denominator + rep.n_excluded == len(gt)
@@ -471,7 +456,8 @@ class TestReports:
         text = (tmp_path / "inst0" / "report.txt").read_text()
         assert "auc=" in text and "iou=" in text
         curve = np.loadtxt(tmp_path / "inst0" / "curve.txt")
-        assert curve.shape == (len(rep.thresholds), 2)
+        assert curve.shape == (len(DEFAULT_THRESHOLDS), 2)
+        np.testing.assert_array_equal(curve[:, 0], DEFAULT_THRESHOLDS)
         summary = aggregate_reports([rep, rep])
         assert summary["mean_auc"] == pytest.approx(rep.auc)
         assert summary["mean_iou"] == pytest.approx(100.0)

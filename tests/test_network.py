@@ -18,7 +18,7 @@ from shapes import icosphere
 
 
 def make_node(nid, mesh):
-    node = ShapeNode(id=nid, dataset="test")
+    node = ShapeNode(id=nid)
     node._mesh = Mesh(mesh.vertices, mesh.faces, id=nid)
     return node
 
@@ -387,6 +387,19 @@ class TestBuildNetwork:
                                            f"mesh=c.ply scale={scale}"))
         want = (re.escape(f"{p}:5: ") + ".*" + re.escape(
             f"scale must be finite and > 0, got {scale!r}"))
+        with pytest.raises(NetworkError, match=want):
+            build_network(p)
+
+    def test_shape_needs_dataset_and_takes_category(self, tmp_path):
+        """A shape line must name its ``dataset=`` and may name its
+        ``category=``, though the network keeps neither."""
+        p = self.write_fixture(tmp_path)
+        p.write_text(p.read_text().replace("shape C dataset=test",
+                                           "shape C dataset=test category=c"))
+        assert sorted(build_network(p).nodes) == ["A", "B", "C"]
+        p.write_text(p.read_text().replace("shape C dataset=test ",
+                                           "shape C "))
+        want = re.escape(f"{p}:5: malformed 'shape' line ('dataset')")
         with pytest.raises(NetworkError, match=want):
             build_network(p)
 

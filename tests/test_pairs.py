@@ -182,7 +182,10 @@ class TestDefaultManifest:
 
     def test_split_hygiene(self):
         m = default_split_manifest()
-        assert not (m.categories("train") & m.categories("test"))
+        train, test = ({m.shapes[sid].category
+                        for pair in m.pairs[split] for sid in pair}
+                       for split in ("train", "test"))
+        assert not (train & test)
 
     def test_shape_type_totals(self):
         m = default_split_manifest()

@@ -35,8 +35,7 @@ def toy_network(n=3):
         T = random_rigid(rng)
         m = Mesh(T.apply(base.vertices), base.faces, id=sid)
         meshes.append(m)
-        node = ShapeNode(id=sid, dataset="faust", category="faust:c",
-                         template=(i == 0))
+        node = ShapeNode(id=sid, template=(i == 0))
         node._mesh = m
         nodes[sid] = node
     ic = identity_correspondence(base)

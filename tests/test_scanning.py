@@ -131,6 +131,20 @@ class TestCastScan:
         np.testing.assert_array_equal(cast_scan(m, cam, (48, 48)),
                                       np.unique(face[face >= 0]))
 
+    def test_every_ray_starts_at_the_camera(self):
+        """``camera_rays`` gives one eye, the pose's position, and a unit
+        direction per pixel; the scan is the exhaustive first hits of
+        those directions cast from that position."""
+        m = geo.normalize_to_unit_box(bumpy_sphere(2))
+        cam, resolution = CameraPose(2.0, 0.4), (40, 24)
+        eye, dirs = camera_rays(cam, resolution)
+        assert eye.tobytes() == cam.position.tobytes()
+        assert dirs.shape == (40 * 24, 3)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        face, _ = exhaustive_first_hits(m, cam.position, dirs)
+        np.testing.assert_array_equal(cast_scan(m, cam, resolution),
+                                      np.unique(face[face >= 0]))
+
     def test_closed_sphere_back_faces_occluded(self):
         m = geo.normalize_to_unit_box(icosphere(2))
         cam = CameraPose(azimuth=0.3, elevation=0.2)
@@ -160,8 +174,8 @@ class TestBinnedHits:
     def on_rays(camera, resolution, ray, scale):
         """Points on the rays ``ray`` of ``camera_rays``, each ``scale``
         times the eye's distance from the eye."""
-        origins, dirs = camera_rays(camera, resolution)
-        return origins[ray] + dirs[ray] * (np.asarray(scale) * CAMERA_DISTANCE)
+        eye, dirs = camera_rays(camera, resolution)
+        return eye + dirs[ray] * (np.asarray(scale) * CAMERA_DISTANCE)
 
     def test_vertices_and_edges_on_pixel_centres(self):
         # a grid on the rays of every second pixel: every other ray passes
@@ -227,8 +241,7 @@ class TestExtractPartial:
     def test_full_hit_is_identity(self):
         m = icosphere(1)
         norm = geo.normalize_to_unit_box(m)
-        cam = CameraPose(0.0, 0.0)
-        p = extract_partial(norm, np.arange(m.n_faces), cam, parent=m)
+        p = extract_partial(norm, np.arange(m.n_faces), parent=m)
         np.testing.assert_array_equal(p.parent_face, np.arange(m.n_faces))
         np.testing.assert_array_equal(p.parent_vertex, np.arange(m.n_vertices))
         np.testing.assert_array_equal(p.mesh.vertices, m.vertices)
@@ -242,7 +255,7 @@ class TestExtractPartial:
         lone_candidates = [f for f in range(m.n_faces)
                            if not (set(m.faces[f]) & set(np.unique(m.faces[big])))]
         subset = big + [lone_candidates[-1]]
-        p = extract_partial(norm, subset, CameraPose(0, 0), parent=m)
+        p = extract_partial(norm, subset, parent=m)
         comps = geo.connected_components(m, np.array(subset))
         np.testing.assert_array_equal(p.parent_face, np.sort(comps[0][0]))
 
@@ -250,14 +263,13 @@ class TestExtractPartial:
         m = icosphere(1)
         norm = geo.normalize_to_unit_box(m)
         with pytest.raises(EmptyScanError):
-            extract_partial(norm, [], CameraPose(0, 0), parent=m)
+            extract_partial(norm, [], parent=m)
 
     def test_parent_maps_consistent(self):
         m = icosphere(2)
         norm = geo.normalize_to_unit_box(m)
         cam = CameraPose(1.0, 0.4)
-        p = extract_partial(norm, cast_scan(norm, cam, (64, 64)), cam,
-                            parent=m)
+        p = extract_partial(norm, cast_scan(norm, cam, (64, 64)), parent=m)
         np.testing.assert_array_equal(p.parent_vertex[p.mesh.faces],
                                       m.faces[p.parent_face])
 
@@ -267,8 +279,8 @@ class TestExtractPartial:
         norm = geo.normalize_to_unit_box(moved)
         cam = CameraPose(1.0, 0.4)
         hit = cast_scan(norm, cam, (64, 64))
-        p = extract_partial(norm, hit, cam, parent=m)
-        q = extract_partial(norm, hit, cam, parent=moved)
+        p = extract_partial(norm, hit, parent=m)
+        q = extract_partial(norm, hit, parent=moved)
         np.testing.assert_array_equal(p.parent_face, q.parent_face)
         np.testing.assert_array_equal(p.mesh.faces, q.mesh.faces)
         assert p.mesh.vertices.tobytes() == \
@@ -285,7 +297,7 @@ class TestExtractPartial:
         for _ in range(8):
             cam = sample_camera(rng)
             hit = cast_scan(m, cam, (256, 256))
-            kept.append(len(extract_partial(m, hit, cam, m).parent_face)
+            kept.append(len(extract_partial(m, hit, m).parent_face)
                         / len(hit))
         assert min(kept) >= 0.70
 
@@ -293,13 +305,13 @@ class TestExtractPartial:
 class TestWholePartial:
     def test_is_the_full_hit_partial(self):
         """A full shape's whole partial has the maps of a scan that hits
-        every face, and no camera."""
+        every face."""
         m = icosphere(1)
         w = PartialMesh.whole(m)
-        p = extract_partial(m, np.arange(m.n_faces), CameraPose(0.0, 0.0), m)
+        p = extract_partial(m, np.arange(m.n_faces), m)
         np.testing.assert_array_equal(w.parent_face, p.parent_face)
         np.testing.assert_array_equal(w.parent_vertex, p.parent_vertex)
-        assert w.mesh is m and w.camera is None
+        assert w.mesh is m
 
     def test_restrict_is_identity(self):
         """face_index of a whole partial keeps every face and UNMATCHED,
@@ -324,10 +336,8 @@ class TestComputeOverlap:
         mx, my, cxy, cyx = sphere_pair()
         norm_x = geo.normalize_to_unit_box(mx)
         norm_y = geo.normalize_to_unit_box(my)
-        px = extract_partial(norm_x, np.arange(mx.n_faces), CameraPose(0, 0),
-                             parent=mx)
-        py = extract_partial(norm_y, np.arange(my.n_faces), CameraPose(0, 0),
-                             parent=my)
+        px = extract_partial(norm_x, np.arange(mx.n_faces), parent=mx)
+        py = extract_partial(norm_y, np.arange(my.n_faces), parent=my)
         assert compute_overlap(px, py, cxy, cyx) == (1.0, 1.0)
 
     def test_matches_brute_force_membership(self):
@@ -359,7 +369,6 @@ class TestGeneratePartial:
         assert a.mesh == b.mesh
         np.testing.assert_array_equal(a.parent_vertex, b.parent_vertex)
         np.testing.assert_array_equal(a.parent_face, b.parent_face)
-        assert a.camera == b.camera
 
     def test_closed_mesh_loses_back_faces(self):
         m = icosphere(2)
@@ -385,7 +394,7 @@ class TestGeneratePartial:
         extract = scanning.extract_partial
 
         def empty_twice(*args, **kwargs):
-            attempts.append(args[2])
+            attempts.append(args[1])
             if len(attempts) <= 2:
                 raise EmptyScanError("scan hit no faces")
             return extract(*args, **kwargs)
@@ -393,7 +402,8 @@ class TestGeneratePartial:
         monkeypatch.setattr(scanning, "extract_partial", empty_twice)
         p = generate_partial(icosphere(2), np.random.default_rng(12),
                              resolution=(32, 32))
-        assert p.camera == attempts[2]
+        assert len(attempts) == 3  # the partial is cut from the third scan
+        assert set(p.parent_face) <= set(attempts[2])
         assert bvh_builds == []
 
 

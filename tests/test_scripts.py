@@ -89,3 +89,28 @@ def test_shapes_import_leaves_pytest_and_scipy_sparse_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_code_lines_counts_by_the_one_rule(load, capsys):
+    """Docstrings, comments, blank lines and ``__init__`` are not code;
+    every other module of the three directories gets one line, and each
+    directory's total is the sum of its modules."""
+    script = load("code_lines.py")
+    source = ('"""Module doc."""\n\n# a comment\nimport os\n\n\n'
+              'def f(x):\n    """Doc,\n    two lines."""\n'
+              '    return (x +  # trailing\n            1)\n\n\n'
+              'S = """not a\ndocstring"""\n')
+    assert script.code_lines(source) == 6
+    assert script.main() == 0
+    rows = [line.split(None, 1) for line in
+            capsys.readouterr().out.splitlines()]
+    counts = {name: int(n) for n, name in rows}
+    for d in script.DIRS:
+        modules = sorted(p for p in (ROOT / d).glob("*.py")
+                         if p.name != "__init__.py")
+        assert modules
+        assert counts[f"{d}/ total"] == sum(
+            counts[str(p.relative_to(ROOT))] for p in modules)
+    assert "src/shapecorr/__init__.py" not in counts
+    assert counts["total"] == sum(counts[f"{d}/ total"]
+                                  for d in script.DIRS)
