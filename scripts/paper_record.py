@@ -1,4 +1,4 @@
-"""Paper-resolution record: twelve cases, each run once in its own process.
+"""Paper-resolution record: thirteen cases, each run once in its own process.
 
 Per case it prints the wall seconds of the case's call, the process's peak
 RSS, the largest self times and the counters (Dijkstra sources, scan hit
@@ -11,9 +11,10 @@ sphere's vertices; ``geodesic_error`` of a mixed prediction (20% random,
 entries walked three random edges). On perfbench's fixtures at seed 3,
 written to a temporary directory: P2P and P2F on the p2p_train chain at
 10242 vertices, F2F on the f2f_heavy chain at 40962 (one instance each,
-9000-10000 vertices, 256x256 scans, no remesh-cache reads), and
-``shapecorr evaluate`` of the level-5 evaluation set, one instance per
-setting.
+9000-10000 vertices, 256x256 scans, no remesh-cache reads), P2P over the
+first six instances of the p2p_train chain (three shapes, each remeshed
+several times), and ``shapecorr evaluate`` of the level-5 evaluation set,
+one instance per setting.
 
 On the numpy/scipy build of ``shapes.GOLDEN_BUILD`` each digest must
 equal PINNED; a mismatch or a failed case makes the script exit 1 and name
@@ -120,7 +121,7 @@ def geodesic(near_miss):
             sha)
 
 
-def generation(chain, setting, split):
+def generation(chain, setting, split, limit=1):
     root, out = FIXTURES[chain](), fixtures.WORK_DIR / "out"
     net = sc.build_network(root / "network.manifest")
     manifest = pairs.parse_split_manifest(root / "split.manifest")
@@ -128,7 +129,7 @@ def generation(chain, setting, split):
         "setting": setting, "split": split, "global_seed": str(SEED),
         "count_range": "9000-10000", "resolution": "256x256",
         "use_precompute_remeshing": "false"})
-    return (lambda: sc.run_generation(cfg, net, manifest, out, limit=1),
+    return (lambda: sc.run_generation(cfg, net, manifest, out, limit=limit),
             lambda outcome: gate.tree_digest(out) if outcome[0]
             else "none written")
 
@@ -153,6 +154,7 @@ CASES = {
     "P2P": (generation, "p2p", "partial_partial", "train"),
     "P2F": (generation, "p2p", "partial_full", "train"),
     "F2F": (generation, "f2f", "full_full", "val"),
+    "P2P x6": (generation, "p2p", "partial_partial", "train", 6),
     "evaluate": (evaluation,),
 }
 PINNED = {
@@ -178,6 +180,8 @@ PINNED = {
         "a0815299d19d8974184dc75c9b31358881129ef5cecc392c95b4ff3236f16f64",
     "F2F":
         "52022863d894d6837a0c695ac451675514ec55aef875dc2835a744cf0d52ec6a",
+    "P2P x6":
+        "a426d4effdf62a3ed5b2c895e39557adf2119f4793dae79aee386e0bb6c2ba66",
     "evaluate":
         "e5a646649062cfacb9b794e4a9c39a853daadc260ae6207f0dd46999e350ed19",
 }

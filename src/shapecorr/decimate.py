@@ -1,5 +1,27 @@
 """Quadric edge-collapse decimation with back-projected correspondence.
 
+The collapse loop never reads its target, which only decides where it
+stops, so every ``decimate(mesh, t)`` is a prefix of one collapse sequence
+(a progressive mesh, Hoppe 1996). ``collapse_log`` runs the loop once down
+to a floor and logs its commits ``(i, j, position)``: j merged into i,
+which moved to position. A target t >= floor replays the first ``n - t``
+commits (all of them if the loop stopped early): each vertex's survivor by
+pointer jumping over ``parent[j] = i``, each survivor at the last position
+logged for it (or its own), and the faces whose corners have three
+distinct survivors, in input face order. With no commit to replay the
+mesh itself is returned. ``decimate`` is log plus replay;
+``remesh_with_correspondence`` logs once per mesh and ``count_range``
+lower bound and replays each drawn target.
+
+A kept vertex sits at its own position or at one the log wrote, so the
+back-projection onto the input mesh is kept per position: a target
+projects only the positions no earlier target emitted. ``Mesh.progressive``
+(a ``ProgressiveMesh``) holds the log and that memo for as long as the mesh
+lives; for a network shape that is the network's lifetime. Per shape of n
+vertices and k logged commits it holds 40 bytes per commit (log) and 32
+per position id (n + k ids: a face and three weights), about 0.4 MB at
+10242 -> 9000 vertices, next to the shape's BVH.
+
 Garland-Heckbert error quadrics drive a greedy collapse queue. Collapses
 that would flip a face normal or create a non-manifold edge are rejected.
 Boundary edges get constraint quadrics (plane through the edge perpendicular
@@ -65,12 +87,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry as geo
 from .corrio import load_correspondence, save_correspondence
-from .geometry import evaluate_correspondence
 from .meshes import (DenseCorrespondence, Mesh, edge_incidence,
                      identity_correspondence)
 from .meshio import load_mesh, save_mesh
-from .network import project_template_pair
 from .store import ContentStore
 from .textio import FormatError, key_value_text, read_key_values
 
@@ -204,7 +225,6 @@ def _optimal_positions(q, vi_pos, vj_pos):
 class _DecimationState:
     def __init__(self, mesh):
         self.v = mesh.vertices.copy()
-        self.alive_v = np.ones(mesh.n_vertices, dtype=bool)
         self.faces = dict(enumerate(zip(*mesh.faces.T.tolist())))
         self.vertex_faces = {i: set() for i in range(mesh.n_vertices)}
         for fi, f in self.faces.items():
@@ -218,6 +238,8 @@ class _DecimationState:
         self.Q[vids] += q
         self.version = [0] * mesh.n_vertices
         self.n_alive = mesh.n_vertices
+        # the commits in order: (i, j) and the position i moved to
+        self.merges, self.positions = [], []
         # every edge once, in order of first appearance in the face list
         _, inverse, edges, _ = edge_incidence(mesh.faces, mesh.n_vertices)
         ids = inverse.reshape(3, -1).T.ravel()  # face-major
@@ -360,7 +382,8 @@ class _DecimationState:
         vf[j].clear()
         self.v[i] = pos
         self.Q[i] = self.Q[i] + self.Q[j]
-        self.alive_v[j] = False
+        self.merges.append((i, j))
+        self.positions.append(pos)
         self.version[i] += 1
         self.version[j] += 1
         self.n_alive -= 1
@@ -402,42 +425,127 @@ class _DecimationState:
             heapq.heapify(self.heap)
 
 
+def collapse_log(mesh, n_min):
+    """The commits of the collapse loop from ``mesh`` toward ``n_min``
+    vertices, in commit order: ``(merges, positions)``, the (k, 2) int64
+    rows ``(i, j)`` of each collapse (j merged into i) and the (k, 3)
+    position i moved to. Fewer than ``n - n_min`` rows when no valid
+    collapse remains."""
+    st = _DecimationState(mesh)
+    while st.n_alive > n_min and st.heap:
+        st.commit_window(st.n_alive - n_min)
+    return (np.array(st.merges, dtype=np.int64).reshape(-1, 2),
+            np.array(st.positions, dtype=np.float64).reshape(-1, 3))
+
+
+class ProgressiveMesh:
+    """A mesh's collapse log and the back-projections of the positions its
+    replays emit, both grown on demand; ``Mesh.progressive`` keeps one per
+    mesh (see the module docstring).
+
+    A position id names a position a replay can give a kept vertex: ``v <
+    n`` is vertex v's own, ``n + k`` the one commit k moved its kept
+    vertex to. ``faces[id]`` and ``weights[id]`` hold its projection onto
+    the mesh, face -1 until one is made. The methods take the mesh as an
+    argument: a reference back to it would make a cycle, which only the
+    garbage collector frees, and a run's meshes and BVHs would pile up
+    until it does."""
+
+    def __init__(self, mesh):
+        self.floor = mesh.n_vertices  # the log reaches every target >= floor
+        self.merges = np.empty((0, 2), dtype=np.int64)
+        self.positions = np.empty((0, 3))
+        self.faces = np.full(mesh.n_vertices, -1)
+        self.weights = np.empty((mesh.n_vertices, 3))
+
+    def reach(self, mesh, n_min):
+        """Log the collapses down to ``n_min`` vertices, unless the log
+        already reaches that far or stopped early. A deeper log starts
+        with the shallower one, so the projections made stay valid."""
+        n = mesh.n_vertices
+        if n_min >= self.floor or len(self.merges) < n - self.floor:
+            return
+        self.merges, self.positions = collapse_log(mesh, n_min)
+        self.floor = n_min
+        grow = n + len(self.merges) - len(self.faces)
+        self.faces = np.concatenate([self.faces, np.full(grow, -1)])
+        self.weights = np.concatenate([self.weights, np.empty((grow, 3))])
+
+    def replay(self, mesh, target):
+        """``decimate(mesh, target)`` from the log's first ``n - target``
+        commits, and the position id of each kept vertex."""
+        n = mesh.n_vertices
+        self.reach(mesh, target)
+        c = min(n - target, len(self.merges))
+        if c == 0:
+            return mesh, np.arange(n), np.arange(n)
+        i, j = self.merges[:c].T
+        parent = np.arange(n)
+        parent[j] = i
+        while True:  # jump pointers until each vertex names its survivor
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        keep = np.flatnonzero(parent == np.arange(n))
+        # a kept vertex sits where the last commit that moved it put it
+        moved, back = np.unique(i[::-1], return_index=True)
+        ids = np.arange(n)
+        ids[moved] = n + c - 1 - back
+        ids = ids[keep]
+        vertices = mesh.vertices[keep]
+        logged = ids >= n
+        vertices[logged] = self.positions[ids[logged] - n]
+        # a face survives while its corners have three survivors
+        f = parent[mesh.faces]
+        live = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) \
+            & (f[:, 2] != f[:, 0])
+        if not live.any():
+            # vertices that no face references count toward the target
+            unref = n - len(np.unique(mesh.faces))
+            raise ValueError(
+                f"decimating to {target} vertices removed every face; "
+                f"{unref} of the {n} vertices are in no face")
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[keep] = np.arange(len(keep))
+        return Mesh(vertices, remap[f[live]], id=mesh.id), keep, ids
+
+    def back_projection(self, mesh, ids):
+        """``(faces, weights)`` of the positions ``ids`` on the mesh; only
+        the ones no earlier call asked for are projected."""
+        n = mesh.n_vertices
+        new = ids[self.faces[ids] < 0]
+        if len(new):
+            own = new < n
+            points = np.empty((len(new), 3))
+            points[own] = mesh.vertices[new[own]]
+            points[~own] = self.positions[new[~own] - n]
+            self.faces[new], self.weights[new] = back_correspondence(
+                points, mesh)
+        return self.faces[ids], self.weights[ids]
+
+
 def decimate(mesh, target_vertices):
-    """Edge-collapse decimation toward ``target_vertices``.
+    """Edge-collapse decimation toward ``target_vertices``: a replay of the
+    mesh's collapse log.
 
     Stops early (with the achieved count in the result) when no valid
-    collapse remains. Returns (decimated mesh, vertex map decimated->input).
+    collapse remains. Returns (decimated mesh, vertex map decimated->input);
+    with no collapse to make the mesh is returned itself.
     """
     if not 4 <= target_vertices <= mesh.n_vertices:
         raise ValueError(
             f"target {target_vertices} outside [4, {mesh.n_vertices}]")
-    if target_vertices == mesh.n_vertices:
-        return mesh, np.arange(mesh.n_vertices)
-
-    st = _DecimationState(mesh)
-    while st.n_alive > target_vertices and st.heap:
-        st.commit_window(st.n_alive - target_vertices)
-    if not st.faces:
-        # vertices that no face references count toward the target
-        unref = mesh.n_vertices - len(np.unique(mesh.faces))
-        raise ValueError(
-            f"decimating to {target_vertices} vertices removed every face; "
-            f"{unref} of the {mesh.n_vertices} vertices are in no face")
-
-    keep = np.flatnonzero(st.alive_v)
-    remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    faces = remap[np.array([f for _, f in sorted(st.faces.items())])]
-    out = Mesh(st.v[keep], faces, id=mesh.id)
+    out, keep, _ = mesh.progressive.replay(mesh, target_vertices)
     return out, keep
 
 
-def back_correspondence(decimated, original):
-    """Map every decimated vertex to its nearest surface point on the
-    original mesh (dense, no unmatched entries)."""
+def back_correspondence(points, original):
+    """Nearest surface point on the original mesh to each of ``points``,
+    the remesh positions not projected before, as ``(faces, weights)``."""
     # a span of its own in perfbench, apart from the pipeline's forward
-    # projections, which call project_template_pair directly
-    return project_template_pair(decimated, original)
+    # projections
+    return geo.project_points_to_surface(points, original)
 
 
 def remesh_with_correspondence(mesh, count_range, rng, cache=None):
@@ -445,7 +553,10 @@ def remesh_with_correspondence(mesh, count_range, rng, cache=None):
     attach the back-projected correspondence onto the input mesh.
 
     Meshes at or below the lower bound are passed through with an identity
-    correspondence. Deterministic for a fixed rng state.
+    correspondence, and a target that reaches the vertex count emits the
+    mesh itself without reading the cache. The collapse loop runs once per
+    mesh and lower bound; each target replays its log. Deterministic for a
+    fixed rng state.
     """
     lo, hi = count_range
     if not (4 <= lo <= hi):
@@ -457,13 +568,17 @@ def remesh_with_correspondence(mesh, count_range, rng, cache=None):
                             achieved_count=mesh.n_vertices,
                             max_projection_error=0.0)
     target = min(target, mesh.n_vertices)
-    if cache is not None:
+    if cache is not None and target < mesh.n_vertices:
+        # a loaded copy of the mesh itself would be emitted as another mesh
         cached = cache.load(mesh, target)
         if cached is not None:
             return cached
-    dec, _ = decimate(mesh, target)
-    corr = back_correspondence(dec, mesh)
-    mapped = evaluate_correspondence(corr, mesh)
+    pm = mesh.progressive
+    pm.reach(mesh, lo)
+    dec, _, ids = pm.replay(mesh, target)
+    corr = DenseCorrespondence(dec.id, mesh.id,
+                               *pm.back_projection(mesh, ids))
+    mapped = geo.evaluate_correspondence(corr, mesh)
     err = float(np.linalg.norm(mapped - dec.vertices, axis=1).max())
     result = RemeshResult(dec, mesh, corr, target_count=target,
                           achieved_count=dec.n_vertices,

@@ -117,6 +117,20 @@ class Mesh:
         from .geometry import edge_graph
         return edge_graph(self)
 
+    @cached_property
+    def progressive(self):
+        # the collapse log and back-projection memo of remeshing, grown
+        # lazily like the BVH
+        from .decimate import ProgressiveMesh
+        return ProgressiveMesh(self)
+
+    @cached_property
+    def unit_area(self):
+        # the area-normalized copy generation remeshes, made once so that
+        # its BVH and collapse log are made once too
+        from .geometry import normalize_area
+        return normalize_area(self)
+
     def __eq__(self, other):
         if not isinstance(other, Mesh):
             return NotImplemented

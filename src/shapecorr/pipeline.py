@@ -88,7 +88,7 @@ def _prepare_shape(net, shape_id, config, rng, remesh_cache):
     correspondence, with counts -1."""
     mesh = net.mesh(shape_id)
     if config.normalize_area:
-        mesh = geo.normalize_area(mesh)
+        mesh = mesh.unit_area
     if config.remesh:
         return remesh_with_correspondence(mesh, config.count_range, rng,
                                           cache=remesh_cache)

@@ -136,15 +136,17 @@ def edges_in_face_order(mesh):
     return out
 
 
-def sequential_decimate(mesh, target):
+def sequential_loop(mesh, target):
     """The plain sequential collapse loop that ``decimate``'s windows
-    reproduce, with its signature and return value: one collapse per pop.
-    Pop in (cost, seq) order, skip a stale or invalid entry, else collapse
-    and price the edges around the kept vertex with consecutive seq."""
+    reproduce: one collapse per pop. Pop in (cost, seq) order, skip a stale
+    or invalid entry, else collapse and price the edges around the kept
+    vertex with consecutive seq. Returns the final state and the commits
+    ``(i, j, position)`` in order."""
     st = _DecimationState(mesh)
     heap = st.edge_entries(np.array(edges_in_face_order(mesh)), 0)
     heapq.heapify(heap)
     seq = len(heap)
+    commits = []
     while st.n_alive > target and heap:
         _, _, i, j, vi, vj, *pos = heapq.heappop(heap)
         if vi != st.version[i] or vj != st.version[j]:
@@ -154,16 +156,35 @@ def sequential_decimate(mesh, target):
         if reference_flips_normal(st, i, j, np.array(pos)):
             continue
         st.collapse(i, j, pos)
+        commits.append((i, j, pos))
         ks = sorted(st.neighbors(i))
         pairs = np.array([(min(i, k), max(i, k)) for k in ks], dtype=np.int64)
         for entry in st.edge_entries(pairs.reshape(-1, 2), seq):
             heapq.heappush(heap, entry)
         seq += len(pairs)
-    keep = np.flatnonzero(st.alive_v)
+    return st, commits
+
+
+def sequential_decimate(mesh, target):
+    """``decimate`` by the sequential loop, with its signature and return
+    value, built from the loop's final state."""
+    st, commits = sequential_loop(mesh, target)
+    keep = np.setdiff1d(np.arange(mesh.n_vertices),
+                        [j for _, j, _ in commits])
     remap = np.full(mesh.n_vertices, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     faces = [[remap[v] for v in f] for _, f in sorted(st.faces.items())]
     return Mesh(st.v[keep], np.array(faces, dtype=np.int64), id=mesh.id), keep
+
+
+def sequential_collapse_log(mesh, n_min):
+    """``decimate.collapse_log`` by the sequential loop: its own commit
+    list, as ``(merges, positions)``."""
+    _, commits = sequential_loop(mesh, n_min)
+    merges = [(i, j) for i, j, _ in commits]
+    positions = [pos for _, _, pos in commits]
+    return (np.array(merges, dtype=np.int64).reshape(-1, 2),
+            np.array(positions, dtype=np.float64).reshape(-1, 3))
 
 
 def oracle_snap(corr, mesh):

@@ -29,7 +29,8 @@ from shapecorr.textio import read_key_values
 from conftest import (digest_tree, exhaustive_first_hits,
                       exhaustive_nearest_points, floyd_warshall_distances,
                       grid_plane, oracle_snap, random_correspondence,
-                      random_rigid, require_golden_build, sequential_decimate)
+                      random_rigid, require_golden_build,
+                      sequential_collapse_log)
 from shapes import bumpy_sphere, icosphere
 
 
@@ -307,8 +308,8 @@ ORACLE_SWAPS = {
                  mesh, *scanning.camera_rays(camera, resolution))),
     "nearest": (geo, "project_points_to_surface",
                 lambda points, mesh: exhaustive_nearest_points(mesh, points)),
-    "decimate": (importlib.import_module("shapecorr.decimate"), "decimate",
-                 sequential_decimate),
+    "decimate": (importlib.import_module("shapecorr.decimate"),
+                 "collapse_log", sequential_collapse_log),
 }
 
 
@@ -362,4 +363,23 @@ def test_warm_remesh_cache_writes_cold_bytes(tmp_path):
     for name in names:
         assert (tmp_path / "warm" / name / "gt.corr").read_bytes() == \
             (tmp_path / "cold" / name / "gt.corr").read_bytes(), name
+    assert digest_tree(tmp_path / "warm") == digest_tree(tmp_path / "cold")
+
+
+def test_warm_remesh_cache_writes_cold_bytes_at_the_vertex_count(tmp_path):
+    """A target that reaches the shape's vertex count emits the network
+    mesh itself, cold or warm. A warm run used to emit the cache's copy of
+    it, project the network shape onto that copy as onto a remeshed one,
+    and write other bytes (here in ``train_000005``, whose y target is
+    162, every vertex of the shape)."""
+    cfg = dataclasses.replace(_criterion_9_config(), setting="full_full",
+                              count_range=(150, 170), global_seed=3)
+    for run in ("cold", "warm"):
+        if run == "warm":
+            shutil.copytree(tmp_path / "cold" / "cache",
+                            tmp_path / "warm" / "cache")
+        net, manifest = _toy_world(base=bumpy_sphere(2))
+        run_generation(cfg, net, manifest, tmp_path / run)
+    meta = read_key_values(tmp_path / "cold" / "train_000005" / "meta.txt")
+    assert meta["remesh_target_y"] == "162"
     assert digest_tree(tmp_path / "warm") == digest_tree(tmp_path / "cold")

@@ -148,7 +148,9 @@ def test_load_keeps_saved_weights_bit_for_bit(tmp_path, form):
     some rows; a load must return the saved weights unchanged. A comment
     before or after a text header used to make it a bad header."""
     original = bumpy_sphere(4)
-    corr = back_correspondence(decimate(original, 800)[0], original)
+    dec, _ = decimate(original, 800)
+    corr = DenseCorrespondence(dec.id, original.id,
+                               *back_correspondence(dec.vertices, original))
     path = tmp_path / "c.corr"
     save(corr, path, form)
     back = load_correspondence(path)

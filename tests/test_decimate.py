@@ -389,6 +389,70 @@ def test_windows_match_sequential_loop(mesh, target):
     assert keep.tobytes() == want_keep.tobytes()
 
 
+# the module; the package attribute ``shapecorr.decimate`` is the function
+DECIMATE = importlib.import_module("shapecorr.decimate")
+
+
+def counted(monkeypatch, owner, name):
+    """The argument tuples of every call to ``owner.name`` from here on."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+# (shape, lower bound, whether the loop stops above it)
+REPLAY_CASES = [(lambda: torus(8, 6), 4, True),
+                (lambda: grid_plane(6), 4, False),
+                (flat_and_curved, 4, False),
+                (lambda: bumpy_sphere(1, seed=5), 4, False),
+                (lambda: bumpy_sphere(2, seed=5), 120, False)]
+
+
+@pytest.mark.parametrize(
+    "make,lo,stops_early", REPLAY_CASES,
+    ids=["torus", "grid_plane", "flat_and_curved", "bumpy_sphere_1",
+         "bumpy_sphere_2"])
+def test_replay_matches_sequential_loop_at_every_target(make, lo,
+                                                        stops_early,
+                                                        monkeypatch):
+    """One collapse log down to ``lo``, replayed at every target from
+    ``lo`` to the vertex count, gives the sequential loop's bytes at each;
+    a target at the vertex count gives the mesh itself."""
+    logs = counted(monkeypatch, DECIMATE, "collapse_log")
+    mesh = make()
+    out, _ = decimate(mesh, lo)
+    assert (out.n_vertices > lo) == stops_early
+    for target in range(lo, mesh.n_vertices + 1):
+        out, keep = decimate(mesh, target)
+        want, want_keep = sequential_decimate(mesh, target)
+        assert out.vertices.tobytes() == want.vertices.tobytes(), target
+        assert out.faces.tobytes() == want.faces.tobytes(), target
+        assert keep.tobytes() == want_keep.tobytes(), target
+    assert out is mesh
+    assert len(logs) == 1
+
+
+def test_replay_that_removes_every_face_raises_the_loop_message():
+    """A log that runs past the last face replays to the same error as the
+    loop stopped at that target, and to the loop's mesh one vertex
+    earlier."""
+    m = open_patch()
+    m.progressive.reach(m, 40)
+    with pytest.raises(ValueError, match=(
+            "^decimating to 51 vertices removed every face; 49 of the 642 "
+            "vertices are in no face$")):
+        decimate(m, 51)
+    out, keep = decimate(m, 52)
+    want, want_keep = sequential_decimate(m, 52)
+    assert out.vertices.tobytes() == want.vertices.tobytes()
+    assert out.faces.tobytes() == want.faces.tobytes()
+    assert keep.tobytes() == want_keep.tobytes()
+
+
 def test_merged_entries_price_the_post_collapse_edges():
     """Every edge a window prices before a collapse is the edge, cost and
     position that pricing after it gives, including where a shared face
@@ -446,27 +510,28 @@ def test_invalid_target_raises():
 class TestBackCorrespondence:
     def test_identity_case(self):
         m = icosphere(1)
-        corr = back_correspondence(m, m)
+        corr = DenseCorrespondence(m.id, m.id,
+                                   *back_correspondence(m.vertices, m))
         assert corr.matched.all()
         pos = geo.evaluate_correspondence(corr, m)
         np.testing.assert_allclose(pos, m.vertices, atol=1e-9)
 
-    def test_one_body_with_the_template_projection(self, monkeypatch):
-        """back_correspondence is the network's template projection under
-        the name perfbench times as remesh back-projection; it used to be
-        a second copy of that body."""
-        a, b, corr = icosphere(1), icosphere(2), object()
+    def test_one_body_with_the_surface_projection(self, monkeypatch):
+        """back_correspondence is ``project_points_to_surface`` under the
+        name perfbench times as remesh back-projection."""
+        points, mesh, out = np.zeros((2, 3)), icosphere(1), object()
         monkeypatch.setattr(
-            importlib.import_module("shapecorr.decimate"),
-            "project_template_pair",
-            lambda x, y: corr if (x, y) == (a, b) else None)
-        assert back_correspondence(a, b) is corr
+            geo, "project_points_to_surface",
+            lambda p, m: out if (p is points and m is mesh) else None)
+        assert back_correspondence(points, mesh) is out
 
     def test_within_brute_force_distance(self):
         m = icosphere(2)
         dec, _ = decimate(m, 60)
-        assert back_correspondence(dec, m) == DenseCorrespondence(
-            dec.id, m.id, *exhaustive_nearest_points(m, dec.vertices))
+        got = back_correspondence(dec.vertices, m)
+        want = exhaustive_nearest_points(m, dec.vertices)
+        assert DenseCorrespondence(dec.id, m.id, *got) == \
+            DenseCorrespondence(dec.id, m.id, *want)
 
 
 class TestRemeshWithCorrespondence:
@@ -496,6 +561,41 @@ class TestRemeshWithCorrespondence:
         pos = geo.evaluate_correspondence(r.to_original, m)
         d = np.linalg.norm(pos - r.mesh.vertices, axis=1)
         assert d.max() <= r.max_projection_error + 1e-12
+
+    def test_second_remesh_runs_no_collapse_loop(self, monkeypatch):
+        """The loop runs once per mesh and lower bound; a later target
+        replays the log, and a lower bound below the log's takes a deeper
+        one. Each gives the bytes of a remesh of a fresh copy."""
+        logs = counted(monkeypatch, DECIMATE, "collapse_log")
+        m = bumpy_sphere(3)
+        for count_range, seed in (((150, 250), 1), ((150, 250), 2),
+                                  ((100, 250), 3)):
+            got = remesh_with_correspondence(m, count_range,
+                                             np.random.default_rng(seed))
+            want = remesh_with_correspondence(
+                Mesh(m.vertices, m.faces, id=m.id), count_range,
+                np.random.default_rng(seed))
+            assert got.mesh == want.mesh
+            assert got.to_original == want.to_original
+            assert got.max_projection_error == want.max_projection_error
+        assert [(mesh is m, n_min) for mesh, n_min in logs] == [
+            (True, 150), (False, 150), (False, 150), (True, 100),
+            (False, 100)]
+
+    def test_second_remesh_projects_only_new_positions(self, monkeypatch):
+        """A kept vertex sits at its own position or at a logged one; the
+        second remesh projects only those the first did not emit."""
+        calls = counted(monkeypatch, geo, "project_points_to_surface")
+        m = bumpy_sphere(3)
+        first = remesh_with_correspondence(m, (150, 250),
+                                           np.random.default_rng(1))
+        second = remesh_with_correspondence(m, (150, 250),
+                                            np.random.default_rng(2))
+        seen = {row.tobytes() for row in first.mesh.vertices}
+        new = sum(row.tobytes() not in seen for row in second.mesh.vertices)
+        projected = [len(p) for p, _ in calls]
+        assert projected == [first.mesh.n_vertices, new]
+        assert 0 < new < second.mesh.n_vertices
 
     def test_cache_roundtrip(self, tmp_path):
         m = bumpy_sphere(2)

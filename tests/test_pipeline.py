@@ -1,6 +1,7 @@
 import os
 import re
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,26 @@ class TestGenerateInstance:
                          normalize_area=True)
         inst = generate_instance(spec(ids), net, cfg)
         assert geo.surface_area(inst.shape_x) == pytest.approx(1.0, abs=1e-9)
+
+    def test_area_normalization_builds_one_bvh_per_shape(self, tmp_path,
+                                                        bvh_builds):
+        """A run normalizes each network shape once: it builds the BVHs of
+        a run without normalizing and at most one more per shape, that of
+        the normalized copy beside the one the network's compositions
+        project onto. It used to normalize, and build a BVH for, the
+        shapes of every instance again (faust:0002 is the y shape of two
+        of the three)."""
+        runs = {}
+        for normalize in (False, True):
+            bvh_builds.clear()
+            net, manifest, _ = toy_network()
+            _, failed = run_generation(toy_config(normalize_area=normalize),
+                                       net, manifest, tmp_path / str(normalize))
+            assert failed == 0
+            runs[normalize] = Counter(bvh_builds)
+        extra = runs[True] - runs[False]
+        assert runs[False] - runs[True] == Counter()
+        assert set(extra.values()) == {1}
 
 
 class TestRestriction:

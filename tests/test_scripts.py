@@ -43,7 +43,7 @@ def test_imports_without_running(name, load, capsys):
 
 def test_record_pins_every_case(load):
     record = load("paper_record.py")
-    assert len(record.CASES) == 12
+    assert len(record.CASES) == 13
     assert list(record.PINNED) == list(record.CASES)
 
 
